@@ -33,7 +33,7 @@ from . import config as cf
 from . import fourier as fo
 from . import incidence as inc
 from .dyadic import DiscretePointSet, ParameterError, delta_set_constant, generate_delta_set
-from .family import DomainError
+from .family import DomainError, EvaluationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,6 +126,13 @@ _CONFIG_PARSERS = {
 }
 
 
+def _parse_value(key: str, text: str):
+    try:
+        return _CONFIG_PARSERS[key](text)
+    except ValueError:
+        raise ValidationError(f"{key}: cannot parse {text!r}") from None
+
+
 def parse_config_file(path: str) -> dict:
     """Flat key=value file; '#' starts a comment; unknown keys are an error."""
     out = {}
@@ -141,7 +148,7 @@ def parse_config_file(path: str) -> dict:
             if key not in _CONFIG_PARSERS:
                 unknown.append(key)
                 continue
-            out[key] = _CONFIG_PARSERS[key](val)
+            out[key] = _parse_value(key, val)
     if unknown:
         raise ValidationError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
     return out
@@ -447,11 +454,11 @@ def resolve_config(argv) -> RunConfig:
         cli_val = getattr(args, key, None)
         if cli_val is None:
             continue
-        values[key] = _CONFIG_PARSERS[key](cli_val) if isinstance(cli_val, str) else cli_val
+        values[key] = _parse_value(key, cli_val) if isinstance(cli_val, str) else cli_val
     values["subcommand"] = args.subcommand
     env_threads = os.environ.get("FURSTLAB_THREADS")
     if env_threads:
-        values["threads"] = int(env_threads)
+        values["threads"] = _parse_value("threads", env_threads)
     config = RunConfig(**values)
     _validate(config)
     return config
@@ -468,9 +475,8 @@ def _validate(config: RunConfig) -> None:
     if config.eta_max <= 0 or config.slope_max <= 0:
         raise ValidationError("thresholds must be positive")
     for R in config.R:
-        e = math.log2(R)
-        if abs(e - round(e)) > 1e-9:
-            raise ValidationError(f"R values must be dyadic, got {R}")
+        if not (0 < R < math.inf) or abs(math.log2(R) - round(math.log2(R))) > 1e-9:
+            raise ValidationError(f"R values must be positive powers of two, got {R}")
 
 
 def run(config: RunConfig) -> int:
@@ -489,7 +495,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return run(config)
-    except (ValidationError, ParameterError, DomainError) as e:
+    except (ValidationError, ParameterError, DomainError, EvaluationError, OSError) as e:
         print(f"furst-lab: {e}", file=sys.stderr)
         return EXIT_USAGE
 

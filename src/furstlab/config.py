@@ -31,7 +31,7 @@ from .dyadic import (
     katz_tao_constant,
     side_of,
 )
-from .family import CurveFunction, DomainError, TransversalFamily, affine_curve, quadratic_translate_curve
+from .family import DEFAULT_GRID_N, PARAMETRIC_KINDS, DomainError, TransversalFamily
 from .incidence import cube_incidence_counts
 
 WORK_INTERVAL = (-2.0, 2.0)
@@ -42,56 +42,33 @@ WORK_INTERVAL = (-2.0, 2.0)
 #: (max(0,B-2A)+A)/(B+3A) is minimised at B=2A with value 1/5.
 AFFINE_DIFFERENCE_T = 5.0
 
-KINDS = ("affine", "parabola", "convex")
+#: the parabola kind's members are translates of 0.5*x^2
+PARABOLA_LEAD = 0.5
 
 
-def _make_curves(kind: str, a: np.ndarray, b: np.ndarray, seed_curve=None):
-    """Map parameter-plane points to curves on the working interval.
+def _make_family(
+    kind: str,
+    a: np.ndarray,
+    b: np.ndarray,
+    seed_curve=None,
+    declared_t_const: float | None = None,
+    grid_n: int = DEFAULT_GRID_N,
+) -> TransversalFamily:
+    """Map parameter-plane points to a family on the working interval.
 
     Values over the column range [0, 1) land in [-1, 1) for the built-in
     kinds (intercepts are shifted down by 1), so the attached squares stay
-    inside [-1, 1]^2.
+    inside [-1, 1]^2.  Lines and parabola translates declare the certified
+    AFFINE_DIFFERENCE_T unless the caller declares a tighter constant.
     """
-    if kind == "affine":
-        curves = [affine_curve(ai, bi - 1.0, WORK_INTERVAL) for ai, bi in zip(a, b)]
-        return curves, AFFINE_DIFFERENCE_T
-    if kind == "parabola":
-        curves = [
-            quadratic_translate_curve(ai, bi - 1.0, WORK_INTERVAL, lead=0.5)
-            for ai, bi in zip(a, b)
-        ]
-        return curves, AFFINE_DIFFERENCE_T
-    if kind == "convex":
-        if seed_curve is None:
-            raise ParameterError("kind='convex' needs a ConvexSeed")
-        g0, g1, g2 = seed_curve.g0, seed_curve.g1, seed_curve.g2
-        curves = [
-            CurveFunction(
-                x_lo=WORK_INTERVAL[0],
-                x_hi=WORK_INTERVAL[1],
-                eval0=lambda x, ai=ai, bi=bi: np.asarray(g0(np.asarray(x, dtype=float) - ai), dtype=float) + (bi - 1.0),
-                eval1=lambda x, ai=ai: np.asarray(g1(np.asarray(x, dtype=float) - ai), dtype=float),
-                eval2=lambda x, ai=ai: np.asarray(g2(np.asarray(x, dtype=float) - ai), dtype=float),
-                params=(float(ai), float(bi - 1.0)),
-                family_tag="convex-translate",
-            )
-            for ai, bi in zip(a, b)
-        ]
-        return curves, None
-    raise ParameterError(f"unknown kind {kind!r}; expected one of {KINDS}")
-
-
-def _values_on_columns(kind: str, a: np.ndarray, b: np.ndarray, cols: np.ndarray, seed_curve=None) -> np.ndarray:
-    """Vectorised f_i(x_{i,j}) for per-curve column centers cols (n, M)."""
-    a = a[:, None]
-    b = b[:, None]
-    if kind == "affine":
-        return a * cols + (b - 1.0)
-    if kind == "parabola":
-        return 0.5 * (cols - a) ** 2 + (b - 1.0)
-    if kind == "convex":
-        return np.asarray(seed_curve.g0(cols - a), dtype=float) + (b - 1.0)
-    raise ParameterError(f"unknown kind {kind!r}")
+    if kind not in PARAMETRIC_KINDS:
+        raise ParameterError(f"unknown kind {kind!r}; expected one of {PARAMETRIC_KINDS}")
+    if declared_t_const is None and kind != "convex":
+        declared_t_const = AFFINE_DIFFERENCE_T
+    return TransversalFamily.parametric(
+        kind, a, b - 1.0, WORK_INTERVAL, lead=PARABOLA_LEAD, seed=seed_curve,
+        grid_n=grid_n, declared_t_const=declared_t_const, check_duplicates=False,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -131,7 +108,8 @@ class NiceConfiguration:
         iy = self.iy.ravel()
         span = iy.max() - iy.min() + 1
         keys = (ix - ix.min()) * span + (iy - iy.min())
-        return len(np.unique(keys))
+        keys.sort()
+        return int(np.count_nonzero(np.diff(keys))) + 1
 
     def union_squares(self) -> SquareFamily:
         return SquareFamily(self.delta_exp, self.col_idx.ravel(), self.iy.ravel())
@@ -207,11 +185,9 @@ def build_nice_configuration(
     param_idx = generate_delta_set_indices(delta_exp, t, T, rng, dim=2, batch=1)[0]
     a = centers_of(param_idx[:, 0], delta_exp)
     b = centers_of(param_idx[:, 1], delta_exp)
-    curves, declared_t = _make_curves(kind, a, b, seed_curve)
-    fam_kwargs = {"declared_t_const": declared_t, "check_duplicates": False}
-    if grid_n is not None:
-        fam_kwargs["grid_n"] = grid_n
-    family = TransversalFamily(curves, **fam_kwargs)
+    family = _make_family(
+        kind, a, b, seed_curve, grid_n=DEFAULT_GRID_N if grid_n is None else grid_n
+    )
     t_bound = family.t_bound()
     _check_transversality(family, t_bound)
 
@@ -221,8 +197,7 @@ def build_nice_configuration(
         col_idx = np.tile(cols_one, (n, 1))
     else:
         col_idx = generate_delta_set_indices(delta_exp, s, T, rng, dim=1, batch=n)[..., 0]
-    cols = centers_of(col_idx, delta_exp)
-    values = _values_on_columns(kind, a, b, cols, seed_curve)
+    values = family.evaluate(centers_of(col_idx, delta_exp))
     iy = np.floor(np.ldexp(values, delta_exp)).astype(np.int64)
     conf = NiceConfiguration(
         family=family,
@@ -281,11 +256,9 @@ def build_parallel_translate_configuration(
     rng = np.random.default_rng(seed)
     b = (np.arange(count) + 0.5) / count
     a = np.full(count, 0.5)
-    curves, _ = _make_curves(kind, a, b)
-    family = TransversalFamily(curves, declared_t_const=1.0, check_duplicates=False)
+    family = _make_family(kind, a, b, declared_t_const=1.0)
     col_idx = generate_delta_set_indices(delta_exp, s, T, rng, dim=1, batch=count)[..., 0]
-    cols = centers_of(col_idx, delta_exp)
-    values = _values_on_columns(kind, a, b, cols)
+    values = family.evaluate(centers_of(col_idx, delta_exp))
     iy = np.floor(np.ldexp(values, delta_exp)).astype(np.int64)
     conf = NiceConfiguration(
         family=family, kind=kind, delta_exp=delta_exp, s=s, t=s, T=T, seed=seed,
@@ -319,28 +292,26 @@ def verify_nice(conf: NiceConfiguration, samples: int = 9, max_curves: int | Non
     n, M = conf.n_curves, conf.M
     if conf.col_idx.shape != conf.iy.shape:
         failures.append("square index arrays are ragged")
-    for i in range(n):
-        if len(np.unique(conf.col_idx[i])) != M:
-            failures.append(f"curve {i}: |P(f)| != M (duplicate columns)")
-            break
+    cols_sorted = np.sort(conf.col_idx, axis=1)
+    dup = np.any(cols_sorted[:, 1:] == cols_sorted[:, :-1], axis=1)
+    if np.any(dup):
+        failures.append(f"curve {int(np.argmax(dup))}: |P(f)| != M (duplicate columns)")
     k = conf.delta_exp
     dl = side_of(k)
     curve_ids = np.arange(n)
     if max_curves is not None and n > max_curves:
         curve_ids = np.linspace(0, n - 1, max_curves).astype(int)
     offs = (np.arange(samples) + 0.5) / samples * dl
-    for i in curve_ids:
-        x_lo = centers_of(conf.col_idx[i], k) - 0.5 * dl
-        xs = x_lo[:, None] + offs[None, :]
-        vals = np.asarray(conf.family.curves[i].eval0(xs), dtype=float)
-        iy_hit = np.floor(np.ldexp(vals, k)).astype(np.int64)
-        ok = np.any(iy_hit == conf.iy[i][:, None], axis=1)
-        if not np.all(ok):
-            j = int(np.argmin(ok))
-            failures.append(
-                f"square (ix={conf.col_idx[i][j]}, iy={conf.iy[i][j]}) misses the graph of curve {i}"
-            )
-            break
+    xs = (centers_of(conf.col_idx[curve_ids], k) - 0.5 * dl)[..., None] + offs
+    vals = conf.family.subfamily(curve_ids).evaluate(xs)
+    iy_hit = np.floor(np.ldexp(vals, k)).astype(np.int64)
+    missed = ~np.any(iy_hit == conf.iy[curve_ids][..., None], axis=2)
+    if np.any(missed):
+        c, j = np.argwhere(missed)[0]
+        i = curve_ids[c]
+        failures.append(
+            f"square (ix={conf.col_idx[i][j]}, iy={conf.iy[i][j]}) misses the graph of curve {i}"
+        )
     min_sep = conf.family.min_pair_distance() if n >= 2 else math.inf
     if min_sep < dl:
         failures.append(f"family not delta-separated: min distance {min_sep} < {dl}")
@@ -562,8 +533,7 @@ def build_semi_well_spaced_family(
     b_lo = np.repeat(np.ldexp(cells[:, 1].astype(float), -Delta_exp), per_cell)
     offs = np.tile((np.arange(per_cell) + 0.5) * Delta / per_cell, len(cells))
     b = b_lo + offs
-    curves, declared = _make_curves(kind, a, b)
-    return TransversalFamily(curves, declared_t_const=declared, check_duplicates=False)
+    return _make_family(kind, a, b)
 
 
 # --------------------------------------------------------------------------
@@ -625,8 +595,7 @@ def build_uniform_line_family(
     full = full.reshape(-1, 2)
     a = centers_of(full[:, 0], delta_exp)
     b = centers_of(full[:, 1], delta_exp)
-    curves, declared = _make_curves("affine", a, b)
-    return TransversalFamily(curves, declared_t_const=declared, check_duplicates=False)
+    return _make_family("affine", a, b)
 
 
 class MainlemEvaluator:

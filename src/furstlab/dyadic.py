@@ -272,11 +272,6 @@ def greedy_separated(points: np.ndarray, r: float, inclusive: bool = False) -> n
     return np.asarray(kept, dtype=np.int64)
 
 
-def packing_count(points: np.ndarray, r: float) -> int:
-    """Size of a maximal subset with pairwise distances >= r (inclusive)."""
-    return int(len(greedy_separated(points, r, inclusive=True)))
-
-
 EXACT_COVER_LIMIT = 512
 
 

@@ -11,10 +11,12 @@ are grid-resolution estimates: grid minima over-estimate true infima and
 grid maxima under-estimate true suprema, which makes the estimated T a
 *lower* bound of the true constant.
 
-Two concrete family kinds get a fast pairwise path: affine curves and
-translates of a fixed quadratic.  For those, the difference of any two
-members is an affine function of x, so pairwise grid quantities reduce to
-a handful of candidate grid points per pair.
+A family either wraps a list of CurveFunction closures or stores one
+parametric kind as arrays (lines, translates of a parabola, translates of
+a convex seed); ``_kind_values`` is the one place that evaluates a kind.
+Lines and parabola translates get a fast pairwise path: the difference of
+any two members is an affine function of x, so pairwise grid quantities
+reduce to a handful of candidate grid points per pair.
 """
 
 from __future__ import annotations
@@ -51,10 +53,7 @@ class CurveFunction:
     """An evaluable C2 function on a compact interval.
 
     ``eval0``, ``eval1``, ``eval2`` evaluate f, f', f'' and must accept
-    scalars and numpy arrays.  ``linear_coeffs`` is set for curves whose
-    pairwise differences within a family are affine in x: if curve i carries
-    (alpha_i, beta_i), then (f_i - f_j)(x) = (alpha_i-alpha_j) x +
-    (beta_i-beta_j) and f_i' - f_j' is the constant alpha_i - alpha_j.
+    scalars and numpy arrays.
     """
 
     x_lo: float
@@ -64,28 +63,51 @@ class CurveFunction:
     eval2: Callable
     params: tuple = ()
     family_tag: str = "custom"
-    linear_coeffs: tuple | None = None
 
     @property
     def interval(self) -> tuple[float, float]:
         return (self.x_lo, self.x_hi)
 
-    def midpoint(self) -> float:
-        return 0.5 * (self.x_lo + self.x_hi)
+
+#: curve kinds a TransversalFamily can store as parameter arrays
+PARAMETRIC_KINDS = ("affine", "parabola", "convex")
+
+
+def _kind_values(kind: str, a, b, lead: float, seed, x, order: int):
+    """f^(order)(x) for the member (a, b) of a parametric kind.
+
+    affine: f(x) = a*x + b; parabola: f(x) = lead*(x-a)^2 + b; convex:
+    f(x) = g(x-a) + b with g the seed.  a and b broadcast against x.
+    """
+    if kind == "convex":
+        v = np.asarray((seed.g0, seed.g1, seed.g2)[order](x - a), dtype=float)
+        return v + b if order == 0 else v
+    if order == 0:
+        return a * x + b if kind == "affine" else lead * (x - a) ** 2 + b
+    if kind == "parabola" and order == 1:
+        return 2.0 * lead * (x - a)
+    ones = np.ones(np.broadcast_shapes(np.shape(a), np.shape(x)))
+    if kind == "affine":
+        return a * ones if order == 1 else np.zeros_like(ones)
+    return 2.0 * lead * ones
+
+
+def _parametric_curve(kind: str, a: float, b: float, interval, lead: float = 1.0, seed=None) -> CurveFunction:
+    """One member of a parametric kind as a CurveFunction."""
+    return CurveFunction(
+        x_lo=float(interval[0]),
+        x_hi=float(interval[1]),
+        eval0=lambda x: _kind_values(kind, a, b, lead, seed, x, 0),
+        eval1=lambda x: _kind_values(kind, a, b, lead, seed, x, 1),
+        eval2=lambda x: _kind_values(kind, a, b, lead, seed, x, 2),
+        params=(a, b, lead) if kind == "parabola" else (a, b),
+        family_tag=kind,
+    )
 
 
 def affine_curve(a: float, b: float, interval: tuple[float, float] = (-2.0, 2.0)) -> CurveFunction:
     """The line x -> a*x + b."""
-    return CurveFunction(
-        x_lo=float(interval[0]),
-        x_hi=float(interval[1]),
-        eval0=lambda x, a=a, b=b: a * x + b,
-        eval1=lambda x, a=a: a * np.ones_like(np.asarray(x, dtype=float)),
-        eval2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        params=(float(a), float(b)),
-        family_tag="affine",
-        linear_coeffs=(float(a), float(b)),
-    )
+    return _parametric_curve("affine", float(a), float(b), interval)
 
 
 def quadratic_translate_curve(
@@ -94,22 +116,8 @@ def quadratic_translate_curve(
     interval: tuple[float, float] = (-2.0, 2.0),
     lead: float = 1.0,
 ) -> CurveFunction:
-    """Translate x -> lead*(x-a)^2 + b of the fixed parabola lead*x^2.
-
-    Differences of two such curves are affine, so the fast pairwise path
-    applies: alpha = -2*lead*a, beta = lead*a^2 + b.
-    """
-    q = float(lead)
-    return CurveFunction(
-        x_lo=float(interval[0]),
-        x_hi=float(interval[1]),
-        eval0=lambda x, a=a, b=b, q=q: q * (x - a) ** 2 + b,
-        eval1=lambda x, a=a, q=q: 2.0 * q * (x - a),
-        eval2=lambda x, q=q: 2.0 * q * np.ones_like(np.asarray(x, dtype=float)),
-        params=(float(a), float(b), q),
-        family_tag="convex-translate",
-        linear_coeffs=(-2.0 * q * float(a), q * float(a) ** 2 + float(b)),
-    )
+    """Translate x -> lead*(x-a)^2 + b of the fixed parabola lead*x^2."""
+    return _parametric_curve("parabola", float(a), float(b), interval, lead=float(lead))
 
 
 # --------------------------------------------------------------------------
@@ -185,14 +193,19 @@ def _grid(x_lo: float, x_hi: float, grid_n: int) -> np.ndarray:
     return np.linspace(x_lo, x_hi, grid_n)
 
 
+def _require_finite(vals: np.ndarray, xs: np.ndarray, what: str) -> np.ndarray:
+    finite = np.isfinite(vals)
+    if not np.all(finite):
+        bad = np.broadcast_to(xs, vals.shape)[~finite][0]
+        raise EvaluationError(f"{what} returned a non-finite value at x={bad}")
+    return vals
+
+
 def _eval_checked(fn, xs: np.ndarray, what: str) -> np.ndarray:
     vals = np.asarray(fn(xs), dtype=float)
     if vals.shape != xs.shape:
         vals = np.broadcast_to(vals, xs.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = xs[~np.isfinite(np.asarray(vals))][0]
-        raise EvaluationError(f"{what} returned a non-finite value at x={bad}")
-    return vals
+    return _require_finite(vals, xs, what)
 
 
 def c2_norm(f: CurveFunction, grid_n: int = DEFAULT_GRID_N) -> float:
@@ -268,13 +281,19 @@ def _affine_pair_min_max(alpha: np.ndarray, beta: np.ndarray, xs: np.ndarray):
 # --------------------------------------------------------------------------
 
 class TransversalFamily:
-    """A finite collection of CurveFunctions over one shared interval.
+    """A finite collection of curves over one shared interval.
 
-    ``t_const`` (estimated transversality constant) and ``c2_bound`` are
-    computed lazily and cached; ``declared_t_const`` lets structured
-    generators install an analytically certified bound so that huge families
-    skip the O(n^2) pairwise pass.  All state is immutable after
-    construction apart from those caches.
+    A family built from a list of CurveFunctions keeps the list and
+    evaluates its closures (``kind == "custom"``).  ``parametric`` builds a
+    family of one of PARAMETRIC_KINDS stored as the arrays ``a`` and ``b``
+    plus ``lead`` or ``seed``; its ``curves`` list is built on first use.
+    ``evaluate`` serves both forms.
+
+    ``t_const`` (estimated transversality constant) is computed lazily and
+    cached; ``declared_t_const`` lets structured generators install an
+    analytically certified bound so that huge families skip the O(n^2)
+    pairwise pass.  All state is immutable after construction apart from
+    the caches.
     """
 
     #: families larger than this skip the full O(n^2) duplicate scan
@@ -294,12 +313,48 @@ class TransversalFamily:
         for c in curves[1:]:
             if c.interval != iv:
                 raise DomainError(f"all curves must share one interval; got {iv} and {c.interval}")
-        self.curves = curves
-        self.x_lo, self.x_hi = iv
+        self.kind = "custom"
+        self.a = self.b = self.seed = None
+        self.lead = 1.0
+        self._curves = curves
+        self._setup(iv, grid_n, declared_t_const, check_duplicates)
+
+    @classmethod
+    def parametric(
+        cls,
+        kind: str,
+        a,
+        b,
+        interval: tuple[float, float],
+        lead: float = 1.0,
+        seed: ConvexSeed | None = None,
+        grid_n: int = DEFAULT_GRID_N,
+        declared_t_const: float | None = None,
+        check_duplicates: bool = True,
+    ) -> "TransversalFamily":
+        """Members (a[i], b[i]) of one parametric kind (see ``_kind_values``)."""
+        if kind not in PARAMETRIC_KINDS:
+            raise DomainError(f"unknown kind {kind!r}; expected one of {PARAMETRIC_KINDS}")
+        if kind == "convex" and seed is None:
+            raise DomainError("kind 'convex' needs a ConvexSeed")
+        a = np.asarray(a, dtype=float).ravel()
+        b = np.asarray(b, dtype=float).ravel()
+        if a.shape != b.shape:
+            raise DomainError(f"parameter arrays differ in length: {len(a)} and {len(b)}")
+        if not len(a):
+            raise DomainError("a family needs at least one curve")
+        fam = cls.__new__(cls)
+        fam.kind, fam.a, fam.b, fam.seed = kind, a, b, seed
+        fam.lead = float(lead)
+        fam._curves = None
+        fam._setup((float(interval[0]), float(interval[1])), grid_n, declared_t_const, check_duplicates)
+        return fam
+
+    def _setup(self, interval, grid_n, declared_t_const, check_duplicates) -> None:
+        self.x_lo, self.x_hi = interval
         self.grid_n = int(grid_n)
         self.declared_t_const = declared_t_const
         self._t_const: float | None = None
-        self._c2_bound: float | None = None
         self._images: np.ndarray | None = None
         self._grid_cache: np.ndarray | None = None
         self._min_pair: float | None = None
@@ -308,8 +363,17 @@ class TransversalFamily:
 
     # -- basics ------------------------------------------------------------
 
+    @property
+    def curves(self) -> list[CurveFunction]:
+        if self._curves is None:
+            self._curves = [
+                _parametric_curve(self.kind, float(a), float(b), self.interval, self.lead, self.seed)
+                for a, b in zip(self.a, self.b)
+            ]
+        return self._curves
+
     def __len__(self) -> int:
-        return len(self.curves)
+        return len(self._curves) if self.kind == "custom" else len(self.a)
 
     def __iter__(self):
         return iter(self.curves)
@@ -329,28 +393,57 @@ class TransversalFamily:
         return float(g[(len(g) - 1) // 2])
 
     def subfamily(self, indices) -> "TransversalFamily":
-        idx = list(indices)
-        sub = TransversalFamily(
-            [self.curves[i] for i in idx],
-            grid_n=self.grid_n,
-            declared_t_const=self.declared_t_const,
-            check_duplicates=False,
+        idx = np.asarray(list(indices), dtype=np.int64)
+        kw = dict(grid_n=self.grid_n, declared_t_const=self.declared_t_const, check_duplicates=False)
+        if self.kind == "custom":
+            return TransversalFamily([self._curves[i] for i in idx], **kw)
+        return TransversalFamily.parametric(
+            self.kind, self.a[idx], self.b[idx], self.interval, self.lead, self.seed, **kw
         )
-        return sub
 
-    def linear_coeff_arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(alpha, beta) arrays when every member carries linear_coeffs."""
-        if any(c.linear_coeffs is None for c in self.curves):
-            return None
-        al = np.array([c.linear_coeffs[0] for c in self.curves])
-        be = np.array([c.linear_coeffs[1] for c in self.curves])
-        return al, be
+    def evaluate(self, x, order: int = 0) -> np.ndarray:
+        """f_i^(order) for every member i (order 0, 1 or 2).
+
+        The first axis of ``x`` is the curve axis: length 1 shares x[0]
+        among all members, length len(self) gives member i the points x[i].
+        Returns shape (len(self),) + x.shape[1:]; raises EvaluationError on a
+        non-finite value.
+        """
+        x = np.asarray(x, dtype=float)
+        n = len(self)
+        if x.ndim == 0 or x.shape[0] not in (1, n):
+            raise DomainError(f"x needs a leading curve axis of length 1 or {n}, got shape {x.shape}")
+        what = ("f", "f'", "f''")[order]
+        if self.kind == "custom":
+            rows = np.broadcast_to(x, (n,) + x.shape[1:])
+            return np.concatenate([
+                _eval_checked((c.eval0, c.eval1, c.eval2)[order], rows[i:i + 1], what)
+                for i, c in enumerate(self._curves)
+            ])
+        col = (n,) + (1,) * (x.ndim - 1)
+        vals = _kind_values(
+            self.kind, self.a.reshape(col), self.b.reshape(col), self.lead, self.seed, x, order
+        )
+        return _require_finite(vals, x, what)
+
+    def affine_difference_coeffs(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(alpha, beta) with f_i - f_j = (alpha_i-alpha_j) x + (beta_i-beta_j).
+
+        Lines carry (a, b); parabola translates lead*(x-a)^2 + b carry
+        (-2*lead*a, lead*a^2 + b).  None for the other kinds, whose
+        differences are not affine.
+        """
+        if self.kind == "affine":
+            return self.a, self.b
+        if self.kind == "parabola":
+            return -2.0 * self.lead * self.a, self.lead * self.a ** 2 + self.b
+        return None
 
     # -- duplicate rejection -------------------------------------------------
 
     def _reject_duplicates(self) -> None:
-        n = len(self.curves)
-        coeffs = self.linear_coeff_arrays()
+        n = len(self)
+        coeffs = self.affine_difference_coeffs()
         if coeffs is not None:
             al, be = coeffs
             order = np.lexsort((be, al))
@@ -377,14 +470,13 @@ class TransversalFamily:
     # -- pairwise machinery ---------------------------------------------------
 
     def _pair_index_chunks(self, chunk: int = 1 << 20):
-        n = len(self.curves)
-        ii, jj = np.triu_indices(n, k=1)
+        ii, jj = np.triu_indices(len(self), k=1)
         for start in range(0, len(ii), chunk):
             yield ii[start:start + chunk], jj[start:start + chunk]
 
     def pairwise_defect_and_dist(self):
         """Yield (i, j, defect, dist) arrays over all pairs, chunked."""
-        coeffs = self.linear_coeff_arrays()
+        coeffs = self.affine_difference_coeffs()
         xs = self.grid()
         if coeffs is not None:
             al, be = coeffs
@@ -398,9 +490,7 @@ class TransversalFamily:
                     defect = np.where(dist > 0, num / np.where(dist == 0, 1.0, dist), np.inf)
                 yield ii, jj, defect, dist
         else:
-            v0 = np.stack([_eval_checked(c.eval0, xs, "f") for c in self.curves])
-            v1 = np.stack([_eval_checked(c.eval1, xs, "f'") for c in self.curves])
-            v2 = np.stack([_eval_checked(c.eval2, xs, "f''") for c in self.curves])
+            v0, v1, v2 = (self.evaluate(xs[None], order) for order in range(3))
             for ii, jj in self._pair_index_chunks(chunk=max(1, (1 << 22) // len(xs))):
                 d0 = np.abs(v0[ii] - v0[jj])
                 d1 = np.abs(v1[ii] - v1[jj])
@@ -410,13 +500,6 @@ class TransversalFamily:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     defect = np.where(dist > 0, num / np.where(dist == 0, 1.0, dist), np.inf)
                 yield ii, jj, defect, dist
-
-    def pairwise_c2_distances(self) -> np.ndarray:
-        """Full condensed distance vector (order of triu_indices)."""
-        out = []
-        for _, _, _, dist in self.pairwise_defect_and_dist():
-            out.append(dist)
-        return np.concatenate(out) if out else np.zeros(0)
 
     def min_pair_distance(self) -> float:
         if self._min_pair is None:
@@ -438,24 +521,11 @@ class TransversalFamily:
             return self.declared_t_const
         return self.t_const
 
-    @property
-    def c2_bound(self) -> float:
-        if self._c2_bound is None:
-            self._c2_bound = max(c2_norm(c, self.grid_n) for c in self.curves)
-        return self._c2_bound
-
     def embedding_images(self) -> np.ndarray:
         """A(f) = (f(x0), f'(x0)) for every member, x0 the grid midpoint."""
         if self._images is None:
-            x0 = self.midpoint_x()
-            xarr = np.array([x0])
-            img = np.empty((len(self.curves), 2))
-            for i, c in enumerate(self.curves):
-                img[i, 0] = float(np.asarray(c.eval0(xarr), dtype=float).reshape(-1)[0])
-                img[i, 1] = float(np.asarray(c.eval1(xarr), dtype=float).reshape(-1)[0])
-            if not np.all(np.isfinite(img)):
-                raise EvaluationError("non-finite curve value at the interval midpoint")
-            self._images = img
+            x0 = [self.midpoint_x()]
+            self._images = np.stack([self.evaluate(x0, 0), self.evaluate(x0, 1)], axis=1)
         return self._images
 
 
@@ -503,34 +573,20 @@ def convex_translate_family(
     for a, b in centers:
         if not (x0 - 1.0 <= a <= x0 + 1.0):
             raise DomainError(f"center a={a} outside [{x0 - 1}, {x0 + 1}]")
-    interval = (x0 - 5.0, x0 + 5.0)
-
-    def make(a, b):
-        return CurveFunction(
-            x_lo=interval[0],
-            x_hi=interval[1],
-            eval0=lambda x, a=a, b=b: np.asarray(seed.g0(np.asarray(x, dtype=float) - a), dtype=float) + b,
-            eval1=lambda x, a=a: np.asarray(seed.g1(np.asarray(x, dtype=float) - a), dtype=float),
-            eval2=lambda x, a=a: np.asarray(seed.g2(np.asarray(x, dtype=float) - a), dtype=float),
-            params=(a, b),
-            family_tag="convex-translate",
-        )
-
-    curves = [make(a, b) for a, b in centers]
-    fam = TransversalFamily(curves, grid_n=grid_n)
+    pts = np.array(centers, dtype=float).reshape(-1, 2)
+    fam = TransversalFamily.parametric(
+        "convex", pts[:, 0], pts[:, 1], (x0 - 5.0, x0 + 5.0), seed=seed, grid_n=grid_n
+    )
 
     # convexity floor on the working interval
-    xs = fam.grid()
-    for c in curves:
-        v2 = _eval_checked(c.eval2, xs, "g''")
-        if np.min(v2) < seed.frak_g * (1.0 - 1e-9):
-            raise DomainError(
-                f"translate at {c.params}: g'' dips below the seed floor {seed.frak_g}"
-            )
+    low = fam.evaluate(fam.grid()[None], 2).min(axis=1) < seed.frak_g * (1.0 - 1e-9)
+    if np.any(low):
+        raise DomainError(
+            f"translate at {centers[int(np.argmax(low))]}: g'' dips below the seed floor {seed.frak_g}"
+        )
 
     lower = math.inf
     upper = 0.0
-    pts = np.array(centers)
     if len(centers) >= 2:
         for ii, jj, _, dist in fam.pairwise_defect_and_dist():
             zgap = np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1])
@@ -547,18 +603,12 @@ def convex_translate_family(
 # --------------------------------------------------------------------------
 
 def _compose_ball(c: CurveFunction, f0: CurveFunction, r0: float) -> CurveFunction:
-    lc = None
-    if c.linear_coeffs is not None and f0.linear_coeffs is not None:
-        lc = ((c.linear_coeffs[0] - f0.linear_coeffs[0]) / r0,
-              (c.linear_coeffs[1] - f0.linear_coeffs[1]) / r0)
     return CurveFunction(
         x_lo=c.x_lo, x_hi=c.x_hi,
         eval0=lambda x, c=c, f0=f0, r0=r0: (np.asarray(c.eval0(x), dtype=float) - np.asarray(f0.eval0(x), dtype=float)) / r0,
         eval1=lambda x, c=c, f0=f0, r0=r0: (np.asarray(c.eval1(x), dtype=float) - np.asarray(f0.eval1(x), dtype=float)) / r0,
         eval2=lambda x, c=c, f0=f0, r0=r0: (np.asarray(c.eval2(x), dtype=float) - np.asarray(f0.eval2(x), dtype=float)) / r0,
         params=c.params,
-        family_tag="custom",
-        linear_coeffs=lc,
     )
 
 
@@ -620,18 +670,12 @@ def rescale_window(
         raise DomainError(f"window {window} not contained in (I - x0)/r = ({src_lo}, {src_hi})")
 
     def make(c: CurveFunction) -> CurveFunction:
-        lc = None
-        if c.linear_coeffs is not None:
-            al, be = c.linear_coeffs
-            lc = (al, (al * x0 + be) / r)
         return CurveFunction(
             x_lo=lo, x_hi=hi,
             eval0=lambda x, c=c: (np.asarray(c.eval0(r * np.asarray(x, dtype=float) + x0), dtype=float) - y0) / r,
             eval1=lambda x, c=c: np.asarray(c.eval1(r * np.asarray(x, dtype=float) + x0), dtype=float),
             eval2=lambda x, c=c: r * np.asarray(c.eval2(r * np.asarray(x, dtype=float) + x0), dtype=float),
             params=c.params,
-            family_tag="custom",
-            linear_coeffs=lc,
         )
 
     out = TransversalFamily(

@@ -6,9 +6,10 @@ strictly (centers are exact dyadic rationals, so boundary cases are
 deterministic).  The fast counter buckets squares by column, evaluates
 each curve once per distinct column center, and range-counts candidate
 rows; it must agree *exactly* with the brute-force oracle, which evaluates
-every (curve, square) pair directly.  Both paths decide each candidate
-with the identical float expression, and the candidate window is padded by
-one cell beyond the float-computed bounds, so no hit can escape it.
+every (curve, square) pair directly, one curve closure at a time.  Both
+paths decide each candidate with the identical float expression, and the
+candidate window is padded by one cell beyond the float-computed bounds,
+so no hit can escape it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import SquareFamily, centers_of, side_of
-from .family import DomainError, TransversalFamily
+from .dyadic import SquareFamily, centers_of, greedy_separated, side_of
+from .family import DomainError, TransversalFamily, _eval_checked
 from .famspace import family_cell_indices
 
 
@@ -40,6 +41,12 @@ def _column_buckets(squares: SquareFamily):
     cols, col_start = np.unique(ix_s, return_index=True)
     col_end = np.append(col_start[1:], len(ix_s))
     return order, ix_s, iy_s, cols, col_start, col_end
+
+
+#: candidate cells (curve, column, window row) per kernel step, small enough
+#: for a step's temporaries to stay in cache: on the high-low workload,
+#: 2^21-cell steps ran 1.8x slower and took 4x the memory
+CANDIDATE_BUDGET = 1 << 16
 
 
 def _count_against_threshold(
@@ -64,33 +71,27 @@ def _count_against_threshold(
     pair_chunks: list[np.ndarray] = []
     half_width = int(math.ceil(threshold / dl)) + 2
     window = np.arange(2 * half_width + 1, dtype=np.int64) - half_width
-    col_chunk = max(1, (1 << 21) // len(window))
+    col_chunk = max(1, CANDIDATE_BUDGET // len(window))
     for start in range(0, len(cols), col_chunk):
-        sl = slice(start, min(start + col_chunk, len(cols)))
-        xs = xc[sl]
-        for fi, curve in enumerate(family.curves):
-            fx = np.asarray(curve.eval0(xs), dtype=float)
-            if fx.shape != xs.shape:
-                fx = np.broadcast_to(fx, xs.shape)
-            iy_center = np.floor(fx / dl).astype(np.int64)
-            iy_cand = iy_center[:, None] + window[None, :]
+        xs = xc[start:start + col_chunk]
+        rows = max(1, col_chunk // len(xs))
+        for r0 in range(0, len(family), rows):
+            fx = family.subfamily(range(r0, min(r0 + rows, len(family)))).evaluate(xs[None])
+            iy_cand = np.floor(fx / dl).astype(np.int64)[..., None] + window
             in_range = (iy_cand >= iy_min) & (iy_cand <= iy_max)
             yc = (iy_cand + 0.5) * dl
-            hit = (np.abs(yc - fx[:, None]) < threshold) & in_range
-            if not np.any(hit):
+            hit = (np.abs(yc - fx[..., None]) < threshold) & in_range
+            fi, cidx, widx = np.nonzero(hit)
+            if not len(fi):
                 continue
-            cidx, widx = np.nonzero(hit)
-            cand_keys = (cidx + start) * span + (iy_cand[cidx, widx] - iy_min)
+            cand_keys = (cidx + start) * span + (iy_cand[fi, cidx, widx] - iy_min)
             pos = np.searchsorted(keys, cand_keys)
             pos = np.clip(pos, 0, len(keys) - 1)
             member = keys[pos] == cand_keys
             hits = int(np.sum(member))
             count += hits
             if collect and hits:
-                sq_idx = order[pos[member]]
-                pair_chunks.append(
-                    np.stack([np.full(hits, fi, dtype=np.int64), sq_idx], axis=1)
-                )
+                pair_chunks.append(np.stack([fi[member] + r0, order[pos[member]]], axis=1))
     pairs = None
     if collect:
         pairs = (
@@ -135,9 +136,7 @@ def incidences_bruteforce(
     chunks = []
     count = 0
     for fi, curve in enumerate(family.curves):
-        fx = np.asarray(curve.eval0(xc), dtype=float)
-        if fx.shape != xc.shape:
-            fx = np.broadcast_to(fx, xc.shape)
+        fx = _eval_checked(curve.eval0, xc, "f")
         mask = np.abs(yc - fx) < thr
         hits = int(np.sum(mask))
         count += hits
@@ -243,38 +242,19 @@ def high_low_report(
 # Multiplicity, bundles, slices
 # --------------------------------------------------------------------------
 
-def _values_at(family: TransversalFamily, theta: float) -> np.ndarray:
-    th = np.array([theta], dtype=float)
-    vals = np.empty(len(family))
-    for i, c in enumerate(family.curves):
-        vals[i] = float(np.asarray(c.eval0(th), dtype=float).reshape(-1)[0])
-    return vals
-
-
 def _row_c2_distances(family: TransversalFamily, i: int) -> np.ndarray:
     """C2 grid distances from curve i to every member (0 at i)."""
-    coeffs = family.linear_coeff_arrays()
+    coeffs = family.affine_difference_coeffs()
     xs = family.grid()
-    n = len(family)
     if coeffs is not None:
         al, be = coeffs
         a = al - al[i]
         b = be - be[i]
         ends = np.abs(np.stack([a * xs[0] + b, a * xs[-1] + b], axis=-1))
         return ends.max(axis=-1) + np.abs(a)
-    from .family import _eval_checked  # local import to keep module edges thin
-
-    f = family.curves[i]
-    f0 = _eval_checked(f.eval0, xs, "f")
-    f1 = _eval_checked(f.eval1, xs, "f'")
-    f2 = _eval_checked(f.eval2, xs, "f''")
-    out = np.empty(n)
-    for j, g in enumerate(family.curves):
-        d0 = np.abs(_eval_checked(g.eval0, xs, "g") - f0)
-        d1 = np.abs(_eval_checked(g.eval1, xs, "g'") - f1)
-        d2 = np.abs(_eval_checked(g.eval2, xs, "g''") - f2)
-        out[j] = float(np.max(d0 + d1 + d2))
-    return out
+    vals = [family.evaluate(xs[None], order) for order in range(3)]
+    d0, d1, d2 = (np.abs(v - v[i]) for v in vals)
+    return np.max(d0 + d1 + d2, axis=1)
 
 
 def _scale_count(points: np.ndarray, r: float) -> int:
@@ -283,20 +263,11 @@ def _scale_count(points: np.ndarray, r: float) -> int:
     Deterministic: points are scanned in lexicographic order, so the count
     commutes exactly with affine rescalings of the point cloud.
     """
-    if len(points) == 0:
-        return 0
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    order = np.lexsort(tuple(pts[:, c] for c in range(pts.shape[1] - 1, -1, -1)))
-    pts = pts[order]
-    kept = np.empty((0, pts.shape[1]))
-    count = 0
-    for p in pts:
-        if count == 0 or np.all(np.sum((kept - p) ** 2, axis=1) >= r * r):
-            kept = np.vstack([kept, p])
-            count += 1
-    return count
+    order = np.lexsort(pts.T[::-1])
+    return len(greedy_separated(pts[order], r, inclusive=True))
 
 
 def multiplicity(
@@ -316,7 +287,7 @@ def multiplicity(
         raise DomainError(f"need 0 < r <= R, got r={r}, R={R}")
     if not (family.x_lo <= theta <= family.x_hi):
         raise DomainError(f"theta={theta} outside the family interval {family.interval}")
-    vals = _values_at(family, theta)
+    vals = family.evaluate([theta])
     dists = _row_c2_distances(family, f_index)
     mask = (dists <= R) & (np.abs(vals - vals[f_index]) <= r)
     images = family.embedding_images()[mask]
@@ -349,14 +320,14 @@ def slice_cover(
     idx = np.asarray(list(indices), dtype=np.int64)
     if len(idx) == 0:
         return 0
-    vals = _values_at(family, theta)[idx]
+    vals = family.evaluate([theta])[idx]
     return _scale_count(vals[:, None], side_of(delta_exp))
 
 
 def bundle(family: TransversalFamily, theta: float, J: tuple[float, float]) -> np.ndarray:
     """Indices of the bundle {f : f(theta) in J} (J closed)."""
     lo, hi = float(J[0]), float(J[1])
-    vals = _values_at(family, theta)
+    vals = family.evaluate([theta])
     return np.flatnonzero((vals >= lo) & (vals <= hi)).astype(np.int64)
 
 
@@ -419,11 +390,8 @@ def squares_on_graphs(
     hi = min(x_range[1], family.x_hi)
     n_cols = int(round((hi - lo) / dl))
     xs = lo + (np.arange(n_cols * samples_per_cell) + 0.5) * (dl / samples_per_cell)
-    all_ix = np.floor(xs / dl).astype(np.int64)
-    chunks = []
-    for i in indices:
-        fy = np.asarray(family.curves[i].eval0(xs), dtype=float)
-        iy = np.floor(np.ldexp(fy, k)).astype(np.int64)
-        chunks.append(np.stack([all_ix, iy], axis=1))
-    cells = np.unique(np.concatenate(chunks), axis=0)
+    fy = family.subfamily(indices).evaluate(xs[None])
+    iy = np.floor(np.ldexp(fy, k)).astype(np.int64)
+    all_ix = np.broadcast_to(np.floor(xs / dl).astype(np.int64), iy.shape)
+    cells = np.unique(np.stack([all_ix.ravel(), iy.ravel()], axis=1), axis=0)
     return SquareFamily(k, cells[:, 0], cells[:, 1], dedupe=False)

@@ -150,3 +150,20 @@ def test_env_thread_override(tmp_path, monkeypatch):
     monkeypatch.setenv("FURSTLAB_THREADS", "8")
     assert run(base + ["--threads", "1", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("argv, env_threads", [
+    (["fourier", "--R", "0,4,8"], None),
+    (["fourier", "--delta-exp", "x"], None),
+    (["highlow", "--S", "4,8,abc"], None),
+    (["check-set", "--input", "missing.csv"], None),
+    (["gen"], "abc"),
+])
+def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
+    monkeypatch.chdir(tmp_path)
+    if env_threads is not None:
+        monkeypatch.setenv("FURSTLAB_THREADS", env_threads)
+    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("furst-lab: ")
+    assert len(err.splitlines()) == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import furstlab as fl
 from furstlab import dyadic as dy
 from furstlab import incidence as inc
-from furstlab.family import DomainError
+from furstlab.family import DomainError, EvaluationError
 
 
 def zero_line():
@@ -311,3 +311,55 @@ def test_squares_near_one_graph_bounded_by_columns():
     sf = inc.squares_on_graphs(fam, near, k, (0.0, 1.0))
     n_columns = len(np.unique(sf.ix))
     assert len(sf) <= 4 * n_columns
+
+
+# -- array-backed families against their closures ------------------------------------------
+
+@pytest.mark.parametrize("kind", ["affine", "parabola", "convex"])
+def test_array_family_matches_closures(kind):
+    rng = np.random.default_rng(17)
+    n, k = 40, 7
+    a, b = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+    if kind == "convex":
+        fam = fl.convex_translate_family(fl.exp_seed(), list(zip(a, b - 3.0)), x0=0.5)
+    else:
+        fam = fl.TransversalFamily.parametric(kind, a, b - 1.0, (-2.0, 2.0), lead=0.5)
+    closures = fl.TransversalFamily(list(fam.curves))
+    assert closures.kind == "custom" and fam.kind == kind
+    shared = np.linspace(0.0, 1.0, 33)
+    per_curve = rng.uniform(0.0, 1.0, (n, 5))
+    for order in range(3):
+        for x in (shared[None], per_curve):
+            rows = np.broadcast_to(x, (n,) + x.shape[1:])
+            want = np.stack([
+                np.broadcast_to((c.eval0, c.eval1, c.eval2)[order](rows[i]), x.shape[1:])
+                for i, c in enumerate(fam.curves)
+            ])
+            assert np.array_equal(fam.evaluate(x, order), want)
+            assert np.array_equal(closures.evaluate(x, order), want)
+    P = dy.SquareFamily(k, rng.integers(0, 2 ** k, 3000), rng.integers(-(2 ** k), 2 ** (k + 1), 3000))
+    for lam in (2.0, 16.0):
+        fast = inc.incidences(fam, P, lam)
+        assert fast.count > 0
+        assert np.array_equal(fast.pairs, inc.incidences(closures, P, lam).pairs)
+        assert np.array_equal(fast.pairs, inc.incidences_bruteforce(fam, P, lam).pairs)
+    assert np.array_equal(fam.embedding_images(), closures.embedding_images())
+    # the affine-difference pairwise path agrees with the grid path
+    assert fam.t_const == pytest.approx(closures.t_const, rel=1e-9)
+    assert fam.min_pair_distance() == pytest.approx(closures.min_pair_distance(), rel=1e-9)
+
+
+def test_non_finite_curve_value_is_rejected():
+    nan_at_half = fl.CurveFunction(
+        0.0, 1.0,
+        lambda x: np.where(np.asarray(x) > 0.5, np.nan, 0.25),
+        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+    fam = fl.TransversalFamily([fl.affine_curve(0.0, 0.5, (0.0, 1.0)), nan_at_half],
+                               check_duplicates=False)
+    P = dy.SquareFamily.grid(4)
+    with pytest.raises(EvaluationError, match="x="):
+        inc.incidences(fam, P, 2.0)
+    with pytest.raises(EvaluationError, match="x="):
+        inc.incidences_bruteforce(fam, P, 2.0)
