@@ -300,6 +300,7 @@ def cmd_furstenberg(config: RunConfig) -> int:
 
 def cmd_mainlem(config: RunConfig) -> int:
     de = config.delta_exp[0]
+    cf.check_mainlem_size(de, config.Delta_exp)
     fam = cf.build_uniform_line_family(de, config.Delta_exp, config.master_seed)
     ev = cf.MainlemEvaluator(fam, de, config.Delta_exp, config.eps, config.lam)
     reports = ev.sweep()
@@ -474,6 +475,8 @@ def _validate(config: RunConfig) -> None:
         raise ValidationError("seed count must be >= 1")
     if config.eta_max <= 0 or config.slope_max <= 0:
         raise ValidationError("thresholds must be positive")
+    if not (0 < config.c0_margin < math.inf):
+        raise ValidationError(f"c0 margin must be positive and finite, got {config.c0_margin}")
     for R in config.R:
         if not (0 < R < math.inf) or abs(math.log2(R) - round(math.log2(R))) > 1e-9:
             raise ValidationError(f"R values must be positive powers of two, got {R}")

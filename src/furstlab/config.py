@@ -552,6 +552,35 @@ class MainlemReport:
     violation: bool
 
 
+#: the largest mainlem run accepted, in (curve, column) pairs for the
+#: incidence kernel and in entries of the (square, cube) count table: at
+#: 2^26 pairs (delta = 2^-10, Delta = 2^-4) a run peaks near 2 GB
+MAINLEM_MAX_CELLS = 1 << 26
+
+
+def _default_branching(Delta_exp: int) -> tuple[int, ...]:
+    wide = min(2, Delta_exp - 1)
+    return tuple([4] * wide + [1] * (Delta_exp - 1 - wide) + [1])
+
+
+def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int]:
+    """(|F|, grid squares, family cubes) of a default mainlem run, checked
+    against MAINLEM_MAX_CELLS before anything is allocated."""
+    if not 1 <= Delta_exp <= delta_exp:
+        raise ParameterError(f"need 1 <= Delta_exp <= delta_exp, got {Delta_exp} and {delta_exp}")
+    n_cubes = math.prod(_default_branching(Delta_exp))
+    n_curves = n_cubes << 2 * (delta_exp - Delta_exp)
+    n_squares = 1 << 2 * delta_exp
+    for what, cells in (("curve-column pairs", n_curves << delta_exp),
+                        ("count-table entries", n_squares * n_cubes)):
+        if cells > MAINLEM_MAX_CELLS:
+            raise ParameterError(
+                f"mainlem at delta=2^-{delta_exp}, Delta=2^-{Delta_exp} needs {cells} {what}; "
+                f"the limit is {MAINLEM_MAX_CELLS}"
+            )
+    return n_curves, n_squares, n_cubes
+
+
 def build_uniform_line_family(
     delta_exp: int,
     Delta_exp: int,
@@ -566,8 +595,7 @@ def build_uniform_line_family(
     Delta-cell is filled with the full delta-grid of parameters.
     """
     if branching is None:
-        wide = min(2, Delta_exp - 1)
-        branching = tuple([4] * wide + [1] * (Delta_exp - 1 - wide) + [1])
+        branching = _default_branching(Delta_exp)
     if len(branching) != Delta_exp:
         raise ParameterError(f"need one branching factor per level, got {len(branching)} for {Delta_exp}")
     if branching[-1] != 1:

@@ -3,13 +3,21 @@
 An incidence is a pair (f, p) whose square center z_p lies in the vertical
 lambda*delta-neighbourhood of the curve: |y_p - f(x_p)| < lambda*delta,
 strictly (centers are exact dyadic rationals, so boundary cases are
-deterministic).  The fast counter buckets squares by column, evaluates
-each curve once per distinct column center, and range-counts candidate
-rows; it must agree *exactly* with the brute-force oracle, which evaluates
-every (curve, square) pair directly, one curve closure at a time.  Both
-paths decide each candidate with the identical float expression, and the
-candidate window is padded by one cell beyond the float-computed bounds,
-so no hit can escape it.
+deterministic).  The fast counter sorts the squares by (column, row),
+evaluates each curve once per occupied column, and uses that the rows a
+curve hits in one column form a single run: the exact center-to-curve
+distance grows away from the row containing f(x), and float rounding
+keeps that order.  Each run end is estimated in row units, as
+floor(u + t - 1/2) above and ceil(u - t - 1/2) below, with u = f(x)/delta
+and t = threshold/delta (both exact).  The estimate never falls inside the
+run: row n hits above f(x) only if n + 1/2 < u + t exactly, and n + 1/2 is
+a float, so the rounded u + t is at least n + 1/2 too (likewise below).
+Each end is then settled by stepping inwards while its row misses, under
+the oracle's own expression and strict inequality, and two binary
+searches in the sorted squares count the run.  The cost does not depend
+on the threshold, and the counter agrees *exactly* with the brute-force
+oracle, which evaluates every (curve, square) pair directly, one curve
+closure at a time.
 """
 
 from __future__ import annotations
@@ -34,19 +42,26 @@ class IncidenceResult:
     pairs: np.ndarray | None  # (m, 2) int64 rows (curve_index, square_index)
 
 
-def _column_buckets(squares: SquareFamily):
-    order = np.lexsort((squares.iy, squares.ix))
-    ix_s = squares.ix[order]
-    iy_s = squares.iy[order]
-    cols, col_start = np.unique(ix_s, return_index=True)
-    col_end = np.append(col_start[1:], len(ix_s))
-    return order, ix_s, iy_s, cols, col_start, col_end
+#: (curve, column) pairs per kernel step, small enough for a step's
+#: temporaries to stay in cache: steps of 2^14 to 2^18 pairs ran within
+#: 10% of each other on the high-low and mainlem workloads, 2^12 ran 1.3x
+#: to 1.5x slower
+STEP_BUDGET = 1 << 16
 
 
-#: candidate cells (curve, column, window row) per kernel step, small enough
-#: for a step's temporaries to stay in cache: on the high-low workload,
-#: 2^21-cell steps ran 1.8x slower and took 4x the memory
-CANDIDATE_BUDGET = 1 << 16
+def _trim_to_run(hits, fx, nearest, end):
+    """Step each run-end estimate in ``end`` towards ``nearest`` while its row misses.
+
+    An estimate never falls inside its run (see the module docstring), so
+    this settles the exact end; where no row hits, it stops at ``nearest``.
+    """
+    flat, fx, nearest = end.reshape(-1), fx.reshape(-1), nearest.reshape(-1)
+    todo = np.flatnonzero((flat != nearest) & ~hits(flat, fx))
+    while len(todo):
+        flat[todo] += np.sign(nearest[todo] - flat[todo])
+        todo = todo[flat[todo] != nearest[todo]]
+        todo = todo[~hits(flat[todo], fx[todo])]
+    return end
 
 
 def _count_against_threshold(
@@ -55,43 +70,53 @@ def _count_against_threshold(
     threshold: float,
     collect: bool,
 ) -> IncidenceResult:
-    """Column-bucketed exact count of pairs with |y_p - f(x_p)| < threshold."""
+    """Exact count of pairs with |y_p - f(x_p)| < threshold, one row run per (curve, column).
+
+    Pairs come in no particular order.
+    """
     k = squares.k
     dl = side_of(k)
-    order, _, iy_s, cols, col_start, col_end = _column_buckets(squares)
+    order = np.lexsort((squares.iy, squares.ix))
+    iy_s = squares.iy[order]
+    cols, col_of_sorted = np.unique(squares.ix[order], return_inverse=True)
     xc = centers_of(cols, k)
     iy_min = int(iy_s.min()) if len(iy_s) else 0
     iy_max = int(iy_s.max()) if len(iy_s) else 0
     span = iy_max - iy_min + 1
-    # global sorted keys: squares sorted by (ix, iy) <=> col*span + (iy-iy_min)
-    col_of_sorted = np.repeat(np.arange(len(cols)), col_end - col_start)
+    # squares sorted by (ix, iy) <=> sorted keys col*span + (iy-iy_min)
     keys = col_of_sorted * span + (iy_s - iy_min)
+
+    def hits(iy, fx):  # the oracle's predicate, on the oracle's center expression
+        return np.abs(centers_of(iy, k) - fx) < threshold
 
     count = 0
     pair_chunks: list[np.ndarray] = []
-    half_width = int(math.ceil(threshold / dl)) + 2
-    window = np.arange(2 * half_width + 1, dtype=np.int64) - half_width
-    col_chunk = max(1, CANDIDATE_BUDGET // len(window))
+    t = threshold / dl  # the threshold in rows
+    col_chunk = max(1, min(len(cols), STEP_BUDGET))
+    rows = max(1, STEP_BUDGET // col_chunk)
     for start in range(0, len(cols), col_chunk):
         xs = xc[start:start + col_chunk]
-        rows = max(1, col_chunk // len(xs))
+        col_keys = (np.arange(start, start + len(xs)) * span - iy_min)[None]
         for r0 in range(0, len(family), rows):
             fx = family.subfamily(range(r0, min(r0 + rows, len(family)))).evaluate(xs[None])
-            iy_cand = np.floor(fx / dl).astype(np.int64)[..., None] + window
-            in_range = (iy_cand >= iy_min) & (iy_cand <= iy_max)
-            yc = (iy_cand + 0.5) * dl
-            hit = (np.abs(yc - fx[..., None]) < threshold) & in_range
-            fi, cidx, widx = np.nonzero(hit)
-            if not len(fi):
-                continue
-            cand_keys = (cidx + start) * span + (iy_cand[fi, cidx, widx] - iy_min)
-            pos = np.searchsorted(keys, cand_keys)
-            pos = np.clip(pos, 0, len(keys) - 1)
-            member = keys[pos] == cand_keys
-            hits = int(np.sum(member))
-            count += hits
-            if collect and hits:
-                pair_chunks.append(np.stack([fi[member] + r0, order[pos[member]]], axis=1))
+            # the row in [iy_min, iy_max] nearest to f(x): hits lie in one run through it
+            u = fx / dl
+            nearest = np.floor(np.clip(u, iy_min, iy_max)).astype(np.int64)
+            lo = np.ceil(np.clip(u - t - 0.5, iy_min, nearest)).astype(np.int64)
+            hi = np.floor(np.clip(u + t - 0.5, nearest, iy_max)).astype(np.int64)
+            lo = _trim_to_run(hits, fx, nearest, lo)
+            hi = _trim_to_run(hits, fx, nearest, hi)
+            pos_lo = np.searchsorted(keys, col_keys + lo, "left")
+            n = np.searchsorted(keys, col_keys + hi, "right") - pos_lo
+            n[~hits(nearest, fx)] = 0
+            found = int(n.sum())
+            count += found
+            if collect and found:
+                run = np.flatnonzero(n)
+                n, pos_lo = n.ravel()[run], pos_lo.ravel()[run]
+                first = np.repeat(pos_lo - (np.cumsum(n) - n), n)
+                curve = np.repeat(run // fx.shape[1] + r0, n)
+                pair_chunks.append(np.stack([curve, order[first + np.arange(found)]], axis=1))
     pairs = None
     if collect:
         pairs = (
@@ -99,7 +124,6 @@ def _count_against_threshold(
             if pair_chunks
             else np.zeros((0, 2), dtype=np.int64)
         )
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     return IncidenceResult(count=count, pairs=pairs)
 
 
@@ -111,6 +135,7 @@ def incidences(
 ) -> IncidenceResult:
     """I^lambda(F, P): exact count (and pair list) of incidences.
 
+    The pairs are sorted by (curve, square), as the oracle's are.
     Requires lambda*delta <= 1/2; lambda below 2 is allowed computationally
     (useful for probing the strict boundary) though the estimates assume
     lambda >= 2.
@@ -120,7 +145,10 @@ def incidences(
     dl = squares.delta
     if lam * dl > 0.5 + 1e-15:
         raise DomainError(f"lambda*delta = {lam * dl} exceeds 1/2")
-    return _count_against_threshold(family, squares, lam * dl, collect)
+    res = _count_against_threshold(family, squares, lam * dl, collect)
+    if collect:
+        res = IncidenceResult(res.count, res.pairs[np.lexsort((res.pairs[:, 1], res.pairs[:, 0]))])
+    return res
 
 
 def incidences_bruteforce(
@@ -350,10 +378,10 @@ def cube_incidence_counts(
     fam_cells = family_cell_indices(family, Delta_exp)
     cube_ids, inverse = np.unique(fam_cells, axis=0, return_inverse=True)
     res = _count_against_threshold(family, squares, lam * squares.delta, collect=True)
-    counts = np.zeros((len(squares), len(cube_ids)), dtype=np.int64)
-    if res.pairs is not None and len(res.pairs):
-        np.add.at(counts, (res.pairs[:, 1], inverse[res.pairs[:, 0]]), 1)
-    return counts, cube_ids
+    n_cubes = len(cube_ids)
+    cells = res.pairs[:, 1] * n_cubes + inverse[res.pairs[:, 0]]
+    counts = np.bincount(cells, minlength=len(squares) * n_cubes)
+    return counts.reshape(len(squares), n_cubes), cube_ids
 
 
 def n_delta_b(

@@ -158,6 +158,8 @@ def test_env_thread_override(tmp_path, monkeypatch):
     (["highlow", "--S", "4,8,abc"], None),
     (["check-set", "--input", "missing.csv"], None),
     (["gen"], "abc"),
+    (["highlow", "--delta-exp", "6,7", "--c0-margin", "nan"], None),
+    (["highlow", "--delta-exp", "6,7", "--c0-margin", "-1"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -167,3 +169,20 @@ def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, 
     err = capsys.readouterr().err
     assert err.startswith("furst-lab: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["mainlem", "--delta-exp", "16", "--Delta-exp", "4"],
+    ["mainlem", "--delta-exp", "12", "--Delta-exp", "8"],
+    ["mainlem", "--delta-exp", "6", "--Delta-exp", "7"],
+])
+def test_mainlem_rejects_oversized_scales_before_building(tmp_path, monkeypatch, capsys, argv):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setattr(cli.cf, "build_uniform_line_family", must_not_build)
+    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("furst-lab: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()

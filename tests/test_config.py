@@ -5,7 +5,7 @@ import pytest
 
 import furstlab as fl
 from furstlab import config as cf
-from furstlab.dyadic import ParameterError
+from furstlab.dyadic import ParameterError, SquareFamily
 from furstlab.family import DomainError
 
 
@@ -230,3 +230,22 @@ def test_mainlem_single_report_matches_evaluator(line_evaluator):
     fam = line_evaluator.family
     rep = cf.mainlem_experiment(fam, 8, 4, 0.25, a=2, b=2)
     assert rep.P_ab_size == line_evaluator.report(2, 2).P_ab_size
+
+
+@pytest.mark.parametrize("delta_exp, Delta_exp", [(4, 1), (5, 2), (6, 3), (7, 4)])
+def test_mainlem_size_estimate_matches_the_build(delta_exp, Delta_exp):
+    fam = cf.build_uniform_line_family(delta_exp, Delta_exp, seed=1)
+    n_curves, n_squares, n_cubes = cf.check_mainlem_size(delta_exp, Delta_exp)
+    assert n_curves == len(fam)
+    assert n_squares == len(SquareFamily.grid(delta_exp))
+    counts, cube_ids = cf.cube_incidence_counts(fam, SquareFamily.grid(delta_exp), Delta_exp)
+    assert n_cubes == len(cube_ids) and counts.shape == (n_squares, n_cubes)
+
+
+def test_mainlem_size_limit():
+    # the benchmark's 2^-9 runs stay well inside; 2^-10 is the last accepted scale
+    assert cf.check_mainlem_size(9, 4)[0] << 9 <= cf.MAINLEM_MAX_CELLS // 8
+    assert cf.check_mainlem_size(10, 4)[0] << 10 == cf.MAINLEM_MAX_CELLS
+    for de, De in ((11, 4), (6, 0)):
+        with pytest.raises(ParameterError):
+            cf.check_mainlem_size(de, De)

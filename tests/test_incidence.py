@@ -363,3 +363,67 @@ def test_non_finite_curve_value_is_rejected():
         inc.incidences(fam, P, 2.0)
     with pytest.raises(EvaluationError, match="x="):
         inc.incidences_bruteforce(fam, P, 2.0)
+
+
+# -- the kernel against the oracle at every threshold ------------------------------
+
+def _dyadic_or_float(k):
+    # dyadic parameters put square centers exactly on the threshold boundary
+    return st.one_of(
+        st.integers(-(2 ** (k + 2)), 2 ** (k + 2)).map(lambda i: math.ldexp(i, -(k + 2))),
+        st.floats(-1.0, 1.0),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["affine", "parabola", "closures"]), k=st.integers(2, 7), data=st.data())
+def test_kernel_matches_oracle_at_any_threshold(kind, k, data):
+    n = data.draw(st.integers(1, 10))
+    a = np.array(data.draw(st.lists(_dyadic_or_float(k), min_size=n, max_size=n)))
+    b = np.array(data.draw(st.lists(_dyadic_or_float(k), min_size=n, max_size=n)))
+    if kind == "closures":
+        fam = fl.TransversalFamily(
+            [(fl.affine_curve(ai, bi) if i % 2 else fl.quadratic_translate_curve(ai, bi, lead=0.5))
+             for i, (ai, bi) in enumerate(zip(a, b))],
+            check_duplicates=False,
+        )
+    else:
+        fam = fl.TransversalFamily.parametric(kind, a, b, (-2.0, 2.0), lead=0.5, check_duplicates=False)
+    # columns across the interval; rows well beyond the curves' range
+    m = data.draw(st.integers(1, 300))
+    ix = data.draw(st.lists(st.integers(-(2 ** (k + 1)), 2 ** (k + 1) - 1), min_size=m, max_size=m))
+    iy = data.draw(st.lists(st.integers(-(2 ** (k + 3)), 2 ** (k + 3)), min_size=m, max_size=m))
+    P = dy.SquareFamily(k, np.array(ix), np.array(iy))
+    # in units of delta: below 1/2 (empty runs), on half-integers (exact
+    # boundaries), anywhere, and the coarse 2S with S up to delta^-1
+    rows = data.draw(st.one_of(
+        st.floats(0.0, 0.5),
+        st.integers(1, 2 ** (k + 2)).map(lambda i: i / 2),
+        st.floats(0.5, 2.0 ** (k + 1)),
+        st.integers(0, k).map(lambda j: 2.0 ** (j + 1)),
+    ))
+    thr = rows * P.delta
+    brute = inc.incidences_bruteforce(fam, P, 1.0, threshold=thr)
+    fast = inc._count_against_threshold(fam, P, thr, collect=True)
+    assert fast.count == brute.count == len(fast.pairs)
+    assert np.array_equal(fast.pairs[np.lexsort((fast.pairs[:, 1], fast.pairs[:, 0]))], brute.pairs)
+    assert inc._count_against_threshold(fam, P, thr, collect=False).count == brute.count
+
+
+def test_run_end_trimming_walks_any_distance():
+    # an estimate far outside the run still settles on its exact end
+    k = 6
+    fx = np.array([[0.3, 0.3001, -0.7, 5.0]])
+    thr = 3.25 * 2.0 ** -k
+
+    def hits(iy, f):
+        return np.abs(dy.centers_of(iy, k) - f) < thr
+
+    nearest = np.floor(fx * 2 ** k).astype(np.int64)
+    rows = np.arange(-2 ** (k + 4), 2 ** (k + 4))
+    for step in (1, -1):
+        end = inc._trim_to_run(hits, fx, nearest, nearest + step * 20)
+        want = [max(rows[hits(rows, f)] * step) * step for f in fx[0]]
+        assert end[0].tolist() == want
+    # with no row in reach the end stops at the nearest row
+    assert inc._trim_to_run(lambda iy, f: iy != iy, fx, nearest, nearest + 5).tolist() == nearest.tolist()
