@@ -13,8 +13,8 @@ import argparse
 import numpy as np
 
 from furstlab import fourier as fo
-from furstlab.cli import RunConfig, write_csv
-from furstlab.dyadic import AtomicMeasure
+from furstlab.cli import RunConfig
+from furstlab.dyadic import AtomicMeasure, write_csv
 
 
 def main():
@@ -36,7 +36,7 @@ def main():
     for name, mu in measures.items():
         rep = fo.decay_slope(mu, args.p, radii)
         out = f"fourier_decay_{name}.csv"
-        write_csv(out, "R,p,integral,slope_cum", rep.rows(), run_cfg)
+        write_csv(out, "R,p,integral,slope_cum", rep.rows(), run_cfg.provenance())
         frostman = getattr(mu, "frostman_c", None)
         extra = f" frostman_C={frostman:.3f}" if frostman is not None else ""
         print(f"{name}: slope={rep.slope:.4f}{extra} -> {out}")

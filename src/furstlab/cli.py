@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,7 +32,13 @@ from . import __version__
 from . import config as cf
 from . import fourier as fo
 from . import incidence as inc
-from .dyadic import DiscretePointSet, ParameterError, delta_set_constant, generate_delta_set
+from .dyadic import (
+    DiscretePointSet,
+    ParameterError,
+    delta_set_constant,
+    generate_delta_set,
+    write_csv,
+)
 from .family import DomainError, EvaluationError
 
 EXIT_OK = 0
@@ -78,11 +84,15 @@ class RunConfig:
     def semantic_hash(self) -> str:
         items = []
         for f in fields(self):
-            if f.name in self.NON_SEMANTIC or f.name == "NON_SEMANTIC":
+            if f.name in self.NON_SEMANTIC:
                 continue
             items.append(f"{f.name}={getattr(self, f.name)!r}")
         blob = ";".join(sorted(items)).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+    def provenance(self) -> str:
+        """What every CSV footer records: version and semantic hash."""
+        return f"furst-lab {__version__} config={self.semantic_hash()}"
 
     def period_for(self, delta_exp: int) -> int:
         if self.T <= 0:
@@ -154,27 +164,6 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-# --------------------------------------------------------------------------
-# CSV writing
-# --------------------------------------------------------------------------
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def write_csv(path: str, header: str, rows, config: RunConfig) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        n = 0
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-            n += 1
-        fh.write(f"# furst-lab {__version__} config={config.semantic_hash()} rows={n}\n")
-
-
 def _run_trials(trials, worker, threads: int):
     """Run worker over trials on a thread pool; order of results = order of trials."""
     if threads <= 1:
@@ -190,9 +179,7 @@ def _run_trials(trials, worker, threads: int):
 def cmd_gen(config: RunConfig) -> int:
     de = config.delta_exp[0]
     pset = generate_delta_set(de, config.s, config.period_for(de), config.master_seed, dim=1)
-    pset.to_csv(config.out)
-    with open(config.out, "a") as fh:
-        fh.write(f"# furst-lab {__version__} config={config.semantic_hash()} rows={len(pset)}\n")
+    write_csv(config.out, "x", pset.points, config.provenance())
     print(f"gen: wrote {len(pset)} points at delta=2^-{de} to {config.out}")
     return EXIT_OK
 
@@ -219,7 +206,10 @@ def cmd_incidence(config: RunConfig) -> int:
     fast = inc.incidences(conf.family, P, config.lam)
     brute = inc.incidences_bruteforce(conf.family, P, config.lam)
     equal = fast.count == brute.count and np.array_equal(fast.pairs, brute.pairs)
-    inc.pairs_to_csv(fast, P, config.out)
+    curve, square = fast.pairs.T
+    write_csv(config.out, "curve_id,square_ix,square_iy",
+              zip(curve.tolist(), P.ix[square].tolist(), P.iy[square].tolist()),
+              config.provenance())
     print(
         f"incidence: |F|={conf.n_curves} |P|={len(P)} lam={config.lam} "
         f"fast={fast.count} brute={brute.count} equal={equal}; pairs -> {config.out}"
@@ -227,11 +217,10 @@ def cmd_incidence(config: RunConfig) -> int:
     return EXIT_OK if equal else EXIT_THRESHOLD
 
 
-def _highlow_rows(config: RunConfig):
-    """(rows, ok): calibrate C0 at the largest delta, require it at the rest."""
+def cmd_highlow(config: RunConfig) -> int:
+    """Calibrate C0 at the largest delta and require it at the rest."""
     exps = sorted(config.delta_exp)
     S_values = config.S if config.S else tuple(2 * config.lam * f for f in (1, 2, 4))
-    reports: dict[int, list] = {}
 
     def run_one(de: int):
         conf = cf.build_nice_configuration(
@@ -241,9 +230,7 @@ def _highlow_rows(config: RunConfig):
         P = conf.union_squares()
         return [inc.high_low_report(conf.family, P, config.lam, S) for S in S_values]
 
-    results = _run_trials(exps, run_one, config.threads)
-    for de, reps in zip(exps, results):
-        reports[de] = reps
+    reports = dict(zip(exps, _run_trials(exps, run_one, config.threads)))
     calib = exps[0]
     C0 = config.c0_margin * max(r.fitted_C for r in reports[calib])
     rows = []
@@ -256,21 +243,15 @@ def _highlow_rows(config: RunConfig):
                 (config.kind, de, rep.S, rep.lhs, rep.high_term, rep.low_term,
                  rep.fitted_C, C0, int(sat))
             )
-    return rows, ok
-
-
-def cmd_highlow(config: RunConfig) -> int:
-    rows, ok = _highlow_rows(config)
-    write_csv(config.out, "kind,delta_exp,S,lhs,high_term,low_term,fitted_C,C0,ok", rows, config)
+    write_csv(config.out, "kind,delta_exp,S,lhs,high_term,low_term,fitted_C,C0,ok", rows,
+              config.provenance())
     print(f"highlow: {len(rows)} rows -> {config.out}; inequality holds: {ok}")
     return EXIT_OK if ok else EXIT_THRESHOLD
 
 
-def _furstenberg_rows(config: RunConfig):
-    trials = []
-    for de in config.delta_exp:
-        for i in range(config.seeds):
-            trials.append((de, config.master_seed + i))
+def cmd_furstenberg(config: RunConfig) -> int:
+    trials = [(de, config.master_seed + i)
+              for de in config.delta_exp for i in range(config.seeds)]
 
     def run_one(trial):
         de, seed = trial
@@ -282,13 +263,8 @@ def _furstenberg_rows(config: RunConfig):
 
     results = _run_trials(trials, run_one, config.threads)
     results.sort(key=lambda r: (r.delta_exp, r.seed))
-    return results
-
-
-def cmd_furstenberg(config: RunConfig) -> int:
-    results = _furstenberg_rows(config)
-    rows = [r.csv_row().split(",") for r in results]
-    write_csv(config.out, cf.ExperimentResult.CSV_HEADER, rows, config)
+    write_csv(config.out, cf.ExperimentResult.CSV_HEADER, map(astuple, results),
+              config.provenance())
     worst = max(r.eta_emp for r in results)
     ok = worst <= config.eta_max
     print(
@@ -308,7 +284,8 @@ def cmd_mainlem(config: RunConfig) -> int:
         (r.a, r.b, r.P_ab_size, r.pre_filter_size, r.bound, int(r.hypotheses_met), int(r.violation))
         for r in reports
     ]
-    write_csv(config.out, "a,b,P_ab,pre_filter,bound,hypotheses_met,violation", rows, config)
+    write_csv(config.out, "a,b,P_ab,pre_filter,bound,hypotheses_met,violation", rows,
+              config.provenance())
     violations = sum(r.violation for r in reports)
     print(
         f"mainlem: |F|={len(fam)} delta=2^-{de} Delta=2^-{config.Delta_exp} eps={config.eps}: "
@@ -328,8 +305,7 @@ def cmd_fourier(config: RunConfig) -> int:
     else:
         raise ValidationError(f"fourier supports kind parabola | point, got {config.kind!r}")
     rep = fo.decay_slope(lift, config.p, config.R)
-    rows = rep.rows()
-    write_csv(config.out, "R,p,integral,slope_cum", rows, config)
+    write_csv(config.out, "R,p,integral,slope_cum", rep.rows(), config.provenance())
     ok = rep.slope <= config.slope_max
     print(
         f"fourier: kind={config.kind} p={config.p} slope={rep.slope:.4f} "
@@ -338,48 +314,27 @@ def cmd_fourier(config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_THRESHOLD
 
 
+#: suite runs: (subcommand, overrides of the run configuration, failure label);
+#: each writes <out dir>/<subcommand>.csv
+SUITE = (
+    ("furstenberg", {"delta_exp": (6, 8), "T": 2}, "furstenberg eta_emp"),
+    ("highlow", {"delta_exp": (6, 7, 8), "T": 0}, "high-low inequality"),
+    ("mainlem", {"delta_exp": (8,)}, "mainlem bound"),
+    ("fourier", {"delta_exp": (8,)}, "fourier slope"),
+    ("incidence", {"delta_exp": (6,), "T": 2}, "incidence oracle"),
+)
+
+
 def cmd_suite(config: RunConfig) -> int:
     """A reduced end-to-end pass writing one CSV per experiment family."""
     t_start = time.time()
     out_dir = config.out if config.out != "out.csv" else "suite_out"
     os.makedirs(out_dir, exist_ok=True)
     failures = []
-
-    fconf = RunConfig(**{**_config_dict(config), "subcommand": "furstenberg",
-                         "delta_exp": (6, 8), "T": 2, "seeds": config.seeds or 4,
-                         "out": os.path.join(out_dir, "furstenberg.csv")})
-    results = _furstenberg_rows(fconf)
-    rows = [r.csv_row().split(",") for r in results]
-    write_csv(fconf.out, cf.ExperimentResult.CSV_HEADER, rows, fconf)
-    if max(r.eta_emp for r in results) > config.eta_max:
-        failures.append("furstenberg eta_emp")
-
-    hconf = RunConfig(**{**_config_dict(config), "subcommand": "highlow",
-                         "delta_exp": (6, 7, 8), "T": 0,
-                         "out": os.path.join(out_dir, "highlow.csv")})
-    rows, ok = _highlow_rows(hconf)
-    write_csv(hconf.out, "kind,delta_exp,S,lhs,high_term,low_term,fitted_C,C0,ok", rows, hconf)
-    if not ok:
-        failures.append("high-low inequality")
-
-    mconf = RunConfig(**{**_config_dict(config), "subcommand": "mainlem",
-                         "delta_exp": (8,), "out": os.path.join(out_dir, "mainlem.csv")})
-    code = cmd_mainlem(mconf)
-    if code != EXIT_OK:
-        failures.append("mainlem bound")
-
-    oconf = RunConfig(**{**_config_dict(config), "subcommand": "fourier",
-                         "delta_exp": (8,), "out": os.path.join(out_dir, "fourier.csv")})
-    code = cmd_fourier(oconf)
-    if code != EXIT_OK:
-        failures.append("fourier slope")
-
-    iconf = RunConfig(**{**_config_dict(config), "subcommand": "incidence",
-                         "delta_exp": (6,), "T": 2,
-                         "out": os.path.join(out_dir, "incidence.csv")})
-    code = cmd_incidence(iconf)
-    if code != EXIT_OK:
-        failures.append("incidence oracle")
+    for sub, overrides, label in SUITE:
+        out = os.path.join(out_dir, f"{sub}.csv")
+        if COMMANDS[sub](replace(config, subcommand=sub, out=out, **overrides)) != EXIT_OK:
+            failures.append(label)
 
     wall = time.time() - t_start
     summary = os.path.join(out_dir, "summary.txt")
@@ -391,10 +346,6 @@ def cmd_suite(config: RunConfig) -> int:
         fh.write("result: " + ("PASS" if not failures else "FAIL " + ", ".join(failures)) + "\n")
     print(f"suite: {'PASS' if not failures else 'FAIL: ' + ', '.join(failures)} ({wall:.1f} s) -> {out_dir}")
     return EXIT_OK if not failures else EXIT_THRESHOLD
-
-
-def _config_dict(config: RunConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 COMMANDS = {
@@ -473,8 +424,11 @@ def _validate(config: RunConfig) -> None:
             raise ValidationError(f"delta exponent must be >= 1, got {de}")
     if config.seeds < 1:
         raise ValidationError("seed count must be >= 1")
-    if config.eta_max <= 0 or config.slope_max <= 0:
-        raise ValidationError("thresholds must be positive")
+    if not (config.eta_max > 0 and config.slope_max > 0):  # nan fails too
+        raise ValidationError(
+            f"thresholds must be positive, got eta max {config.eta_max}, "
+            f"slope max {config.slope_max}"
+        )
     if not (0 < config.c0_margin < math.inf):
         raise ValidationError(f"c0 margin must be positive and finite, got {config.c0_margin}")
     for R in config.R:

@@ -341,15 +341,8 @@ class ExperimentResult:
     bound: float
     eta_emp: float
 
+    #: the field names in order, so ``dataclasses.astuple`` gives a CSV row
     CSV_HEADER = "kind,delta_exp,s,t,T,seed,F_size,M,P_size,bound,eta_emp"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.kind},{self.delta_exp},{format(self.s, '.17g')},"
-            f"{format(self.t, '.17g')},{self.T},{self.seed},{self.F_size},"
-            f"{self.M},{self.P_size},{format(self.bound, '.17g')},"
-            f"{format(self.eta_emp, '.17g')}"
-        )
 
 
 def three_way_bound(delta_exp: int, s: float, t: float, M: int) -> float:

@@ -18,6 +18,7 @@ delta-separated sets.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,6 +29,30 @@ from .family import DomainError
 
 class ParameterError(ValueError):
     """A scale or shape parameter outside the supported form."""
+
+
+# --------------------------------------------------------------------------
+# CSV output
+# --------------------------------------------------------------------------
+
+def write_csv(path, header: str, rows, provenance: str | None = None) -> None:
+    """Write every furstlab CSV: a header line, then one line per row.
+
+    Floats are written with 17 significant digits, so they read back
+    exactly; any other cell is written with ``str``.  With ``provenance``
+    the file ends in the footer comment ``# <provenance> rows=<n>``, which
+    ``DiscretePointSet.from_csv`` skips.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        n = 0
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+            n += 1
+        if provenance is not None:
+            fh.write(f"# {provenance} rows={n}\n")
 
 
 # --------------------------------------------------------------------------
@@ -126,11 +151,7 @@ class DiscretePointSet:
 
     def to_csv(self, path) -> None:
         """Columns x[,y], header line, 17 significant digits."""
-        header = "x" if self.dim == 1 else "x,y"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in self.points:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        write_csv(path, "x" if self.dim == 1 else "x,y", self.points)
 
     @classmethod
     def from_csv(cls, path, delta_exp: int) -> "DiscretePointSet":
@@ -178,12 +199,8 @@ class AtomicMeasure:
         return len(self.points)
 
     def to_csv(self, path) -> None:
-        header = ("x" if self.dim == 1 else "x,y") + ",w"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row, w in zip(self.points, self.weights):
-                cols = [format(v, ".17g") for v in row] + [format(w, ".17g")]
-                fh.write(",".join(cols) + "\n")
+        write_csv(path, ("x" if self.dim == 1 else "x,y") + ",w",
+                  (list(row) + [w] for row, w in zip(self.points, self.weights)))
 
 
 @dataclass(frozen=True)
@@ -402,6 +419,29 @@ def _ball_counts(reps: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np
     return counts
 
 
+def _max_ball_ratio(pset: DiscretePointSet, s: float, max_centers: int | None,
+                    denominator, kind: str) -> SetClassReport:
+    """Maximise |P n B(x,r)|_delta / denominator(r, |P|_delta) over centers x
+    in P (or a probe of them) and dyadic r in [delta, 1]."""
+    if len(pset) == 0:
+        raise DomainError("empty point set")
+    if not (0 <= s <= pset.dim):
+        raise ParameterError(f"s must lie in [0, {pset.dim}], got {s}")
+    reps = _cell_representatives(pset.points, pset.delta_exp)
+    centers = _probe_centers(reps, max_centers)
+    radii = _dyadic_radii(pset.delta_exp)
+    counts = _ball_counts(reps, centers, radii)
+    ratios = counts / denominator(radii, len(reps))[None, :]
+    ci, rj = np.unravel_index(np.argmax(ratios), ratios.shape)
+    return SetClassReport(
+        best_constant=float(ratios[ci, rj]),
+        witness_center=tuple(float(v) for v in centers[ci]),
+        witness_radius=float(radii[rj]),
+        scale_range=(pset.delta, 1.0),
+        kind=kind,
+    )
+
+
 def delta_set_constant(
     pset: DiscretePointSet,
     s: float,
@@ -414,24 +454,8 @@ def delta_set_constant(
     delta-cell count (one representative per cell).  ``max_centers`` probes
     a deterministic subsample of centers for large sets (a lower estimate).
     """
-    if len(pset) == 0:
-        raise DomainError("empty point set")
-    if not (0 <= s <= pset.dim):
-        raise ParameterError(f"s must lie in [0, {pset.dim}], got {s}")
-    reps = _cell_representatives(pset.points, pset.delta_exp)
-    centers = _probe_centers(reps, max_centers)
-    radii = _dyadic_radii(pset.delta_exp)
-    counts = _ball_counts(reps, centers, radii)
-    denom = (radii ** s) * len(reps)
-    ratios = counts / denom[None, :]
-    ci, rj = np.unravel_index(np.argmax(ratios), ratios.shape)
-    return SetClassReport(
-        best_constant=float(ratios[ci, rj]),
-        witness_center=tuple(float(v) for v in centers[ci]),
-        witness_radius=float(radii[rj]),
-        scale_range=(pset.delta, 1.0),
-        kind=f"delta-set(s={s})",
-    )
+    return _max_ball_ratio(pset, s, max_centers, lambda radii, n: (radii ** s) * n,
+                           f"delta-set(s={s})")
 
 
 def katz_tao_constant(
@@ -444,24 +468,9 @@ def katz_tao_constant(
     K = max over centers in P and dyadic r in [delta, 1] of
     |P n B(x,r)|_delta / (r/delta)^s: the non-normalised spacing condition.
     """
-    if len(pset) == 0:
-        raise DomainError("empty point set")
-    if not (0 <= s <= pset.dim):
-        raise ParameterError(f"s must lie in [0, {pset.dim}], got {s}")
-    reps = _cell_representatives(pset.points, pset.delta_exp)
-    centers = _probe_centers(reps, max_centers)
-    radii = _dyadic_radii(pset.delta_exp)
-    counts = _ball_counts(reps, centers, radii)
-    denom = (radii / pset.delta) ** s
-    ratios = counts / denom[None, :]
-    ci, rj = np.unravel_index(np.argmax(ratios), ratios.shape)
-    return SetClassReport(
-        best_constant=float(ratios[ci, rj]),
-        witness_center=tuple(float(v) for v in centers[ci]),
-        witness_radius=float(radii[rj]),
-        scale_range=(pset.delta, 1.0),
-        kind=f"katz-tao(s={s})",
-    )
+    return _max_ball_ratio(pset, s, max_centers,
+                           lambda radii, n: (radii / pset.delta) ** s,
+                           f"katz-tao(s={s})")
 
 
 def upper_regular_constant(
@@ -599,6 +608,12 @@ def _sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return np.array(sorted(out), dtype=np.int64)
 
 
+#: most leaf cells ``generate_delta_set_indices`` builds in one call: 512 MiB
+#: of int64 indices per dimension (delta 2^-12 in the benchmark's Furstenberg
+#: sweep needs 4096 trees of 6^4 cells, about 5.3M)
+MAX_TREE_CELLS = 1 << 26
+
+
 def generate_delta_set_indices(
     delta_exp: int,
     s: float,
@@ -621,6 +636,13 @@ def generate_delta_set_indices(
     m = delta_exp // T
     K = int(round(2.0 ** (s * T)))
     K = max(1, min(K, 2 ** (dim * T)))
+    # with K >= 2, m > 64 is over the limit; testing it first keeps a huge m
+    # from building a huge integer
+    if (K > 1 and m > 64) or int(batch) * K ** m > MAX_TREE_CELLS:
+        raise ParameterError(
+            f"{batch} trees of {K}^{m} cells at delta=2^-{delta_exp} exceed the "
+            f"limit of {MAX_TREE_CELLS} cells"
+        )
     n_children = 2 ** (dim * T)
     cells = np.zeros((batch, 1, dim), dtype=np.int64)
     for _ in range(m):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import ParameterError, cell_indices
+from .dyadic import ParameterError, cell_indices, write_csv
 from .family import DomainError, TransversalFamily
 
 
@@ -334,10 +334,7 @@ class BranchingFunction:
         return float(np.max(np.abs(np.diff(v)))) if len(v) > 1 else 0.0
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("j,beta\n")
-            for j, b in enumerate(self.values):
-                fh.write(f"{j},{format(b, '.17g')}\n")
+        write_csv(path, "j,beta", enumerate(self.values))
 
 
 def branching_function(structure: UniformStructure) -> BranchingFunction:

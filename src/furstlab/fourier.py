@@ -230,13 +230,3 @@ def decay_slope(sigma, p: float, R_list, h: float = MAX_GRID_STEP) -> DecayRepor
         integrals.append(float(np.sum(magp[mask]) * h * h))
     slope = float(np.polyfit(np.log2(np.asarray(R_list)), np.log2(np.asarray(integrals)), 1)[0])
     return DecayReport(p=p, h=h, R_list=R_list, integrals=tuple(integrals), slope=slope)
-
-
-def decay_table_csv(report: DecayReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("R,p,integral,slope_cum\n")
-        for R, p, integral, sl in report.rows():
-            fh.write(
-                f"{format(R, '.17g')},{format(p, '.17g')},"
-                f"{format(integral, '.17g')},{format(sl, '.17g')}\n"
-            )

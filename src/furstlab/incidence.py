@@ -194,15 +194,6 @@ def weighted_incidences(
     return float(np.sum(w_curves[res.pairs[:, 0]] * w_squares[res.pairs[:, 1]]))
 
 
-def pairs_to_csv(result: IncidenceResult, squares: SquareFamily, path) -> None:
-    """Stream the pair list as curve_id,square_ix,square_iy."""
-    with open(path, "w") as fh:
-        fh.write("curve_id,square_ix,square_iy\n")
-        if result.pairs is not None:
-            for fi, si in result.pairs:
-                fh.write(f"{fi},{squares.ix[si]},{squares.iy[si]}\n")
-
-
 # --------------------------------------------------------------------------
 # High-low decomposition
 # --------------------------------------------------------------------------

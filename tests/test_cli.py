@@ -1,9 +1,10 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
-from furstlab import cli
+from furstlab import cli, dyadic
 
 
 def run(args):
@@ -160,6 +161,8 @@ def test_env_thread_override(tmp_path, monkeypatch):
     (["gen"], "abc"),
     (["highlow", "--delta-exp", "6,7", "--c0-margin", "nan"], None),
     (["highlow", "--delta-exp", "6,7", "--c0-margin", "-1"], None),
+    (["furstenberg", "--delta-exp", "6", "--T", "2", "--eta-max", "nan"], None),
+    (["fourier", "--kind", "point", "--slope-max", "nan"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -186,3 +189,52 @@ def test_mainlem_rejects_oversized_scales_before_building(tmp_path, monkeypatch,
     assert err.startswith("furst-lab: ")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_gen_rejects_oversized_tree(tmp_path, capsys):
+    # 4^20 cells; where the limit is missing this fails before running
+    assert dyadic.MAX_TREE_CELLS < 4 ** 20
+    assert run(["gen", "--delta-exp", "40", "--s", "1", "--T", "2",
+                "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("furst-lab: ")
+    assert len(err.splitlines()) == 1
+
+
+FOOTER = re.compile(r"# furst-lab \S+ config=[0-9a-f]{12} rows=(\d+)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--delta-exp", "6", "--s", "0.5", "--T", "2"],
+    ["incidence", "--delta-exp", "6", "--T", "2", "--kind", "affine"],
+    ["highlow", "--delta-exp", "6,7", "--kind", "affine"],
+    ["furstenberg", "--delta-exp", "6", "--T", "2", "--seeds", "2"],
+    ["mainlem", "--delta-exp", "6", "--Delta-exp", "3", "--eps", str(1 / 3)],
+    ["fourier", "--kind", "point", "--p", "4", "--R", "4,8,16", "--slope-max", "2.05"],
+])
+def test_every_csv_ends_in_a_footer_counting_its_rows(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    footer = FOOTER.fullmatch(lines[-1])
+    assert footer is not None, lines[-1]
+    assert int(footer.group(1)) == len(lines) - 2 > 0
+    assert not any(line.startswith("#") for line in lines[:-1])
+
+
+def test_suite_csvs_equal_the_subcommands_run_alone(tmp_path):
+    suite_dir = tmp_path / "suite"
+    suite_code = run(["suite", "--seeds", "2", "--out", str(suite_dir)])
+    alone = {
+        "furstenberg": ["--delta-exp", "6,8", "--T", "2"],
+        "highlow": ["--delta-exp", "6,7,8", "--T", "0"],
+        "mainlem": ["--delta-exp", "8"],
+        "fourier": ["--delta-exp", "8"],
+        "incidence": ["--delta-exp", "6", "--T", "2"],
+    }
+    codes = []
+    for sub, flags in alone.items():
+        out = tmp_path / f"{sub}.csv"
+        codes.append(run([sub, "--seeds", "2", *flags, "--out", str(out)]))
+        assert out.read_bytes() == (suite_dir / f"{sub}.csv").read_bytes(), sub
+    assert suite_code == max(codes)

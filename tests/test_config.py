@@ -1,11 +1,12 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import furstlab as fl
 from furstlab import config as cf
-from furstlab.dyadic import ParameterError, SquareFamily
+from furstlab.dyadic import ParameterError, SquareFamily, write_csv
 from furstlab.family import DomainError
 
 
@@ -131,9 +132,11 @@ def test_union_bounds_invariant():
         assert conf.M <= P <= conf.n_curves * conf.M
 
 
-def test_csv_row_format():
+def test_csv_row_format(tmp_path):
     conf = cf.build_nice_configuration("affine", 6, 0.5, 1.0, 2, seed=0, audit="probe")
-    row = cf.furstenberg_experiment(conf).csv_row()
+    path = tmp_path / "f.csv"
+    write_csv(path, cf.ExperimentResult.CSV_HEADER, [astuple(cf.furstenberg_experiment(conf))])
+    row = path.read_text().splitlines()[1]
     assert row.startswith("affine,6,0.5,1,2,0,")
     assert len(row.split(",")) == len(cf.ExperimentResult.CSV_HEADER.split(","))
 

@@ -326,6 +326,34 @@ def test_generate_passes_delta_set_checker(dim, delta_exp, T, s):
     assert rep.best_constant <= 64.0
 
 
+def test_generate_rejects_oversized_tree_before_building(monkeypatch):
+    # 4^20 = 2^40 cells; checked first, so where the limit is missing this
+    # fails here instead of building the tree
+    assert dy.MAX_TREE_CELLS < 4 ** 20
+
+    def must_not_allocate(*args, **kwargs):
+        raise AssertionError("the tree was built")
+
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(dy.np, "zeros", must_not_allocate)
+    with pytest.raises(ParameterError):
+        dy.generate_delta_set_indices(40, 1.0, 2, rng)
+    with pytest.raises(ParameterError):
+        dy.generate_delta_set_indices(10 ** 9, 1.0, 1, rng)
+
+
+@pytest.mark.parametrize("limit, accepted", [(5 * 4 ** 3, True), (5 * 4 ** 3 - 1, False)])
+def test_generate_tree_limit_counts_every_cell(monkeypatch, limit, accepted):
+    # 5 trees of 4^3 cells (delta 2^-6, s = 1, T = 2)
+    monkeypatch.setattr(dy, "MAX_TREE_CELLS", limit)
+    rng = np.random.default_rng(0)
+    if accepted:
+        assert dy.generate_delta_set_indices(6, 1.0, 2, rng, batch=5).shape == (5, 64, 1)
+    else:
+        with pytest.raises(ParameterError):
+            dy.generate_delta_set_indices(6, 1.0, 2, rng, batch=5)
+
+
 def test_generate_deterministic():
     p1 = dy.generate_delta_set(8, 0.7, 2, seed=9, dim=2)
     p2 = dy.generate_delta_set(8, 0.7, 2, seed=9, dim=2)

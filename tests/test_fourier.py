@@ -199,7 +199,7 @@ def test_decay_validates_radii():
 def test_decay_table_csv(tmp_path):
     rep = fo.decay_slope(point_mass(), 2.0, [4, 8, 16])
     path = tmp_path / "decay.csv"
-    fo.decay_table_csv(rep, path)
+    dy.write_csv(path, "R,p,integral,slope_cum", rep.rows())
     lines = path.read_text().splitlines()
     assert lines[0] == "R,p,integral,slope_cum"
     assert len(lines) == 4

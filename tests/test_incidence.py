@@ -90,7 +90,8 @@ def test_pairs_csv(tmp_path):
     row = dy.SquareFamily(3, np.arange(8), np.zeros(8, dtype=int))
     res = inc.incidences(fam, row, 2.0)
     path = tmp_path / "pairs.csv"
-    inc.pairs_to_csv(res, row, path)
+    curve, square = res.pairs.T
+    dy.write_csv(path, "curve_id,square_ix,square_iy", zip(curve, row.ix[square], row.iy[square]))
     lines = path.read_text().splitlines()
     assert lines[0] == "curve_id,square_ix,square_iy"
     assert len(lines) == 9
