@@ -431,6 +431,10 @@ def _validate(config: RunConfig) -> None:
         )
     if not (0 < config.c0_margin < math.inf):
         raise ValidationError(f"c0 margin must be positive and finite, got {config.c0_margin}")
+    if not (1 <= config.p < math.inf):
+        raise ValidationError(f"p must be finite and >= 1, got {config.p}")
+    if not (0 < config.eps <= 1):
+        raise ValidationError(f"eps must be in (0, 1], got {config.eps}")
     for R in config.R:
         if not (0 < R < math.inf) or abs(math.log2(R) - round(math.log2(R))) > 1e-9:
             raise ValidationError(f"R values must be positive powers of two, got {R}")

@@ -147,19 +147,6 @@ class ConvexSeed:
             raise DomainError(f"seed {self.name}: C3 norm {self.frak_G} < min g'' {self.frak_g}")
 
 
-def seed_from_evaluators(g0, g1, g2, g3, name: str = "seed", grid_n: int = DEFAULT_GRID_N) -> ConvexSeed:
-    """Build a ConvexSeed, measuring frak_G and frak_g on a grid over [-6, 6]."""
-    xs = np.linspace(-6.0, 6.0, grid_n)
-    v0, v1, v2, v3 = (np.asarray(g(xs), dtype=float) for g in (g0, g1, g2, g3))
-    for name_k, v in zip("g g' g'' g'''".split(), (v0, v1, v2, v3)):
-        if not np.all(np.isfinite(v)):
-            bad = xs[~np.isfinite(v)][0]
-            raise EvaluationError(f"{name}: {name_k} non-finite at x={bad}")
-    frak_G = float(np.max(np.abs(v0) + np.abs(v1) + np.abs(v2) + np.abs(v3)))
-    frak_g = float(np.min(v2))
-    return ConvexSeed(g0, g1, g2, g3, frak_G=frak_G, frak_g=frak_g, name=name)
-
-
 def quadratic_seed(lead: float = 1.0) -> ConvexSeed:
     """Seed g(x) = lead*x^2 with exact constants."""
     q = float(lead)

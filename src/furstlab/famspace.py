@@ -164,13 +164,6 @@ def family_distance_matrix(family: TransversalFamily) -> np.ndarray:
     return out
 
 
-def family_covering_number(family: TransversalFamily, r: float, mode: str = "auto") -> int:
-    """Covering number of the family at radius r in the C2 grid metric."""
-    from .dyadic import covering_number_from_distances
-
-    return covering_number_from_distances(family_distance_matrix(family), r, mode)
-
-
 # --------------------------------------------------------------------------
 # Uniformization
 # --------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Convention: sigma-hat(xi) = sum_j w_j exp(-2 pi i <x_j, xi>).  L^p norms
 over a ball B(R) are Riemann sums on the square grid h Z^2 intersected
 with the closed ball.  On that grid the transform factorises per atom into
-an outer product of two geometric sequences, so the whole grid evaluation
-is one complex matrix product; this is an exact rearrangement of the
-direct sum, not an approximation.
+a product exp(-2 pi i h k x_j) exp(-2 pi i h l y_j).  When the atoms'
+x-coordinates lie on an arithmetic grid x0 + m/(hN) with N a power of two
+(every lift of a dyadic base set does), the x-factor is periodic in k and
+each frequency column l is one length-N DFT, computed by FFT; otherwise
+the whole grid is one complex matrix product.  Both are exact
+rearrangements of the direct sum, not approximations.
 
 The Riesz energy uses a distance cutoff at delta instead of a mollifier:
 I_t(mu) = sum_{i,j} w_i w_j max(|x_i - x_j|, delta)^-t, diagonal included.
@@ -120,20 +123,87 @@ def _atoms_of(sigma) -> tuple[np.ndarray, np.ndarray]:
 MAX_GRID_STEP = 0.125
 
 
+#: finest x-grid the FFT path takes: N = 2^e with e <= MAX_FFT_EXP
+MAX_FFT_EXP = 24
+#: complex entries per column chunk of the FFT path (2 MiB)
+FFT_CHUNK = 1 << 17
+
+
 def _grid_transform_sq(sigma, R: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """|sigma-hat|^2 on the grid h*[-n..n]^2, plus the k^2 row template.
 
-    Factorised evaluation: with u_j[k] = exp(-2 pi i h x_j k) and
-    v_j[k] = exp(-2 pi i h y_j k), the grid transform is
-    (w * U)^T V -- one complex GEMM.
+    Rows are x-frequencies h*k, columns y-frequencies h*l.  With
+    u_j[k] = exp(-2 pi i h x_j k) and v_j[l] = exp(-2 pi i h y_j l) the grid
+    transform is Z = (w * U)^T V.  Atoms on an x-grid (see `_x_grid`) take
+    the FFT path of `_fft_transform_sq`, which makes no BLAS call, so its
+    sums do not depend on the BLAS thread count; any other measure is one
+    complex GEMM.
     """
     pts, ws = _atoms_of(sigma)
     n = int(math.floor(R / h + 1e-9))
     krange = np.arange(-n, n + 1, dtype=float)
+    grid = _x_grid(pts[:, 0], h) if len(pts) else None
+    if grid is not None:
+        return _fft_transform_sq(pts[:, 1], ws, n, h, *grid), krange
     U = np.exp(-2j * np.pi * h * np.outer(pts[:, 0], krange))
     V = np.exp(-2j * np.pi * h * np.outer(pts[:, 1], krange))
     Z = (U * ws[:, None]).T @ V
     return (Z.real ** 2 + Z.imag ** 2), krange
+
+
+def _x_grid(xs: np.ndarray, h: float) -> tuple[np.ndarray, int] | None:
+    """Grid indices m_j mod N and the period N, or None when xs is off-grid.
+
+    N is the smallest power of two up to 2^MAX_FFT_EXP for which every
+    h*(x_j - x0)*N, x0 = min x, is an integer m_j in floating point.  Then
+    exp(-2 pi i h k x_j) = exp(-2 pi i h k x0) exp(-2 pi i k m_j / N), whose
+    second factor has period N in k.  Indices wrap mod N, so an x-span
+    beyond 1/h is fine.
+    """
+    t = h * (xs - xs.min())
+    for e in range(MAX_FFT_EXP + 1):
+        scaled = t * float(1 << e)
+        if np.array_equal(scaled, np.floor(scaled)):  # nan and inf fail
+            return np.mod(scaled, 1 << e).astype(np.int64), 1 << e
+    return None
+
+
+def _fft_transform_sq(ys, ws, n: int, h: float, m: np.ndarray, N: int) -> np.ndarray:
+    """|Z|^2 on [-n..n]^2 for atoms at x-grid indices m (period N), by FFT.
+
+    Column l of Z is the length-N DFT of a_j = w_j exp(-2 pi i h l y_j)
+    placed at index m_j, read at k mod N; the common phase of x0 drops out
+    of |Z|^2.  The DFT is split by residue: index i = q*D + r with
+    D = N/L, L the smallest power of two >= 2n+1 (or N, if smaller), gives
+    Z[k] = sum_r exp(-2 pi i k r / N) FFT_L(a_{qD+r})[k mod L], taken over the
+    residues that hold an atom.  Atoms sharing an index are summed.  Only
+    columns l >= 0 are computed: the weights are real, so
+    |sigma-hat(-xi)| = |sigma-hat(xi)| fills l < 0.
+    """
+    K = 2 * n + 1
+    L = min(N, 1 << (K - 1).bit_length())
+    D = N // L
+    residues, r_pos = np.unique(m % D, return_inverse=True)
+    nres = len(residues)
+    slot = r_pos * L + (m // D)  # index into a (residue, q) buffer
+    order = np.argsort(slot, kind="stable")
+    slot, ys, ws = slot[order], ys[order], ws[order]
+    starts = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+    k = np.arange(-n, n + 1)
+    twiddle = np.exp(-2j * np.pi * (np.outer(residues, k) % N) / N)  # (nres, K)
+    width = min(n + 1, max(1, FFT_CHUNK // (nres * max(L, K))))
+    steps = np.exp(-2j * np.pi * h * np.outer(np.arange(width), ys))
+    mag2 = np.empty((K, K))
+    for l0 in range(0, n + 1, width):
+        c = min(width, n + 1 - l0)
+        a = steps[:c] * (ws * np.exp(-2j * np.pi * h * l0 * ys))
+        buf = np.zeros((c, nres * L), dtype=complex)
+        buf[:, slot[starts]] = np.add.reduceat(a, starts, axis=1)
+        F = np.fft.fft(buf.reshape(c, nres, L), axis=-1)[:, :, k % L]
+        Z = (F * twiddle).sum(axis=1)
+        mag2[:, n + l0:n + l0 + c] = (Z.real ** 2 + Z.imag ** 2).T
+    mag2[:, :n] = mag2[::-1, :n:-1]  # (k, l) for l < 0 from (-k, -l)
+    return mag2
 
 
 def lp_norm_ball(sigma, p: float, R: float, h: float = MAX_GRID_STEP) -> float:
@@ -207,6 +277,8 @@ def decay_slope(sigma, p: float, R_list, h: float = MAX_GRID_STEP) -> DecayRepor
     once at max(R_list) and the smaller balls reuse its sub-grid, so the
     integrals are mutually consistent.
     """
+    if not (1 <= p < math.inf):
+        raise DomainError(f"p must be finite and >= 1, got {p}")
     R_list = tuple(float(R) for R in R_list)
     if len(R_list) < 3:
         raise DomainError("need at least three R values")

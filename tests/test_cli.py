@@ -1,10 +1,16 @@
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from furstlab import cli, dyadic
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -153,6 +159,24 @@ def test_env_thread_override(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_fourier_csv_independent_of_blas_threads(tmp_path):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {k: v for k, v in os.environ.items() if k != "FURSTLAB_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    outs = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "furstlab.cli", "fourier", "--kind", "parabola",
+             "--delta-exp", "6", "--R", "4,8,16", "--out", str(out)],
+            env={**env, "OPENBLAS_NUM_THREADS": blas}, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("argv, env_threads", [
     (["fourier", "--R", "0,4,8"], None),
     (["fourier", "--delta-exp", "x"], None),
@@ -163,6 +187,12 @@ def test_env_thread_override(tmp_path, monkeypatch):
     (["highlow", "--delta-exp", "6,7", "--c0-margin", "-1"], None),
     (["furstenberg", "--delta-exp", "6", "--T", "2", "--eta-max", "nan"], None),
     (["fourier", "--kind", "point", "--slope-max", "nan"], None),
+    (["fourier", "--kind", "point", "--p", "nan", "--R", "4,8,16"], None),
+    (["fourier", "--kind", "point", "--p", "0.5", "--R", "4,8,16"], None),
+    (["fourier", "--kind", "point", "--p", "inf", "--R", "4,8,16"], None),
+    (["mainlem", "--delta-exp", "6", "--Delta-exp", "3", "--eps", "nan"], None),
+    (["mainlem", "--delta-exp", "6", "--Delta-exp", "3", "--eps", "0"], None),
+    (["mainlem", "--delta-exp", "6", "--Delta-exp", "3", "--eps", "2"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)

@@ -107,6 +107,57 @@ def test_grid_transform_matches_direct_sum():
     assert mag2[i] == pytest.approx(direct, rel=1e-12)
 
 
+# -- FFT path of the grid transform --------------------------------------------------
+
+def _assert_fft_path_matches_direct_sum(mu, R, h, samples=None):
+    """Every (or `samples` random) grid value of |sigma-hat|^2 against the direct sum."""
+    assert fo._x_grid(mu.points[:, 0], h) is not None
+    mag2, kr = fo._grid_transform_sq(mu, R, h)
+    if samples is None:
+        i, j = (v.ravel() for v in np.indices(mag2.shape))
+    else:
+        i, j = np.random.default_rng(0).integers(0, len(kr), (2, samples))
+    direct = np.abs(fo.fourier_transform(mu, h * np.stack([kr[i], kr[j]], axis=1))) ** 2
+    np.testing.assert_allclose(mag2[i, j], direct, rtol=1e-11, atol=1e-15 * mu.total_mass ** 2)
+
+
+@pytest.mark.parametrize("h", [1 / 8, 1 / 16])
+@pytest.mark.parametrize("delta_exp, samples", [(4, None), (8, 2000)])
+def test_fft_path_uniform_lift(delta_exp, samples, h):
+    _assert_fft_path_matches_direct_sum(parabola_lift(delta_exp).measure, 8.0, h, samples)
+
+
+def test_fft_path_tree_set_lift():
+    k = 8
+    base = dy.generate_delta_set(k, 0.5, 2, seed=0)
+    xs = 2.0 * base.points[:, 0] - 1.0
+    cm = fo.lift_measure(lambda x: np.asarray(x) ** 2, xs, np.full(len(xs), 2.0 ** (-k / 2)), 0.5, k)
+    assert len(cm) < 2 ** k  # a gapped subset of the grid
+    _assert_fft_path_matches_direct_sum(cm.measure, 8.0, 1 / 8)
+
+
+def test_fft_path_atoms_sharing_an_x():
+    mu = AtomicMeasure(np.array([[0.25, 0.5], [0.25, -0.75], [0.5, 0.1]]), np.array([0.3, 0.5, 0.2]))
+    _assert_fft_path_matches_direct_sum(mu, 8.0, 1 / 8)
+
+
+def test_fft_path_wraps_indices_beyond_one_over_h():
+    xs = np.array([0.0, 3.0, 9.0, 20.0, 16.0])  # span 20 > 1/h = 8
+    mu = AtomicMeasure(np.stack([xs, np.array([0.5, -0.75, 0.1, 0.3, 0.2])], axis=1), np.full(5, 0.2))
+    m, N = fo._x_grid(xs, 1 / 8)
+    assert N == 8 and m.tolist() == [0, 3, 1, 4, 0]
+    _assert_fft_path_matches_direct_sum(mu, 8.0, 1 / 8)
+
+
+def test_fft_path_single_atom():
+    _assert_fft_path_matches_direct_sum(AtomicMeasure(np.array([[0.3, 0.7]]), np.array([0.6])), 8.0, 1 / 8)
+
+
+def test_off_grid_atoms_take_the_gemm_path():
+    rng = np.random.default_rng(3)
+    assert fo._x_grid(rng.uniform(-1, 1, 7), 1 / 8) is None
+
+
 # -- L^p norms ------------------------------------------------------------------------
 
 def test_lp_point_mass_matches_disk_area():
@@ -194,6 +245,12 @@ def test_decay_validates_radii():
         fo.decay_slope(point_mass(), 2.0, [4, 8, 12])      # not dyadic
     with pytest.raises(DomainError):
         fo.decay_slope(point_mass(), 2.0, [8, 4, 16])      # not increasing
+
+
+def test_decay_rejects_p_below_one_or_not_finite():
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            fo.decay_slope(point_mass(), p, [4, 8, 16])
 
 
 def test_decay_table_csv(tmp_path):
