@@ -431,6 +431,8 @@ def _validate(config: RunConfig) -> None:
         )
     if not (0 < config.c0_margin < math.inf):
         raise ValidationError(f"c0 margin must be positive and finite, got {config.c0_margin}")
+    if not (0 < config.lam < math.inf):
+        raise ValidationError(f"lambda must be positive and finite, got {config.lam}")
     if not (1 <= config.p < math.inf):
         raise ValidationError(f"p must be finite and >= 1, got {config.p}")
     if not (0 < config.eps <= 1):

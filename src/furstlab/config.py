@@ -32,7 +32,8 @@ from .dyadic import (
     side_of,
 )
 from .family import DEFAULT_GRID_N, PARAMETRIC_KINDS, DomainError, TransversalFamily
-from .incidence import cube_incidence_counts
+from .famspace import family_distance_matrix
+from .incidence import check_lambda_delta, cube_incidence_counts
 
 WORK_INTERVAL = (-2.0, 2.0)
 
@@ -215,25 +216,17 @@ def build_nice_configuration(
 
 
 def _check_transversality(family: TransversalFamily, t_bound: float, probe: int = 512) -> None:
-    """Spot-check pairwise defects against the declared 1/T floor."""
+    """Check the estimated T against the declared bound, on the whole family
+    up to ``probe`` curves and on an even-stride probe of that many above."""
     n = len(family)
     if n < 2:
         return
-    if n <= probe:
-        est = family.t_const
-        if est > t_bound * (1 + 1e-9):
-            raise DomainError(
-                f"parameter set maps to a non-transversal family: estimated T {est} "
-                f"exceeds the declared bound {t_bound}"
-            )
-        return
-    idx = np.linspace(0, n - 1, probe).astype(int)
-    sub = family.subfamily(idx)
-    sub.declared_t_const = None
+    sub = family if n <= probe else family.subfamily(np.linspace(0, n - 1, probe).astype(int))
     est = sub.t_const
     if est > t_bound * (1 + 1e-9):
         raise DomainError(
-            f"probe subfamily estimated T {est} exceeds the declared bound {t_bound}"
+            f"parameter set maps to a non-transversal family: estimated T {est} "
+            f"on {len(sub)} of {n} curves exceeds the declared bound {t_bound}"
         )
 
 
@@ -489,10 +482,7 @@ def semi_well_spaced_check(
     low_ratio = 0.0
     if n == 1:
         return SpacingReport(delta_exp, Delta_exp, s, eps, 1.0, 1.0, tolerance)
-    dists = np.zeros((n, n))
-    for ii, jj, _, dist in family.pairwise_defect_and_dist():
-        dists[ii, jj] = dist
-        dists[jj, ii] = dist
+    dists = family_distance_matrix(family)
     for l in range(0, delta_exp + 1):
         r = side_of(l)
         counts = np.sum(dists <= r, axis=1)  # includes self
@@ -640,6 +630,7 @@ class MainlemEvaluator:
                 f"Delta^(k*eps) must be dyadic: Delta_exp*eps = {step} is not an integer"
             )
         self.level_step = int(round(step))
+        check_lambda_delta(lam, side_of(delta_exp))
         self.family = family
         self.delta_exp = delta_exp
         self.Delta_exp = Delta_exp

@@ -133,6 +133,8 @@ class DiscretePointSet:
             raise DomainError(f"points must be (n,1) or (n,2), got shape {pts.shape}")
         if delta_exp < 0:
             raise ParameterError(f"delta_exp must be >= 0, got {delta_exp}")
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("points must be finite")
         if len(pts) != len(np.unique(pts, axis=0)):
             raise DomainError("points must be pairwise distinct")
         self.points = pts
@@ -155,16 +157,23 @@ class DiscretePointSet:
 
     @classmethod
     def from_csv(cls, path, delta_exp: int) -> "DiscretePointSet":
+        """Read the x[,y] columns; a cell that is not a finite number, or a
+        short row, raises DomainError naming the file and line."""
         rows = []
         with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            ncol = len([h for h in header if h in ("x", "y")])
-            for line in fh:
+            cols = [h for h in fh.readline().strip().split(",") if h in ("x", "y")]
+            ncol = len(cols)
+            for lineno, line in enumerate(fh, 2):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                vals = [float(v) for v in line.split(",")]
-                rows.append(vals[:ncol])
+                try:
+                    vals = [float(v) for v in line.split(",")[:ncol]]
+                except ValueError:
+                    vals = []
+                if len(vals) < ncol or not all(math.isfinite(v) for v in vals):
+                    raise DomainError(f"{path}:{lineno}: expected finite {','.join(cols)}, got {line!r}")
+                rows.append(vals)
         return cls(np.array(rows, dtype=float), delta_exp)
 
 
@@ -180,6 +189,8 @@ class AtomicMeasure:
         w = np.asarray(weights, dtype=float)
         if len(w) != len(pts):
             raise DomainError("one weight per atom required")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
+            raise DomainError("atoms and weights must be finite")
         if np.any(w < 0):
             raise DomainError("weights must be nonnegative")
         if len(pts) != len(np.unique(pts, axis=0)):
@@ -234,9 +245,7 @@ def dyadic_cover(pset: DiscretePointSet | np.ndarray, k: int):
     """The exact set of level-k cells meeting P, sorted by index."""
     if k < 0:
         raise ParameterError(f"level must be >= 0, got {k}")
-    pts = pset.points if isinstance(pset, DiscretePointSet) else np.asarray(pset, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(pset)
     idx = np.unique(cell_indices(pts, k), axis=0)
     if pts.shape[1] == 1:
         return [DyadicInterval(k, int(i)) for i in idx[:, 0]]
@@ -245,9 +254,7 @@ def dyadic_cover(pset: DiscretePointSet | np.ndarray, k: int):
 
 def dyadic_cell_count(points: np.ndarray, k: int) -> int:
     """|D_{2^-k}(P)|, the level-k cell count."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(points)
     if len(pts) == 0:
         return 0
     return len(np.unique(cell_indices(pts, k), axis=0))
@@ -260,127 +267,79 @@ def _as_points(pset) -> np.ndarray:
     return pts
 
 
-def greedy_separated(points: np.ndarray, r: float, inclusive: bool = False) -> np.ndarray:
-    """Indices of a maximal r-separated subset, scanned in input order.
+def _separation(points, dist, r: float):
+    """(n, thr, between) for points or for ``dist``, a full pairwise distance
+    matrix in any metric: between(j, k) (indices, slices or broadcasting
+    arrays) is compared with thr, as the squared Euclidean distance against
+    r^2 for points and as the entry dist[j, k] against r for a matrix."""
+    if (points is None) == (dist is None):
+        raise DomainError("give either points or dist=, not both")
+    if dist is None:
+        pts = _as_points(points)
+        return len(pts), r * r, lambda j, k: np.sum((pts[k] - pts[j]) ** 2, axis=-1)
+    dmat = np.asarray(dist, dtype=float)
+    if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
+        raise DomainError(f"dist must be a square matrix, got shape {dmat.shape}")
+    return len(dmat), r, lambda j, k: dmat[j, k]
+
+
+def greedy_separated(points=None, r: float | None = None, inclusive: bool = False,
+                     *, dist=None) -> np.ndarray:
+    """Indices of a maximal r-separated subset of points (or of ``dist=``, a
+    full pairwise distance matrix in any metric), scanned in input order.
 
     With inclusive=False a point is kept when its distance to every kept
     point exceeds r (packing convention: the count brackets the covering
     number, N(P,r) <= count <= N(P,r/2)).  With inclusive=True points at
     distance exactly r are also kept (used where the quantity of interest
-    is the number of r-separated representatives).
+    is the number of r-separated representatives).  Each kept point blocks
+    the later points too close to it; a point is kept if still unblocked.
     """
-    pts = _as_points(points)
-    n = len(pts)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    kept: list[int] = []
-    kept_pts = np.empty((0, pts.shape[1]))
-    for i in range(n):
-        if len(kept) == 0:
-            kept.append(i)
-            kept_pts = pts[i:i + 1]
-            continue
-        d2 = np.sum((kept_pts - pts[i]) ** 2, axis=1)
-        r2 = r * r
-        ok = np.all(d2 > r2) if not inclusive else np.all(d2 >= r2)
-        if ok:
-            kept.append(i)
-            kept_pts = np.vstack([kept_pts, pts[i]])
-    return np.asarray(kept, dtype=np.int64)
+    n, thr, between = _separation(points, dist, r)
+    blocked = np.zeros(n, dtype=bool)
+    for k in range(n):
+        if not blocked[k]:
+            d = between(slice(k + 1, None), k)
+            blocked[k + 1:] |= d < thr if inclusive else d <= thr
+    return np.flatnonzero(~blocked)
 
 
 EXACT_COVER_LIMIT = 512
 
 
-def _exact_cover_from_matrix(cover: np.ndarray) -> int:
-    """Minimum set cover where ball i covers the points flagged in cover[:, i].
+def covering_number(pset=None, r: float | None = None, mode: str = "auto", *, dist=None) -> int:
+    """Covering-number estimate at radius r of points, or of ``dist=``, a full
+    pairwise distance matrix in any metric (curve families in the C2 metric).
 
-    Solved as an integer program (min 1'x s.t. cover @ x >= 1, x binary)
-    with scipy's HiGHS backend; geometric instances of this size solve in
-    milliseconds.  The greedy estimate stays an independent implementation,
-    so the two sides of the covering bracket cross-check each other.
+    mode="exact": minimum closed-r-ball cover with centers in P, solved as
+    the integer program min 1'x s.t. cover @ x >= 1, x binary, by scipy's
+    HiGHS MILP; |P| <= 512.  mode="greedy": size of a maximal strictly
+    r-separated subset, which satisfies N(P, r) <= greedy <= N(P, r/2), so
+    the two modes cross-check.  mode="auto" picks exact when |P| <= 512.
     """
-    n = len(cover)
+    n, thr, between = _separation(pset, dist, r)
     if n == 0:
-        return 0
-    from scipy import optimize, sparse
-
-    c = np.ones(n)
-    constraints = optimize.LinearConstraint(
-        sparse.csr_matrix(cover.astype(np.float64)), lb=np.ones(n)
-    )
-    res = optimize.milp(
-        c,
-        constraints=constraints,
-        integrality=np.ones(n),
-        bounds=optimize.Bounds(0, 1),
-    )
-    if not res.success:
-        raise RuntimeError(f"exact covering MILP failed: {res.message}")
-    return int(round(res.fun))
-
-
-def _exact_cover(pts: np.ndarray, r: float) -> int:
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    return _exact_cover_from_matrix(d2 <= r * r)
-
-
-def greedy_separated_from_distances(dmat: np.ndarray, r: float, inclusive: bool = False) -> np.ndarray:
-    """greedy_separated on a precomputed distance matrix (any metric)."""
-    n = len(dmat)
-    kept: list[int] = []
-    for i in range(n):
-        if not kept:
-            kept.append(i)
-            continue
-        d = dmat[i, kept]
-        ok = np.all(d > r) if not inclusive else np.all(d >= r)
-        if ok:
-            kept.append(i)
-    return np.asarray(kept, dtype=np.int64)
-
-
-def covering_number_from_distances(dmat: np.ndarray, r: float, mode: str = "auto") -> int:
-    """Covering-number estimate from a full pairwise distance matrix.
-
-    Same semantics as covering_number but metric-agnostic; used for
-    covering numbers of curve families in the C2 metric.
-    """
-    n = len(dmat)
-    if n == 0:
-        raise DomainError("covering number of an empty set")
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_COVER_LIMIT else "greedy"
-    if mode == "exact":
-        return _exact_cover_from_matrix(dmat <= r)
-    if mode == "greedy":
-        return int(len(greedy_separated_from_distances(dmat, r, inclusive=False)))
-    raise ParameterError(f"unknown covering mode {mode!r}")
-
-
-def covering_number(pset, r: float, mode: str = "auto") -> int:
-    """Covering-number estimate of P at radius r.
-
-    mode="exact": minimum closed-r-ball cover with centers restricted to P
-    (branch and bound; |P| <= 512).  mode="greedy": size of a maximal
-    strictly-r-separated subset, which satisfies
-    N(P, r) <= greedy <= N(P, r/2).  mode="auto" picks exact when |P| is
-    small enough.
-    """
-    pts = _as_points(pset)
-    if len(pts) == 0:
         raise DomainError("covering_number of an empty set")
     if not (r > 0):
         raise DomainError(f"radius must be positive, got {r}")
     if mode == "auto":
-        mode = "exact" if len(pts) <= EXACT_COVER_LIMIT else "greedy"
-    if mode == "exact":
-        if len(pts) > EXACT_COVER_LIMIT:
-            raise ParameterError(f"exact mode supports |P| <= {EXACT_COVER_LIMIT}")
-        return _exact_cover(pts, r)
+        mode = "exact" if n <= EXACT_COVER_LIMIT else "greedy"
     if mode == "greedy":
-        return int(len(greedy_separated(pts, r, inclusive=False)))
-    raise ParameterError(f"unknown covering mode {mode!r}")
+        return len(greedy_separated(pset, r, dist=dist))
+    if mode != "exact":
+        raise ParameterError(f"unknown covering mode {mode!r}")
+    if n > EXACT_COVER_LIMIT:
+        raise ParameterError(f"exact mode supports |P| <= {EXACT_COVER_LIMIT}")
+    from scipy import optimize, sparse
+
+    idx = np.arange(n)
+    cover = between(idx[:, None], idx) <= thr  # ball j covers the points cover[:, j]
+    res = optimize.milp(np.ones(n), integrality=np.ones(n), bounds=optimize.Bounds(0, 1),
+                        constraints=optimize.LinearConstraint(sparse.csr_matrix(cover.astype(float)),
+                                                              lb=np.ones(n)))
+    if not res.success:
+        raise RuntimeError(f"exact covering MILP failed: {res.message}")
+    return int(round(res.fun))
 
 
 # --------------------------------------------------------------------------
@@ -407,16 +366,29 @@ def _probe_centers(reps: np.ndarray, max_centers: int | None) -> np.ndarray:
     return reps[order[stride_idx]]
 
 
-def _ball_counts(reps: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """counts[c, r] = #representatives within closed radius radii[r] of centers[c]."""
-    counts = np.empty((len(centers), len(radii)), dtype=np.int64)
+def _ball_counts(reps: np.ndarray, centers: np.ndarray, radii: np.ndarray,
+                 weights: np.ndarray | None = None) -> np.ndarray:
+    """counts[c, r] = #representatives within closed radius radii[r] of centers[c],
+    or with ``weights`` (one per representative) the weight inside that ball."""
+    counts = np.empty((len(centers), len(radii)), dtype=np.int64 if weights is None else float)
     chunk = max(1, (1 << 22) // max(1, len(reps)))
     for start in range(0, len(centers), chunk):
         block = centers[start:start + chunk]
         d2 = np.sum((block[:, None, :] - reps[None, :, :]) ** 2, axis=-1)
         for rj, r in enumerate(radii):
-            counts[start:start + len(block), rj] = np.sum(d2 <= r * r, axis=1)
+            inside = d2 <= r * r
+            if weights is not None:
+                inside = np.where(inside, weights[None, :], 0.0)
+            counts[start:start + len(block), rj] = np.sum(inside, axis=1)
     return counts
+
+
+def _best_ratio(points, centers, radii, denominator, scale_range, kind, weights=None) -> SetClassReport:
+    """The largest ball count (or mass) over denominator[r], with its witness."""
+    ratios = _ball_counts(points, centers, radii, weights) / denominator[None, :]
+    ci, rj = np.unravel_index(np.argmax(ratios), ratios.shape)
+    return SetClassReport(best_constant=float(ratios[ci, rj]), witness_center=tuple(float(v) for v in centers[ci]),
+                          witness_radius=float(radii[rj]), scale_range=scale_range, kind=kind)
 
 
 def _max_ball_ratio(pset: DiscretePointSet, s: float, max_centers: int | None,
@@ -428,18 +400,9 @@ def _max_ball_ratio(pset: DiscretePointSet, s: float, max_centers: int | None,
     if not (0 <= s <= pset.dim):
         raise ParameterError(f"s must lie in [0, {pset.dim}], got {s}")
     reps = _cell_representatives(pset.points, pset.delta_exp)
-    centers = _probe_centers(reps, max_centers)
     radii = _dyadic_radii(pset.delta_exp)
-    counts = _ball_counts(reps, centers, radii)
-    ratios = counts / denominator(radii, len(reps))[None, :]
-    ci, rj = np.unravel_index(np.argmax(ratios), ratios.shape)
-    return SetClassReport(
-        best_constant=float(ratios[ci, rj]),
-        witness_center=tuple(float(v) for v in centers[ci]),
-        witness_radius=float(radii[rj]),
-        scale_range=(pset.delta, 1.0),
-        kind=kind,
-    )
+    return _best_ratio(reps, _probe_centers(reps, max_centers), radii,
+                       denominator(radii, len(reps)), (pset.delta, 1.0), kind)
 
 
 def delta_set_constant(
@@ -540,28 +503,11 @@ def frostman_constant(
     """
     if len(mu) == 0:
         raise DomainError("empty measure")
-    centers = _probe_centers(mu.points, max_centers)
     radii = _dyadic_radii(delta_exp)
-    best = -math.inf
-    witness = (tuple(float(v) for v in centers[0]), float(radii[-1]))
-    chunk = max(1, (1 << 22) // max(1, len(mu)))
-    for start in range(0, len(centers), chunk):
-        block = centers[start:start + chunk]
-        d2 = np.sum((block[:, None, :] - mu.points[None, :, :]) ** 2, axis=-1)
-        for r in radii:
-            mass = np.sum(np.where(d2 <= r * r, mu.weights[None, :], 0.0), axis=1)
-            ratio = mass / r ** t
-            ci = int(np.argmax(ratio))
-            if ratio[ci] > best:
-                best = float(ratio[ci])
-                witness = (tuple(float(v) for v in block[ci]), float(r))
-    return SetClassReport(
-        best_constant=best,
-        witness_center=witness[0],
-        witness_radius=witness[1],
-        scale_range=(side_of(delta_exp), 1.0),
-        kind=f"frostman(t={t})",
-    )
+    # scalar powers: numpy's vectorised pow can differ from them in the last bit
+    r_t = np.array([r ** t for r in radii])
+    return _best_ratio(mu.points, _probe_centers(mu.points, max_centers), radii, r_t,
+                       (side_of(delta_exp), 1.0), f"frostman(t={t})", mu.weights)
 
 
 def reevaluate_report(pset_or_mu, report: SetClassReport, s_or_t: float) -> float:

@@ -456,37 +456,47 @@ class TransversalFamily:
 
     # -- pairwise machinery ---------------------------------------------------
 
-    def _pair_index_chunks(self, chunk: int = 1 << 20):
-        ii, jj = np.triu_indices(len(self), k=1)
-        for start in range(0, len(ii), chunk):
-            yield ii[start:start + chunk], jj[start:start + chunk]
-
-    def pairwise_defect_and_dist(self):
-        """Yield (i, j, defect, dist) arrays over all pairs, chunked."""
+    def _pair_formula(self):
+        """(pair, chunk): pair(ii, jj) is (min_x(|d0| + |d1|), C2 distance) per pair,
+        by the affine shortcut or by the grid formula on values evaluated once
+        here; ``chunk`` pairs per call keep the temporaries small."""
         coeffs = self.affine_difference_coeffs()
         xs = self.grid()
         if coeffs is not None:
             al, be = coeffs
-            for ii, jj in self._pair_index_chunks():
+
+            def pair(ii, jj):
                 a = al[ii] - al[jj]
-                b = be[ii] - be[jj]
-                vmin, vmax = _affine_pair_min_max(a, b, xs)
-                dist = vmax + np.abs(a)
-                num = vmin + np.abs(a)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    defect = np.where(dist > 0, num / np.where(dist == 0, 1.0, dist), np.inf)
-                yield ii, jj, defect, dist
-        else:
-            v0, v1, v2 = (self.evaluate(xs[None], order) for order in range(3))
-            for ii, jj in self._pair_index_chunks(chunk=max(1, (1 << 22) // len(xs))):
-                d0 = np.abs(v0[ii] - v0[jj])
-                d1 = np.abs(v1[ii] - v1[jj])
-                d2 = np.abs(v2[ii] - v2[jj])
-                dist = (d0 + d1 + d2).max(axis=1)
-                num = (d0 + d1).min(axis=1)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    defect = np.where(dist > 0, num / np.where(dist == 0, 1.0, dist), np.inf)
-                yield ii, jj, defect, dist
+                vmin, vmax = _affine_pair_min_max(a, be[ii] - be[jj], xs)
+                return vmin + np.abs(a), vmax + np.abs(a)
+
+            return pair, 1 << 20
+        v0, v1, v2 = (self.evaluate(xs[None], order) for order in range(3))
+
+        def pair(ii, jj):
+            d0 = np.abs(v0[ii] - v0[jj])
+            d1 = np.abs(v1[ii] - v1[jj])
+            d2 = np.abs(v2[ii] - v2[jj])
+            return (d0 + d1).min(axis=1), (d0 + d1 + d2).max(axis=1)
+
+        return pair, max(1, (1 << 22) // len(xs))
+
+    def pairwise_defect_and_dist(self):
+        """Yield (i, j, defect, dist) arrays over all pairs i < j, chunked."""
+        pair, chunk = self._pair_formula()
+        all_ii, all_jj = np.triu_indices(len(self), k=1)
+        for start in range(0, len(all_ii), chunk):
+            ii, jj = all_ii[start:start + chunk], all_jj[start:start + chunk]
+            num, dist = pair(ii, jj)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                defect = np.where(dist > 0, num / np.where(dist == 0, 1.0, dist), np.inf)
+            yield ii, jj, defect, dist
+
+    def distance_row(self, i: int) -> np.ndarray:
+        """C2 grid distances from member i to every member (0 at i), equal to
+        the distances ``pairwise_defect_and_dist`` yields for the same pairs."""
+        pair, _ = self._pair_formula()
+        return pair(i, slice(None))[1]
 
     def min_pair_distance(self) -> float:
         if self._min_pair is None:

@@ -74,6 +74,8 @@ def _count_against_threshold(
 
     Pairs come in no particular order.
     """
+    if math.isnan(threshold):
+        raise DomainError("the incidence threshold is nan")
     k = squares.k
     dl = side_of(k)
     order = np.lexsort((squares.iy, squares.ix))
@@ -127,6 +129,14 @@ def _count_against_threshold(
     return IncidenceResult(count=count, pairs=pairs)
 
 
+def check_lambda_delta(lam: float, delta: float) -> None:
+    """The rule on I^lambda's neighbourhood: lambda > 0 and lambda*delta <= 1/2."""
+    if not (lam > 0):
+        raise DomainError(f"lambda must be positive, got {lam}")
+    if lam * delta > 0.5 + 1e-15:
+        raise DomainError(f"lambda*delta = {lam * delta} exceeds 1/2")
+
+
 def incidences(
     family: TransversalFamily,
     squares: SquareFamily,
@@ -140,12 +150,8 @@ def incidences(
     (useful for probing the strict boundary) though the estimates assume
     lambda >= 2.
     """
-    if not (lam > 0):
-        raise DomainError(f"lambda must be positive, got {lam}")
-    dl = squares.delta
-    if lam * dl > 0.5 + 1e-15:
-        raise DomainError(f"lambda*delta = {lam * dl} exceeds 1/2")
-    res = _count_against_threshold(family, squares, lam * dl, collect)
+    check_lambda_delta(lam, squares.delta)
+    res = _count_against_threshold(family, squares, lam * squares.delta, collect)
     if collect:
         res = IncidenceResult(res.count, res.pairs[np.lexsort((res.pairs[:, 1], res.pairs[:, 0]))])
     return res
@@ -261,21 +267,6 @@ def high_low_report(
 # Multiplicity, bundles, slices
 # --------------------------------------------------------------------------
 
-def _row_c2_distances(family: TransversalFamily, i: int) -> np.ndarray:
-    """C2 grid distances from curve i to every member (0 at i)."""
-    coeffs = family.affine_difference_coeffs()
-    xs = family.grid()
-    if coeffs is not None:
-        al, be = coeffs
-        a = al - al[i]
-        b = be - be[i]
-        ends = np.abs(np.stack([a * xs[0] + b, a * xs[-1] + b], axis=-1))
-        return ends.max(axis=-1) + np.abs(a)
-    vals = [family.evaluate(xs[None], order) for order in range(3)]
-    d0, d1, d2 = (np.abs(v - v[i]) for v in vals)
-    return np.max(d0 + d1 + d2, axis=1)
-
-
 def _scale_count(points: np.ndarray, r: float) -> int:
     """Number of r-separated representatives (inclusive greedy packing).
 
@@ -307,7 +298,7 @@ def multiplicity(
     if not (family.x_lo <= theta <= family.x_hi):
         raise DomainError(f"theta={theta} outside the family interval {family.interval}")
     vals = family.evaluate([theta])
-    dists = _row_c2_distances(family, f_index)
+    dists = family.distance_row(f_index)
     mask = (dists <= R) & (np.abs(vals - vals[f_index]) <= r)
     images = family.embedding_images()[mask]
     return _scale_count(images, r)

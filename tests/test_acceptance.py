@@ -103,7 +103,7 @@ def test_acceptance_03_covering_ratio():
             r = math.ldexp(1.0, -level)
             if r > diam:
                 continue
-            ratio = dy.covering_number_from_distances(dmat, r) / fs.family_cube_count(fam, level)
+            ratio = dy.covering_number(dist=dmat, r=r) / fs.family_cube_count(fam, level)
             assert 1.0 / 16.0 <= ratio <= 40.0 * t_est ** 4, (seed, level, ratio)
     report(3, "covering ratio in [1/16, 40 T^4], 20 families", t0)
 

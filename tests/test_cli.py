@@ -177,6 +177,14 @@ def test_fourier_csv_independent_of_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+#: points CSVs that check-set must refuse: a non-numeric cell, a nan, an inf
+BAD_POINT_FILES = {
+    "text.csv": "x\n0.25\nabc\n",
+    "nan.csv": "x\n0.25\nnan\n",
+    "inf.csv": "x,y\n0.25,0.5\n0.5,inf\n",
+}
+
+
 @pytest.mark.parametrize("argv, env_threads", [
     (["fourier", "--R", "0,4,8"], None),
     (["fourier", "--delta-exp", "x"], None),
@@ -193,15 +201,28 @@ def test_fourier_csv_independent_of_blas_threads(tmp_path):
     (["mainlem", "--delta-exp", "6", "--Delta-exp", "3", "--eps", "nan"], None),
     (["mainlem", "--delta-exp", "6", "--Delta-exp", "3", "--eps", "0"], None),
     (["mainlem", "--delta-exp", "6", "--Delta-exp", "3", "--eps", "2"], None),
+    (["check-set", "--input", "text.csv"], None),
+    (["check-set", "--input", "nan.csv"], None),
+    (["check-set", "--input", "inf.csv"], None),
+    (["mainlem", "--delta-exp", "6", "--Delta-exp", "4", "--lambda", "-1"], None),
+    (["mainlem", "--delta-exp", "6", "--Delta-exp", "4", "--lambda", "100"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
+    for name, text in BAD_POINT_FILES.items():
+        (tmp_path / name).write_text(text)
     if env_threads is not None:
         monkeypatch.setenv("FURSTLAB_THREADS", env_threads)
     assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("furst-lab: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])
+def test_lambda_outside_the_positive_reals_is_refused(lam):
+    with pytest.raises(cli.ValidationError):
+        cli.resolve_config(["mainlem", "--lambda", lam])
 
 
 @pytest.mark.parametrize("argv", [

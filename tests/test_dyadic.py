@@ -108,6 +108,47 @@ def test_exact_mode_size_cap():
     assert dy.covering_number(ps, 0.25, mode="auto") >= 1  # falls back to greedy
 
 
+def euclidean_matrix(pts):
+    return np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+
+
+def test_points_and_their_distance_matrix_agree():
+    # random points and radii: no distance falls on r, so sqrt cannot flip a comparison
+    for seed in range(10):
+        rng = np.random.default_rng(900 + seed)
+        pts = rng.uniform(0, 1, (int(rng.integers(5, 120)), 2))
+        dmat = euclidean_matrix(pts)
+        r = float(rng.uniform(0.05, 0.4))
+        for inclusive in (False, True):
+            np.testing.assert_array_equal(dy.greedy_separated(pts, r, inclusive),
+                                          dy.greedy_separated(dist=dmat, r=r, inclusive=inclusive))
+        for mode in ("exact", "greedy"):
+            assert dy.covering_number(pts, r, mode) == dy.covering_number(dist=dmat, r=r, mode=mode)
+
+
+def test_covering_bracket_on_distance_matrix():
+    for seed in range(8):
+        rng = np.random.default_rng(950 + seed)
+        dmat = euclidean_matrix(rng.uniform(0, 1, (int(rng.integers(5, 80)), 2)))
+        r = float(rng.uniform(0.05, 0.4))
+        greedy = dy.covering_number(dist=dmat, r=r, mode="greedy")
+        assert dy.covering_number(dist=dmat, r=r, mode="exact") <= greedy
+        assert greedy <= dy.covering_number(dist=dmat, r=r / 2, mode="exact")
+
+
+def test_distance_matrix_checks():
+    dmat = euclidean_matrix(np.random.default_rng(2).uniform(0, 1, (600, 2)))
+    for r in (0.0, -0.5, math.nan):
+        with pytest.raises(DomainError):
+            dy.covering_number(dist=dmat[:10, :10], r=r)
+    with pytest.raises(ParameterError):
+        dy.covering_number(dist=dmat, r=0.25, mode="exact")
+    with pytest.raises(DomainError):
+        dy.covering_number(dist=np.zeros((0, 0)), r=0.5)
+    with pytest.raises(DomainError):
+        dy.covering_number(dmat[:3], dist=dmat[:3, :3], r=0.5)
+
+
 # -- set-class checkers ---------------------------------------------------------
 
 def test_delta_set_full_grid():
@@ -370,6 +411,24 @@ def test_atomic_measure_mass_cap():
 def test_atomic_measure_negative_weight():
     with pytest.raises(DomainError):
         AtomicMeasure(np.array([[0.0, 0.0]]), np.array([-0.1]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_and_weights_rejected(bad):
+    with pytest.raises(DomainError):
+        DiscretePointSet(np.array([0.25, bad]), 4)
+    with pytest.raises(DomainError):
+        AtomicMeasure(np.array([[0.0, 0.0], [bad, 0.5]]), np.array([0.5, 0.5]))
+    with pytest.raises(DomainError):
+        AtomicMeasure(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize("row", ["abc", "nan", "inf", ""])
+def test_point_csv_bad_cell_names_file_and_line(tmp_path, row):
+    path = tmp_path / "pts.csv"
+    path.write_text(f"x,y\n0.25,0.5\n0.5,{row}\n")
+    with pytest.raises(DomainError, match="pts.csv:3: "):
+        DiscretePointSet.from_csv(path, 4)
 
 
 def test_point_csv_roundtrip(tmp_path):

@@ -103,8 +103,22 @@ def test_covering_ratio_bracket():
             r = math.ldexp(1.0, -level)
             if r > diam:
                 continue
-            ratio = dy.covering_number_from_distances(dmat, r) / fs.family_cube_count(fam, level)
+            ratio = dy.covering_number(dist=dmat, r=r) / fs.family_cube_count(fam, level)
             assert 1.0 / 16.0 <= ratio <= 40.0 * t_est ** 4
+
+
+@pytest.mark.parametrize("kind", ["affine", "parabola", "convex", "closures"])
+def test_distance_row_equals_distance_matrix_row(kind):
+    rng = np.random.default_rng(17)
+    a, b = rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40)
+    if kind == "closures":
+        fam = fl.TransversalFamily([parabola(ai, bi) for ai, bi in zip(a, b)], grid_n=257)
+    else:
+        fam = fl.TransversalFamily.parametric(kind, a, b, (-2.0, 2.0), lead=0.5,
+                                              seed=fl.quadratic_seed(0.5), grid_n=257)
+    dmat = fs.family_distance_matrix(fam)
+    for i in range(len(fam)):
+        np.testing.assert_array_equal(fam.distance_row(i), dmat[i])
 
 
 # -- uniformization ----------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import furstlab as fl
+from furstlab import config as cf
 from furstlab import dyadic as dy
 from furstlab import incidence as inc
 from furstlab.family import DomainError, EvaluationError
@@ -75,6 +76,16 @@ def test_fast_equals_bruteforce_on_exact_boundaries():
         brute = inc.incidences_bruteforce(fam, P, lam)
         assert fast.count == brute.count
         assert np.array_equal(fast.pairs, brute.pairs)
+
+
+def test_nan_threshold_raises_at_once():
+    fam = random_line_family(3, n=4)
+    P = dy.SquareFamily.grid(4)
+    with pytest.raises(DomainError):
+        inc._count_against_threshold(fam, P, math.nan, collect=False)
+    for lam in (math.nan, -1.0, 16.0):  # 16 * 2^-4 = 1 > 1/2
+        with pytest.raises(DomainError):
+            cf.MainlemEvaluator(fam, 4, 2, 0.5, lam)
 
 
 def test_monotone_in_lambda():
@@ -306,8 +317,7 @@ def test_squares_near_one_graph_bounded_by_columns():
     )
     k = 5
     r = 2.0 ** -k
-    from furstlab.incidence import _row_c2_distances
-    dists = _row_c2_distances(fam, 0)
+    dists = fam.distance_row(0)
     near = [i for i in range(n) if dists[i] <= r]
     sf = inc.squares_on_graphs(fam, near, k, (0.0, 1.0))
     n_columns = len(np.unique(sf.ix))
