@@ -273,7 +273,7 @@ def _separation(points, dist, r: float):
     arrays) is compared with thr, as the squared Euclidean distance against
     r^2 for points and as the entry dist[j, k] against r for a matrix."""
     if (points is None) == (dist is None):
-        raise DomainError("give either points or dist=, not both")
+        raise DomainError("give exactly one of points and dist=")
     if dist is None:
         pts = _as_points(points)
         return len(pts), r * r, lambda j, k: np.sum((pts[k] - pts[j]) ** 2, axis=-1)
