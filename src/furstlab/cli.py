@@ -33,13 +33,14 @@ from . import config as cf
 from . import fourier as fo
 from . import incidence as inc
 from .dyadic import (
+    AtomicMeasure,
     DiscretePointSet,
     ParameterError,
     delta_set_constant,
     generate_delta_set,
     write_csv,
 )
-from .family import DomainError, EvaluationError
+from .family import DomainError, EvaluationError, exp_seed, quadratic_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,43 +105,27 @@ class RunConfig:
         return self.T
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in str(text).split(",") if v != "")
+def _comma_list(parse):
+    return lambda text: tuple(parse(v) for v in text.split(",") if v != "")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in str(text).split(",") if v != "")
-
-
+#: every config key is a RunConfig field, parsed by the parser of its annotated type
+_TYPE_PARSERS = {"str": str, "int": int, "float": float,
+                 "tuple[int, ...]": _comma_list(int), "tuple[float, ...]": _comma_list(float)}
 _CONFIG_PARSERS = {
-    "kind": str,
-    "delta_exp": _parse_int_list,
-    "Delta_exp": int,
-    "s": float,
-    "t": float,
-    "T": int,
-    "lam": float,
-    "S": _parse_float_list,
-    "eps": float,
-    "p": float,
-    "R": _parse_float_list,
-    "seeds": int,
-    "master_seed": int,
-    "grid_n": int,
-    "eta_max": float,
-    "slope_max": float,
-    "c0_margin": float,
-    "threads": int,
-    "out": str,
-    "input": str,
+    f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig) if f.name != "subcommand"
 }
+#: the command-line flag of each key: the key with '-' for '_', but --lambda for lam
+_FLAGS = {key: "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+          for key in _CONFIG_PARSERS}
 
 
-def _parse_value(key: str, text: str):
+def _parse_value(key: str, text: str, source: str | None = None):
+    """Parse ``text`` as the value of ``key``; errors name ``source`` (default the key)."""
     try:
         return _CONFIG_PARSERS[key](text)
     except ValueError:
-        raise ValidationError(f"{key}: cannot parse {text!r}") from None
+        raise ValidationError(f"{source or key}: cannot parse {text!r}") from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -158,7 +143,7 @@ def parse_config_file(path: str) -> dict:
             if key not in _CONFIG_PARSERS:
                 unknown.append(key)
                 continue
-            out[key] = _parse_value(key, val)
+            out[key] = _parse_value(key, val, f"{path}:{lineno}: {key}")
     if unknown:
         raise ValidationError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
     return out
@@ -295,15 +280,7 @@ def cmd_mainlem(config: RunConfig) -> int:
 
 
 def cmd_fourier(config: RunConfig) -> int:
-    de = config.delta_exp[0]
-    if config.kind == "parabola":
-        lift = fo.uniform_grid_lift(lambda x: np.asarray(x, dtype=float) ** 2, de, s=1.0)
-    elif config.kind == "point":
-        from .dyadic import AtomicMeasure
-
-        lift = AtomicMeasure(np.array([[0.0, 0.0]]), np.array([1.0]))
-    else:
-        raise ValidationError(f"fourier supports kind parabola | point, got {config.kind!r}")
+    lift = KINDS["fourier"][config.kind](config.delta_exp[0])
     rep = fo.decay_slope(lift, config.p, config.R)
     write_csv(config.out, "R,p,integral,slope_cum", rep.rows(), config.provenance())
     ok = rep.slope <= config.slope_max
@@ -313,6 +290,21 @@ def cmd_fourier(config: RunConfig) -> int:
     )
     return EXIT_OK if ok else EXIT_THRESHOLD
 
+
+#: the values ``--kind`` takes, per subcommand that reads it: the curve
+#: subcommands hand the name to config.build_nice_configuration, and fourier
+#: maps it to the measure it transforms at delta = 2^-de (the uniform
+#: delta-grid measure on [-1, 1] lifted onto a seed's graph, or a point mass)
+KINDS = {
+    "incidence": ("affine", "parabola"),
+    "highlow": ("affine", "parabola"),
+    "furstenberg": ("affine", "parabola"),
+    "fourier": {
+        "parabola": lambda de: fo.uniform_grid_lift(quadratic_seed(1.0).g0, de, s=1.0),
+        "exp": lambda de: fo.uniform_grid_lift(exp_seed().g0, de, s=1.0),
+        "point": lambda de: AtomicMeasure(np.array([[0.0, 0.0]]), np.array([1.0])),
+    },
+}
 
 #: suite runs: (subcommand, overrides of the run configuration, failure label);
 #: each writes <out dir>/<subcommand>.csv
@@ -365,35 +357,16 @@ COMMANDS = {
 # --------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's default 2
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    def error(self, message):  # one line and exit 1, not argparse's usage and exit 2
+        raise ValidationError(message)
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="furst-lab", description=__doc__)
     p.add_argument("subcommand", choices=sorted(COMMANDS))
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--kind")
-    p.add_argument("--delta-exp", dest="delta_exp")
-    p.add_argument("--Delta-exp", dest="Delta_exp", type=int)
-    p.add_argument("--s", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--T", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--S")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--R")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--master-seed", dest="master_seed", type=int)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--eta-max", dest="eta_max", type=float)
-    p.add_argument("--slope-max", dest="slope_max", type=float)
-    p.add_argument("--c0-margin", dest="c0_margin", type=float)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out")
-    p.add_argument("--input")
+    for key, flag in _FLAGS.items():
+        p.add_argument(flag, dest=key)
     return p
 
 
@@ -402,21 +375,26 @@ def resolve_config(argv) -> RunConfig:
     values: dict = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    for key in _CONFIG_PARSERS:
-        cli_val = getattr(args, key, None)
-        if cli_val is None:
-            continue
-        values[key] = _parse_value(key, cli_val) if isinstance(cli_val, str) else cli_val
+    for key, flag in _FLAGS.items():
+        cli_val = getattr(args, key)
+        if cli_val is not None:
+            values[key] = _parse_value(key, cli_val, flag)
     values["subcommand"] = args.subcommand
     env_threads = os.environ.get("FURSTLAB_THREADS")
     if env_threads:
-        values["threads"] = _parse_value("threads", env_threads)
+        values["threads"] = _parse_value("threads", env_threads, "FURSTLAB_THREADS")
     config = RunConfig(**values)
     _validate(config)
     return config
 
 
 def _validate(config: RunConfig) -> None:
+    runs = [sub for sub, _, _ in SUITE] if config.subcommand == "suite" else [config.subcommand]
+    for sub in runs:
+        if sub in KINDS and config.kind not in KINDS[sub]:
+            raise ValidationError(
+                f"{sub} takes --kind {' | '.join(KINDS[sub])}, got {config.kind!r}"
+            )
     if not config.delta_exp:
         raise ValidationError("need at least one delta exponent")
     for de in config.delta_exp:
@@ -450,14 +428,9 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        config = resolve_config(argv)
-    except SystemExit as e:
+        return run(resolve_config(argv))
+    except SystemExit as e:  # --help
         return int(e.code or 0)
-    except (ValidationError, OSError) as e:
-        print(f"furst-lab: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return run(config)
     except (ValidationError, ParameterError, DomainError, EvaluationError, OSError) as e:
         print(f"furst-lab: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -115,9 +115,6 @@ class NiceConfiguration:
     def union_squares(self) -> SquareFamily:
         return SquareFamily(self.delta_exp, self.col_idx.ravel(), self.iy.ravel())
 
-    def squares_of(self, i: int) -> SquareFamily:
-        return SquareFamily(self.delta_exp, self.col_idx[i], self.iy[i], dedupe=False)
-
 
 AUDIT_FULL_CURVES = 600
 AUDIT_FULL_COLUMNS = 64
@@ -665,15 +662,10 @@ class MainlemEvaluator:
             touched = np.sum(counts_r >= 1, axis=1)
             budget = 2.0 ** (self.eps * self.Delta_exp) * rho * n_cubes_r
             ok_coarse = touched <= budget
-            # map each delta-square to its level-rho ancestor
+            # each delta-square's level-rho ancestor, at its place in the
+            # ix-major grid over [0, 2^level)^2
             shift = self.delta_exp - level
-            anc_ix = self.squares.ix >> shift
-            anc_iy = self.squares.iy >> shift
-            span = int(coarse.iy.max()) + 1
-            key_coarse = coarse.ix * span + coarse.iy
-            order = np.argsort(key_coarse)
-            pos = np.searchsorted(key_coarse[order], anc_ix * span + anc_iy)
-            ok &= ok_coarse[order[np.clip(pos, 0, len(order) - 1)]]
+            ok &= ok_coarse[(self.squares.ix >> shift << level) + (self.squares.iy >> shift)]
         return ok
 
     def report(self, a: int, b: int) -> MainlemReport:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -93,14 +92,6 @@ class DyadicSquare:
             math.ldexp(2 * self.ix + 1, -self.k - 1),
             math.ldexp(2 * self.iy + 1, -self.k - 1),
         )
-
-    @property
-    def x_range(self) -> tuple[float, float]:
-        return (math.ldexp(self.ix, -self.k), math.ldexp(self.ix + 1, -self.k))
-
-    @property
-    def y_range(self) -> tuple[float, float]:
-        return (math.ldexp(self.iy, -self.k), math.ldexp(self.iy + 1, -self.k))
 
 
 def cell_indices(points: np.ndarray, k: int) -> np.ndarray:
@@ -658,22 +649,6 @@ class SquareFamily:
     def delta(self) -> float:
         return side_of(self.k)
 
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        return centers_of(self.ix, self.k), centers_of(self.iy, self.k)
-
-    def squares(self) -> list[DyadicSquare]:
-        return [DyadicSquare(self.k, int(i), int(j)) for i, j in zip(self.ix, self.iy)]
-
-    @classmethod
-    def from_squares(cls, squares: Iterable[DyadicSquare]) -> "SquareFamily":
-        squares = list(squares)
-        if not squares:
-            raise DomainError("empty square family")
-        k = squares[0].k
-        if any(sq.k != k for sq in squares):
-            raise DomainError("all squares must share one level")
-        return cls(k, np.array([s.ix for s in squares]), np.array([s.iy for s in squares]))
-
     @classmethod
     def grid(cls, k: int, x_range=(0.0, 1.0), y_range=(0.0, 1.0)) -> "SquareFamily":
         """All level-k squares whose lower-left corner lies in the box."""
@@ -681,6 +656,3 @@ class SquareFamily:
         sy = np.arange(int(math.ldexp(y_range[0], k)), int(math.ldexp(y_range[1], k)))
         gx, gy = np.meshgrid(sx, sy, indexing="ij")
         return cls(k, gx.ravel(), gy.ravel(), dedupe=False)
-
-    def union_size(self) -> int:
-        return len(self)

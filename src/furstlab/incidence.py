@@ -280,6 +280,23 @@ def _scale_count(points: np.ndarray, r: float) -> int:
     return len(greedy_separated(pts[order], r, inclusive=True))
 
 
+def _multiplicities(family: TransversalFamily, theta: float, r: float, R: float, rows) -> list[int]:
+    """The multiplicity of each member in ``rows``: the C2 pair formula, the
+    values at theta and the embedding images are computed once per call."""
+    if not (0 < r <= R):
+        raise DomainError(f"need 0 < r <= R, got r={r}, R={R}")
+    if not (family.x_lo <= theta <= family.x_hi):
+        raise DomainError(f"theta={theta} outside the family interval {family.interval}")
+    pair, _ = family._pair_formula()
+    vals = family.evaluate([theta])
+    images = family.embedding_images()
+    out = []
+    for i in rows:
+        mask = (pair(i, slice(None))[1] <= R) & (np.abs(vals - vals[i]) <= r)
+        out.append(_scale_count(images[mask], r))
+    return out
+
+
 def multiplicity(
     family: TransversalFamily,
     theta: float,
@@ -293,15 +310,7 @@ def multiplicity(
     <= r, then counts r-separated representatives of the filtered curves'
     embedding images.
     """
-    if not (0 < r <= R):
-        raise DomainError(f"need 0 < r <= R, got r={r}, R={R}")
-    if not (family.x_lo <= theta <= family.x_hi):
-        raise DomainError(f"theta={theta} outside the family interval {family.interval}")
-    vals = family.evaluate([theta])
-    dists = family.distance_row(f_index)
-    mask = (dists <= R) & (np.abs(vals - vals[f_index]) <= r)
-    images = family.embedding_images()[mask]
-    return _scale_count(images, r)
+    return _multiplicities(family, theta, r, R, [f_index])[0]
 
 
 def high_multiplicity_set(
@@ -312,12 +321,8 @@ def high_multiplicity_set(
     R: float,
 ) -> np.ndarray:
     """Indices of curves whose multiplicity at theta is at least M."""
-    out = [
-        i
-        for i in range(len(family))
-        if multiplicity(family, theta, i, r, R) >= M
-    ]
-    return np.asarray(out, dtype=np.int64)
+    counts = _multiplicities(family, theta, r, R, range(len(family)))
+    return np.asarray([i for i, m in enumerate(counts) if m >= M], dtype=np.int64)
 
 
 def slice_cover(

@@ -2,12 +2,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from furstlab import cli, dyadic
+from furstlab import cli, dyadic, fourier
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -206,6 +207,13 @@ BAD_POINT_FILES = {
     (["check-set", "--input", "inf.csv"], None),
     (["mainlem", "--delta-exp", "6", "--Delta-exp", "4", "--lambda", "-1"], None),
     (["mainlem", "--delta-exp", "6", "--Delta-exp", "4", "--lambda", "100"], None),
+    (["mainlem", "--seeds", "abc"], None),
+    (["mainlem", "--Delta-exp", "x"], None),
+    (["mainlem", "--bogus", "1"], None),
+    (["highlow", "--kind", "convex"], None),
+    (["furstenberg", "--kind", "exp"], None),
+    (["fourier", "--kind", "affine"], None),
+    (["suite", "--kind", "affine"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -217,6 +225,60 @@ def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, 
     err = capsys.readouterr().err
     assert err.startswith("furst-lab: ")
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()  # for suite, the output directory
+
+
+#: (flag, value, RunConfig field, the field's value): one row per field
+FLAG_CASES = [
+    ("--kind", "affine", "kind", "affine"),
+    ("--delta-exp", "6,7", "delta_exp", (6, 7)),
+    ("--Delta-exp", "3", "Delta_exp", 3),
+    ("--s", "0.75", "s", 0.75),
+    ("--t", "1.5", "t", 1.5),
+    ("--T", "3", "T", 3),
+    ("--lambda", "4", "lam", 4.0),
+    ("--S", "4,8", "S", (4.0, 8.0)),
+    ("--eps", "0.5", "eps", 0.5),
+    ("--p", "4", "p", 4.0),
+    ("--R", "8,16", "R", (8.0, 16.0)),
+    ("--seeds", "3", "seeds", 3),
+    ("--master-seed", "7", "master_seed", 7),
+    ("--grid-n", "513", "grid_n", 513),
+    ("--eta-max", "0.4", "eta_max", 0.4),
+    ("--slope-max", "0.2", "slope_max", 0.2),
+    ("--c0-margin", "2", "c0_margin", 2.0),
+    ("--threads", "2", "threads", 2),
+    ("--out", "x.csv", "out", "x.csv"),
+    ("--input", "pts.csv", "input", "pts.csv"),
+]
+
+
+def test_flag_cases_cover_every_config_field():
+    names = [f.name for f in fields(cli.RunConfig) if f.name != "subcommand"]
+    assert sorted(case[2] for case in FLAG_CASES) == sorted(names)
+
+
+@pytest.mark.parametrize("flag, text, field, value", FLAG_CASES)
+def test_each_flag_sets_its_config_field(monkeypatch, flag, text, field, value):
+    monkeypatch.delenv("FURSTLAB_THREADS", raising=False)
+    assert getattr(cli.RunConfig(), field) != value
+    config = cli.resolve_config(["furstenberg", flag, text])
+    # repr also tells 4 from 4.0 and (4, 8) from (4.0, 8.0)
+    assert repr(getattr(config, field)) == repr(value)
+
+
+def test_fourier_exp_lift_writes_its_decay_table(tmp_path):
+    out, expect = tmp_path / "exp.csv", tmp_path / "expect.csv"
+    # at delta 2^-4 the exp lift's slope is above the default 0.3, so the
+    # run exits 2, and writes its table all the same
+    assert run(["fourier", "--kind", "exp", "--delta-exp", "4", "--R", "4,8,16",
+                "--out", str(out)]) == 2
+    rep = fourier.decay_slope(fourier.uniform_grid_lift(np.exp, 4), 8, [4.0, 8.0, 16.0])
+    dyadic.write_csv(str(expect), "R,p,integral,slope_cum", rep.rows())
+    lines = out.read_text().splitlines()
+    assert lines[:-1] == expect.read_text().splitlines()
+    assert len(lines) == 5
+    assert FOOTER.fullmatch(lines[-1]).group(1) == "3"
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])

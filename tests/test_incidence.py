@@ -240,6 +240,25 @@ def test_high_multiplicity_rescaling_commutation():
     assert before == after
 
 
+@pytest.mark.parametrize("kind", ["affine", "parabola", "closures"])
+def test_high_multiplicity_set_equals_multiplicity_per_curve(kind):
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-0.5, 0.5, 60), rng.uniform(0.0, 1.0, 60)
+    if kind == "closures":
+        fam = fl.TransversalFamily(
+            [fl.quadratic_translate_curve(ai, bi) for ai, bi in zip(a, b)], grid_n=257
+        )
+    else:
+        fam = fl.TransversalFamily.parametric(kind, a, b, (-2.0, 2.0), grid_n=257)
+    r, R = 2.0 ** -4, 1.0
+    for M in (2, 3):
+        got = inc.high_multiplicity_set(fam, 0.3, M, r, R)
+        expect = [i for i in range(len(fam)) if inc.multiplicity(fam, 0.3, i, r, R) >= M]
+        assert 0 < len(expect) < len(fam)
+        assert got.tolist() == expect
+        assert got.dtype == np.int64
+
+
 def test_slice_cover_translate_grid():
     k = 6
     bs = np.arange(2 ** k + 1) / 2.0 ** k
