@@ -362,7 +362,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    p = _Parser(prog="furst-lab", description=__doc__)
+    p = _Parser(prog="furst-lab", description=__doc__, allow_abbrev=False)
     p.add_argument("subcommand", choices=sorted(COMMANDS))
     p.add_argument("--config", help="flat key=value config file")
     for key, flag in _FLAGS.items():

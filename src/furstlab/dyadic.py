@@ -533,8 +533,6 @@ def _sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """k distinct integers in [0, n) without materialising range(n)."""
     if k >= n:
         return np.arange(n, dtype=np.int64)
-    if n <= 4096:
-        return rng.permutation(n)[:k].astype(np.int64)
     out: set[int] = set()
     while len(out) < k:
         draw = rng.integers(0, n, size=2 * (k - len(out)))

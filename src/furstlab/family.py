@@ -434,8 +434,9 @@ class TransversalFamily:
         if coeffs is not None:
             al, be = coeffs
             order = np.lexsort((be, al))
-            # any exact or near-duplicate collapses in (alpha, beta); for
-            # affine differences ||f-g|| >= max(|dalpha|, |dbeta|)
+            # only lexsort-adjacent rows are compared (for affine differences
+            # ||f-g|| >= max(|dalpha|, |dbeta|)): every exact duplicate is
+            # caught, but not a near-duplicate pair with a row between them
             da = np.abs(np.diff(al[order]))
             db = np.abs(np.diff(be[order]))
             close = (da < DUPLICATE_TOL) & (db < DUPLICATE_TOL)

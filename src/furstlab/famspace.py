@@ -3,10 +3,11 @@
 A transversal family embeds into the plane by A(f) = (f(x0), f'(x0)) with
 x0 the interval midpoint; the embedding is sqrt(2)*T bi-Lipschitz, so
 dyadic squares in the plane pull back to "dyadic cubes" in the family.
-This module materialises those cubes, extracts exactly-uniform subsets by
-level-wise pigeonholing, and turns the resulting branching counts into
-piecewise-linear branching functions whose (super)linearity encodes the
-family's dimensionality scale by scale.
+This module groups the curves' cell indices into those cubes and into
+exactly-uniform subsets (level-wise pigeonholing) as array code, with
+``audit_uniformity`` as the independent recount, and turns the branching
+counts into piecewise-linear branching functions whose (super)linearity
+encodes the family's dimensionality scale by scale.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import ParameterError, cell_indices, write_csv
+from .dyadic import ParameterError, cell_indices, dyadic_cell_count, write_csv
 from .family import DomainError, TransversalFamily
 
 
@@ -67,20 +68,14 @@ def embed(family: TransversalFamily, check: str = "auto") -> FamilyEmbedding:
     if check == "none" or n < 2:
         return FamilyEmbedding(x0, images, family.t_bound(), 0.0, 0.0, "none")
 
-    t_est = family.t_const if family.declared_t_const is None else family.declared_t_const
-    max_lower = 0.0
-    max_upper = 0.0
+    t_est = family.t_bound()
+    max_lower = max_upper = 0.0
     worst_pair = (0, 1)
     if check == "probe":
-        sub_n = min(n, 512)
-        stride = np.linspace(0, n - 1, sub_n).astype(np.int64)
-        subfam = family.subfamily(stride)
-        sub_img = images[stride]
-        source = subfam
-        img = sub_img
+        stride = np.linspace(0, n - 1, min(n, 512)).astype(np.int64)
+        source, img = family.subfamily(stride), images[stride]
     else:
-        source = family
-        img = images
+        source, img = family, images
     for ii, jj, _, dist in source.pairwise_defect_and_dist():
         gap = np.hypot(img[ii, 0] - img[jj, 0], img[ii, 1] - img[jj, 1])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -131,27 +126,16 @@ def family_dyadic_cubes(family: TransversalFamily, level: int) -> list[FamilyDya
     Members are exact preimages: every curve belongs to exactly one cube
     per level (half-open cells).
     """
-    idx = family_cell_indices(family, level)
-    order = np.lexsort((idx[:, 1], idx[:, 0]))
-    cubes: list[FamilyDyadicCube] = []
-    cur_key = None
-    cur_members: list[int] = []
-    for i in order:
-        key = (int(idx[i, 0]), int(idx[i, 1]))
-        if key != cur_key:
-            if cur_key is not None:
-                cubes.append(FamilyDyadicCube(level, cur_key[0], cur_key[1], tuple(cur_members)))
-            cur_key = key
-            cur_members = []
-        cur_members.append(int(i))
-    if cur_key is not None:
-        cubes.append(FamilyDyadicCube(level, cur_key[0], cur_key[1], tuple(cur_members)))
-    return cubes
+    cells, inverse = np.unique(family_cell_indices(family, level), axis=0, return_inverse=True)
+    members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    return [
+        FamilyDyadicCube(level, ix, iy, tuple(mem.tolist()))
+        for (ix, iy), mem in zip(cells.tolist(), members)
+    ]
 
 
 def family_cube_count(family: TransversalFamily, level: int) -> int:
-    idx = family_cell_indices(family, level)
-    return len(np.unique(idx, axis=0))
+    return dyadic_cell_count(family.embedding_images(), level)
 
 
 def family_distance_matrix(family: TransversalFamily) -> np.ndarray:
@@ -221,60 +205,28 @@ def extract_uniform_subset(
         )
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
-    delta_exp = m * T
-    leaf_idx = family_cell_indices(family, delta_exp)
-
-    n = len(family)
-    # live delta-cells; ancestor cells at level jT are right-shifts of the
-    # leaf keys (arithmetic shift = floor division, correct for negatives)
-    leaf_keys = {}
-    for i in range(n):
-        key = (int(leaf_idx[i, 0]), int(leaf_idx[i, 1]))
-        leaf_keys.setdefault(key, []).append(i)
-    live = set(leaf_keys.keys())
-    cells_before = len(live)
-
-    def parent_key(key: tuple[int, int], shift: int) -> tuple[int, int]:
-        return (key[0] >> shift, key[1] >> shift)
-
-    n_counts: list[int] = [0] * m
+    # leaf cells at level mT; the level-jT cubes above them are right
+    # shifts of their indices (arithmetic shift = floor division)
+    leaves, leaf_of = np.unique(family_cell_indices(family, m * T), axis=0, return_inverse=True)
+    live = np.arange(len(leaves))
+    n_counts = [0] * m
     for level in range(m - 1, -1, -1):
-        shift_child = (m - level - 1) * T   # leaf -> level (level+1) cube
-        shift_parent = (m - level) * T
-        children: dict[tuple[int, int], set[tuple[int, int]]] = {}
-        for leaf in live:
-            ck = parent_key(leaf, shift_child)
-            pk = parent_key(leaf, shift_parent)
-            children.setdefault(pk, set()).add(ck)
-        # dyadic classes by child count
-        classes: dict[int, list[tuple[int, int]]] = {}
-        for pk, ch in children.items():
-            k = int(math.floor(math.log2(len(ch))))
-            classes.setdefault(k, []).append(pk)
-        totals = {
-            k: sum(len(children[pk]) for pk in parents) for k, parents in classes.items()
-        }
-        best_total = max(totals.values())
-        k_star = min(k for k, tot in totals.items() if tot == best_total)
-        parents = classes[k_star]
-        keep_count = min(len(children[pk]) for pk in parents)
-        kept_cubes: set[tuple[int, int]] = set()
-        for pk in parents:
-            ordered = sorted(children[pk])
-            kept_cubes.update(ordered[:keep_count])
+        child, child_of = np.unique(leaves[live] >> (m - level - 1) * T, axis=0, return_inverse=True)
+        _, parent_of = np.unique(child >> T, axis=0, return_inverse=True)
+        n = np.bincount(parent_of)
+        k = np.frexp(n)[1] - 1                 # floor(log2 n), exactly
+        k_star = int(np.argmax(np.bincount(k, weights=n)))
+        keep_count = int(n[k == k_star].min())
+        # rank of each child among its parent's children, in (ix, iy) order
+        order = np.argsort(parent_of, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order)) - np.repeat(np.cumsum(n) - n, n)
+        kept = (k[parent_of] == k_star) & (rank < keep_count)
         n_counts[level] = keep_count
-        live = {leaf for leaf in live if parent_key(leaf, shift_child) in kept_cubes}
+        live = live[kept[child_of]]
 
-    kept_indices = sorted(i for leaf in live for i in leaf_keys[leaf])
-    sub = family.subfamily(kept_indices)
-    structure = UniformStructure(
-        T=T,
-        m=m,
-        N=tuple(n_counts),
-        delta_cells_before=cells_before,
-        delta_cells_after=len(live),
-    )
-    return sub, structure
+    sub = family.subfamily(np.flatnonzero(np.isin(leaf_of, live)))
+    return sub, UniformStructure(T, m, tuple(n_counts), len(leaves), len(live))
 
 
 def audit_uniformity(family: TransversalFamily, T: int, m: int) -> tuple[bool, tuple[int, ...]]:
@@ -348,29 +300,26 @@ def _breakpoints(beta: BranchingFunction, a: float, b: float, extra=()) -> np.nd
     return np.unique(np.asarray(pts, dtype=float))
 
 
-def check_superlinear(beta: BranchingFunction, sigma: float, eps: float, a: float, b: float):
-    """Is beta(x) >= beta(a) + sigma (x-a) - eps (b-a) on [a, b]?
-
-    Returns (ok, max_violation); the check runs on the breakpoints, which
-    is exact for piecewise-linear beta.
-    """
+def _chord_check(beta: BranchingFunction, a: float, b: float, deviation):
+    """(ok, max_violation) of deviation <= 0 on [a, b], checked exactly on the breakpoints."""
     if not (0 <= a < b <= beta.m):
         raise ParameterError(f"need 0 <= a < b <= m={beta.m}, got [{a}, {b}]")
-    xs = _breakpoints(beta, a, b)
-    lhs = beta(xs)
-    rhs = beta(a) + sigma * (xs - a) - eps * (b - a)
-    violation = float(np.max(rhs - lhs))
+    violation = float(np.max(deviation(_breakpoints(beta, a, b))))
     return violation <= 1e-12, max(0.0, violation)
+
+
+def check_superlinear(beta: BranchingFunction, sigma: float, eps: float, a: float, b: float):
+    """Is beta(x) >= beta(a) + sigma (x-a) - eps (b-a) on [a, b]?"""
+    return _chord_check(
+        beta, a, b, lambda xs: (beta(a) + sigma * (xs - a) - eps * (b - a)) - beta(xs)
+    )
 
 
 def check_linear(beta: BranchingFunction, sigma: float, eps: float, a: float, b: float):
     """Is |beta(x) - beta(a) - sigma (x-a)| <= eps (b-a) on [a, b]?"""
-    if not (0 <= a < b <= beta.m):
-        raise ParameterError(f"need 0 <= a < b <= m={beta.m}, got [{a}, {b}]")
-    xs = _breakpoints(beta, a, b)
-    dev = np.abs(beta(xs) - beta(a) - sigma * (xs - a)) - eps * (b - a)
-    violation = float(np.max(dev))
-    return violation <= 1e-12, max(0.0, violation)
+    return _chord_check(
+        beta, a, b, lambda xs: np.abs(beta(xs) - beta(a) - sigma * (xs - a)) - eps * (b - a)
+    )
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,10 @@ BAD_POINT_FILES = {
 }
 
 
+#: prefixes of real flags (--seeds, --master-seed, --slope-max), refused as unknown
+ABBREVIATED = {"--seed", "--mast", "--sl"}
+
+
 @pytest.mark.parametrize("argv, env_threads", [
     (["fourier", "--R", "0,4,8"], None),
     (["fourier", "--delta-exp", "x"], None),
@@ -214,6 +218,9 @@ BAD_POINT_FILES = {
     (["furstenberg", "--kind", "exp"], None),
     (["fourier", "--kind", "affine"], None),
     (["suite", "--kind", "affine"], None),
+    (["furstenberg", "--seed", "5"], None),
+    (["furstenberg", "--mast", "3"], None),
+    (["fourier", "--sl", "0.1"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -226,6 +233,8 @@ def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, 
     assert err.startswith("furst-lab: ")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "x.csv").exists()  # for suite, the output directory
+    for flag in ABBREVIATED.intersection(argv):
+        assert flag in err
 
 
 #: (flag, value, RunConfig field, the field's value): one row per field

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -82,6 +83,17 @@ def test_cubes_partition_members():
         assert members == list(range(len(fam)))
 
 
+def test_cubes_are_exact_preimages_in_order():
+    fam = tree_family(1)
+    for level in (-1, 0, 3, 7, 38):
+        idx = fs.family_cell_indices(fam, level)
+        cubes = fs.family_dyadic_cubes(fam, level)
+        for c in cubes:
+            assert c.members == tuple(np.flatnonzero((idx == (c.ix, c.iy)).all(axis=1)))
+        keys = [(c.ix, c.iy) for c in cubes]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+
 def test_cube_count_at_unit_scale_bounded():
     fam = tree_family(2)
     # images live in a ball of radius sqrt(2); O(T^2) is generous
@@ -141,6 +153,34 @@ def test_uniform_extraction_bound_and_audit():
         ok, counts = fs.audit_uniformity(sub, 19, 2)
         assert ok and counts == st_.N
         assert st_.loss_ok
+
+
+def pinned_parabola_family():
+    rng = np.random.default_rng(1)
+    a, b = rng.uniform(-1, 1, 3000), rng.uniform(-1, 1, 3000)
+    return fl.TransversalFamily.parametric("parabola", a, b, (-2.0, 2.0), lead=0.5,
+                                           declared_t_const=5.0, check_duplicates=False)
+
+
+#: (tree_family seed or None for the parabola family, N, delta cells before,
+#: after, sha256 prefix of the kept images) at T=19, m=2
+PINNED_EXTRACTIONS = [
+    (0, (20, 16), 729, 320, "77a019db252e5d33"),
+    (1, (19, 16), 729, 304, "e7a1c1b5d3815061"),
+    (2, (19, 16), 729, 304, "696a5d58eccd663d"),
+    (3, (18, 16), 729, 288, "883f177081af43cc"),
+    (4, (18, 16), 729, 288, "ff811774dd22db7e"),
+    (None, (586, 1), 3000, 2344, "d922853e3a8b4a90"),
+]
+
+
+@pytest.mark.parametrize("seed, N, before, after, digest", PINNED_EXTRACTIONS)
+def test_uniform_extraction_is_pinned(seed, N, before, after, digest):
+    # the exact selection (which child cubes survive), not only its uniformity
+    fam = pinned_parabola_family() if seed is None else tree_family(seed)
+    sub, st_ = fs.extract_uniform_subset(fam, 19, 2)
+    assert (st_.N, st_.delta_cells_before, st_.delta_cells_after) == (N, before, after)
+    assert hashlib.sha256(sub.embedding_images().tobytes()).hexdigest()[:16] == digest
 
 
 def test_uniform_extraction_period_floor():
