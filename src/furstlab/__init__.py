@@ -33,8 +33,6 @@ from .family import (
 from .dyadic import (
     AtomicMeasure,
     DiscretePointSet,
-    DyadicInterval,
-    DyadicSquare,
     SquareFamily,
     covering_number,
     delta_set_constant,

@@ -402,6 +402,8 @@ def _validate(config: RunConfig) -> None:
             raise ValidationError(f"delta exponent must be >= 1, got {de}")
     if config.seeds < 1:
         raise ValidationError("seed count must be >= 1")
+    if config.master_seed < 0:
+        raise ValidationError(f"master seed must be >= 0, got {config.master_seed}")
     if not (config.eta_max > 0 and config.slope_max > 0):  # nan fails too
         raise ValidationError(
             f"thresholds must be positive, got eta max {config.eta_max}, "

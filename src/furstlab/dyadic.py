@@ -58,42 +58,6 @@ def write_csv(path, header: str, rows, provenance: str | None = None) -> None:
 # Cells
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class DyadicInterval:
-    """Half-open dyadic interval [ix 2^-k, (ix+1) 2^-k)."""
-
-    k: int
-    ix: int
-
-    @property
-    def side(self) -> float:
-        return math.ldexp(1.0, -self.k)
-
-    @property
-    def center(self) -> float:
-        return math.ldexp(2 * self.ix + 1, -self.k - 1)
-
-
-@dataclass(frozen=True, order=True)
-class DyadicSquare:
-    """Half-open dyadic square of side 2^-k at integer index (ix, iy)."""
-
-    k: int
-    ix: int
-    iy: int
-
-    @property
-    def side(self) -> float:
-        return math.ldexp(1.0, -self.k)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (
-            math.ldexp(2 * self.ix + 1, -self.k - 1),
-            math.ldexp(2 * self.iy + 1, -self.k - 1),
-        )
-
-
 def cell_indices(points: np.ndarray, k: int) -> np.ndarray:
     """Integer cell indices at level k; exact (scaling by 2^k is lossless)."""
     pts = np.asarray(points, dtype=float)
@@ -232,23 +196,14 @@ class SetClassReport:
 # Covers and covering numbers
 # --------------------------------------------------------------------------
 
-def dyadic_cover(pset: DiscretePointSet | np.ndarray, k: int):
-    """The exact set of level-k cells meeting P, sorted by index."""
-    if k < 0:
-        raise ParameterError(f"level must be >= 0, got {k}")
-    pts = _as_points(pset)
-    idx = np.unique(cell_indices(pts, k), axis=0)
-    if pts.shape[1] == 1:
-        return [DyadicInterval(k, int(i)) for i in idx[:, 0]]
-    return [DyadicSquare(k, int(i), int(j)) for i, j in idx]
+def dyadic_cover(pset: DiscretePointSet | np.ndarray, k: int) -> np.ndarray:
+    """The level-k cells meeting P: their distinct index rows, sorted (int64, shape (m, d))."""
+    return np.unique(cell_indices(_as_points(pset), k), axis=0)
 
 
 def dyadic_cell_count(points: np.ndarray, k: int) -> int:
     """|D_{2^-k}(P)|, the level-k cell count."""
-    pts = _as_points(points)
-    if len(pts) == 0:
-        return 0
-    return len(np.unique(cell_indices(pts, k), axis=0))
+    return len(dyadic_cover(points, k))
 
 
 def _as_points(pset) -> np.ndarray:
@@ -625,20 +580,19 @@ def generate_delta_set(
 # --------------------------------------------------------------------------
 
 class SquareFamily:
-    """A disjoint family of level-k dyadic squares stored as index arrays."""
+    """A set of level-k dyadic squares stored as index arrays.
 
-    def __init__(self, k: int, ix: np.ndarray, iy: np.ndarray, dedupe: bool = True):
+    The squares are distinct and sorted by (ix, iy), whatever order and
+    repeats the input has; the incidence kernel's binary searches rely on it.
+    """
+
+    def __init__(self, k: int, ix: np.ndarray, iy: np.ndarray):
         ix = np.asarray(ix, dtype=np.int64)
         iy = np.asarray(iy, dtype=np.int64)
         if ix.shape != iy.shape or ix.ndim != 1:
             raise DomainError("ix, iy must be equal-length 1-d arrays")
-        if dedupe and len(ix):
-            pair = np.stack([ix, iy], axis=1)
-            pair = np.unique(pair, axis=0)
-            ix, iy = pair[:, 0], pair[:, 1]
-        self.k = int(k)
-        self.ix = ix
-        self.iy = iy
+        pair = np.unique(np.stack([ix, iy], axis=1), axis=0)
+        self.k, self.ix, self.iy = int(k), pair[:, 0], pair[:, 1]
 
     def __len__(self) -> int:
         return len(self.ix)
@@ -649,8 +603,10 @@ class SquareFamily:
 
     @classmethod
     def grid(cls, k: int, x_range=(0.0, 1.0), y_range=(0.0, 1.0)) -> "SquareFamily":
-        """All level-k squares whose lower-left corner lies in the box."""
-        sx = np.arange(int(math.ldexp(x_range[0], k)), int(math.ldexp(x_range[1], k)))
-        sy = np.arange(int(math.ldexp(y_range[0], k)), int(math.ldexp(y_range[1], k)))
+        """All level-k squares whose lower-left corner lies in the box [x0, x1) x [y0, y1)."""
+        sx = np.arange(math.ceil(math.ldexp(x_range[0], k)), math.ceil(math.ldexp(x_range[1], k)))
+        sy = np.arange(math.ceil(math.ldexp(y_range[0], k)), math.ceil(math.ldexp(y_range[1], k)))
         gx, gy = np.meshgrid(sx, sy, indexing="ij")
-        return cls(k, gx.ravel(), gy.ravel(), dedupe=False)
+        grid = cls.__new__(cls)  # the ix-major meshgrid is already sorted and distinct
+        grid.k, grid.ix, grid.iy = int(k), gx.ravel(), gy.ravel()
+        return grid

@@ -3,21 +3,21 @@
 An incidence is a pair (f, p) whose square center z_p lies in the vertical
 lambda*delta-neighbourhood of the curve: |y_p - f(x_p)| < lambda*delta,
 strictly (centers are exact dyadic rationals, so boundary cases are
-deterministic).  The fast counter sorts the squares by (column, row),
-evaluates each curve once per occupied column, and uses that the rows a
-curve hits in one column form a single run: the exact center-to-curve
-distance grows away from the row containing f(x), and float rounding
-keeps that order.  Each run end is estimated in row units, as
-floor(u + t - 1/2) above and ceil(u - t - 1/2) below, with u = f(x)/delta
-and t = threshold/delta (both exact).  The estimate never falls inside the
-run: row n hits above f(x) only if n + 1/2 < u + t exactly, and n + 1/2 is
-a float, so the rounded u + t is at least n + 1/2 too (likewise below).
-Each end is then settled by stepping inwards while its row misses, under
-the oracle's own expression and strict inequality, and two binary
-searches in the sorted squares count the run.  The cost does not depend
-on the threshold, and the counter agrees *exactly* with the brute-force
-oracle, which evaluates every (curve, square) pair directly, one curve
-closure at a time.
+deterministic).  The fast counter takes the squares in the (column, row)
+order every SquareFamily keeps, evaluates each curve once per occupied
+column, and uses that the rows a curve hits in one column form a single
+run: the exact center-to-curve distance grows away from the row containing
+f(x), and float rounding keeps that order.  Each run end is estimated in
+row units, as floor(u + t - 1/2) above and ceil(u - t - 1/2) below, with
+u = f(x)/delta and t = threshold/delta (both exact).  The estimate never
+falls inside the run: row n hits above f(x) only if n + 1/2 < u + t
+exactly, and n + 1/2 is a float, so the rounded u + t is at least n + 1/2
+too (likewise below).  Each end is then settled by stepping inwards while
+its row misses, under the oracle's own expression and strict inequality,
+and two binary searches in the sorted squares count the run.  The cost
+does not depend on the threshold, and the counter agrees *exactly* with
+the brute-force oracle, which evaluates every (curve, square) pair
+directly, one curve closure at a time.
 """
 
 from __future__ import annotations
@@ -78,15 +78,15 @@ def _count_against_threshold(
         raise DomainError("the incidence threshold is nan")
     k = squares.k
     dl = side_of(k)
-    order = np.lexsort((squares.iy, squares.ix))
-    iy_s = squares.iy[order]
-    cols, col_of_sorted = np.unique(squares.ix[order], return_inverse=True)
+    cols, col_of = np.unique(squares.ix, return_inverse=True)
     xc = centers_of(cols, k)
-    iy_min = int(iy_s.min()) if len(iy_s) else 0
-    iy_max = int(iy_s.max()) if len(iy_s) else 0
+    iy_min = int(squares.iy.min()) if len(squares) else 0
+    iy_max = int(squares.iy.max()) if len(squares) else 0
     span = iy_max - iy_min + 1
-    # squares sorted by (ix, iy) <=> sorted keys col*span + (iy-iy_min)
-    keys = col_of_sorted * span + (iy_s - iy_min)
+    # a SquareFamily is sorted by (ix, iy), so its keys col*span + (iy-iy_min)
+    # are sorted too: the binary searches below rely on that order, and a
+    # key's position is its square's index
+    keys = col_of * span + (squares.iy - iy_min)
 
     def hits(iy, fx):  # the oracle's predicate, on the oracle's center expression
         return np.abs(centers_of(iy, k) - fx) < threshold
@@ -118,7 +118,7 @@ def _count_against_threshold(
                 n, pos_lo = n.ravel()[run], pos_lo.ravel()[run]
                 first = np.repeat(pos_lo - (np.cumsum(n) - n), n)
                 curve = np.repeat(run // fx.shape[1] + r0, n)
-                pair_chunks.append(np.stack([curve, order[first + np.arange(found)]], axis=1))
+                pair_chunks.append(np.stack([curve, first + np.arange(found)], axis=1))
     pairs = None
     if collect:
         pairs = (
@@ -372,20 +372,20 @@ def cube_incidence_counts(
 
 
 def n_delta_b(
-    square,
+    squares: SquareFamily,
     family: TransversalFamily,
     Delta_exp: int,
     b: int,
     lam: float = 2.0,
-) -> int:
-    """N_{Delta,b}(p): #family Delta-cubes containing >= b curves incident to p.
+) -> np.ndarray:
+    """N_{Delta,b}(p) for every square p: #family Delta-cubes containing >= b
+    curves incident to p, as an int array in the squares' order.
 
     The neighbourhood multiplier lam defaults to 2; it is exposed because
     the two standard conventions (2p and 3p) differ only in this factor.
     """
-    sf = SquareFamily(square.k, np.array([square.ix]), np.array([square.iy]))
-    counts, _ = cube_incidence_counts(family, sf, Delta_exp, lam)
-    return int(np.sum(counts[0] >= b))
+    counts, _ = cube_incidence_counts(family, squares, Delta_exp, lam)
+    return np.sum(counts >= b, axis=1)
 
 
 def squares_on_graphs(
@@ -408,5 +408,4 @@ def squares_on_graphs(
     fy = family.subfamily(indices).evaluate(xs[None])
     iy = np.floor(np.ldexp(fy, k)).astype(np.int64)
     all_ix = np.broadcast_to(np.floor(xs / dl).astype(np.int64), iy.shape)
-    cells = np.unique(np.stack([all_ix.ravel(), iy.ravel()], axis=1), axis=0)
-    return SquareFamily(k, cells[:, 0], cells[:, 1], dedupe=False)
+    return SquareFamily(k, all_ix.ravel(), iy.ravel())

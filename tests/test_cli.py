@@ -221,6 +221,9 @@ ABBREVIATED = {"--seed", "--mast", "--sl"}
     (["furstenberg", "--seed", "5"], None),
     (["furstenberg", "--mast", "3"], None),
     (["fourier", "--sl", "0.1"], None),
+    (["gen", "--master-seed", "-1"], None),
+    (["furstenberg", "--delta-exp", "6", "--master-seed", "-3"], None),
+    (["mainlem", "--delta-exp", "6", "--Delta-exp", "2", "--master-seed", "-1"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -235,6 +238,8 @@ def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, 
     assert not (tmp_path / "x.csv").exists()  # for suite, the output directory
     for flag in ABBREVIATED.intersection(argv):
         assert flag in err
+    if "--master-seed" in argv:
+        assert "master seed" in err
 
 
 #: (flag, value, RunConfig field, the field's value): one row per field
@@ -360,3 +365,38 @@ def test_suite_csvs_equal_the_subcommands_run_alone(tmp_path):
         codes.append(run([sub, "--seeds", "2", *flags, "--out", str(out)]))
         assert out.read_bytes() == (suite_dir / f"{sub}.csv").read_bytes(), sub
     assert suite_code == max(codes)
+
+
+#: the benchmark's traced layers, each reached by one small run below
+HOOK_SCRIPT = """
+import sys
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+assert not tracer.missing, tracer.missing
+from furstlab import cli
+runs = [
+    ["highlow", "--delta-exp", "6,7", "--c0-margin", "2"],
+    ["mainlem", "--delta-exp", "6", "--Delta-exp", "2", "--eps", "0.5"],
+    ["fourier", "--kind", "point", "--delta-exp", "6", "--R", "4,8,16", "--slope-max", "2.05"],
+    ["furstenberg", "--delta-exp", "6", "--T", "3"],
+    ["incidence", "--delta-exp", "6", "--T", "3"],
+]
+for i, argv in enumerate(runs):
+    assert cli.main(argv + ["--out", f"{sys.argv[1]}/{i}.csv"]) == 0, argv
+metrics = tracer.metrics()
+for name in ("incidence.fine_hits", "incidence.coarse_hits", "incidence.cube_pairs",
+             "config.union_squares", "family.pairwise_pairs", "fourier.gemm_gflop"):
+    assert metrics[name] > 0, name
+"""
+
+
+def test_benchmark_hooks_resolve(tmp_path):
+    # perfbench/spans.py wraps furstlab functions by name: a renamed or
+    # reshaped one shows up as missing or as a counter that stays 0
+    env = {k: v for k, v in os.environ.items() if k != "FURSTLAB_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-c", HOOK_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

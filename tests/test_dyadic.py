@@ -9,9 +9,8 @@ from furstlab import dyadic as dy
 from furstlab.dyadic import (
     AtomicMeasure,
     DiscretePointSet,
-    DyadicInterval,
-    DyadicSquare,
     ParameterError,
+    SquareFamily,
 )
 from furstlab.family import DomainError
 
@@ -24,9 +23,8 @@ def grid_1d(k):
 # -- cells and covers ----------------------------------------------------------
 
 def test_square_geometry_exact():
-    sq = DyadicSquare(3, 5, -2)
-    assert sq.side == 2.0 ** -3
-    assert sq.center == (11 * 2.0 ** -4, -3 * 2.0 ** -4)
+    assert dy.side_of(3) == 2.0 ** -3
+    assert dy.centers_of(np.array([5, -2]), 3).tolist() == [11 * 2.0 ** -4, -3 * 2.0 ** -4]
 
 
 def test_dyadic_cover_two_points():
@@ -36,22 +34,67 @@ def test_dyadic_cover_two_points():
 
 def test_dyadic_cover_boundary_point_half_open():
     ps = DiscretePointSet(np.array([[0.25, 0.25]]), 4)
-    assert dy.dyadic_cover(ps, 2) == [DyadicSquare(2, 1, 1)]
+    assert dy.dyadic_cover(ps, 2).tolist() == [[1, 1]]
 
 
 def test_dyadic_cover_17_point_grid():
     cover = dy.dyadic_cover(grid_1d(4), 4)
-    assert len(cover) == 17
-    assert all(isinstance(c, DyadicInterval) for c in cover)
+    assert cover.shape == (17, 1)
+    assert cover.dtype == np.int64
 
 
 def test_dyadic_cover_idempotent():
     rng = np.random.default_rng(0)
     ps = DiscretePointSet(rng.uniform(0, 1, (40, 2)), 5)
     cells = dy.dyadic_cover(ps, 3)
-    centers = np.array([c.center for c in cells])
+    centers = dy.centers_of(cells, 3)
     again = dy.dyadic_cover(DiscretePointSet(centers, 5), 3)
-    assert again == cells
+    assert np.array_equal(again, cells)
+
+
+def test_dyadic_cover_any_level():
+    # at a negative level the cells are wider than 1; the cover and the cell
+    # count are the distinct index rows all the same
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-16, 16, (200, 2))
+    for k in (-3, -1, 0, 2):
+        want = np.unique(dy.cell_indices(pts, k), axis=0)
+        assert np.array_equal(dy.dyadic_cover(pts, k), want)
+        assert dy.dyadic_cell_count(pts, k) == len(want)
+    assert dy.dyadic_cover(pts, -3).tolist() == [[i, j] for i in range(-2, 2) for j in range(-2, 2)]
+    assert dy.dyadic_cell_count(np.zeros((0, 2)), 4) == 0
+
+
+def test_square_family_is_sorted_and_distinct():
+    rng = np.random.default_rng(4)
+    ix = rng.integers(-5, 5, 300)
+    iy = rng.integers(-5, 5, 300)
+    fam = SquareFamily(4, ix, iy)
+    want = np.unique(np.stack([ix, iy], axis=1), axis=0)
+    assert len(want) < 300  # the draw has repeats
+    assert np.array_equal(np.stack([fam.ix, fam.iy], axis=1), want)
+    assert fam.ix.dtype == fam.iy.dtype == np.int64
+    grid = SquareFamily.grid(3)
+    perm = rng.permutation(len(grid))
+    rebuilt = SquareFamily(3, np.r_[grid.ix[perm], grid.ix[:5]], np.r_[grid.iy[perm], grid.iy[:5]])
+    assert np.array_equal(grid.ix, rebuilt.ix) and np.array_equal(grid.iy, rebuilt.iy)
+    assert len(SquareFamily(2, [], [])) == 0
+
+
+def test_square_family_grid_takes_corners_in_the_box():
+    # every square whose lower-left corner i 2^-k lies in [x0, x1), also when
+    # the box ends are not dyadic
+    def corners(lo, hi, k):
+        return [i for i in range(-(2 ** (k + 2)), 2 ** (k + 2)) if lo <= math.ldexp(i, -k) < hi]
+
+    for k, box in ((3, (0.3, 0.7)), (3, (-0.3, 0.1)), (3, (0.0, 1.0)), (4, (0.25, 0.5))):
+        grid = SquareFamily.grid(k, box, (0.0, 0.25))
+        assert sorted(set(grid.ix.tolist())) == corners(*box, k)
+        assert sorted(set(grid.iy.tolist())) == corners(0.0, 0.25, k)
+        assert len(grid) == len(corners(*box, k)) * len(corners(0.0, 0.25, k))
+    assert sorted(set(SquareFamily.grid(3, (0.3, 0.7)).ix.tolist())) == [3, 4, 5]
+    assert sorted(set(SquareFamily.grid(3, (-0.3, 0.1)).ix.tolist())) == [-2, -1, 0]
+    assert len(SquareFamily.grid(5)) == 4 ** 5
 
 
 @settings(max_examples=80, deadline=None)

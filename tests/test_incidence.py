@@ -289,9 +289,9 @@ def test_n_delta_b_single_curve():
     fam = fl.TransversalFamily([fl.affine_curve(0.0, 0.5, (0.0, 1.0))])
     k = 5
     iy = int(math.floor(0.5 * 2 ** k))
-    p = dy.DyadicSquare(k, 3, iy)
-    assert inc.n_delta_b(p, fam, 2, 1) == 1
-    assert inc.n_delta_b(p, fam, 2, 2) == 0
+    p = dy.SquareFamily(k, [3], [iy])
+    assert inc.n_delta_b(p, fam, 2, 1).tolist() == [1]
+    assert inc.n_delta_b(p, fam, 2, 2).tolist() == [0]
 
 
 def test_n_delta_b_matches_bruteforce():
@@ -300,25 +300,26 @@ def test_n_delta_b_matches_bruteforce():
     k, Delta_exp, lam = 6, 2, 2.0
     from furstlab.famspace import family_cell_indices
     cells = family_cell_indices(fam, Delta_exp)
-    for _ in range(20):
-        p = dy.DyadicSquare(k, int(rng.integers(0, 2 ** k)), int(rng.integers(0, 2 ** k)))
-        xc, yc = p.center
-        got = inc.n_delta_b(p, fam, Delta_exp, 2, lam)
+    drawn = [(int(rng.integers(0, 2 ** k)), int(rng.integers(0, 2 ** k))) for _ in range(20)]
+    P = dy.SquareFamily(k, *zip(*drawn))
+    got = inc.n_delta_b(P, fam, Delta_exp, 2, lam)
+    assert got.shape == (len(P),)
+    for p, (xc, yc) in enumerate(zip(dy.centers_of(P.ix, k), dy.centers_of(P.iy, k))):
         # oracle: group curves by cell, count incident members per cell
         per_cell = {}
         for i, c in enumerate(fam.curves):
             fx = float(np.asarray(c.eval0(np.array([xc])))[0])
-            hit = abs(yc - fx) < lam * p.side
+            hit = abs(yc - fx) < lam * P.delta
             key = (cells[i, 0], cells[i, 1])
             per_cell[key] = per_cell.get(key, 0) + (1 if hit else 0)
         expect = sum(1 for v in per_cell.values() if v >= 2)
-        assert got == expect
+        assert got[p] == expect
 
 
 def test_n_delta_b_monotone_in_b():
     fam = random_line_family(10, 48)
-    p = dy.DyadicSquare(6, 10, 20)
-    vals = [inc.n_delta_b(p, fam, 2, b) for b in (1, 2, 4, 8)]
+    p = dy.SquareFamily(6, [10], [20])
+    vals = [int(inc.n_delta_b(p, fam, 2, b)[0]) for b in (1, 2, 4, 8)]
     assert all(x >= y for x, y in zip(vals, vals[1:]))
 
 
