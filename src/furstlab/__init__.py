@@ -2,7 +2,7 @@
 
 Modules
 -------
-family    curves, transversal families, rescaling maps
+family    curves and transversal families
 dyadic    dyadic cells, covering numbers, set-class checkers, generators
 famspace  the dyadic system on a family via the planar embedding
 incidence curve/square incidence kernels and the high-low split
@@ -19,15 +19,11 @@ from .family import (
     TransversalFamily,
     affine_curve,
     c2_dist,
-    c2_norm,
-    convex_translate_family,
     estimate_transversality_constant,
     exp_seed,
     intersection_components,
     quadratic_seed,
     quadratic_translate_curve,
-    rescale_ball,
-    rescale_window,
     transversality_defect,
 )
 from .dyadic import (
@@ -40,30 +36,20 @@ from .dyadic import (
     frostman_constant,
     generate_delta_set,
     katz_tao_constant,
-    upper_regular_constant,
 )
 from .famspace import (
     BranchingFunction,
-    FamilyDyadicCube,
-    FamilyEmbedding,
     branching_function,
     check_linear,
     check_superlinear,
-    embed,
     extract_uniform_subset,
-    family_dyadic_cubes,
-    find_structured_intervals,
 )
 from .incidence import (
     HighLowReport,
     bundle,
     high_low_report,
-    high_multiplicity_set,
     incidences,
     incidences_bruteforce,
-    multiplicity,
-    n_delta_b,
-    slice_cover,
     weighted_incidences,
 )
 from .config import (
@@ -72,8 +58,6 @@ from .config import (
     build_nice_configuration,
     endpoint_checks,
     furstenberg_experiment,
-    mainlem_experiment,
-    semi_well_spaced_check,
     verify_nice,
 )
 from .fourier import (

@@ -404,6 +404,10 @@ def _validate(config: RunConfig) -> None:
         raise ValidationError("seed count must be >= 1")
     if config.master_seed < 0:
         raise ValidationError(f"master seed must be >= 0, got {config.master_seed}")
+    if config.threads < 1:
+        raise ValidationError(f"thread count must be >= 1, got {config.threads}")
+    if config.T < 0:
+        raise ValidationError(f"period T must be >= 0 (0 picks the delta exponent), got {config.T}")
     if not (config.eta_max > 0 and config.slope_max > 0):  # nan fails too
         raise ValidationError(
             f"thresholds must be positive, got eta max {config.eta_max}, "

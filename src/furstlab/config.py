@@ -9,9 +9,8 @@ translates), attach per-curve column sets, and measure the actual
 set-class constants of everything they emit.
 
 Experiments evaluate the paper-style counting inequalities at desk scale:
-the three-way Furstenberg lower bound, its two endpoint regimes, the
-semi-well-spaced spacing conditions, and the a/b multiplicity bound for
-squares charged by many cubes.
+the three-way Furstenberg lower bound, its two endpoint regimes, and the
+a/b multiplicity bound for squares charged by many cubes.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .dyadic import (
     side_of,
 )
 from .family import DEFAULT_GRID_N, PARAMETRIC_KINDS, DomainError, TransversalFamily
-from .famspace import family_distance_matrix
 from .incidence import check_lambda_delta, cube_incidence_counts
 
 WORK_INTERVAL = (-2.0, 2.0)
@@ -98,10 +96,6 @@ class NiceConfiguration:
     @property
     def n_curves(self) -> int:
         return len(self.family)
-
-    @property
-    def delta(self) -> float:
-        return side_of(self.delta_exp)
 
     def union_square_count(self) -> int:
         """|P| = number of distinct squares across all per-curve sets."""
@@ -425,98 +419,6 @@ def endpoint_checks(conf: NiceConfiguration, max_centers: int | None = 256) -> E
 
 
 # --------------------------------------------------------------------------
-# Semi-well-spaced spacing conditions
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpacingReport:
-    """Worst-case ratios of the two-regime spacing conditions.
-
-    high_ratio = max over f and dyadic r in [Delta, 1] of
-    |F n B(f,r)| / (r^(2-s) |F|); low_ratio = max over f and dyadic r in
-    [delta, Delta] of |F n B(f,r)| / (r/delta)^s.  ``slack`` records the
-    theoretical delta^(-eps^2) factor; the pass flags compare against the
-    explicit desk-scale budget ``tolerance`` (default 64), since at
-    desk scales the asymptotic slack is smaller than the geometric
-    constants it is meant to absorb.
-    """
-
-    delta_exp: int
-    Delta_exp: int
-    s: float
-    eps: float
-    high_ratio: float
-    low_ratio: float
-    tolerance: float = 64.0
-
-    @property
-    def slack(self) -> float:
-        return 2.0 ** (self.eps ** 2 * self.delta_exp)
-
-    @property
-    def high_ok(self) -> bool:
-        return self.high_ratio <= max(self.tolerance, self.slack)
-
-    @property
-    def low_ok(self) -> bool:
-        return self.low_ratio <= max(self.tolerance, self.slack)
-
-
-def semi_well_spaced_check(
-    family: TransversalFamily,
-    delta_exp: int,
-    Delta_exp: int,
-    s: float,
-    eps: float,
-    tolerance: float = 64.0,
-) -> SpacingReport:
-    """Evaluate both spacing conditions over dyadic radii on each side of Delta."""
-    if not (0 <= Delta_exp <= delta_exp):
-        raise ParameterError(f"need 0 <= Delta_exp <= delta_exp, got {Delta_exp}, {delta_exp}")
-    n = len(family)
-    dl = side_of(delta_exp)
-    high_ratio = 0.0
-    low_ratio = 0.0
-    if n == 1:
-        return SpacingReport(delta_exp, Delta_exp, s, eps, 1.0, 1.0, tolerance)
-    dists = family_distance_matrix(family)
-    for l in range(0, delta_exp + 1):
-        r = side_of(l)
-        counts = np.sum(dists <= r, axis=1)  # includes self
-        cmax = float(counts.max())
-        if l <= Delta_exp:
-            high_ratio = max(high_ratio, cmax / (r ** (2.0 - s) * n))
-        if l >= Delta_exp:
-            low_ratio = max(low_ratio, cmax / (r / dl) ** s)
-    return SpacingReport(delta_exp, Delta_exp, s, eps, high_ratio, low_ratio, tolerance)
-
-
-def build_semi_well_spaced_family(
-    delta_exp: int,
-    Delta_exp: int,
-    s: float,
-    seed: int,
-    kind: str = "parabola",
-) -> TransversalFamily:
-    """Product construction: (2-s)-dimensional cells above Delta, vertical
-    delta-separated lines below.
-
-    Chooses ~Delta^-(2-s) parameter cells at scale Delta and fills each
-    with round((Delta/delta)^s) vertically equispaced centers, matching the
-    crossover choice Delta = (delta^s |F|)^(1/(2s-2)) up to dyadic rounding.
-    """
-    rng = np.random.default_rng(seed)
-    cells = generate_delta_set_indices(Delta_exp, 2.0 - s, Delta_exp, rng, dim=2, batch=1)[0]
-    Delta = side_of(Delta_exp)
-    per_cell = max(1, int(round((Delta / side_of(delta_exp)) ** s)))
-    a = np.repeat(centers_of(cells[:, 0], Delta_exp), per_cell)
-    b_lo = np.repeat(np.ldexp(cells[:, 1].astype(float), -Delta_exp), per_cell)
-    offs = np.tile((np.arange(per_cell) + 0.5) * Delta / per_cell, len(cells))
-    b = b_lo + offs
-    return _make_family(kind, a, b)
-
-
-# --------------------------------------------------------------------------
 # Multiplicity-count bound (a, b sweep)
 # --------------------------------------------------------------------------
 
@@ -701,23 +603,3 @@ class MainlemEvaluator:
                 b *= 2
             a *= 2
         return reports
-
-
-def mainlem_experiment(
-    family: TransversalFamily,
-    delta_exp: int,
-    Delta_exp: int,
-    eps: float,
-    a: int,
-    b: int,
-    lam: float = 2.0,
-) -> MainlemReport:
-    """One (a, b) evaluation of the multiplicity-count bound.
-
-    P_{a,b} collects the delta-squares of [0,1]^2 where hypothesis (i)
-    holds and at least a family Delta-cubes contribute >= b incident
-    curves; when the arithmetic hypotheses hold as well, its size is
-    compared against delta^(-10 eps) |F|^2 / (a^3 b^2).
-    """
-    ev = MainlemEvaluator(family, delta_exp, Delta_exp, eps, lam)
-    return ev.report(a, b)

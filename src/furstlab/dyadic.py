@@ -6,7 +6,7 @@ exponent, so cell membership floor(x * 2^k) is computed without rounding
 drift, and every point lies in exactly one half-open cell
 [i 2^-k, (i+1) 2^-k) per level.
 
-The set-class checkers (delta-set, upper regular, Katz-Tao, Frostman) are
+The set-class checkers (delta-set, Katz-Tao, Frostman) are
 brute-force maximisations of the defining ratio over centers in P and
 dyadic radii in [delta, 1].  Restricting centers and radii this way loses
 at most a factor 2^s <= 2 against arbitrary centers/radii.  Covering
@@ -106,10 +106,6 @@ class DiscretePointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def to_csv(self, path) -> None:
-        """Columns x[,y], header line, 17 significant digits."""
-        write_csv(path, "x" if self.dim == 1 else "x,y", self.points)
-
     @classmethod
     def from_csv(cls, path, delta_exp: int) -> "DiscretePointSet":
         """Read the x[,y] columns; a cell that is not a finite number, or a
@@ -157,15 +153,11 @@ class AtomicMeasure:
         self.weights = w
         self.total_mass = total
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
     def __len__(self) -> int:
         return len(self.points)
 
     def to_csv(self, path) -> None:
-        write_csv(path, ("x" if self.dim == 1 else "x,y") + ",w",
+        write_csv(path, ("x" if self.points.shape[1] == 1 else "x,y") + ",w",
                   (list(row) + [w] for row, w in zip(self.points, self.weights)))
 
 
@@ -175,13 +167,12 @@ class SetClassReport:
 
     ``best_constant`` is the maximised ratio, ``witness`` the (center,
     radius) pair achieving it; re-evaluating the ratio at the witness
-    reproduces the constant to 1e-9.  For two-scale checkers the radius
-    slot holds the (r, R) pair.
+    reproduces the constant to 1e-9.
     """
 
     best_constant: float
     witness_center: tuple
-    witness_radius: object
+    witness_radius: float
     scale_range: tuple[float, float]
     kind: str = ""
 
@@ -229,24 +220,20 @@ def _separation(points, dist, r: float):
     return len(dmat), r, lambda j, k: dmat[j, k]
 
 
-def greedy_separated(points=None, r: float | None = None, inclusive: bool = False,
-                     *, dist=None) -> np.ndarray:
+def greedy_separated(points=None, r: float | None = None, *, dist=None) -> np.ndarray:
     """Indices of a maximal r-separated subset of points (or of ``dist=``, a
     full pairwise distance matrix in any metric), scanned in input order.
 
-    With inclusive=False a point is kept when its distance to every kept
-    point exceeds r (packing convention: the count brackets the covering
-    number, N(P,r) <= count <= N(P,r/2)).  With inclusive=True points at
-    distance exactly r are also kept (used where the quantity of interest
-    is the number of r-separated representatives).  Each kept point blocks
-    the later points too close to it; a point is kept if still unblocked.
+    A point is kept when its distance to every kept point exceeds r
+    (packing convention: the count brackets the covering number,
+    N(P,r) <= count <= N(P,r/2)).  Each kept point blocks the later points
+    within r of it; a point is kept if still unblocked.
     """
     n, thr, between = _separation(points, dist, r)
     blocked = np.zeros(n, dtype=bool)
     for k in range(n):
         if not blocked[k]:
-            d = between(slice(k + 1, None), k)
-            blocked[k + 1:] |= d < thr if inclusive else d <= thr
+            blocked[k + 1:] |= between(slice(k + 1, None), k) <= thr
     return np.flatnonzero(~blocked)
 
 
@@ -382,59 +369,6 @@ def katz_tao_constant(
                            f"katz-tao(s={s})")
 
 
-def upper_regular_constant(
-    pset: DiscretePointSet,
-    s: float,
-    max_centers: int | None = 128,
-) -> SetClassReport:
-    """Measured upper (delta, s, C)-regular constant.
-
-    C = max over centers x in P and dyadic delta <= r <= R <= 1 of
-    |P n B(x,R)|_r / (R/r)^s, where |.|_r is the level-r cell count of the
-    points inside the ball.
-    """
-    if len(pset) == 0:
-        raise DomainError("empty point set")
-    if s <= 0:
-        raise ParameterError(f"s must be positive, got {s}")
-    pts = pset.points
-    k = pset.delta_exp
-    levels = np.arange(k + 1)
-    ids_per_level = [cell_indices(pts, int(l)) for l in levels]
-    # collapse each level's indices to a scalar key for fast unique counting
-    keys = []
-    for ids in ids_per_level:
-        if ids.shape[1] == 1:
-            keys.append(ids[:, 0])
-        else:
-            span = ids[:, 1].max() - ids[:, 1].min() + 1
-            keys.append((ids[:, 0] - ids[:, 0].min()) * span + (ids[:, 1] - ids[:, 1].min()))
-    centers = _probe_centers(_cell_representatives(pts, k), max_centers)
-    radii = _dyadic_radii(k)
-    best = -math.inf
-    witness = (tuple(float(v) for v in centers[0]), (pset.delta, pset.delta))
-    for c in centers:
-        d2 = np.sum((pts - c) ** 2, axis=1)
-        for Ri, R in enumerate(radii):
-            mask = d2 <= R * R
-            if not np.any(mask):
-                continue
-            for rj in range(Ri, len(radii)):
-                r = radii[rj]
-                cnt = len(np.unique(keys[rj][mask]))
-                ratio = cnt / (R / r) ** s
-                if ratio > best:
-                    best = ratio
-                    witness = (tuple(float(v) for v in c), (float(r), float(R)))
-    return SetClassReport(
-        best_constant=float(best),
-        witness_center=witness[0],
-        witness_radius=witness[1],
-        scale_range=(pset.delta, 1.0),
-        kind=f"upper-regular(s={s})",
-    )
-
-
 def frostman_constant(
     mu: AtomicMeasure,
     t: float,
@@ -459,20 +393,13 @@ def frostman_constant(
 def reevaluate_report(pset_or_mu, report: SetClassReport, s_or_t: float) -> float:
     """Recompute the ratio at a report's witness (used by reproducibility tests)."""
     center = np.asarray(report.witness_center, dtype=float)
+    r = float(report.witness_radius)
     if report.kind.startswith("frostman"):
         mu: AtomicMeasure = pset_or_mu
-        r = float(report.witness_radius)
         d2 = np.sum((mu.points - center) ** 2, axis=1)
         return float(np.sum(mu.weights[d2 <= r * r]) / r ** s_or_t)
     pset: DiscretePointSet = pset_or_mu
     reps = _cell_representatives(pset.points, pset.delta_exp)
-    if report.kind.startswith("upper-regular"):
-        r, R = report.witness_radius
-        d2 = np.sum((pset.points - center) ** 2, axis=1)
-        level = int(round(-math.log2(r)))
-        cnt = dyadic_cell_count(pset.points[d2 <= R * R], level)
-        return float(cnt / (R / r) ** s_or_t)
-    r = float(report.witness_radius)
     d2 = np.sum((reps - center) ** 2, axis=1)
     cnt = int(np.sum(d2 <= r * r))
     if report.kind.startswith("katz-tao"):

@@ -1,4 +1,4 @@
-"""Curve functions, transversal families, and C2 rescaling maps.
+"""Curve functions and transversal families.
 
 A family of C2 graphs is *transversal* when the pointwise value+slope gap
 between any two members controls their full C2 distance:
@@ -121,7 +121,7 @@ def quadratic_translate_curve(
 
 
 # --------------------------------------------------------------------------
-# Convex seeds (Example-style translate families)
+# Convex seeds (the members of the convex kind are their translates)
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -193,19 +193,6 @@ def _eval_checked(fn, xs: np.ndarray, what: str) -> np.ndarray:
     if vals.shape != xs.shape:
         vals = np.broadcast_to(vals, xs.shape)
     return _require_finite(vals, xs, what)
-
-
-def c2_norm(f: CurveFunction, grid_n: int = DEFAULT_GRID_N) -> float:
-    """Grid estimate of ||f||_C2 = max_x (|f| + |f'| + |f''|).
-
-    A lower bound of the true norm; exact for affine f at any grid_n >= 2
-    because the maximand is then convex.
-    """
-    xs = _grid(f.x_lo, f.x_hi, grid_n)
-    v0 = _eval_checked(f.eval0, xs, "f")
-    v1 = _eval_checked(f.eval1, xs, "f'")
-    v2 = _eval_checked(f.eval2, xs, "f''")
-    return float(np.max(np.abs(v0) + np.abs(v1) + np.abs(v2)))
 
 
 def c2_dist(f: CurveFunction, g: CurveFunction, grid_n: int = DEFAULT_GRID_N) -> float:
@@ -362,9 +349,6 @@ class TransversalFamily:
     def __len__(self) -> int:
         return len(self._curves) if self.kind == "custom" else len(self.a)
 
-    def __iter__(self):
-        return iter(self.curves)
-
     @property
     def interval(self) -> tuple[float, float]:
         return (self.x_lo, self.x_hi)
@@ -432,17 +416,23 @@ class TransversalFamily:
         n = len(self)
         coeffs = self.affine_difference_coeffs()
         if coeffs is not None:
-            al, be = coeffs
-            order = np.lexsort((be, al))
-            # only lexsort-adjacent rows are compared (for affine differences
-            # ||f-g|| >= max(|dalpha|, |dbeta|)): every exact duplicate is
-            # caught, but not a near-duplicate pair with a row between them
-            da = np.abs(np.diff(al[order]))
-            db = np.abs(np.diff(be[order]))
-            close = (da < DUPLICATE_TOL) & (db < DUPLICATE_TOL)
+            order = np.lexsort(coeffs[::-1])
+            al, be = (c[order] for c in coeffs)
+            # a pair is a duplicate when |dalpha| and |dbeta| are both below
+            # the tolerance (for affine differences ||f-g|| >= max(|dalpha|,
+            # |dbeta|)).  Rows are sorted by (alpha, beta), so among rows of
+            # equal alpha the nearest beta is the next row: each row is
+            # compared with the next one and with every row of larger alpha
+            # up to 2 * DUPLICATE_TOL above its own
+            start = np.searchsorted(al, al, "right")
+            width = np.maximum(np.searchsorted(al, al + 2 * DUPLICATE_TOL, "left") - start, 0)
+            ii = np.concatenate([np.arange(n - 1), np.repeat(np.arange(n), width)])
+            jj = np.concatenate([np.arange(1, n), np.repeat(start - np.cumsum(width) + width, width)
+                                 + np.arange(width.sum())])
+            close = (np.abs(al[jj] - al[ii]) < DUPLICATE_TOL) & (np.abs(be[jj] - be[ii]) < DUPLICATE_TOL)
             if np.any(close):
-                j = int(np.argmax(close))
-                i1, i2 = int(order[j]), int(order[j + 1])
+                k = int(np.argmax(close))
+                i1, i2 = int(order[ii[k]]), int(order[jj[k]])
                 raise IdenticalCurvesError(f"duplicate curves at indices {i1} and {i2}")
             return
         if n > self.FULL_PAIR_LIMIT:
@@ -493,12 +483,6 @@ class TransversalFamily:
                 defect = np.where(dist > 0, num / np.where(dist == 0, 1.0, dist), np.inf)
             yield ii, jj, defect, dist
 
-    def distance_row(self, i: int) -> np.ndarray:
-        """C2 grid distances from member i to every member (0 at i), equal to
-        the distances ``pairwise_defect_and_dist`` yields for the same pairs."""
-        pair, _ = self._pair_formula()
-        return pair(i, slice(None))[1]
-
     def min_pair_distance(self) -> float:
         if self._min_pair is None:
             worst = math.inf
@@ -547,151 +531,6 @@ def estimate_transversality_constant(family: TransversalFamily) -> float:
     if worst <= 0:
         raise DomainError("zero transversality defect; family is not transversal at grid resolution")
     return max(1.0, 1.0 / worst)
-
-
-# --------------------------------------------------------------------------
-# Convex translate families (Example-style)
-# --------------------------------------------------------------------------
-
-def convex_translate_family(
-    seed: ConvexSeed,
-    centers: Sequence[tuple[float, float]],
-    x0: float = 0.0,
-    grid_n: int = DEFAULT_GRID_N,
-) -> TransversalFamily:
-    """Translates g_z(x) = g(x - a) + b over [x0-5, x0+5], z = (a, b).
-
-    Centers must satisfy a in [x0-1, x0+1] so that x - a stays in [-6, 6]
-    on the working interval.  The construction verifies, at grid
-    resolution, that ||g_z1 - g_z2||_C2 is comparable to |z1 - z2| and
-    records the two comparability constants on the returned family as
-    ``form28_lower`` / ``form28_upper`` (min/max of ratio norm/|z1-z2|).
-    """
-    centers = [(float(a), float(b)) for a, b in centers]
-    for a, b in centers:
-        if not (x0 - 1.0 <= a <= x0 + 1.0):
-            raise DomainError(f"center a={a} outside [{x0 - 1}, {x0 + 1}]")
-    pts = np.array(centers, dtype=float).reshape(-1, 2)
-    fam = TransversalFamily.parametric(
-        "convex", pts[:, 0], pts[:, 1], (x0 - 5.0, x0 + 5.0), seed=seed, grid_n=grid_n
-    )
-
-    # convexity floor on the working interval
-    low = fam.evaluate(fam.grid()[None], 2).min(axis=1) < seed.frak_g * (1.0 - 1e-9)
-    if np.any(low):
-        raise DomainError(
-            f"translate at {centers[int(np.argmax(low))]}: g'' dips below the seed floor {seed.frak_g}"
-        )
-
-    lower = math.inf
-    upper = 0.0
-    if len(centers) >= 2:
-        for ii, jj, _, dist in fam.pairwise_defect_and_dist():
-            zgap = np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1])
-            ratio = dist / zgap
-            lower = min(lower, float(ratio.min()))
-            upper = max(upper, float(ratio.max()))
-    fam.form28_lower = lower
-    fam.form28_upper = upper
-    return fam
-
-
-# --------------------------------------------------------------------------
-# Rescaling maps
-# --------------------------------------------------------------------------
-
-def _compose_ball(c: CurveFunction, f0: CurveFunction, r0: float) -> CurveFunction:
-    return CurveFunction(
-        x_lo=c.x_lo, x_hi=c.x_hi,
-        eval0=lambda x, c=c, f0=f0, r0=r0: (np.asarray(c.eval0(x), dtype=float) - np.asarray(f0.eval0(x), dtype=float)) / r0,
-        eval1=lambda x, c=c, f0=f0, r0=r0: (np.asarray(c.eval1(x), dtype=float) - np.asarray(f0.eval1(x), dtype=float)) / r0,
-        eval2=lambda x, c=c, f0=f0, r0=r0: (np.asarray(c.eval2(x), dtype=float) - np.asarray(f0.eval2(x), dtype=float)) / r0,
-        params=c.params,
-    )
-
-
-def rescale_ball(
-    family: TransversalFamily,
-    f0: CurveFunction,
-    r0: float,
-    check: bool | None = None,
-) -> TransversalFamily:
-    """The ball rescaling f -> (f - f0)/r0 on the same interval.
-
-    Preserves the transversality constant exactly in theory; when ``check``
-    is on (default: families of <= 512 curves) the estimated constants of
-    input and output are compared and must agree to 1%.
-    """
-    if not (r0 > 0):
-        raise DomainError(f"r0 must be positive, got {r0}")
-    out = TransversalFamily(
-        [_compose_ball(c, f0, r0) for c in family],
-        grid_n=family.grid_n,
-        declared_t_const=family.declared_t_const,
-        check_duplicates=False,
-    )
-    if check is None:
-        check = len(family) <= 512
-    if check and len(family) >= 2:
-        t_in = family.t_const
-        t_out = out.t_const
-        if abs(t_out - t_in) > 0.01 * t_in:
-            raise DomainError(
-                f"ball rescaling changed the estimated transversality constant: {t_in} -> {t_out}"
-            )
-    return out
-
-
-def rescale_window(
-    family: TransversalFamily,
-    x0: float,
-    y0: float,
-    r: float,
-    window: tuple[float, float],
-    check: bool | None = None,
-) -> TransversalFamily:
-    """The window rescaling f -> (f(r x + x0) - y0)/r on the interval J.
-
-    Requires J inside (I - x0)/r and r in (0, 1].  The output's estimated
-    constant is asserted to satisfy T_out <= |J| * T_in + 1 (plus grid
-    tolerance) when checking is on.
-    """
-    if not (0 < r <= 1):
-        raise DomainError(f"r must lie in (0, 1], got {r}")
-    lo, hi = float(window[0]), float(window[1])
-    if lo >= hi:
-        raise DomainError(f"empty window {window}")
-    src_lo = (family.x_lo - x0) / r
-    src_hi = (family.x_hi - x0) / r
-    tol = 1e-9 * max(1.0, abs(src_lo), abs(src_hi))
-    if lo < src_lo - tol or hi > src_hi + tol:
-        raise DomainError(f"window {window} not contained in (I - x0)/r = ({src_lo}, {src_hi})")
-
-    def make(c: CurveFunction) -> CurveFunction:
-        return CurveFunction(
-            x_lo=lo, x_hi=hi,
-            eval0=lambda x, c=c: (np.asarray(c.eval0(r * np.asarray(x, dtype=float) + x0), dtype=float) - y0) / r,
-            eval1=lambda x, c=c: np.asarray(c.eval1(r * np.asarray(x, dtype=float) + x0), dtype=float),
-            eval2=lambda x, c=c: r * np.asarray(c.eval2(r * np.asarray(x, dtype=float) + x0), dtype=float),
-            params=c.params,
-        )
-
-    out = TransversalFamily(
-        [make(c) for c in family],
-        grid_n=family.grid_n,
-        check_duplicates=False,
-    )
-    if check is None:
-        check = len(family) <= 512
-    if check and len(family) >= 2:
-        t_in = family.t_const
-        t_out = out.t_const
-        budget = (hi - lo) * t_in + 1.0
-        if t_out > budget * (1.0 + 1e-6):
-            raise DomainError(
-                f"window rescaling broke the constant budget: T_out={t_out} > |J|*T_in+1={budget}"
-            )
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import SquareFamily, centers_of, greedy_separated, side_of
+from .dyadic import SquareFamily, centers_of, side_of
 from .family import DomainError, TransversalFamily, _eval_checked
 from .famspace import family_cell_indices
 
@@ -200,6 +200,13 @@ def weighted_incidences(
     return float(np.sum(w_curves[res.pairs[:, 0]] * w_squares[res.pairs[:, 1]]))
 
 
+def bundle(family: TransversalFamily, theta: float, J: tuple[float, float]) -> np.ndarray:
+    """Indices of the bundle {f : f(theta) in J} (J closed)."""
+    lo, hi = float(J[0]), float(J[1])
+    vals = family.evaluate([theta])
+    return np.flatnonzero((vals >= lo) & (vals <= hi)).astype(np.int64)
+
+
 # --------------------------------------------------------------------------
 # High-low decomposition
 # --------------------------------------------------------------------------
@@ -264,89 +271,6 @@ def high_low_report(
 
 
 # --------------------------------------------------------------------------
-# Multiplicity, bundles, slices
-# --------------------------------------------------------------------------
-
-def _scale_count(points: np.ndarray, r: float) -> int:
-    """Number of r-separated representatives (inclusive greedy packing).
-
-    Deterministic: points are scanned in lexicographic order, so the count
-    commutes exactly with affine rescalings of the point cloud.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    order = np.lexsort(pts.T[::-1])
-    return len(greedy_separated(pts[order], r, inclusive=True))
-
-
-def _multiplicities(family: TransversalFamily, theta: float, r: float, R: float, rows) -> list[int]:
-    """The multiplicity of each member in ``rows``: the C2 pair formula, the
-    values at theta and the embedding images are computed once per call."""
-    if not (0 < r <= R):
-        raise DomainError(f"need 0 < r <= R, got r={r}, R={R}")
-    if not (family.x_lo <= theta <= family.x_hi):
-        raise DomainError(f"theta={theta} outside the family interval {family.interval}")
-    pair, _ = family._pair_formula()
-    vals = family.evaluate([theta])
-    images = family.embedding_images()
-    out = []
-    for i in rows:
-        mask = (pair(i, slice(None))[1] <= R) & (np.abs(vals - vals[i]) <= r)
-        out.append(_scale_count(images[mask], r))
-    return out
-
-
-def multiplicity(
-    family: TransversalFamily,
-    theta: float,
-    f_index: int,
-    r: float,
-    R: float,
-) -> int:
-    """Scale-r count of curves near f that agree with f at theta up to r.
-
-    Filters K to the closed C2 ball B(f, R) and to |f(theta) - g(theta)|
-    <= r, then counts r-separated representatives of the filtered curves'
-    embedding images.
-    """
-    return _multiplicities(family, theta, r, R, [f_index])[0]
-
-
-def high_multiplicity_set(
-    family: TransversalFamily,
-    theta: float,
-    M: float,
-    r: float,
-    R: float,
-) -> np.ndarray:
-    """Indices of curves whose multiplicity at theta is at least M."""
-    counts = _multiplicities(family, theta, r, R, range(len(family)))
-    return np.asarray([i for i, m in enumerate(counts) if m >= M], dtype=np.int64)
-
-
-def slice_cover(
-    family: TransversalFamily,
-    indices,
-    theta: float,
-    delta_exp: int,
-) -> int:
-    """delta-scale count of the value slice {f(theta) : f in F'}."""
-    idx = np.asarray(list(indices), dtype=np.int64)
-    if len(idx) == 0:
-        return 0
-    vals = family.evaluate([theta])[idx]
-    return _scale_count(vals[:, None], side_of(delta_exp))
-
-
-def bundle(family: TransversalFamily, theta: float, J: tuple[float, float]) -> np.ndarray:
-    """Indices of the bundle {f : f(theta) in J} (J closed)."""
-    lo, hi = float(J[0]), float(J[1])
-    vals = family.evaluate([theta])
-    return np.flatnonzero((vals >= lo) & (vals <= hi)).astype(np.int64)
-
-
-# --------------------------------------------------------------------------
 # N_{Delta,b} counts
 # --------------------------------------------------------------------------
 
@@ -369,43 +293,3 @@ def cube_incidence_counts(
     cells = res.pairs[:, 1] * n_cubes + inverse[res.pairs[:, 0]]
     counts = np.bincount(cells, minlength=len(squares) * n_cubes)
     return counts.reshape(len(squares), n_cubes), cube_ids
-
-
-def n_delta_b(
-    squares: SquareFamily,
-    family: TransversalFamily,
-    Delta_exp: int,
-    b: int,
-    lam: float = 2.0,
-) -> np.ndarray:
-    """N_{Delta,b}(p) for every square p: #family Delta-cubes containing >= b
-    curves incident to p, as an int array in the squares' order.
-
-    The neighbourhood multiplier lam defaults to 2; it is exposed because
-    the two standard conventions (2p and 3p) differ only in this factor.
-    """
-    counts, _ = cube_incidence_counts(family, squares, Delta_exp, lam)
-    return np.sum(counts >= b, axis=1)
-
-
-def squares_on_graphs(
-    family: TransversalFamily,
-    indices,
-    k: int,
-    x_range: tuple[float, float] = (0.0, 1.0),
-    samples_per_cell: int = 9,
-) -> SquareFamily:
-    """Level-k squares hit by the graphs of the selected curves.
-
-    Inner approximation: each graph is sampled at ``samples_per_cell``
-    points per column and the visited cells are collected.
-    """
-    dl = side_of(k)
-    lo = max(x_range[0], family.x_lo)
-    hi = min(x_range[1], family.x_hi)
-    n_cols = int(round((hi - lo) / dl))
-    xs = lo + (np.arange(n_cols * samples_per_cell) + 0.5) * (dl / samples_per_cell)
-    fy = family.subfamily(indices).evaluate(xs[None])
-    iy = np.floor(np.ldexp(fy, k)).astype(np.int64)
-    all_ix = np.broadcast_to(np.floor(xs / dl).astype(np.int64), iy.shape)
-    return SquareFamily(k, all_ix.ravel(), iy.ravel())

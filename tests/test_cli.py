@@ -224,6 +224,9 @@ ABBREVIATED = {"--seed", "--mast", "--sl"}
     (["gen", "--master-seed", "-1"], None),
     (["furstenberg", "--delta-exp", "6", "--master-seed", "-3"], None),
     (["mainlem", "--delta-exp", "6", "--Delta-exp", "2", "--master-seed", "-1"], None),
+    (["gen"], "0"),
+    (["highlow", "--threads", "-2"], None),
+    (["furstenberg", "--delta-exp", "6", "--T", "-3"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -400,3 +403,15 @@ def test_benchmark_hooks_resolve(tmp_path):
     proc = subprocess.run([sys.executable, "-c", HOOK_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_checks_pass():
+    # perfbench/checks.py rebuilds configurations through furstlab, so its own
+    # tests (real outputs accepted, corrupted ones refused) guard that path
+    env = {k: v for k, v in os.environ.items() if k != "FURSTLAB_THREADS"}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/test_checks.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

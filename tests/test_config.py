@@ -6,7 +6,7 @@ import pytest
 
 import furstlab as fl
 from furstlab import config as cf
-from furstlab.dyadic import ParameterError, SquareFamily, write_csv
+from furstlab.dyadic import ParameterError, SquareFamily, side_of, write_csv
 from furstlab.family import DomainError
 
 
@@ -65,7 +65,7 @@ def test_verify_positive():
     conf = cf.build_nice_configuration("parabola", 8, 0.5, 1.0, 2, seed=1)
     rep = cf.verify_nice(conf)
     assert rep.passed
-    assert rep.min_separation >= conf.delta
+    assert rep.min_separation >= side_of(conf.delta_exp)
 
 
 @pytest.mark.parametrize("kind", ["affine", "parabola"])
@@ -168,28 +168,6 @@ def test_endpoint_single_curve_reports_without_assertion():
     assert math.isfinite(rep.dense_ratio) and math.isfinite(rep.kt_ratio)
 
 
-# -- spacing conditions ---------------------------------------------------------------------
-
-def test_spacing_full_grid_recorded():
-    fam = cf.build_uniform_line_family(6, 3, seed=0, branching=(4, 4, 1))
-    rep = cf.semi_well_spaced_check(fam, 6, 6, 0.5, 0.25)
-    assert math.isfinite(rep.high_ratio) and rep.high_ratio > 0
-
-
-def test_spacing_singleton():
-    fam = fl.TransversalFamily([fl.affine_curve(0.1, 0.2)])
-    rep = cf.semi_well_spaced_check(fam, 8, 3, 0.5, 0.25)
-    assert rep.high_ratio <= 1.0 and rep.low_ratio <= 1.0
-
-
-def test_spacing_product_construction():
-    for seed in range(3):
-        fam = cf.build_semi_well_spaced_family(8, 3, 0.5, seed=seed)
-        rep = cf.semi_well_spaced_check(fam, 8, 3, 0.5, 0.25)
-        assert rep.high_ratio <= 64.0 and rep.low_ratio <= 64.0
-        assert rep.high_ok and rep.low_ok
-
-
 # -- mainlem ------------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -230,8 +208,9 @@ def test_mainlem_parameter_validation():
 
 
 def test_mainlem_single_report_matches_evaluator(line_evaluator):
+    # one report from a fresh evaluator equals the shared evaluator's
     fam = line_evaluator.family
-    rep = cf.mainlem_experiment(fam, 8, 4, 0.25, a=2, b=2)
+    rep = cf.MainlemEvaluator(fam, 8, 4, 0.25).report(a=2, b=2)
     assert rep.P_ab_size == line_evaluator.report(2, 2).P_ab_size
 
 

@@ -162,9 +162,7 @@ def test_points_and_their_distance_matrix_agree():
         pts = rng.uniform(0, 1, (int(rng.integers(5, 120)), 2))
         dmat = euclidean_matrix(pts)
         r = float(rng.uniform(0.05, 0.4))
-        for inclusive in (False, True):
-            np.testing.assert_array_equal(dy.greedy_separated(pts, r, inclusive),
-                                          dy.greedy_separated(dist=dmat, r=r, inclusive=inclusive))
+        np.testing.assert_array_equal(dy.greedy_separated(pts, r), dy.greedy_separated(dist=dmat, r=r))
         for mode in ("exact", "greedy"):
             assert dy.covering_number(pts, r, mode) == dy.covering_number(dist=dmat, r=r, mode=mode)
 
@@ -212,23 +210,6 @@ def test_delta_set_antipodal_pair():
     assert rep.best_constant == pytest.approx(8.0, rel=1e-12)
 
 
-def test_upper_regular_grid():
-    rep = dy.upper_regular_constant(grid_1d(4), 1.0)
-    assert rep.best_constant <= 4.0
-
-
-def test_upper_regular_singleton():
-    rep = dy.upper_regular_constant(DiscretePointSet(np.array([0.5]), 4), 1.0)
-    assert rep.best_constant == 1.0
-
-
-def test_upper_regular_restriction_invariance():
-    full = dy.upper_regular_constant(grid_1d(4), 1.0)
-    half = DiscretePointSet(np.arange(9) / 16.0, 4)
-    restricted = dy.upper_regular_constant(half, 1.0)
-    assert restricted.best_constant == pytest.approx(full.best_constant, rel=1e-12)
-
-
 def test_katz_tao_grid():
     rep = dy.katz_tao_constant(grid_1d(4), 1.0)
     assert 1.0 <= rep.best_constant <= 4.0
@@ -271,7 +252,6 @@ def test_reports_reproducible_at_witness():
     for fn, s in [
         (dy.delta_set_constant, 1.3),
         (dy.katz_tao_constant, 0.8),
-        (dy.upper_regular_constant, 1.1),
     ]:
         rep = fn(ps, s)
         assert dy.reevaluate_report(ps, rep, s) == pytest.approx(rep.best_constant, abs=1e-9)
@@ -478,7 +458,7 @@ def test_point_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     ps = DiscretePointSet(rng.uniform(0, 1, (13, 2)), 5)
     path = tmp_path / "pts.csv"
-    ps.to_csv(path)
+    dy.write_csv(path, "x,y", ps.points, "provenance")
     header = path.read_text().splitlines()[0]
     assert header == "x,y"
     back = DiscretePointSet.from_csv(path, 5)

@@ -12,7 +12,6 @@ from furstlab.family import (
     IdenticalCurvesError,
     TransversalFamily,
     c2_dist,
-    c2_norm,
 )
 
 
@@ -28,7 +27,11 @@ def custom(curve):
     )
 
 
-# -- c2_norm ---------------------------------------------------------------
+# -- C2 norm: the distance to the zero curve -----------------------------------
+
+def c2_norm(f):
+    return c2_dist(f, fl.affine_curve(0.0, 0.0, f.interval))
+
 
 def test_c2_norm_identity_line():
     assert c2_norm(fl.affine_curve(1.0, 0.0, (0.0, 1.0))) == 2.0
@@ -145,9 +148,9 @@ def test_two_parabola_translates_constant_translation_invariant():
     # 1/T depends only on the seed shape; translating both centers together
     # must not move the estimate
     seed = fl.quadratic_seed()
-    base = [(0.0, 0.0), (0.4, 0.3)]
-    fam0 = fl.convex_translate_family(seed, base, x0=0.0)
-    fam1 = fl.convex_translate_family(seed, [(a + 0.5, b - 2.0) for a, b in base], x0=0.5)
+    a, b = np.array([0.0, 0.4]), np.array([0.0, 0.3])
+    fam0 = TransversalFamily.parametric("convex", a, b, (-5.0, 5.0), seed=seed)
+    fam1 = TransversalFamily.parametric("convex", a + 0.5, b - 2.0, (-4.5, 5.5), seed=seed)
     assert fam0.t_const == pytest.approx(fam1.t_const, rel=1e-9)
 
 
@@ -165,107 +168,37 @@ def test_affine_pair_certified_floor():
         assert d >= 1.0 / 5.0 - 1e-12
 
 
-# -- convex translate families ------------------------------------------------
+# -- convex translates: the convex kind of TransversalFamily.parametric ---------
 
 def test_convex_translates_vertical_pair():
-    fam = fl.convex_translate_family(fl.quadratic_seed(), [(0.0, 0.0), (0.0, 1.0)], x0=0.0)
+    fam = TransversalFamily.parametric("convex", [0.0, 0.0], [0.0, 1.0], (-5.0, 5.0),
+                                       seed=fl.quadratic_seed())
     assert fl.transversality_defect(fam.curves[0], fam.curves[1]) == 1.0
 
 
 def test_convex_translates_form28_comparability():
-    fam = fl.convex_translate_family(fl.quadratic_seed(), [(0.0, 0.0), (0.5, 0.0)], x0=0.0)
-    dist = c2_dist(fam.curves[0], fam.curves[1])
-    assert fam.form28_lower * 0.5 <= dist <= fam.form28_upper * 0.5 + 1e-12
-    assert 0 < fam.form28_lower <= fam.form28_upper < math.inf
+    # for g(x) = x^2 on [-5, 5], g_z1 - g_z2 = 2 (a2 - a1) x + a1^2 - a2^2 + b1 - b2,
+    # so ||g_z1 - g_z2||_C2 = 12 |a1 - a2| + |a1^2 - a2^2 + b1 - b2|, which lies
+    # between |z1 - z2| and 15 |z1 - z2| for centers in [-1, 1]^2
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-1, 1, (16, 2))
+    fam = TransversalFamily.parametric("convex", z[:, 0], z[:, 1], (-5.0, 5.0),
+                                       seed=fl.quadratic_seed())
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            (a1, b1), (a2, b2) = z[i], z[j]
+            dist = c2_dist(fam.curves[i], fam.curves[j])
+            assert dist == pytest.approx(12 * abs(a1 - a2) + abs(a1 ** 2 - a2 ** 2 + b1 - b2), rel=1e-12)
+            assert math.dist(z[i], z[j]) <= dist <= 15 * math.dist(z[i], z[j])
 
 
 def test_convex_translates_exp_translation_invariance():
     seed = fl.exp_seed()
     rng = np.random.default_rng(2)
-    centers = list(zip(rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64)))
-    fam0 = fl.convex_translate_family(seed, centers, x0=0.0)
-    fam10 = fl.convex_translate_family(
-        seed, [(a + 10.0, b) for a, b in centers], x0=10.0
-    )
+    a, b = rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64)
+    fam0 = TransversalFamily.parametric("convex", a, b, (-5.0, 5.0), seed=seed)
+    fam10 = TransversalFamily.parametric("convex", a + 10.0, b, (5.0, 15.0), seed=seed)
     assert fam10.t_const == pytest.approx(fam0.t_const, rel=0.05)
-
-
-def test_convex_translates_center_out_of_band():
-    with pytest.raises(DomainError, match="outside"):
-        fl.convex_translate_family(fl.quadratic_seed(), [(1.5, 0.0)], x0=0.0)
-
-
-# -- rescaling -----------------------------------------------------------------
-
-def _random_parabola_family(seed, n=12):
-    rng = np.random.default_rng(seed)
-    return TransversalFamily(
-        [parabola(a, b) for a, b in zip(rng.uniform(0, 1, n), rng.uniform(-1, 0, n))],
-        check_duplicates=False,
-    )
-
-
-def test_rescale_ball_identity():
-    fam = _random_parabola_family(0)
-    zero = fl.affine_curve(0.0, 0.0)
-    out = fl.rescale_ball(fam, zero, 1.0)
-    xs = np.linspace(-2, 2, 11)
-    for c_in, c_out in zip(fam.curves, out.curves):
-        np.testing.assert_allclose(c_out.eval0(xs), c_in.eval0(xs), rtol=0, atol=0)
-
-
-def test_rescale_ball_distance_scaling():
-    fam = _random_parabola_family(1)
-    out = fl.rescale_ball(fam, fam.curves[0], 0.3)
-    d_in = c2_dist(fam.curves[1], fam.curves[2])
-    d_out = c2_dist(out.curves[1], out.curves[2])
-    assert d_out == pytest.approx(d_in / 0.3, rel=1e-12)
-
-
-def test_rescale_ball_preserves_defects():
-    fam = _random_parabola_family(2)
-    out = fl.rescale_ball(fam, fam.curves[0], 0.25)
-    for i in range(3):
-        for j in range(i + 1, 4):
-            d_in = fl.transversality_defect(fam.curves[i], fam.curves[j])
-            d_out = fl.transversality_defect(out.curves[i], out.curves[j])
-            assert d_out == pytest.approx(d_in, abs=1e-9)
-
-
-def test_rescale_ball_requires_positive_radius():
-    fam = _random_parabola_family(3)
-    with pytest.raises(DomainError):
-        fl.rescale_ball(fam, fam.curves[0], 0.0)
-
-
-def test_rescale_window_identity():
-    fam = _random_parabola_family(4)
-    out = fl.rescale_window(fam, 0.0, 0.0, 1.0, fam.interval)
-    xs = np.linspace(-2, 2, 9)
-    for c_in, c_out in zip(fam.curves, out.curves):
-        np.testing.assert_allclose(c_out.eval0(xs), c_in.eval0(xs), atol=1e-15)
-
-
-def test_rescale_window_affine_slopes_preserved():
-    fam = TransversalFamily(
-        [fl.affine_curve(a, b) for a, b in [(0.2, 0.0), (0.8, -0.3), (0.5, 0.5)]]
-    )
-    out = fl.rescale_window(fam, 0.5, 0.25, 0.5, (0.0, 1.0))
-    for c_in, c_out in zip(fam.curves, out.curves):
-        assert float(c_out.eval1(np.array([0.3]))[0]) == pytest.approx(c_in.params[0], abs=1e-12)
-
-
-def test_rescale_window_constant_budget():
-    fam = _random_parabola_family(5)
-    t_in = fam.t_const
-    out = fl.rescale_window(fam, 0.0, 0.0, 2.0 ** -4, (0.0, 1.0))
-    assert out.t_const <= 1.0 * t_in + 1.0 + 1e-6
-
-
-def test_rescale_window_domain_error():
-    fam = _random_parabola_family(6)
-    with pytest.raises(DomainError, match="window"):
-        fl.rescale_window(fam, 0.0, 0.0, 0.5, (-10.0, 10.0))
 
 
 # -- intersection components ----------------------------------------------------
@@ -317,6 +250,14 @@ def test_components_under_resolution_flag():
 
 # -- family invariants -------------------------------------------------------------
 
+def _random_parabola_family(seed, n=12):
+    rng = np.random.default_rng(seed)
+    return TransversalFamily(
+        [parabola(a, b) for a, b in zip(rng.uniform(0, 1, n), rng.uniform(-1, 0, n))],
+        check_duplicates=False,
+    )
+
+
 def test_min_defect_times_t_is_at_least_one():
     fam = _random_parabola_family(7)
     t = fam.t_const
@@ -331,6 +272,18 @@ def test_min_defect_times_t_is_at_least_one():
 def test_duplicate_rejection_at_construction():
     with pytest.raises(IdenticalCurvesError):
         TransversalFamily([fl.affine_curve(0.1, 0.2), fl.affine_curve(0.1, 0.2)])
+
+
+def test_near_duplicate_rejected_at_construction():
+    # members 0 and 2 are 4e-13 apart in C2 with member 1 between them in
+    # (slope, intercept) order
+    with pytest.raises(IdenticalCurvesError, match="indices 0 and 2"):
+        TransversalFamily.parametric("affine", [0.0, 0.0, 1e-13], [0.0, 5.0, 1e-13], (-2.0, 2.0))
+    # parabola translates carry alpha = -2a: member 1 sorts after member 2
+    with pytest.raises(IdenticalCurvesError, match="indices 0 and 1"):
+        TransversalFamily.parametric("parabola", [0.5, 0.5 - 5e-14, 0.5], [0.0, 3e-13, 1.0], (-2.0, 2.0))
+    # the same rows a tolerance apart construct
+    TransversalFamily.parametric("affine", [0.0, 0.0, 2e-12], [0.0, 5.0, 0.0], (-2.0, 2.0))
 
 
 def test_mismatched_intervals_rejected():

@@ -3,12 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import furstlab as fl
 from furstlab import dyadic as dy
 from furstlab import famspace as fs
+from furstlab import incidence as inc
 from furstlab.dyadic import ParameterError
 
 
@@ -35,17 +34,25 @@ def test_embed_affine_images():
     fam = fl.TransversalFamily(
         [fl.affine_curve(1.0, 0.25, (0.0, 1.0)), fl.affine_curve(0.5, 0.0, (0.0, 1.0))]
     )
-    emb = fs.embed(fam)
-    assert emb.x0 == 0.5
-    np.testing.assert_allclose(emb.images, [[0.75, 1.0], [0.25, 0.5]], atol=0)
+    assert fam.midpoint_x() == 0.5
+    np.testing.assert_allclose(fam.embedding_images(), [[0.75, 1.0], [0.25, 0.5]], atol=0)
 
 
 def test_embed_vertical_translates_differ_in_first_coordinate():
     fam = fl.TransversalFamily([parabola(0.3, 0.0), parabola(0.3, 0.5)],
                                check_duplicates=False)
-    emb = fs.embed(fam)
-    assert emb.images[0, 1] == emb.images[1, 1]
-    assert emb.images[0, 0] != emb.images[1, 0]
+    images = fam.embedding_images()
+    assert images[0, 1] == images[1, 1]
+    assert images[0, 0] != images[1, 0]
+
+
+def bilipschitz_ratios(fam):
+    """Largest |A(f)-A(g)| / ||f-g|| and ||f-g|| / (sqrt(2) T |A(f)-A(g)|) over all pairs."""
+    img = fam.embedding_images()
+    dmat = fs.family_distance_matrix(fam)
+    ii, jj = np.triu_indices(len(fam), k=1)
+    gap = np.hypot(*(img[ii] - img[jj]).T)
+    return float(np.max(gap / dmat[ii, jj])), float(np.max(dmat[ii, jj] / (math.sqrt(2) * fam.t_bound() * gap)))
 
 
 def test_embed_bilipschitz_random_family():
@@ -54,17 +61,17 @@ def test_embed_bilipschitz_random_family():
         [parabola(a, b - 1.0) for a, b in zip(rng.uniform(0, 1, 40), rng.uniform(0, 1, 40))],
         check_duplicates=False,
     )
-    emb = fs.embed(fam, check="all")
-    assert emb.ok
-    assert emb.max_upper_ratio <= 1.0 + 1e-6
+    lower, upper = bilipschitz_ratios(fam)
+    assert lower <= 1.0 + 1e-12
+    assert upper <= 1.0 + 1e-6
 
 
 def test_embed_flags_bad_t_estimate():
     fam = fl.TransversalFamily([parabola(0.2, 0.0), parabola(0.9, -0.5)],
                                check_duplicates=False)
-    fam.declared_t_const = 1.0  # deliberately too small
-    with pytest.raises(Exception, match="bi-Lipschitz"):
-        fs.embed(fam, check="all")
+    assert bilipschitz_ratios(fam)[1] <= 1.0 + 1e-6
+    fam.declared_t_const = 1.0  # deliberately too small: t_bound() reports it
+    assert bilipschitz_ratios(fam)[1] > 1.0 + 1e-6
 
 
 # -- cubes ------------------------------------------------------------------------
@@ -72,25 +79,34 @@ def test_embed_flags_bad_t_estimate():
 def test_single_curve_single_cube_every_level():
     fam = fl.TransversalFamily([fl.affine_curve(0.3, 0.1, (0.0, 1.0))])
     for level in (-1, 0, 2, 5):
-        assert len(fs.family_dyadic_cubes(fam, level)) == 1
+        assert fs.family_cube_count(fam, level) == 1
 
 
 def test_cubes_partition_members():
+    # every incident curve is charged to exactly one cube of the kernel
     fam = tree_family(1)
+    P = dy.SquareFamily.grid(5)
+    per_square = np.bincount(inc.incidences_bruteforce(fam, P, 2.0).pairs[:, 1], minlength=len(P))
+    assert per_square.any()
     for level in (3, 7):
-        cubes = fs.family_dyadic_cubes(fam, level)
-        members = sorted(i for c in cubes for i in c.members)
-        assert members == list(range(len(fam)))
+        counts, cube_ids = inc.cube_incidence_counts(fam, P, level)
+        assert len(cube_ids) == fs.family_cube_count(fam, level)
+        np.testing.assert_array_equal(counts.sum(axis=1), per_square)
 
 
 def test_cubes_are_exact_preimages_in_order():
     fam = tree_family(1)
+    P = dy.SquareFamily.grid(5)
+    pairs = inc.incidences_bruteforce(fam, P, 2.0).pairs
     for level in (-1, 0, 3, 7, 38):
         idx = fs.family_cell_indices(fam, level)
-        cubes = fs.family_dyadic_cubes(fam, level)
-        for c in cubes:
-            assert c.members == tuple(np.flatnonzero((idx == (c.ix, c.iy)).all(axis=1)))
-        keys = [(c.ix, c.iy) for c in cubes]
+        counts, cube_ids = inc.cube_incidence_counts(fam, P, level)
+        for c, (ix, iy) in enumerate(cube_ids.tolist()):
+            members = np.flatnonzero((idx == (ix, iy)).all(axis=1))
+            assert len(members)
+            expect = np.bincount(pairs[np.isin(pairs[:, 0], members), 1], minlength=len(P))
+            np.testing.assert_array_equal(counts[:, c], expect)
+        keys = [tuple(k) for k in cube_ids.tolist()]
         assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
@@ -121,6 +137,7 @@ def test_covering_ratio_bracket():
 
 @pytest.mark.parametrize("kind", ["affine", "parabola", "convex", "closures"])
 def test_distance_row_equals_distance_matrix_row(kind):
+    # each row of the pairwise matrix against c2_dist taken one pair at a time
     rng = np.random.default_rng(17)
     a, b = rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40)
     if kind == "closures":
@@ -130,7 +147,8 @@ def test_distance_row_equals_distance_matrix_row(kind):
                                               seed=fl.quadratic_seed(0.5), grid_n=257)
     dmat = fs.family_distance_matrix(fam)
     for i in range(len(fam)):
-        np.testing.assert_array_equal(fam.distance_row(i), dmat[i])
+        row = [fl.c2_dist(fam.curves[i], g, grid_n=257) for g in fam.curves]
+        np.testing.assert_allclose(dmat[i], row, rtol=1e-12, atol=1e-15)
 
 
 # -- uniformization ----------------------------------------------------------------
@@ -152,7 +170,8 @@ def test_uniform_extraction_bound_and_audit():
         sub, st_ = fs.extract_uniform_subset(fam, 19, 2)
         ok, counts = fs.audit_uniformity(sub, 19, 2)
         assert ok and counts == st_.N
-        assert st_.loss_ok
+        # at least (6T)^-m of the delta-cells survive
+        assert st_.delta_cells_after >= (6.0 * 19) ** -2 * st_.delta_cells_before
 
 
 def pinned_parabola_family():
@@ -332,90 +351,3 @@ def test_superlinear_converse_from_measured_constant():
     eps_meas = math.log2(max(C, 1.0)) / (m * T)
     xs = np.arange(m + 1, dtype=float)
     assert np.all(beta(xs) >= sigma * xs - 2.0 * eps_meas * m - 1e-9)
-
-
-# -- structured intervals --------------------------------------------------------------
-
-def test_structured_exact_line_type_a():
-    m = 8
-    t = 1.0
-    beta = make_beta([t * j for j in range(m + 1)])
-    rep = fs.find_structured_intervals(beta, s=0.5, t=t, u=1.5, eps=0.05)
-    assert rep.hypotheses_ok
-    assert len(rep.intervals) == 1
-    iv = rep.intervals[0]
-    assert (iv.c, iv.d, iv.kind) == (0, m, "a")
-    assert rep.leftover_ratio == 0.0
-
-
-def test_structured_steep_then_flat_type_b():
-    # the two-slope floor admits the concave steep-then-flat profile: it
-    # rises at >= u off the left endpoint and approaches the right endpoint
-    # at <= s, so it is superlinear but far from linear
-    m = 8
-    vals = [3.0 * j for j in range(m // 2 + 1)] + [3.0 * (m // 2)] * (m // 2)
-    beta = make_beta(vals)
-    s, u, eps = 0.5, 2.4, 0.3
-    rep = fs.find_structured_intervals(beta, s=s, t=1.4, u=u, eps=eps)
-    b_ivs = [iv for iv in rep.intervals if iv.kind == "b"]
-    assert b_ivs
-    # re-validate the two-slope floor directly on every type-b interval
-    for iv in b_ivs:
-        xs = np.linspace(iv.c, iv.d, 200)
-        lo = np.minimum(
-            beta(iv.c) + u * (xs - iv.c), beta(iv.d) - s * (iv.d - xs)
-        ) - eps * (iv.d - iv.c)
-        assert np.all(beta(xs) >= lo - 1e-9)
-
-
-def test_structured_flat_then_steep_yields_no_full_type_b():
-    # the mirrored profile violates the floor mid-flat; whatever is
-    # returned must still re-validate piecewise
-    m = 8
-    vals = [0.0] * (m // 2 + 1) + [3.0 * j for j in range(1, m // 2 + 1)]
-    beta = make_beta(vals)
-    rep = fs.find_structured_intervals(beta, s=0.5, t=1.4, u=2.4, eps=0.3)
-    assert all(not (iv.kind == "b" and (iv.c, iv.d) == (0, m)) for iv in rep.intervals)
-    for iv in rep.intervals:
-        if iv.kind == "a":
-            assert fs.check_linear(beta, iv.slope, 0.3, iv.c, iv.d)[0]
-        else:
-            assert fs.check_superlinear(beta, iv.slope, 0.3, iv.c, iv.d)[0]
-
-
-def test_structured_all_slopes_below_s():
-    m = 6
-    beta = make_beta([0.1 * j for j in range(m + 1)])
-    rep = fs.find_structured_intervals(beta, s=0.5, t=0.7, u=1.5, eps=0.05)
-    assert rep.intervals == ()
-    assert rep.leftover_ratio == 1.0
-
-
-def test_structured_rejects_non_lipschitz():
-    beta = make_beta([0, 5])
-    with pytest.raises(ParameterError, match="Lipschitz"):
-        fs.find_structured_intervals(beta, 0.5, 1.0, 1.5, 0.1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(steps=st.lists(st.floats(0.0, 2.5), min_size=3, max_size=10))
-def test_structured_intervals_revalidate(steps):
-    vals = [0.0]
-    for d in steps:
-        vals.append(vals[-1] + d)
-    beta = make_beta(vals)
-    m = beta.m
-    rep = fs.find_structured_intervals(beta, s=0.4, t=1.0, u=1.8, eps=0.25)
-    covered = 0
-    for iv in rep.intervals:
-        covered += iv.length
-        assert 0.4 - 1e-9 <= iv.slope <= 1.8 + 1e-9
-        if iv.kind == "a":
-            assert fs.check_linear(beta, iv.slope, 0.25, iv.c, iv.d)[0]
-        else:
-            assert fs.check_superlinear(beta, iv.slope, 0.25, iv.c, iv.d)[0]
-    # selection is non-overlapping
-    ivs = sorted(rep.intervals, key=lambda iv: iv.c)
-    for left, right in zip(ivs, ivs[1:]):
-        assert left.d <= right.c
-    assert rep.leftover_ratio == pytest.approx((m - covered) / m, abs=1e-12)

@@ -179,7 +179,7 @@ def test_high_low_identity_decomposition():
     assert rep.low_term == pytest.approx(coarse / 8.0, rel=1e-12)
 
 
-# -- multiplicity and friends ----------------------------------------------------------
+# -- bundles ---------------------------------------------------------------------------
 
 def translate_family(bs, interval=(0.0, 1.0)):
     return fl.TransversalFamily(
@@ -187,92 +187,6 @@ def translate_family(bs, interval=(0.0, 1.0)):
         declared_t_const=1.0,
         check_duplicates=False,
     )
-
-
-def test_multiplicity_three_near_translates():
-    d = 2.0 ** -6
-    fam = translate_family([-d, 0.0, d, 0.5])
-    assert inc.multiplicity(fam, 0.3, 1, d, 1.0) == 3
-
-
-def test_multiplicity_singleton():
-    fam = translate_family([0.2])
-    assert inc.multiplicity(fam, 0.5, 0, 0.1, 0.5) == 1
-
-
-def test_multiplicity_reduces_to_plain_count_when_filters_vacuous():
-    fam = translate_family([0.0, 0.25, 0.5, 0.75])
-    from furstlab.incidence import _scale_count
-    diam = 0.75
-    got = inc.multiplicity(fam, 0.5, 0, diam, diam)
-    expect = _scale_count(fam.embedding_images(), diam)
-    assert got == expect
-
-
-def test_high_multiplicity_set_extremes():
-    d = 2.0 ** -6
-    fam = translate_family([-d, 0.0, d, 0.5])
-    assert list(inc.high_multiplicity_set(fam, 0.3, 1, d, 1.0)) == [0, 1, 2, 3]
-    assert len(inc.high_multiplicity_set(fam, 0.3, 99, d, 1.0)) == 0
-
-
-def test_high_multiplicity_cluster_of_five():
-    # five concurrent lines agree exactly at theta but are r-separated in
-    # slope, so the cluster carries multiplicity 5; the two translates far
-    # from the common value have multiplicity 1
-    theta, r = 0.4, 0.05
-    cluster = [fl.affine_curve(0.06 * k, 0.3 - 0.06 * k * theta, (0.0, 1.0)) for k in range(5)]
-    far = [fl.affine_curve(0.0, 0.9, (0.0, 1.0)), fl.affine_curve(0.0, 0.05, (0.0, 1.0))]
-    fam = fl.TransversalFamily(cluster + far, check_duplicates=False)
-    got = sorted(inc.high_multiplicity_set(fam, theta, 4, r, 1.0))
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_high_multiplicity_rescaling_commutation():
-    d = 2.0 ** -6
-    fam = translate_family([-d, 0.0, d, 0.25, 0.5])
-    r, R = d, 0.5
-    before = list(inc.high_multiplicity_set(fam, 0.3, 2, r, R))
-    r0 = 0.25  # dyadic, so the rescaled floats are exact
-    rescaled = fl.rescale_ball(fam, fam.curves[1], r0, check=False)
-    rescaled.declared_t_const = 1.0
-    after = list(inc.high_multiplicity_set(rescaled, 0.3, 2, r / r0, R / r0))
-    assert before == after
-
-
-@pytest.mark.parametrize("kind", ["affine", "parabola", "closures"])
-def test_high_multiplicity_set_equals_multiplicity_per_curve(kind):
-    rng = np.random.default_rng(5)
-    a, b = rng.uniform(-0.5, 0.5, 60), rng.uniform(0.0, 1.0, 60)
-    if kind == "closures":
-        fam = fl.TransversalFamily(
-            [fl.quadratic_translate_curve(ai, bi) for ai, bi in zip(a, b)], grid_n=257
-        )
-    else:
-        fam = fl.TransversalFamily.parametric(kind, a, b, (-2.0, 2.0), grid_n=257)
-    r, R = 2.0 ** -4, 1.0
-    for M in (2, 3):
-        got = inc.high_multiplicity_set(fam, 0.3, M, r, R)
-        expect = [i for i in range(len(fam)) if inc.multiplicity(fam, 0.3, i, r, R) >= M]
-        assert 0 < len(expect) < len(fam)
-        assert got.tolist() == expect
-        assert got.dtype == np.int64
-
-
-def test_slice_cover_translate_grid():
-    k = 6
-    bs = np.arange(2 ** k + 1) / 2.0 ** k
-    fam = translate_family(bs)
-    count = inc.slice_cover(fam, range(len(bs)), 0.5, k)
-    assert 2 ** k / 2 <= count <= 2 ** k + 1
-
-
-def test_slice_cover_common_point_and_empty():
-    fam = fl.TransversalFamily(
-        [fl.affine_curve(a, -0.5 * a, (0.0, 1.0)) for a in (0.0, 0.25, 0.5, 0.75)]
-    )  # all pass through (1/2, 0)
-    assert inc.slice_cover(fam, range(4), 0.5, 6) == 1
-    assert inc.slice_cover(fam, [], 0.5, 6) == 0
 
 
 def test_bundle_extremes():
@@ -290,11 +204,14 @@ def test_n_delta_b_single_curve():
     k = 5
     iy = int(math.floor(0.5 * 2 ** k))
     p = dy.SquareFamily(k, [3], [iy])
-    assert inc.n_delta_b(p, fam, 2, 1).tolist() == [1]
-    assert inc.n_delta_b(p, fam, 2, 2).tolist() == [0]
+    counts, cube_ids = inc.cube_incidence_counts(fam, p, 2)
+    assert counts.tolist() == [[1]]  # N_{Delta,1} = 1, N_{Delta,2} = 0
+    assert cube_ids.tolist() == [[2, 0]]  # A(f) = (0.5, 0) at level 2
 
 
 def test_n_delta_b_matches_bruteforce():
+    # cube_incidence_counts, mainlem's kernel, against a per-cell recount:
+    # the whole (square, cube) table, and N_{Delta,2} taken from it
     rng = np.random.default_rng(9)
     fam = random_line_family(9, 48)
     k, Delta_exp, lam = 6, 2, 2.0
@@ -302,46 +219,28 @@ def test_n_delta_b_matches_bruteforce():
     cells = family_cell_indices(fam, Delta_exp)
     drawn = [(int(rng.integers(0, 2 ** k)), int(rng.integers(0, 2 ** k))) for _ in range(20)]
     P = dy.SquareFamily(k, *zip(*drawn))
-    got = inc.n_delta_b(P, fam, Delta_exp, 2, lam)
-    assert got.shape == (len(P),)
+    counts, cube_ids = inc.cube_incidence_counts(fam, P, Delta_exp, lam)
+    assert counts.shape == (len(P), len(cube_ids))
+    n_big = np.sum(counts >= 2, axis=1)
+    assert n_big.any()
     for p, (xc, yc) in enumerate(zip(dy.centers_of(P.ix, k), dy.centers_of(P.iy, k))):
         # oracle: group curves by cell, count incident members per cell
-        per_cell = {}
+        per_cell = {tuple(c): 0 for c in cube_ids.tolist()}
         for i, c in enumerate(fam.curves):
             fx = float(np.asarray(c.eval0(np.array([xc])))[0])
             hit = abs(yc - fx) < lam * P.delta
             key = (cells[i, 0], cells[i, 1])
-            per_cell[key] = per_cell.get(key, 0) + (1 if hit else 0)
-        expect = sum(1 for v in per_cell.values() if v >= 2)
-        assert got[p] == expect
+            per_cell[key] += 1 if hit else 0
+        assert counts[p].tolist() == list(per_cell.values())
+        assert n_big[p] == sum(1 for v in per_cell.values() if v >= 2)
 
 
 def test_n_delta_b_monotone_in_b():
     fam = random_line_family(10, 48)
     p = dy.SquareFamily(6, [10], [20])
-    vals = [int(inc.n_delta_b(p, fam, 2, b)[0]) for b in (1, 2, 4, 8)]
+    counts, _ = inc.cube_incidence_counts(fam, p, 2)
+    vals = [int(np.sum(counts[0] >= b)) for b in (1, 2, 4, 8)]
     assert all(x >= y for x, y in zip(vals, vals[1:]))
-
-
-# -- almost-injection factor --------------------------------------------------------------
-
-def test_squares_near_one_graph_bounded_by_columns():
-    # squares meeting graphs of curves within r of a fixed 1-Lipschitz curve:
-    # at most 4 per column
-    rng = np.random.default_rng(11)
-    n = 24
-    fam = fl.TransversalFamily(
-        [fl.quadratic_translate_curve(a, b - 1.0, (-2.0, 2.0), lead=0.5)
-         for a, b in zip(rng.uniform(0, 1, n), rng.uniform(0, 1, n))],
-        check_duplicates=False,
-    )
-    k = 5
-    r = 2.0 ** -k
-    dists = fam.distance_row(0)
-    near = [i for i in range(n) if dists[i] <= r]
-    sf = inc.squares_on_graphs(fam, near, k, (0.0, 1.0))
-    n_columns = len(np.unique(sf.ix))
-    assert len(sf) <= 4 * n_columns
 
 
 # -- array-backed families against their closures ------------------------------------------
@@ -352,7 +251,7 @@ def test_array_family_matches_closures(kind):
     n, k = 40, 7
     a, b = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
     if kind == "convex":
-        fam = fl.convex_translate_family(fl.exp_seed(), list(zip(a, b - 3.0)), x0=0.5)
+        fam = fl.TransversalFamily.parametric("convex", a, b - 3.0, (-4.5, 5.5), seed=fl.exp_seed())
     else:
         fam = fl.TransversalFamily.parametric(kind, a, b - 1.0, (-2.0, 2.0), lead=0.5)
     closures = fl.TransversalFamily(list(fam.curves))
