@@ -213,7 +213,8 @@ def cmd_highlow(config: RunConfig) -> int:
             config.master_seed, audit="probe", grid_n=config.grid_n,
         )
         P = conf.union_squares()
-        return [inc.high_low_report(conf.family, P, config.lam, S) for S in S_values]
+        lhs = inc.incidences(conf.family, P, config.lam, collect=False).count
+        return [inc.high_low_report(conf.family, P, config.lam, S, lhs) for S in S_values]
 
     reports = dict(zip(exps, _run_trials(exps, run_one, config.threads)))
     calib = exps[0]
@@ -400,6 +401,8 @@ def _validate(config: RunConfig) -> None:
     for de in config.delta_exp:
         if de < 1:
             raise ValidationError(f"delta exponent must be >= 1, got {de}")
+        if config.delta_exp.count(de) > 1:
+            raise ValidationError(f"delta exponent {de} is given more than once")
     if config.seeds < 1:
         raise ValidationError("seed count must be >= 1")
     if config.master_seed < 0:

@@ -31,7 +31,8 @@ from .dyadic import (
     side_of,
 )
 from .family import DEFAULT_GRID_N, PARAMETRIC_KINDS, DomainError, TransversalFamily
-from .incidence import check_lambda_delta, cube_incidence_counts
+from .famspace import family_cell_indices
+from .incidence import STEP_BUDGET, check_lambda_delta, cube_incidence_counts
 
 WORK_INTERVAL = (-2.0, 2.0)
 
@@ -434,10 +435,20 @@ class MainlemReport:
     violation: bool
 
 
-#: the largest mainlem run accepted, in (curve, column) pairs for the
-#: incidence kernel and in entries of the (square, cube) count table: at
-#: 2^26 pairs (delta = 2^-10, Delta = 2^-4) a run peaks near 2 GB
-MAINLEM_MAX_CELLS = 1 << 26
+#: the largest estimated mainlem peak accepted, in bytes
+MAINLEM_MAX_BYTES = 5 << 29
+
+#: bytes held at once, per unit, rounded up so that tracemalloc peaks from
+#: delta = 2^-5 to 2^-10 at Delta = 2^-4, and from 2^-9 to 2^-12 at
+#: Delta = 2^-8 (where the squares' bytes are 34% to 95% of the estimate),
+#: reach at most 0.9 of the estimate: a grid square's indices, sort keys,
+#: difference array and count column; an int32 n_big level per square; a
+#: curve's parameters and cells; a (curve, column) pair, which can make one
+#: run of three int64, held twice (chunks and their concatenation, or runs
+#: and their bincount keys); a hypothesis-(i) table entry; a kernel step's
+#: temporaries
+MAINLEM_BYTES_PER = {"square": 64, "level": 4, "curve": 128, "pair": 48, "entry": 32,
+                     "step": 64 * STEP_BUDGET}
 
 
 def _default_branching(Delta_exp: int) -> tuple[int, ...]:
@@ -445,22 +456,32 @@ def _default_branching(Delta_exp: int) -> tuple[int, ...]:
     return tuple([4] * wide + [1] * (Delta_exp - 1 - wide) + [1])
 
 
-def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int]:
-    """(|F|, grid squares, family cubes) of a default mainlem run, checked
-    against MAINLEM_MAX_CELLS before anything is allocated."""
+def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int, int]:
+    """(|F|, grid squares, family cubes, estimated peak bytes) of a default
+    mainlem run, checked against MAINLEM_MAX_BYTES before anything is allocated.
+
+    The grid and n_big (one level per bit of a cube's curve count) stay; one
+    cube's runs, then those of the hypothesis-(i) pass over 2^Delta_exp
+    columns with its (square, cube) table, come and go in turn.
+    """
     if not 1 <= Delta_exp <= delta_exp:
         raise ParameterError(f"need 1 <= Delta_exp <= delta_exp, got {Delta_exp} and {delta_exp}")
     n_cubes = math.prod(_default_branching(Delta_exp))
-    n_curves = n_cubes << 2 * (delta_exp - Delta_exp)
+    cube_curves = 1 << 2 * (delta_exp - Delta_exp)
+    n_curves = n_cubes * cube_curves
     n_squares = 1 << 2 * delta_exp
-    for what, cells in (("curve-column pairs", n_curves << delta_exp),
-                        ("count-table entries", n_squares * n_cubes)):
-        if cells > MAINLEM_MAX_CELLS:
-            raise ParameterError(
-                f"mainlem at delta=2^-{delta_exp}, Delta=2^-{Delta_exp} needs {cells} {what}; "
-                f"the limit is {MAINLEM_MAX_CELLS}"
-            )
-    return n_curves, n_squares, n_cubes
+    per = MAINLEM_BYTES_PER
+    stream = (cube_curves << delta_exp) * per["pair"]
+    hypothesis = ((n_curves << Delta_exp) * per["pair"]
+                  + (n_cubes << 2 * Delta_exp) * per["entry"])
+    n_bytes = (n_squares * (per["square"] + per["level"] * cube_curves.bit_length())
+               + n_curves * per["curve"] + max(stream, hypothesis) + per["step"])
+    if n_bytes > MAINLEM_MAX_BYTES:
+        raise ParameterError(
+            f"mainlem at delta=2^-{delta_exp}, Delta=2^-{Delta_exp} needs an estimated "
+            f"{n_bytes / 1e9:.2f} GB; the limit is {MAINLEM_MAX_BYTES / 1e9:.2f} GB"
+        )
+    return n_curves, n_squares, n_cubes, n_bytes
 
 
 def build_uniform_line_family(
@@ -509,7 +530,13 @@ def build_uniform_line_family(
 
 
 class MainlemEvaluator:
-    """Shared counting state for a full (a, b) sweep at fixed scales."""
+    """Shared counting state for a full (a, b) sweep at fixed scales.
+
+    The N_{Delta,b} counts are streamed one family Delta-cube at a time:
+    each cube's column of ``cube_incidence_counts`` (run on that cube's
+    curves alone) is folded into n_big[j][p] = #cubes meeting square p in
+    at least 2^j curves, then dropped, so no |P| x cubes table is kept.
+    """
 
     def __init__(
         self,
@@ -536,9 +563,22 @@ class MainlemEvaluator:
         self.eps = eps
         self.lam = lam
         self.squares = SquareFamily.grid(delta_exp)
-        self.counts, self.cube_ids = cube_incidence_counts(
-            family, self.squares, Delta_exp, lam
+        self.cube_ids, cube_of = np.unique(
+            family_cell_indices(family, Delta_exp), axis=0, return_inverse=True
         )
+        #: n_big[j]: per square, the int32 count of cubes with >= 2^j incident curves
+        self.n_big: list[np.ndarray] = []
+        self.max_b = 0  # the largest count of one cube's curves at one square
+        order = np.argsort(cube_of, kind="stable")
+        ends = np.cumsum(np.bincount(cube_of, minlength=len(self.cube_ids)))
+        for members in np.split(order, ends[:-1]):
+            counts, _ = cube_incidence_counts(family.subfamily(members), self.squares, Delta_exp, lam)
+            top = int(counts.max())
+            for j in range(top.bit_length()):
+                if j == len(self.n_big):
+                    self.n_big.append(np.zeros(len(counts), dtype=np.int32))
+                self.n_big[j] += counts[:, 0] >= 1 << j
+            self.max_b = max(self.max_b, top)
         self.hyp_i_mask = self._hypothesis_i_mask()
         self.cube_separated = self._cube_separation()
 
@@ -571,8 +611,11 @@ class MainlemEvaluator:
         return ok
 
     def report(self, a: int, b: int) -> MainlemReport:
-        n_big = np.sum(self.counts >= b, axis=1)
-        pre = n_big >= a
+        """The (a, b) cell; b must be a power of two, the only b that n_big keeps."""
+        if not (b >= 1 and math.log2(b).is_integer()):
+            raise ParameterError(f"b must be a power of two, got {b}")
+        j = int(math.log2(b))
+        pre = self.n_big[j] >= a if j < len(self.n_big) else np.zeros(len(self.squares), bool)
         mask = pre & self.hyp_i_mask
         size = int(np.sum(mask))
         n = len(self.family)
@@ -592,13 +635,12 @@ class MainlemEvaluator:
 
     def sweep(self) -> list[MainlemReport]:
         """All dyadic (a, b) with a >= 2 up to the realised maxima."""
-        max_nb = int(np.max(np.sum(self.counts >= 1, axis=1))) if len(self.counts) else 0
-        max_b = int(self.counts.max()) if self.counts.size else 0
+        max_nb = int(self.n_big[0].max()) if self.n_big else 0
         reports = []
         a = 2
         while a <= max(2, max_nb):
             b = 1
-            while b <= max(1, max_b):
+            while b <= max(1, self.max_b):
                 reports.append(self.report(a, b))
                 b *= 2
             a *= 2

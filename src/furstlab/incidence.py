@@ -18,6 +18,13 @@ and two binary searches in the sorted squares count the run.  The cost
 does not depend on the threshold, and the counter agrees *exactly* with
 the brute-force oracle, which evaluates every (curve, square) pair
 directly, one curve closure at a time.
+
+A run's squares are contiguous in the sorted squares, so the kernel
+collects each run as one row (curve, first square, length) rather than as
+its pairs.  ``incidences`` expands the runs into the sorted pair list;
+``cube_incidence_counts`` never expands them: it adds +1 at each run's
+first square and -1 one past its last in a difference array per cube, and
+a cumulative sum over the square axis turns that into the counts.
 """
 
 from __future__ import annotations
@@ -69,10 +76,12 @@ def _count_against_threshold(
     squares: SquareFamily,
     threshold: float,
     collect: bool,
-) -> IncidenceResult:
+) -> tuple[int, np.ndarray | None]:
     """Exact count of pairs with |y_p - f(x_p)| < threshold, one row run per (curve, column).
 
-    Pairs come in no particular order.
+    Returns (count, runs): with ``collect``, runs is an (r, 3) int64 array of
+    (curve, first square, length) rows, one per nonempty run, in no
+    particular order; without it, None.
     """
     if math.isnan(threshold):
         raise DomainError("the incidence threshold is nan")
@@ -92,7 +101,7 @@ def _count_against_threshold(
         return np.abs(centers_of(iy, k) - fx) < threshold
 
     count = 0
-    pair_chunks: list[np.ndarray] = []
+    run_chunks: list[np.ndarray] = []
     t = threshold / dl  # the threshold in rows
     col_chunk = max(1, min(len(cols), STEP_BUDGET))
     rows = max(1, STEP_BUDGET // col_chunk)
@@ -115,18 +124,18 @@ def _count_against_threshold(
             count += found
             if collect and found:
                 run = np.flatnonzero(n)
-                n, pos_lo = n.ravel()[run], pos_lo.ravel()[run]
-                first = np.repeat(pos_lo - (np.cumsum(n) - n), n)
-                curve = np.repeat(run // fx.shape[1] + r0, n)
-                pair_chunks.append(np.stack([curve, first + np.arange(found)], axis=1))
-    pairs = None
-    if collect:
-        pairs = (
-            np.concatenate(pair_chunks)
-            if pair_chunks
-            else np.zeros((0, 2), dtype=np.int64)
-        )
-    return IncidenceResult(count=count, pairs=pairs)
+                curve = run // fx.shape[1] + r0
+                run_chunks.append(np.stack([curve, pos_lo.ravel()[run], n.ravel()[run]], axis=1))
+    if not collect:
+        return count, None
+    return count, np.concatenate(run_chunks) if run_chunks else np.zeros((0, 3), dtype=np.int64)
+
+
+def _expand_runs(runs: np.ndarray) -> np.ndarray:
+    """The (curve, square) pairs of (curve, first square, length) runs, in run order."""
+    curve, first, length = runs.T
+    square = np.repeat(first - (np.cumsum(length) - length), length) + np.arange(length.sum())
+    return np.stack([np.repeat(curve, length), square], axis=1)
 
 
 def check_lambda_delta(lam: float, delta: float) -> None:
@@ -151,10 +160,11 @@ def incidences(
     lambda >= 2.
     """
     check_lambda_delta(lam, squares.delta)
-    res = _count_against_threshold(family, squares, lam * squares.delta, collect)
-    if collect:
-        res = IncidenceResult(res.count, res.pairs[np.lexsort((res.pairs[:, 1], res.pairs[:, 0]))])
-    return res
+    count, runs = _count_against_threshold(family, squares, lam * squares.delta, collect)
+    if not collect:
+        return IncidenceResult(count, None)
+    # one curve's runs are disjoint, so runs sorted by (curve, first) expand to sorted pairs
+    return IncidenceResult(count, _expand_runs(runs[np.lexsort((runs[:, 1], runs[:, 0]))]))
 
 
 def incidences_bruteforce(
@@ -245,8 +255,16 @@ def high_low_report(
     squares: SquareFamily,
     lam: float,
     S: float,
+    lhs: int,
 ) -> HighLowReport:
-    """Evaluate both sides of the high-low estimate for one (lambda, S)."""
+    """Evaluate both sides of the high-low estimate for one (lambda, S).
+
+    ``lhs`` is I^lambda(F, P), the count of ``incidences(family, squares,
+    lam)``: it does not depend on S, so a caller counts it once for all S.
+    Since S >= 2 lambda, every such pair is also a 2S*delta pair, so an lhs
+    above the 2S*delta count was not counted on this family and these
+    squares, and is refused.
+    """
     delta_exp = squares.k
     dl = side_of(delta_exp)
     if not (2 * lam <= S <= 1.0 / dl + 1e-9):
@@ -256,8 +274,9 @@ def high_low_report(
         raise DomainError(
             f"family is not delta-separated: min pair distance {sep} < delta {dl}"
         )
-    lhs = incidences(family, squares, lam, collect=False).count
-    coarse = _count_against_threshold(family, squares, 2.0 * S * dl, collect=False).count
+    coarse, _ = _count_against_threshold(family, squares, 2.0 * S * dl, collect=False)
+    if not 0 <= lhs <= coarse:
+        raise DomainError(f"lhs={lhs} is outside [0, {coarse}], the 2S*delta count at S={S}")
     high = math.sqrt(S ** 3 * (1.0 / dl) * len(family) * len(squares))
     return HighLowReport(
         delta_exp=delta_exp,
@@ -284,12 +303,19 @@ def cube_incidence_counts(
 
     Incidence means z_p in the vertical lam*delta-neighbourhood, delta the
     square side.  Returns (counts, cube_ids) with cube_ids the sorted
-    distinct planar cell indices of the family at level Delta_exp.
+    distinct planar cell indices of the family at level Delta_exp.  The
+    kernel's runs are counted without expanding them: each run adds 1 at
+    (first square, cube) and -1 at (first + length, cube) of a difference
+    array with |P| + 1 rows (a run may end at the last square), and a
+    cumulative sum down the square axis gives the table.
     """
     fam_cells = family_cell_indices(family, Delta_exp)
     cube_ids, inverse = np.unique(fam_cells, axis=0, return_inverse=True)
-    res = _count_against_threshold(family, squares, lam * squares.delta, collect=True)
+    _, runs = _count_against_threshold(family, squares, lam * squares.delta, collect=True)
     n_cubes = len(cube_ids)
-    cells = res.pairs[:, 1] * n_cubes + inverse[res.pairs[:, 0]]
-    counts = np.bincount(cells, minlength=len(squares) * n_cubes)
-    return counts.reshape(len(squares), n_cubes), cube_ids
+    curve, first, length = runs.T
+    start = first * n_cubes + inverse[curve]
+    size = (len(squares) + 1) * n_cubes
+    diff = np.bincount(start, minlength=size)
+    diff -= np.bincount(start + length * n_cubes, minlength=size)
+    return np.cumsum(diff.reshape(len(squares) + 1, n_cubes)[:-1], axis=0), cube_ids

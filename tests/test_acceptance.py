@@ -171,8 +171,9 @@ def test_acceptance_06_high_low():
         for de in (6, 7, 8, 9, 10):
             conf = cf.build_nice_configuration(kind, de, 0.5, 1.0, de, seed=606, audit="probe")
             P = conf.union_squares()
+            lhs = inc.incidences(conf.family, P, lam, collect=False).count
             for f in S_factors:
-                rep = inc.high_low_report(conf.family, P, lam, 2 * lam * f)
+                rep = inc.high_low_report(conf.family, P, lam, 2 * lam * f, lhs)
                 (calib if de == 6 else checks).append(rep)
         C0 = max(r.fitted_C for r in calib)
         for rep in checks:

@@ -227,6 +227,8 @@ ABBREVIATED = {"--seed", "--mast", "--sl"}
     (["gen"], "0"),
     (["highlow", "--threads", "-2"], None),
     (["furstenberg", "--delta-exp", "6", "--T", "-3"], None),
+    (["highlow", "--delta-exp", "6,6", "--kind", "affine"], None),
+    (["furstenberg", "--delta-exp", "6,6", "--T", "3"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -243,6 +245,8 @@ def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, 
         assert flag in err
     if "--master-seed" in argv:
         assert "master seed" in err
+    if "6,6" in argv:
+        assert "delta exponent 6 " in err
 
 
 #: (flag, value, RunConfig field, the field's value): one row per field
@@ -306,7 +310,7 @@ def test_lambda_outside_the_positive_reals_is_refused(lam):
 
 @pytest.mark.parametrize("argv", [
     ["mainlem", "--delta-exp", "16", "--Delta-exp", "4"],
-    ["mainlem", "--delta-exp", "12", "--Delta-exp", "8"],
+    ["mainlem", "--delta-exp", "13", "--Delta-exp", "8"],
     ["mainlem", "--delta-exp", "6", "--Delta-exp", "7"],
 ])
 def test_mainlem_rejects_oversized_scales_before_building(tmp_path, monkeypatch, capsys, argv):

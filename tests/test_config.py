@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import furstlab as fl
 from furstlab import config as cf
-from furstlab.dyadic import ParameterError, SquareFamily, side_of, write_csv
+from furstlab.dyadic import ParameterError, side_of, write_csv
 from furstlab.family import DomainError
 
 
@@ -182,8 +183,12 @@ def test_mainlem_a_above_cube_count_empty(line_evaluator):
 
 
 def test_mainlem_b_above_max_population_empty(line_evaluator):
-    rep = line_evaluator.report(a=2, b=int(line_evaluator.counts.max()) + 1)
-    assert rep.P_ab_size == 0
+    # b = the smallest power of two above max_b finds nothing; the largest
+    # one at or below it finds the square where max_b is reached
+    max_b = line_evaluator.max_b
+    rep = line_evaluator.report(a=2, b=1 << max_b.bit_length())
+    assert rep.P_ab_size == 0 and rep.pre_filter_size == 0
+    assert line_evaluator.report(a=1, b=1 << max_b.bit_length() - 1).pre_filter_size > 0
 
 
 def test_mainlem_sweep_no_violation(line_evaluator):
@@ -217,17 +222,90 @@ def test_mainlem_single_report_matches_evaluator(line_evaluator):
 @pytest.mark.parametrize("delta_exp, Delta_exp", [(4, 1), (5, 2), (6, 3), (7, 4)])
 def test_mainlem_size_estimate_matches_the_build(delta_exp, Delta_exp):
     fam = cf.build_uniform_line_family(delta_exp, Delta_exp, seed=1)
-    n_curves, n_squares, n_cubes = cf.check_mainlem_size(delta_exp, Delta_exp)
+    n_curves, n_squares, n_cubes, _ = cf.check_mainlem_size(delta_exp, Delta_exp)
     assert n_curves == len(fam)
-    assert n_squares == len(SquareFamily.grid(delta_exp))
-    counts, cube_ids = cf.cube_incidence_counts(fam, SquareFamily.grid(delta_exp), Delta_exp)
-    assert n_cubes == len(cube_ids) and counts.shape == (n_squares, n_cubes)
+    ev = cf.MainlemEvaluator(fam, delta_exp, Delta_exp, 1 / Delta_exp)
+    assert n_squares == len(ev.squares) and n_cubes == len(ev.cube_ids)
+    # the estimate's n_big levels: one per bit of a cube's curve count
+    assert len(ev.n_big) == ev.max_b.bit_length() <= (n_curves // n_cubes).bit_length()
 
 
 def test_mainlem_size_limit():
-    # the benchmark's 2^-9 runs stay well inside; 2^-10 is the last accepted scale
-    assert cf.check_mainlem_size(9, 4)[0] << 9 <= cf.MAINLEM_MAX_CELLS // 8
-    assert cf.check_mainlem_size(10, 4)[0] << 10 == cf.MAINLEM_MAX_CELLS
-    for de, De in ((11, 4), (6, 0)):
+    # the benchmark's 2^-9 runs stay well inside; 2^-11 is the last accepted
+    # scale at Delta = 2^-4, and 2^-12 the last at Delta = 2^-8
+    assert cf.check_mainlem_size(9, 4)[3] <= cf.MAINLEM_MAX_BYTES // 8
+    assert cf.check_mainlem_size(11, 4)[3] <= cf.MAINLEM_MAX_BYTES
+    assert cf.check_mainlem_size(12, 8)[3] <= cf.MAINLEM_MAX_BYTES
+    for de, De in ((12, 4), (13, 8), (6, 0)):
         with pytest.raises(ParameterError):
             cf.check_mainlem_size(de, De)
+
+
+@pytest.mark.parametrize("delta_exp, Delta_exp", [(8, 4), (10, 8)])
+def test_mainlem_peak_stays_under_the_size_estimate(delta_exp, Delta_exp):
+    # the streamed counts hold no |P| x cubes table: at (8, 4) the dense one
+    # peaked at 33 MB against an estimate of 14.5 MB; at (10, 8) the grid's
+    # per-square bytes are two thirds of the estimate
+    estimate = cf.check_mainlem_size(delta_exp, Delta_exp)[3]
+    tracemalloc.start()
+    try:
+        fam = cf.build_uniform_line_family(delta_exp, Delta_exp, 0)
+        cf.MainlemEvaluator(fam, delta_exp, Delta_exp, 0.25).sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate
+
+
+def _dense_sweep(ev, dense):
+    """(a, b, |P_ab|, pre-filter) of every sweep cell, from the dense (square, cube) table."""
+    def at_least(b):
+        return np.sum(dense >= b, axis=1)
+
+    out = []
+    for i in range(1, max(2, int(at_least(1).max())).bit_length()):
+        for j in range(max(1, int(dense.max())).bit_length()):
+            pre = at_least(1 << j) >= 1 << i
+            out.append((1 << i, 1 << j, int(np.sum(pre & ev.hyp_i_mask)), int(pre.sum())))
+    return out
+
+
+@pytest.mark.parametrize("lam", [2.0, 6.0])
+@pytest.mark.parametrize("delta_exp, Delta_exp", [(6, 3), (7, 4), (8, 4)])
+def test_mainlem_streamed_fold_equals_the_dense_table(delta_exp, Delta_exp, lam):
+    for seed in range(3):
+        fam = cf.build_uniform_line_family(delta_exp, Delta_exp, seed)
+        ev = cf.MainlemEvaluator(fam, delta_exp, Delta_exp, 1 / Delta_exp, lam)
+        dense, cube_ids = cf.cube_incidence_counts(fam, ev.squares, Delta_exp, lam)
+        np.testing.assert_array_equal(cube_ids, ev.cube_ids)
+        assert ev.max_b == dense.max() > 0
+        assert len(ev.n_big) == ev.max_b.bit_length()
+        for j, column in enumerate(ev.n_big):
+            assert column.dtype == np.int32
+            np.testing.assert_array_equal(column, np.sum(dense >= 2 ** j, axis=1))
+        got = [(r.a, r.b, r.P_ab_size, r.pre_filter_size) for r in ev.sweep()]
+        assert got == _dense_sweep(ev, dense)
+
+
+def test_mainlem_fold_counts_a_run_that_ends_at_the_last_square():
+    # curves through the top row: in the last column their runs end at the
+    # grid's last square, which the difference array closes in row |P|
+    k = 5
+    top = 1.0 - 2.0 ** -(k + 1)
+    fam = fl.TransversalFamily([fl.affine_curve(0.0, top, (0.0, 1.0)),
+                                fl.affine_curve(0.75, top - 0.75, (0.0, 1.0))],
+                               check_duplicates=False)
+    ev = cf.MainlemEvaluator(fam, k, 1, 1.0)
+    dense, _ = cf.cube_incidence_counts(fam, ev.squares, 1)
+    pairs = fl.incidences_bruteforce(fam, ev.squares, 2.0).pairs
+    want = np.bincount(pairs[:, 1], minlength=len(ev.squares))
+    assert want[-1] == 2
+    np.testing.assert_array_equal(dense.sum(axis=1), want)
+    np.testing.assert_array_equal(ev.n_big[0], np.sum(dense >= 1, axis=1))
+    assert ev.n_big[0][-1] == len(ev.cube_ids) == 2
+
+
+@pytest.mark.parametrize("b", [0, 3, 6, 2.5, -2])
+def test_mainlem_report_refuses_a_b_that_is_not_a_power_of_two(line_evaluator, b):
+    with pytest.raises(ParameterError):
+        line_evaluator.report(a=2, b=b)

@@ -143,7 +143,7 @@ def test_weighted_random_vs_bruteforce():
 def test_high_low_single_curve_sane():
     fam = zero_line()
     P = dy.SquareFamily.grid(5)
-    rep = inc.high_low_report(fam, P, 2.0, 8.0)
+    rep = inc.high_low_report(fam, P, 2.0, 8.0, inc.incidences(fam, P, 2.0, collect=False).count)
     assert rep.lhs <= len(P)
     assert rep.fitted_C >= 0.0
     assert math.isfinite(rep.fitted_C)
@@ -153,9 +153,9 @@ def test_high_low_range_validation():
     fam = random_line_family(7, 8)
     P = dy.SquareFamily.grid(5)
     with pytest.raises(DomainError, match="S="):
-        inc.high_low_report(fam, P, 2.0, 2.0)    # S < 2 lambda
+        inc.high_low_report(fam, P, 2.0, 2.0, 0)    # S < 2 lambda
     with pytest.raises(DomainError, match="S="):
-        inc.high_low_report(fam, P, 2.0, 100.0)  # S > delta^-1
+        inc.high_low_report(fam, P, 2.0, 100.0, 0)  # S > delta^-1
 
 
 def test_high_low_separation_check():
@@ -165,18 +165,32 @@ def test_high_low_separation_check():
     )
     P = dy.SquareFamily.grid(5)
     with pytest.raises(DomainError, match="separated"):
-        inc.high_low_report(close, P, 2.0, 8.0)
+        inc.high_low_report(close, P, 2.0, 8.0, 0)
 
 
 def test_high_low_identity_decomposition():
     # lhs and coarse count agree with independent brute-force counts
     fam = random_line_family(8, 24)
     P = dy.SquareFamily.grid(6)
-    rep = inc.high_low_report(fam, P, 2.0, 8.0)
+    rep = inc.high_low_report(fam, P, 2.0, 8.0, inc.incidences(fam, P, 2.0, collect=False).count)
     assert rep.lhs == inc.incidences_bruteforce(fam, P, 2.0).count
     coarse = inc.incidences_bruteforce(fam, P, 2.0, threshold=2 * 8.0 * P.delta).count
     assert rep.coarse_count == coarse
     assert rep.low_term == pytest.approx(coarse / 8.0, rel=1e-12)
+
+
+def test_high_low_refuses_an_lhs_above_the_coarse_count():
+    # an lhs counted on other squares (here the full grid for a subset) can
+    # exceed the 2S*delta count of the squares given, which no true lhs does
+    fam = random_line_family(8, 24)
+    P = dy.SquareFamily.grid(6)
+    few = dy.SquareFamily(P.k, P.ix[::64], P.iy[::64])
+    coarse = inc.high_low_report(fam, few, 2.0, 8.0, 0).coarse_count
+    assert inc.incidences(fam, P, 2.0, collect=False).count > coarse
+    for lhs in (inc.incidences(fam, P, 2.0, collect=False).count, coarse + 1, -1):
+        with pytest.raises(DomainError, match="lhs="):
+            inc.high_low_report(fam, few, 2.0, 8.0, lhs)
+    assert inc.high_low_report(fam, few, 2.0, 8.0, coarse).lhs == coarse
 
 
 # -- bundles ---------------------------------------------------------------------------
@@ -334,10 +348,11 @@ def test_kernel_matches_oracle_at_any_threshold(kind, k, data):
     ))
     thr = rows * P.delta
     brute = inc.incidences_bruteforce(fam, P, 1.0, threshold=thr)
-    fast = inc._count_against_threshold(fam, P, thr, collect=True)
-    assert fast.count == brute.count == len(fast.pairs)
-    assert np.array_equal(fast.pairs[np.lexsort((fast.pairs[:, 1], fast.pairs[:, 0]))], brute.pairs)
-    assert inc._count_against_threshold(fam, P, thr, collect=False).count == brute.count
+    count, runs = inc._count_against_threshold(fam, P, thr, collect=True)
+    pairs = inc._expand_runs(runs)
+    assert count == brute.count == len(pairs)
+    assert np.array_equal(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], brute.pairs)
+    assert inc._count_against_threshold(fam, P, thr, collect=False)[0] == brute.count
 
 
 def test_run_end_trimming_walks_any_distance():
