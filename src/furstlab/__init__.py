@@ -7,7 +7,7 @@ dyadic    dyadic cells, covering numbers, set-class checkers, generators
 famspace  the dyadic system on a family via the planar embedding
 incidence curve/square incidence kernels and the high-low split
 config    nice configurations and the counting experiments
-fourier   curve measures, Fourier transforms, decay slopes, Riesz energy
+fourier   curve measures, Fourier transforms, L^p norms, decay slopes
 cli       the furst-lab experiment runner
 """
 
@@ -37,20 +37,12 @@ from .dyadic import (
     generate_delta_set,
     katz_tao_constant,
 )
-from .famspace import (
-    BranchingFunction,
-    branching_function,
-    check_linear,
-    check_superlinear,
-    extract_uniform_subset,
-)
+from .famspace import extract_uniform_subset
 from .incidence import (
     HighLowReport,
-    bundle,
     high_low_report,
     incidences,
     incidences_bruteforce,
-    weighted_incidences,
 )
 from .config import (
     ExperimentResult,
@@ -64,8 +56,6 @@ from .fourier import (
     CurveMeasure,
     decay_slope,
     fourier_transform,
-    gamma,
     lift_measure,
     lp_norm_ball,
-    riesz_energy,
 )

@@ -307,6 +307,9 @@ KINDS = {
     },
 }
 
+#: subcommands that run at a single delta, the one --delta-exp value
+ONE_SCALE = ("gen", "check-set", "incidence", "mainlem", "fourier")
+
 #: suite runs: (subcommand, overrides of the run configuration, failure label);
 #: each writes <out dir>/<subcommand>.csv
 SUITE = (
@@ -403,6 +406,11 @@ def _validate(config: RunConfig) -> None:
             raise ValidationError(f"delta exponent must be >= 1, got {de}")
         if config.delta_exp.count(de) > 1:
             raise ValidationError(f"delta exponent {de} is given more than once")
+    if config.subcommand in ONE_SCALE and len(config.delta_exp) > 1:
+        raise ValidationError(
+            f"{config.subcommand} runs at one scale; give one delta exponent, "
+            f"got {','.join(map(str, config.delta_exp))}"
+        )
     if config.seeds < 1:
         raise ValidationError("seed count must be >= 1")
     if config.master_seed < 0:

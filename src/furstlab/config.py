@@ -184,6 +184,24 @@ def build_nice_configuration(
     t_bound = family.t_bound()
     _check_transversality(family, t_bound)
 
+    return _attach_squares(family, kind, delta_exp, s, t, T, seed, rng, audit, correlated)
+
+
+def _attach_squares(
+    family: TransversalFamily,
+    kind: str,
+    delta_exp: int,
+    s: float,
+    t: float,
+    T: int,
+    seed: int,
+    rng: np.random.Generator,
+    audit: str,
+    correlated: bool = False,
+) -> NiceConfiguration:
+    """Give each curve the squares it crosses over a (delta, s)-tree of
+    columns drawn from ``rng`` (one tree shared by all curves when
+    ``correlated``), then measure the configuration's set constants."""
     n = len(family)
     if correlated:
         cols_one = generate_delta_set_indices(delta_exp, s, T, rng, dim=1, batch=1)[0][:, 0]
@@ -193,15 +211,8 @@ def build_nice_configuration(
     values = family.evaluate(centers_of(col_idx, delta_exp))
     iy = np.floor(np.ldexp(values, delta_exp)).astype(np.int64)
     conf = NiceConfiguration(
-        family=family,
-        kind=kind,
-        delta_exp=delta_exp,
-        s=s,
-        t=t,
-        T=T,
-        seed=seed,
-        col_idx=col_idx,
-        iy=iy,
+        family=family, kind=kind, delta_exp=delta_exp, s=s, t=t, T=T, seed=seed,
+        col_idx=col_idx, iy=iy,
     )
     conf.measured = _audit_constants(conf, audit)
     return conf
@@ -242,15 +253,7 @@ def build_parallel_translate_configuration(
     b = (np.arange(count) + 0.5) / count
     a = np.full(count, 0.5)
     family = _make_family(kind, a, b, declared_t_const=1.0)
-    col_idx = generate_delta_set_indices(delta_exp, s, T, rng, dim=1, batch=count)[..., 0]
-    values = family.evaluate(centers_of(col_idx, delta_exp))
-    iy = np.floor(np.ldexp(values, delta_exp)).astype(np.int64)
-    conf = NiceConfiguration(
-        family=family, kind=kind, delta_exp=delta_exp, s=s, t=s, T=T, seed=seed,
-        col_idx=col_idx, iy=iy,
-    )
-    conf.measured = _audit_constants(conf, "auto")
-    return conf
+    return _attach_squares(family, kind, delta_exp, s=s, t=s, T=T, seed=seed, rng=rng, audit="auto")
 
 
 # --------------------------------------------------------------------------

@@ -156,10 +156,6 @@ class AtomicMeasure:
     def __len__(self) -> int:
         return len(self.points)
 
-    def to_csv(self, path) -> None:
-        write_csv(path, ("x" if self.points.shape[1] == 1 else "x,y") + ",w",
-                  (list(row) + [w] for row, w in zip(self.points, self.weights)))
-
 
 @dataclass(frozen=True)
 class SetClassReport:
@@ -173,7 +169,6 @@ class SetClassReport:
     best_constant: float
     witness_center: tuple
     witness_radius: float
-    scale_range: tuple[float, float]
     kind: str = ""
 
     def __repr__(self):
@@ -316,12 +311,12 @@ def _ball_counts(reps: np.ndarray, centers: np.ndarray, radii: np.ndarray,
     return counts
 
 
-def _best_ratio(points, centers, radii, denominator, scale_range, kind, weights=None) -> SetClassReport:
+def _best_ratio(points, centers, radii, denominator, kind, weights=None) -> SetClassReport:
     """The largest ball count (or mass) over denominator[r], with its witness."""
     ratios = _ball_counts(points, centers, radii, weights) / denominator[None, :]
     ci, rj = np.unravel_index(np.argmax(ratios), ratios.shape)
     return SetClassReport(best_constant=float(ratios[ci, rj]), witness_center=tuple(float(v) for v in centers[ci]),
-                          witness_radius=float(radii[rj]), scale_range=scale_range, kind=kind)
+                          witness_radius=float(radii[rj]), kind=kind)
 
 
 def _max_ball_ratio(pset: DiscretePointSet, s: float, max_centers: int | None,
@@ -335,7 +330,7 @@ def _max_ball_ratio(pset: DiscretePointSet, s: float, max_centers: int | None,
     reps = _cell_representatives(pset.points, pset.delta_exp)
     radii = _dyadic_radii(pset.delta_exp)
     return _best_ratio(reps, _probe_centers(reps, max_centers), radii,
-                       denominator(radii, len(reps)), (pset.delta, 1.0), kind)
+                       denominator(radii, len(reps)), kind)
 
 
 def delta_set_constant(
@@ -387,7 +382,7 @@ def frostman_constant(
     # scalar powers: numpy's vectorised pow can differ from them in the last bit
     r_t = np.array([r ** t for r in radii])
     return _best_ratio(mu.points, _probe_centers(mu.points, max_centers), radii, r_t,
-                       (side_of(delta_exp), 1.0), f"frostman(t={t})", mu.weights)
+                       f"frostman(t={t})", mu.weights)
 
 
 def reevaluate_report(pset_or_mu, report: SetClassReport, s_or_t: float) -> float:

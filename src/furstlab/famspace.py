@@ -5,9 +5,7 @@ x0 the interval midpoint; the embedding is sqrt(2)*T bi-Lipschitz, so
 dyadic squares in the plane pull back to "dyadic cubes" in the family.
 This module groups the curves' cell indices into those cubes and into
 exactly-uniform subsets (level-wise pigeonholing) as array code, with
-``audit_uniformity`` as the independent recount, and turns the branching
-counts into piecewise-linear branching functions whose (super)linearity
-encodes the family's dimensionality scale by scale.
+``audit_uniformity`` as the independent recount.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import ParameterError, cell_indices, dyadic_cell_count, write_csv
+from .dyadic import ParameterError, cell_indices, dyadic_cell_count
 from .family import TransversalFamily
 
 
@@ -138,68 +136,3 @@ def audit_uniformity(family: TransversalFamily, T: int, m: int) -> tuple[bool, t
         else:
             counts.append(sizes.pop())
     return ok, tuple(counts)
-
-
-# --------------------------------------------------------------------------
-# Branching functions
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BranchingFunction:
-    """beta(j) = (1/T) sum_{i<=j} log2 N_i, linearly interpolated.
-
-    Nondecreasing, beta(0) = 0; 3-Lipschitz whenever the period satisfies
-    T >= log2(640 T_const^4).
-    """
-
-    T: int
-    values: tuple[float, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.values) - 1
-
-    def __call__(self, x):
-        return np.interp(x, np.arange(len(self.values)), np.asarray(self.values))
-
-    def lipschitz_constant(self) -> float:
-        v = np.asarray(self.values)
-        return float(np.max(np.abs(np.diff(v)))) if len(v) > 1 else 0.0
-
-    def to_csv(self, path) -> None:
-        write_csv(path, "j,beta", enumerate(self.values))
-
-
-def branching_function(structure: UniformStructure) -> BranchingFunction:
-    vals = [0.0]
-    acc = 0.0
-    for nj in structure.N:
-        if nj < 1:
-            raise ParameterError("branching numbers must be >= 1")
-        acc += math.log2(nj) / structure.T
-        vals.append(acc)
-    return BranchingFunction(T=structure.T, values=tuple(vals))
-
-
-def _chord_check(beta: BranchingFunction, a: float, b: float, deviation):
-    """(ok, max_violation) of deviation <= 0 on [a, b], checked exactly on
-    the breakpoints: a, b and the integers between them."""
-    if not (0 <= a < b <= beta.m):
-        raise ParameterError(f"need 0 <= a < b <= m={beta.m}, got [{a}, {b}]")
-    xs = np.array([a, b, *range(math.floor(a) + 1, math.ceil(b))], dtype=float)
-    violation = float(np.max(deviation(xs)))
-    return violation <= 1e-12, max(0.0, violation)
-
-
-def check_superlinear(beta: BranchingFunction, sigma: float, eps: float, a: float, b: float):
-    """Is beta(x) >= beta(a) + sigma (x-a) - eps (b-a) on [a, b]?"""
-    return _chord_check(
-        beta, a, b, lambda xs: (beta(a) + sigma * (xs - a) - eps * (b - a)) - beta(xs)
-    )
-
-
-def check_linear(beta: BranchingFunction, sigma: float, eps: float, a: float, b: float):
-    """Is |beta(x) - beta(a) - sigma (x-a)| <= eps (b-a) on [a, b]?"""
-    return _chord_check(
-        beta, a, b, lambda xs: np.abs(beta(xs) - beta(a) - sigma * (xs - a)) - eps * (b - a)
-    )

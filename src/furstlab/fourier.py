@@ -1,4 +1,4 @@
-"""Fractal measures on convex curves: Fourier transforms, L^p norms, energies.
+"""Fractal measures on convex curves: Fourier transforms, L^p norms, decay.
 
 Convention: sigma-hat(xi) = sum_j w_j exp(-2 pi i <x_j, xi>).  L^p norms
 over a ball B(R) are Riemann sums on the square grid h Z^2 intersected
@@ -9,11 +9,6 @@ x-coordinates lie on an arithmetic grid x0 + m/(hN) with N a power of two
 each frequency column l is one length-N DFT, computed by FFT; otherwise
 the whole grid is one complex matrix product.  Both are exact
 rearrangements of the direct sum, not approximations.
-
-The Riesz energy uses a distance cutoff at delta instead of a mollifier:
-I_t(mu) = sum_{i,j} w_i w_j max(|x_i - x_j|, delta)^-t, diagonal included.
-The cutoff stand-in is exact to evaluate and is labelled as such in
-reports.
 """
 
 from __future__ import annotations
@@ -25,11 +20,6 @@ import numpy as np
 
 from .dyadic import AtomicMeasure, frostman_constant, side_of
 from .family import DomainError
-
-
-def gamma(s: float, t: float) -> float:
-    """The three-way exponent min{s+t, (3s+t)/2, s+1}."""
-    return min(s + t, (3.0 * s + t) / 2.0, s + 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -222,26 +212,6 @@ def lp_norm_ball(sigma, p: float, R: float, h: float = MAX_GRID_STEP) -> float:
     k2 = krange[:, None] ** 2 + krange[None, :] ** 2
     mask = k2 * h * h <= R * R * (1 + 1e-12)
     return float(np.sum(mag2[mask] ** (p / 2.0)) * h * h)
-
-
-# --------------------------------------------------------------------------
-# Riesz energy
-# --------------------------------------------------------------------------
-
-def riesz_energy(mu, t: float, delta: float) -> float:
-    """sum_{i,j} w_i w_j max(|x_i - x_j|, delta)^-t, diagonal included."""
-    if not (delta > 0):
-        raise DomainError(f"delta must be positive, got {delta}")
-    pts, ws = _atoms_of(mu) if not isinstance(mu, tuple) else mu
-    n = len(pts)
-    total = 0.0
-    chunk = max(1, (1 << 22) // max(1, n))
-    for start in range(0, n, chunk):
-        block = pts[start:start + chunk]
-        d = np.sqrt(np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
-        d = np.maximum(d, delta)
-        total += float(np.einsum("i,ij,j->", ws[start:start + chunk], d ** (-t), ws))
-    return total
 
 
 # --------------------------------------------------------------------------

@@ -192,31 +192,6 @@ def incidences_bruteforce(
     return IncidenceResult(count=count, pairs=pairs)
 
 
-def weighted_incidences(
-    family: TransversalFamily,
-    squares: SquareFamily,
-    w_curves: np.ndarray,
-    w_squares: np.ndarray,
-    lam: float,
-) -> float:
-    """sum over incident pairs of w_F(f) * w_P(p)."""
-    w_curves = np.asarray(w_curves, dtype=float)
-    w_squares = np.asarray(w_squares, dtype=float)
-    if len(w_curves) != len(family) or len(w_squares) != len(squares):
-        raise DomainError("weight vectors must match family and square counts")
-    res = incidences(family, squares, lam, collect=True)
-    if res.pairs is None or len(res.pairs) == 0:
-        return 0.0
-    return float(np.sum(w_curves[res.pairs[:, 0]] * w_squares[res.pairs[:, 1]]))
-
-
-def bundle(family: TransversalFamily, theta: float, J: tuple[float, float]) -> np.ndarray:
-    """Indices of the bundle {f : f(theta) in J} (J closed)."""
-    lo, hi = float(J[0]), float(J[1])
-    vals = family.evaluate([theta])
-    return np.flatnonzero((vals >= lo) & (vals <= hi)).astype(np.int64)
-
-
 # --------------------------------------------------------------------------
 # High-low decomposition
 # --------------------------------------------------------------------------

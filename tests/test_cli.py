@@ -229,6 +229,10 @@ ABBREVIATED = {"--seed", "--mast", "--sl"}
     (["furstenberg", "--delta-exp", "6", "--T", "-3"], None),
     (["highlow", "--delta-exp", "6,6", "--kind", "affine"], None),
     (["furstenberg", "--delta-exp", "6,6", "--T", "3"], None),
+    (["gen", "--delta-exp", "6,8"], None),
+    (["incidence", "--delta-exp", "5,6", "--T", "5"], None),
+    (["fourier", "--delta-exp", "6,7"], None),
+    (["mainlem", "--delta-exp", "6,7", "--Delta-exp", "4"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -247,6 +251,8 @@ def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, 
         assert "master seed" in err
     if "6,6" in argv:
         assert "delta exponent 6 " in err
+    if argv[0] in cli.ONE_SCALE and "," in dict(zip(argv, argv[1:])).get("--delta-exp", ""):
+        assert f"{argv[0]} runs at one scale" in err
 
 
 #: (flag, value, RunConfig field, the field's value): one row per field

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import astuple
@@ -58,6 +59,26 @@ def test_correlated_mode_shrinks_union():
     corr = cf.build_nice_configuration("parabola", 8, 0.5, 1.0, 2, seed=5, correlated=True)
     assert np.all(corr.col_idx == corr.col_idx[0])
     assert corr.union_square_count() <= base.union_square_count()
+
+
+#: build_parallel_translate_configuration(8, 0.5, 2, seed): (seed, sha256
+#: prefixes of col_idx and of iy); all three measure the same constants
+PINNED_PARALLEL = [
+    (0, "c317097eba9cf38d", "9a93f7ce1108e4f6"),
+    (1, "a7f3438ea35afd37", "baf5d476e82ba9f3"),
+    (2, "0e8cd75f45f94dc7", "8f19c2866d6eb239"),
+]
+
+
+@pytest.mark.parametrize("seed, col_digest, iy_digest", PINNED_PARALLEL)
+def test_parallel_translate_configuration_is_pinned(seed, col_digest, iy_digest):
+    conf = cf.build_parallel_translate_configuration(8, 0.5, 2, seed)
+    assert conf.col_idx.shape == conf.iy.shape == (16, 16)
+    assert conf.col_idx.dtype == conf.iy.dtype == np.int64
+    assert hashlib.sha256(conf.col_idx.tobytes()).hexdigest()[:16] == col_digest
+    assert hashlib.sha256(conf.iy.tobytes()).hexdigest()[:16] == iy_digest
+    assert conf.measured == {"audit": "full", "family_constant": 1.414213562373095,
+                             "worst_square_set_constant": 3.0}
 
 
 # -- verification --------------------------------------------------------------------

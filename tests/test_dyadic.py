@@ -463,10 +463,3 @@ def test_point_csv_roundtrip(tmp_path):
     assert header == "x,y"
     back = DiscretePointSet.from_csv(path, 5)
     np.testing.assert_array_equal(back.points, ps.points)
-
-
-def test_measure_csv_has_weight_column(tmp_path):
-    mu = AtomicMeasure(np.array([[0.25, 0.5]]), np.array([0.5]))
-    path = tmp_path / "mu.csv"
-    mu.to_csv(path)
-    assert path.read_text().splitlines()[0] == "x,y,w"

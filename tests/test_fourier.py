@@ -19,14 +19,6 @@ def parabola_lift(delta_exp=8):
     return fo.uniform_grid_lift(lambda x: np.asarray(x, dtype=float) ** 2, delta_exp, s=1.0)
 
 
-# -- gamma -------------------------------------------------------------------------
-
-def test_gamma_formula():
-    assert fo.gamma(0.5, 1.0) == 1.25
-    assert fo.gamma(1.0, 1.0) == 2.0
-    assert fo.gamma(0.2, 1.9) == pytest.approx(min(2.1, 1.25, 1.2))
-
-
 # -- lifts --------------------------------------------------------------------------
 
 def test_lift_single_atom():
@@ -177,45 +169,6 @@ def test_lp_quadrature_halving_stable():
         v1 = fo.lp_norm_ball(lift, 8.0, R, 1 / 8)
         v2 = fo.lp_norm_ball(lift, 8.0, R, 1 / 16)
         assert abs(v2 - v1) / v1 <= 0.05
-
-
-# -- Riesz energy -----------------------------------------------------------------------
-
-def test_riesz_two_atoms():
-    mu = AtomicMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
-    assert fo.riesz_energy(mu, 1.0, 0.25) == pytest.approx(2.5, abs=1e-12)
-
-
-def test_riesz_single_atom_diagonal_cutoff():
-    assert fo.riesz_energy(point_mass(), 1.7, 0.25) == pytest.approx(0.25 ** -1.7, rel=1e-12)
-
-
-def test_riesz_t_zero_is_squared_mass():
-    mu = AtomicMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
-    assert fo.riesz_energy(mu, 0.0, 0.25) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_riesz_matches_independent_double_loop():
-    rng = np.random.default_rng(1)
-    n = 40
-    mu = AtomicMeasure(rng.uniform(-1, 1, (n, 2)), rng.uniform(0, 1.0 / n, n))
-    t, delta = 1.3, 1 / 16
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            d = math.dist(mu.points[i], mu.points[j])
-            total += mu.weights[i] * mu.weights[j] * max(d, delta) ** -t
-    assert fo.riesz_energy(mu, t, delta) == pytest.approx(total, rel=1e-12)
-
-
-def test_riesz_monotonicity():
-    rng = np.random.default_rng(2)
-    n = 30
-    mu = AtomicMeasure(rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(0, 1.0 / n, n))
-    # nonincreasing in delta
-    assert fo.riesz_energy(mu, 1.0, 1 / 8) >= fo.riesz_energy(mu, 1.0, 1 / 4)
-    # nondecreasing in t when all separations are <= 1
-    assert fo.riesz_energy(mu, 1.5, 1 / 8) >= fo.riesz_energy(mu, 0.5, 1 / 8)
 
 
 # -- decay slopes -------------------------------------------------------------------------

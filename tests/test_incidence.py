@@ -108,36 +108,6 @@ def test_pairs_csv(tmp_path):
     assert len(lines) == 9
 
 
-# -- weighted ----------------------------------------------------------------------
-
-def test_weighted_unit_weights_match_count():
-    fam = random_line_family(4, 16)
-    P = dy.SquareFamily.grid(5)
-    plain = inc.incidences(fam, P, 2.0).count
-    w = inc.weighted_incidences(fam, P, np.ones(len(fam)), np.ones(len(P)), 2.0)
-    assert w == plain
-
-
-def test_weighted_doubling():
-    fam = random_line_family(5, 16)
-    P = dy.SquareFamily.grid(5)
-    base = inc.weighted_incidences(fam, P, np.ones(len(fam)), np.ones(len(P)), 2.0)
-    doubled = inc.weighted_incidences(fam, P, 2 * np.ones(len(fam)), np.ones(len(P)), 2.0)
-    assert doubled == pytest.approx(2 * base, rel=1e-12)
-
-
-def test_weighted_random_vs_bruteforce():
-    rng = np.random.default_rng(6)
-    fam = random_line_family(6, 20)
-    P = dy.SquareFamily.grid(5)
-    wF = rng.uniform(2.0 ** -8, 2.0 ** 8, len(fam))
-    wP = rng.uniform(2.0 ** -8, 2.0 ** 8, len(P))
-    res = inc.incidences_bruteforce(fam, P, 2.0)
-    oracle = sum(wF[fi] * wP[si] for fi, si in res.pairs)
-    fast = inc.weighted_incidences(fam, P, wF, wP, 2.0)
-    assert fast == pytest.approx(oracle, rel=1e-9)
-
-
 # -- high-low -----------------------------------------------------------------------
 
 def test_high_low_single_curve_sane():
@@ -191,24 +161,6 @@ def test_high_low_refuses_an_lhs_above_the_coarse_count():
         with pytest.raises(DomainError, match="lhs="):
             inc.high_low_report(fam, few, 2.0, 8.0, lhs)
     assert inc.high_low_report(fam, few, 2.0, 8.0, coarse).lhs == coarse
-
-
-# -- bundles ---------------------------------------------------------------------------
-
-def translate_family(bs, interval=(0.0, 1.0)):
-    return fl.TransversalFamily(
-        [fl.affine_curve(0.0, float(b), interval) for b in bs],
-        declared_t_const=1.0,
-        check_duplicates=False,
-    )
-
-
-def test_bundle_extremes():
-    fam = translate_family(np.arange(9) / 8.0)
-    assert len(inc.bundle(fam, 0.3, (-10.0, 10.0))) == 9
-    assert len(inc.bundle(fam, 0.3, (2.0, 3.0))) == 0
-    got = inc.bundle(fam, 0.3, (0.0, 0.25))
-    assert list(got) == [0, 1, 2]
 
 
 # -- N_{Delta,b} ------------------------------------------------------------------------
