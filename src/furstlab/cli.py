@@ -383,6 +383,10 @@ def resolve_config(argv) -> RunConfig:
         cli_val = getattr(args, key)
         if cli_val is not None:
             values[key] = _parse_value(key, cli_val, flag)
+    if args.subcommand == "suite":  # each suite run sets these keys itself
+        given = sorted(values.keys() & {name for _, overrides, _ in SUITE for name in overrides})
+        if given:
+            raise ValidationError(f"suite sets {_FLAGS[given[0]]} ({given[0]}) for each run; drop it")
     values["subcommand"] = args.subcommand
     env_threads = os.environ.get("FURSTLAB_THREADS")
     if env_threads:

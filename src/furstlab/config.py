@@ -24,6 +24,7 @@ from .dyadic import (
     DiscretePointSet,
     ParameterError,
     SquareFamily,
+    cell_indices,
     centers_of,
     delta_set_constant,
     generate_delta_set_indices,
@@ -209,7 +210,7 @@ def _attach_squares(
     else:
         col_idx = generate_delta_set_indices(delta_exp, s, T, rng, dim=1, batch=n)[..., 0]
     values = family.evaluate(centers_of(col_idx, delta_exp))
-    iy = np.floor(np.ldexp(values, delta_exp)).astype(np.int64)
+    iy = cell_indices(values, delta_exp)
     conf = NiceConfiguration(
         family=family, kind=kind, delta_exp=delta_exp, s=s, t=t, T=T, seed=seed,
         col_idx=col_idx, iy=iy,
@@ -218,10 +219,10 @@ def _attach_squares(
     return conf
 
 
-def _check_transversality(family: TransversalFamily, t_bound: float, probe: int = 512) -> None:
+def _check_transversality(family: TransversalFamily, t_bound: float) -> None:
     """Check the estimated T against the declared bound, on the whole family
-    up to ``probe`` curves and on an even-stride probe of that many above."""
-    n = len(family)
+    up to 512 curves and on an even-stride probe of 512 above."""
+    n, probe = len(family), 512
     if n < 2:
         return
     sub = family if n <= probe else family.subfamily(np.linspace(0, n - 1, probe).astype(int))
@@ -238,22 +239,20 @@ def build_parallel_translate_configuration(
     s: float,
     T: int,
     seed: int,
-    kind: str = "parabola",
 ) -> NiceConfiguration:
-    """Katz-Tao style generator: ~delta^-s equispaced vertical translates.
+    """Katz-Tao style generator: ~delta^-s equispaced vertical translates of
+    the parabola.
 
     The translate spacing delta^s makes the family a Katz-Tao (delta, s)-set
     with constant O(1); differences are constant, so the transversality
     constant is exactly 1.
     """
-    if kind not in ("affine", "parabola"):
-        raise ParameterError("parallel generator supports affine | parabola")
     count = int(round(2.0 ** (s * delta_exp)))
     rng = np.random.default_rng(seed)
     b = (np.arange(count) + 0.5) / count
     a = np.full(count, 0.5)
-    family = _make_family(kind, a, b, declared_t_const=1.0)
-    return _attach_squares(family, kind, delta_exp, s=s, t=s, T=T, seed=seed, rng=rng, audit="auto")
+    family = _make_family("parabola", a, b, declared_t_const=1.0)
+    return _attach_squares(family, "parabola", delta_exp, s=s, t=s, T=T, seed=seed, rng=rng, audit="auto")
 
 
 # --------------------------------------------------------------------------
@@ -268,13 +267,12 @@ class NiceReport:
     measured: dict
 
 
-def verify_nice(conf: NiceConfiguration, samples: int = 9, max_curves: int | None = None) -> NiceReport:
+def verify_nice(conf: NiceConfiguration) -> NiceReport:
     """Re-check all nice-configuration invariants.
 
-    Graph intersection is tested by sampling each curve at ``samples``
-    points across the square's x-range and requiring some sample to land in
-    the square's half-open y-interval.  Curves are all checked unless
-    ``max_curves`` caps the sweep (deterministic stride).
+    Graph intersection is tested by sampling every curve at 9 points
+    across each of its squares' x-range and requiring some sample to land
+    in the square's half-open y-interval.
     """
     failures: list[str] = []
     n, M = conf.n_curves, conf.M
@@ -286,17 +284,12 @@ def verify_nice(conf: NiceConfiguration, samples: int = 9, max_curves: int | Non
         failures.append(f"curve {int(np.argmax(dup))}: |P(f)| != M (duplicate columns)")
     k = conf.delta_exp
     dl = side_of(k)
-    curve_ids = np.arange(n)
-    if max_curves is not None and n > max_curves:
-        curve_ids = np.linspace(0, n - 1, max_curves).astype(int)
-    offs = (np.arange(samples) + 0.5) / samples * dl
-    xs = (centers_of(conf.col_idx[curve_ids], k) - 0.5 * dl)[..., None] + offs
-    vals = conf.family.subfamily(curve_ids).evaluate(xs)
-    iy_hit = np.floor(np.ldexp(vals, k)).astype(np.int64)
-    missed = ~np.any(iy_hit == conf.iy[curve_ids][..., None], axis=2)
+    offs = (np.arange(9) + 0.5) / 9 * dl
+    xs = (centers_of(conf.col_idx, k) - 0.5 * dl)[..., None] + offs
+    iy_hit = cell_indices(conf.family.evaluate(xs), k)
+    missed = ~np.any(iy_hit == conf.iy[..., None], axis=2)
     if np.any(missed):
-        c, j = np.argwhere(missed)[0]
-        i = curve_ids[c]
+        i, j = np.argwhere(missed)[0]
         failures.append(
             f"square (ix={conf.col_idx[i][j]}, iy={conf.iy[i][j]}) misses the graph of curve {i}"
         )
@@ -340,22 +333,21 @@ def three_way_bound(delta_exp: int, s: float, t: float, M: int) -> float:
     return 2.0 ** exponent * M
 
 
-def furstenberg_experiment(conf: NiceConfiguration, t: float | None = None) -> ExperimentResult:
+def furstenberg_experiment(conf: NiceConfiguration) -> ExperimentResult:
     """Count |P| exactly and report the empirical exponent deficit.
 
     eta_emp = log_delta(|P| / bound) clamped at zero: zero means the
     configuration meets the three-way bound outright; positive values
     measure the shortfall in delta-exponents.
     """
-    t_used = conf.t if t is None else t
     P = conf.union_square_count()
-    bound = three_way_bound(conf.delta_exp, conf.s, t_used, conf.M)
+    bound = three_way_bound(conf.delta_exp, conf.s, conf.t, conf.M)
     eta = max(0.0, math.log2(bound / P) / conf.delta_exp)
     return ExperimentResult(
         kind=conf.kind,
         delta_exp=conf.delta_exp,
         s=conf.s,
-        t=t_used,
+        t=conf.t,
         T=conf.T,
         seed=conf.seed,
         F_size=conf.n_curves,
@@ -393,16 +385,19 @@ class EndpointReport:
     family_katz_tao_c: float
 
 
-def endpoint_checks(conf: NiceConfiguration, max_centers: int | None = 256) -> EndpointReport:
-    """Measure both endpoint-regime constants and ratios for one configuration."""
+def endpoint_checks(conf: NiceConfiguration) -> EndpointReport:
+    """Measure both endpoint-regime constants and ratios for one configuration.
+
+    The family's constants are maximised over a probe of 256 centers.
+    """
     P = conf.union_square_count()
     n, M, k = conf.n_curves, conf.M, conf.delta_exp
     dense_ratio = P / (2.0 ** k * M)
     kt_ratio = P / (n * M)
     images = conf.family.embedding_images()
     fam_set = DiscretePointSet(images, k)
-    c_dense = delta_set_constant(fam_set, min(2.0 - conf.s, 2.0), max_centers=max_centers)
-    c_kt = katz_tao_constant(fam_set, conf.s, max_centers=max_centers)
+    c_dense = delta_set_constant(fam_set, min(2.0 - conf.s, 2.0), max_centers=256)
+    c_kt = katz_tao_constant(fam_set, conf.s, max_centers=256)
 
     def eps_of(ratio: float) -> float:
         return math.log2(1.0 / ratio) / k if ratio > 0 else math.inf

@@ -524,11 +524,10 @@ class SquareFamily:
         return side_of(self.k)
 
     @classmethod
-    def grid(cls, k: int, x_range=(0.0, 1.0), y_range=(0.0, 1.0)) -> "SquareFamily":
-        """All level-k squares whose lower-left corner lies in the box [x0, x1) x [y0, y1)."""
-        sx = np.arange(math.ceil(math.ldexp(x_range[0], k)), math.ceil(math.ldexp(x_range[1], k)))
-        sy = np.arange(math.ceil(math.ldexp(y_range[0], k)), math.ceil(math.ldexp(y_range[1], k)))
-        gx, gy = np.meshgrid(sx, sy, indexing="ij")
+    def grid(cls, k: int) -> "SquareFamily":
+        """All level-k squares of the unit box [0, 1)^2."""
+        side = np.arange(1 << k)
+        gx, gy = np.meshgrid(side, side, indexing="ij")
         grid = cls.__new__(cls)  # the ix-major meshgrid is already sorted and distinct
         grid.k, grid.ix, grid.iy = int(k), gx.ravel(), gy.ravel()
         return grid

@@ -61,8 +61,6 @@ class CurveFunction:
     eval0: Callable
     eval1: Callable
     eval2: Callable
-    params: tuple = ()
-    family_tag: str = "custom"
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -100,8 +98,6 @@ def _parametric_curve(kind: str, a: float, b: float, interval, lead: float = 1.0
         eval0=lambda x: _kind_values(kind, a, b, lead, seed, x, 0),
         eval1=lambda x: _kind_values(kind, a, b, lead, seed, x, 1),
         eval2=lambda x: _kind_values(kind, a, b, lead, seed, x, 2),
-        params=(a, b, lead) if kind == "parabola" else (a, b),
-        family_tag=kind,
     )
 
 

@@ -9,6 +9,11 @@ x-coordinates lie on an arithmetic grid x0 + m/(hN) with N a power of two
 each frequency column l is one length-N DFT, computed by FFT; otherwise
 the whole grid is one complex matrix product.  Both are exact
 rearrangements of the direct sum, not approximations.
+
+Every measure here is a `dyadic.AtomicMeasure`; `CurveMeasure`, the lift
+of a base set onto a curve, also records its Frostman constant.
+`lp_norm_ball` and `decay_slope` share one ball-integral routine, which
+checks p, R and h once and runs one grid transform at the largest R.
 """
 
 from __future__ import annotations
@@ -26,52 +31,32 @@ from .family import DomainError
 # Curve measures
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveMeasure:
-    """An atomic measure supported on the graph {(x, g(x)) : x in [-1, 1]}."""
+class CurveMeasure(AtomicMeasure):
+    """An atomic measure supported on the graph {(x, g(x)) : x in [-1, 1]}.
 
-    measure: AtomicMeasure
-    s: float
-    frostman_c: float
-    delta_exp: int
+    Records its planar Frostman constant at exponent s, measured down to
+    scale 2^-delta_exp when the measure is built.
+    """
 
-    @property
-    def points(self) -> np.ndarray:
-        return self.measure.points
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.measure.weights
-
-    @property
-    def total_mass(self) -> float:
-        return self.measure.total_mass
-
-    def __len__(self) -> int:
-        return len(self.measure)
+    def __init__(self, points: np.ndarray, weights: np.ndarray, s: float, delta_exp: int):
+        super().__init__(points, weights)
+        self.s = s
+        self.delta_exp = delta_exp
+        self.frostman_c = frostman_constant(self, s, delta_exp, max_centers=256).best_constant
 
 
-def lift_measure(
-    g0,
-    base_points: np.ndarray,
-    base_weights: np.ndarray,
-    s: float,
-    delta_exp: int,
-) -> CurveMeasure:
+def lift_measure(g0, base_points: np.ndarray, base_weights: np.ndarray, s: float,
+                 delta_exp: int) -> CurveMeasure:
     """Lift a weighted base set on [-1, 1] to the graph of g.
 
-    Atoms become (x, g(x)) with the base weights; the planar Frostman
-    constant at exponent s is re-measured down to scale 2^-delta_exp and
-    recorded.  Total mass above 1 is an error.
+    Atoms become (x, g(x)) with the base weights.  Total mass above 1 is an
+    error.
     """
     xs = np.asarray(base_points, dtype=float).reshape(-1)
     ws = np.asarray(base_weights, dtype=float).reshape(-1)
     if np.any(xs < -1.0) or np.any(xs > 1.0):
         raise DomainError("base points must lie in [-1, 1]")
-    ys = np.asarray(g0(xs), dtype=float)
-    mu = AtomicMeasure(np.stack([xs, ys], axis=1), ws)
-    rep = frostman_constant(mu, s, delta_exp, max_centers=256)
-    return CurveMeasure(measure=mu, s=s, frostman_c=rep.best_constant, delta_exp=delta_exp)
+    return CurveMeasure(np.stack([xs, np.asarray(g0(xs), dtype=float)], axis=1), ws, s, delta_exp)
 
 
 def uniform_grid_lift(g0, delta_exp: int, s: float = 1.0) -> CurveMeasure:
@@ -103,11 +88,9 @@ def fourier_transform(sigma, xi) -> complex | np.ndarray:
 
 
 def _atoms_of(sigma) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(sigma, CurveMeasure):
-        return sigma.points, sigma.weights
-    if isinstance(sigma, AtomicMeasure):
-        return sigma.points, sigma.weights
-    raise DomainError(f"unsupported measure type {type(sigma)!r}")
+    if not isinstance(sigma, AtomicMeasure):
+        raise DomainError(f"unsupported measure type {type(sigma)!r}")
+    return sigma.points, sigma.weights
 
 
 MAX_GRID_STEP = 0.125
@@ -196,22 +179,33 @@ def _fft_transform_sq(ys, ws, n: int, h: float, m: np.ndarray, N: int) -> np.nda
     return mag2
 
 
+def _ball_integrals(sigma, p: float, R_list: tuple[float, ...], h: float) -> list[float]:
+    """Riemann sums of |sigma-hat|^p over the grid points of each closed ball B(R).
+
+    One grid transform at the largest R; each smaller ball sums its sub-grid,
+    so the integrals are mutually consistent.
+    """
+    if not (1 <= p < math.inf):  # nan fails too
+        raise DomainError(f"p must be finite and >= 1, got {p}")
+    for R in R_list:
+        if not (1 <= R < math.inf):
+            raise DomainError(f"R must be finite and >= 1, got {R}")
+    if not (0 < h <= MAX_GRID_STEP + 1e-15):
+        raise DomainError(f"grid step h={h} must be positive and <= {MAX_GRID_STEP}")
+    mag2, krange = _grid_transform_sq(sigma, max(R_list), h)
+    k2 = (krange[:, None] ** 2 + krange[None, :] ** 2) * h * h
+    magp = mag2 ** (p / 2.0)
+    return [float(np.sum(magp[k2 <= R * R * (1 + 1e-12)]) * h * h) for R in R_list]
+
+
 def lp_norm_ball(sigma, p: float, R: float, h: float = MAX_GRID_STEP) -> float:
     """Riemann sum of |sigma-hat|^p over the grid points of the closed ball B(R).
 
-    Grid step h must satisfy h <= 1/8 (support diameter <= 2 sqrt 2 keeps
-    the transform's oscillation scale well above that).
+    Needs finite p >= 1, finite R >= 1 and grid step 0 < h <= 1/8 (support
+    diameter <= 2 sqrt 2 keeps the transform's oscillation scale well above
+    that).
     """
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if R < 1:
-        raise DomainError(f"R must be >= 1, got {R}")
-    if h > MAX_GRID_STEP + 1e-15:
-        raise DomainError(f"grid step h={h} too large; need h <= {MAX_GRID_STEP}")
-    mag2, krange = _grid_transform_sq(sigma, R, h)
-    k2 = krange[:, None] ** 2 + krange[None, :] ** 2
-    mask = k2 * h * h <= R * R * (1 + 1e-12)
-    return float(np.sum(mag2[mask] ** (p / 2.0)) * h * h)
+    return _ball_integrals(sigma, p, (R,), h)[0]
 
 
 # --------------------------------------------------------------------------
@@ -243,32 +237,20 @@ class DecayReport:
 def decay_slope(sigma, p: float, R_list, h: float = MAX_GRID_STEP) -> DecayReport:
     """Least-squares slope of log2 lp_norm_ball against log2 R.
 
-    Needs at least three dyadic radii.  The grid transform is evaluated
-    once at max(R_list) and the smaller balls reuse its sub-grid, so the
-    integrals are mutually consistent.
+    Needs at least three increasing dyadic radii; p, R and h obey the rules
+    of `lp_norm_ball`.
     """
-    if not (1 <= p < math.inf):
-        raise DomainError(f"p must be finite and >= 1, got {p}")
     R_list = tuple(float(R) for R in R_list)
     if len(R_list) < 3:
         raise DomainError("need at least three R values")
     for R in R_list:
+        if not (0 < R < math.inf):  # before log2: it and round refuse these
+            raise DomainError(f"R values must be positive and finite, got {R}")
         e = math.log2(R)
         if abs(e - round(e)) > 1e-9:
             raise DomainError(f"R values must be dyadic, got {R}")
     if sorted(R_list) != list(R_list):
         raise DomainError("R values must be increasing")
-    R_max = R_list[-1]
-    if R_list[0] < 1:
-        raise DomainError("R values must be >= 1")
-    if h > MAX_GRID_STEP + 1e-15:
-        raise DomainError(f"grid step h={h} too large; need h <= {MAX_GRID_STEP}")
-    mag2, krange = _grid_transform_sq(sigma, R_max, h)
-    k2 = (krange[:, None] ** 2 + krange[None, :] ** 2) * h * h
-    magp = mag2 ** (p / 2.0)
-    integrals = []
-    for R in R_list:
-        mask = k2 <= R * R * (1 + 1e-12)
-        integrals.append(float(np.sum(magp[mask]) * h * h))
+    integrals = _ball_integrals(sigma, p, R_list, h)
     slope = float(np.polyfit(np.log2(np.asarray(R_list)), np.log2(np.asarray(integrals)), 1)[0])
     return DecayReport(p=p, h=h, R_list=R_list, integrals=tuple(integrals), slope=slope)

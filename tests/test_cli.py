@@ -233,6 +233,8 @@ ABBREVIATED = {"--seed", "--mast", "--sl"}
     (["incidence", "--delta-exp", "5,6", "--T", "5"], None),
     (["fourier", "--delta-exp", "6,7"], None),
     (["mainlem", "--delta-exp", "6,7", "--Delta-exp", "4"], None),
+    (["suite", "--delta-exp", "5"], None),
+    (["suite", "--T", "5"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -253,6 +255,18 @@ def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, 
         assert "delta exponent 6 " in err
     if argv[0] in cli.ONE_SCALE and "," in dict(zip(argv, argv[1:])).get("--delta-exp", ""):
         assert f"{argv[0]} runs at one scale" in err
+    if argv[0] == "suite" and argv[1] in ("--delta-exp", "--T"):
+        assert argv[1] in err
+
+
+@pytest.mark.parametrize("key", ["delta_exp", "T"])
+def test_suite_refuses_a_scale_key_in_a_config_file(tmp_path, capsys, key):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"{key} = 5\n")
+    assert run(["suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and key in err
+    assert not (tmp_path / "out").exists()
 
 
 #: (flag, value, RunConfig field, the field's value): one row per field

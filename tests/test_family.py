@@ -19,14 +19,6 @@ def parabola(a, b, interval=(-2.0, 2.0)):
     return fl.quadratic_translate_curve(a, b, interval, lead=0.5)
 
 
-def custom(curve):
-    """Strip the fast-path metadata so the generic grid path runs."""
-    return fl.CurveFunction(
-        curve.x_lo, curve.x_hi, curve.eval0, curve.eval1, curve.eval2,
-        params=curve.params, family_tag="custom",
-    )
-
-
 # -- C2 norm: the distance to the zero curve -----------------------------------
 
 def c2_norm(f):
@@ -97,8 +89,11 @@ def test_fast_path_matches_generic_grid():
         a1, a2 = rng.uniform(0, 1, 2)
         b1, b2 = rng.uniform(-1, 1, 2)
         f, g = parabola(a1, b1), parabola(a2, b2)
-        fam_fast = TransversalFamily([f, g], check_duplicates=False)
-        fam_slow = TransversalFamily([custom(f), custom(g)], check_duplicates=False)
+        fam_fast = TransversalFamily.parametric(
+            "parabola", [a1, a2], [b1, b2], (-2.0, 2.0), lead=0.5, check_duplicates=False
+        )
+        assert fam_fast.affine_difference_coeffs() is not None  # the affine shortcut runs
+        fam_slow = TransversalFamily([f, g], check_duplicates=False)  # closures: the grid path
         assert fam_fast.t_const == pytest.approx(fam_slow.t_const, rel=1e-9)
         assert fam_fast.min_pair_distance() == pytest.approx(
             fam_slow.min_pair_distance(), rel=1e-9

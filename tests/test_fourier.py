@@ -23,6 +23,8 @@ def parabola_lift(delta_exp=8):
 
 def test_lift_single_atom():
     cm = fo.lift_measure(lambda x: np.asarray(x) ** 2, np.array([0.5]), np.array([1.0]), 0.0, 6)
+    assert isinstance(cm, AtomicMeasure)
+    assert (cm.s, cm.delta_exp) == (0.0, 6)
     assert len(cm) == 1
     assert cm.frostman_c == 1.0
     assert cm.points[0, 1] == 0.25
@@ -116,7 +118,7 @@ def _assert_fft_path_matches_direct_sum(mu, R, h, samples=None):
 @pytest.mark.parametrize("h", [1 / 8, 1 / 16])
 @pytest.mark.parametrize("delta_exp, samples", [(4, None), (8, 2000)])
 def test_fft_path_uniform_lift(delta_exp, samples, h):
-    _assert_fft_path_matches_direct_sum(parabola_lift(delta_exp).measure, 8.0, h, samples)
+    _assert_fft_path_matches_direct_sum(parabola_lift(delta_exp), 8.0, h, samples)
 
 
 def test_fft_path_tree_set_lift():
@@ -125,7 +127,7 @@ def test_fft_path_tree_set_lift():
     xs = 2.0 * base.points[:, 0] - 1.0
     cm = fo.lift_measure(lambda x: np.asarray(x) ** 2, xs, np.full(len(xs), 2.0 ** (-k / 2)), 0.5, k)
     assert len(cm) < 2 ** k  # a gapped subset of the grid
-    _assert_fft_path_matches_direct_sum(cm.measure, 8.0, 1 / 8)
+    _assert_fft_path_matches_direct_sum(cm, 8.0, 1 / 8)
 
 
 def test_fft_path_atoms_sharing_an_x():
@@ -163,6 +165,19 @@ def test_lp_rejects_large_step():
         fo.lp_norm_ball(point_mass(), 2.0, 4.0, 0.3)
 
 
+def test_lp_rejects_bad_p_radius_and_step():
+    for p, R, h in ((math.nan, 4.0, 1 / 8), (math.inf, 4.0, 1 / 8),
+                    (2.0, math.nan, 1 / 8), (2.0, math.inf, 1 / 8), (2.0, 0.5, 1 / 8),
+                    (2.0, 4.0, 0.0), (2.0, 4.0, math.nan)):
+        with pytest.raises(DomainError):
+            fo.lp_norm_ball(point_mass(), p, R, h)
+
+
+def test_lp_rejects_non_measures():
+    with pytest.raises(DomainError):
+        fo.lp_norm_ball(np.array([[0.0, 0.0]]), 2.0, 4.0)
+
+
 def test_lp_quadrature_halving_stable():
     lift = parabola_lift()
     for R in (4.0, 16.0):
@@ -198,6 +213,9 @@ def test_decay_validates_radii():
         fo.decay_slope(point_mass(), 2.0, [4, 8, 12])      # not dyadic
     with pytest.raises(DomainError):
         fo.decay_slope(point_mass(), 2.0, [8, 4, 16])      # not increasing
+    for bad in (math.nan, math.inf, 0.0, -4.0):
+        with pytest.raises(DomainError):
+            fo.decay_slope(point_mass(), 2.0, [4, 8, bad])
 
 
 def test_decay_rejects_p_below_one_or_not_finite():
