@@ -106,7 +106,9 @@ class RunConfig:
 
 
 def _comma_list(parse):
-    return lambda text: tuple(parse(v) for v in text.split(",") if v != "")
+    """A comma-separated list; an empty text is the empty list, and an empty
+    element (a leading, trailing or doubled comma) fails to parse."""
+    return lambda text: tuple(parse(v) for v in text.split(",")) if text else ()
 
 
 #: every config key is a RunConfig field, parsed by the parser of its annotated type

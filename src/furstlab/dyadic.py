@@ -505,7 +505,7 @@ class SquareFamily:
     """A set of level-k dyadic squares stored as index arrays.
 
     The squares are distinct and sorted by (ix, iy), whatever order and
-    repeats the input has; the incidence kernel's binary searches rely on it.
+    repeats the input has; the incidence kernel's prefix-count lookup relies on it.
     """
 
     def __init__(self, k: int, ix: np.ndarray, iy: np.ndarray):

@@ -14,10 +14,11 @@ falls inside the run: row n hits above f(x) only if n + 1/2 < u + t
 exactly, and n + 1/2 is a float, so the rounded u + t is at least n + 1/2
 too (likewise below).  Each end is then settled by stepping inwards while
 its row misses, under the oracle's own expression and strict inequality,
-and two binary searches in the sorted squares count the run.  The cost
-does not depend on the threshold, and the counter agrees *exactly* with
-the brute-force oracle, which evaluates every (curve, square) pair
-directly, one curve closure at a time.
+and a prefix-count table over the sorted squares' keys gives the run's
+first square and length by two direct lookups.  The cost does not depend
+on the threshold, and the counter agrees *exactly* with the brute-force
+oracle, which evaluates every (curve, square) pair directly, one curve
+closure at a time.
 
 A run's squares are contiguous in the sorted squares, so the kernel
 collects each run as one row (curve, first square, length) rather than as
@@ -55,6 +56,11 @@ class IncidenceResult:
 #: to 1.5x slower
 STEP_BUDGET = 1 << 16
 
+#: int32 entries of one prefix-count table: the kernel builds it over as
+#: many columns at a time as fit (at least one), where the high-low squares
+#: at 2^-12, 4,096 columns by about 6,050 rows, would need 24.8M entries
+TABLE_BUDGET = 1 << 22
+
 
 def _trim_to_run(hits, fx, nearest, end):
     """Step each run-end estimate in ``end`` towards ``nearest`` while its row misses.
@@ -87,15 +93,13 @@ def _count_against_threshold(
         raise DomainError("the incidence threshold is nan")
     k = squares.k
     dl = side_of(k)
-    cols, col_of = np.unique(squares.ix, return_inverse=True)
-    xc = centers_of(cols, k)
+    # a SquareFamily is sorted by (ix, iy): each column is one block of squares
+    col_start = np.flatnonzero(np.diff(squares.ix, prepend=squares.ix[:1] - 1))
+    col_len = np.diff(col_start, append=len(squares))
+    xc = centers_of(squares.ix[col_start], k)
     iy_min = int(squares.iy.min()) if len(squares) else 0
     iy_max = int(squares.iy.max()) if len(squares) else 0
     span = iy_max - iy_min + 1
-    # a SquareFamily is sorted by (ix, iy), so its keys col*span + (iy-iy_min)
-    # are sorted too: the binary searches below rely on that order, and a
-    # key's position is its square's index
-    keys = col_of * span + (squares.iy - iy_min)
 
     def hits(iy, fx):  # the oracle's predicate, on the oracle's center expression
         return np.abs(centers_of(iy, k) - fx) < threshold
@@ -103,11 +107,23 @@ def _count_against_threshold(
     count = 0
     run_chunks: list[np.ndarray] = []
     t = threshold / dl  # the threshold in rows
-    col_chunk = max(1, min(len(cols), STEP_BUDGET))
+    col_chunk = max(1, min(len(xc), STEP_BUDGET, TABLE_BUDGET // (span + 1)))
     rows = max(1, STEP_BUDGET // col_chunk)
-    for start in range(0, len(cols), col_chunk):
+    table = np.empty(col_chunk * span + 1, dtype=np.int32)  # one buffer for every chunk
+    for start in range(0, len(xc), col_chunk):
         xs = xc[start:start + col_chunk]
-        col_keys = (np.arange(start, start + len(xs)) * span - iy_min)[None]
+        # the chunk's keys (column in chunk)*span + (iy - iy_min) are sorted
+        # and distinct, as the squares are, so first[key], the count of keys
+        # below key, is the chunk position of the first square at or after key
+        base = int(col_start[start])
+        keys = np.repeat(np.arange(len(xs)) * span, col_len[start:start + len(xs)])
+        keys += squares.iy[base:base + len(keys)] - iy_min
+        first = table[:len(xs) * span + 1]
+        first[:] = 0
+        first[1:][keys] = 1
+        np.cumsum(first, dtype=np.int32, out=first)
+        del keys
+        col_keys = (np.arange(len(xs)) * span - iy_min)[None]
         for r0 in range(0, len(family), rows):
             fx = family.subfamily(range(r0, min(r0 + rows, len(family)))).evaluate(xs[None])
             # the row in [iy_min, iy_max] nearest to f(x): hits lie in one run through it
@@ -117,15 +133,17 @@ def _count_against_threshold(
             hi = np.floor(np.clip(u + t - 0.5, nearest, iy_max)).astype(np.int64)
             lo = _trim_to_run(hits, fx, nearest, lo)
             hi = _trim_to_run(hits, fx, nearest, hi)
-            pos_lo = np.searchsorted(keys, col_keys + lo, "left")
-            n = np.searchsorted(keys, col_keys + hi, "right") - pos_lo
+            # the clips keep lo and hi in [iy_min, iy_max], so no index wraps round
+            pos_lo = first[col_keys + lo]
+            n = first[col_keys + hi + 1] - pos_lo
             n[~hits(nearest, fx)] = 0
             found = int(n.sum())
             count += found
             if collect and found:
                 run = np.flatnonzero(n)
                 curve = run // fx.shape[1] + r0
-                run_chunks.append(np.stack([curve, pos_lo.ravel()[run], n.ravel()[run]], axis=1))
+                run_chunks.append(np.stack(
+                    [curve, pos_lo.ravel()[run] + np.int64(base), n.ravel()[run]], axis=1))
     if not collect:
         return count, None
     return count, np.concatenate(run_chunks) if run_chunks else np.zeros((0, 3), dtype=np.int64)

@@ -235,6 +235,9 @@ ABBREVIATED = {"--seed", "--mast", "--sl"}
     (["mainlem", "--delta-exp", "6,7", "--Delta-exp", "4"], None),
     (["suite", "--delta-exp", "5"], None),
     (["suite", "--T", "5"], None),
+    (["fourier", "--R", "4,,8,16"], None),
+    (["highlow", "--delta-exp", "6,"], None),
+    (["highlow", "--S", ",8"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -257,6 +260,9 @@ def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, 
         assert f"{argv[0]} runs at one scale" in err
     if argv[0] == "suite" and argv[1] in ("--delta-exp", "--T"):
         assert argv[1] in err
+    for flag, value in zip(argv, argv[1:]):
+        if "," in value and "" in value.split(","):
+            assert flag in err
 
 
 @pytest.mark.parametrize("key", ["delta_exp", "T"])

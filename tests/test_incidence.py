@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from furstlab import config as cf
 from furstlab import dyadic as dy
 from furstlab import incidence as inc
 from furstlab.family import DomainError, EvaluationError
+from furstlab.famspace import family_cell_indices
 
 
 def zero_line():
@@ -305,6 +307,82 @@ def test_kernel_matches_oracle_at_any_threshold(kind, k, data):
     assert count == brute.count == len(pairs)
     assert np.array_equal(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], brute.pairs)
     assert inc._count_against_threshold(fam, P, thr, collect=False)[0] == brute.count
+
+
+# -- the prefix-count lookup at its edges ---------------------------------------------
+
+def _spread_squares_and_lines(seed, k=6):
+    """Sparse squares over [-1, 1]^2 with empty columns between occupied ones,
+    and lines whose runs reach the bottom row, the top row and the last square."""
+    rng = np.random.default_rng(seed)
+    ix = rng.integers(-(2 ** k), 2 ** k, 300) // 3 * 3  # two columns in three stay empty
+    iy = rng.integers(-(2 ** k), 2 ** k, 300)
+    top = int(iy.max())
+    ix = np.append(ix, [ix.min(), 2 ** k - 1, 2 ** k - 1])  # the last square tops the last column
+    iy = np.append(iy, [iy.min(), top - 1, top])
+    P = dy.SquareFamily(k, ix, iy)
+    assert (P.ix[-1], P.iy[-1]) == (2 ** k - 1, top)
+    rows = dy.centers_of(np.array([P.iy.min(), top, top - 1]), k)
+    a = np.concatenate([rng.uniform(-2.0, 2.0, 24), np.zeros(3)])
+    b = np.concatenate([rng.uniform(-1.0, 1.0, 24), rows])
+    fam = fl.TransversalFamily.parametric("affine", a, b, (-1.0, 1.0), check_duplicates=False)
+    return fam, P
+
+
+@pytest.mark.parametrize("cols_per_table", [None, 7, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prefix_count_lookup_matches_oracle_at_the_edges(monkeypatch, seed, cols_per_table):
+    fam, P = _spread_squares_and_lines(seed)
+    n_cols, span = len(np.unique(P.ix)), int(P.iy.max() - P.iy.min()) + 1
+    if cols_per_table is None:
+        assert n_cols * (span + 1) <= inc.TABLE_BUDGET  # one table, as built
+    else:
+        monkeypatch.setattr(inc, "TABLE_BUDGET", cols_per_table * (span + 1))
+        assert -(-n_cols // cols_per_table) >= 3
+    for lam in (2.0, 16.0):
+        brute = inc.incidences_bruteforce(fam, P, lam)
+        fast = inc.incidences(fam, P, lam)
+        assert fast.count == brute.count > 0
+        assert np.array_equal(fast.pairs, brute.pairs)
+        counts, cube_ids = inc.cube_incidence_counts(fam, P, 2, lam)
+        _, cube_of = np.unique(family_cell_indices(fam, 2), axis=0, return_inverse=True)
+        want = np.zeros((len(P), len(cube_ids)), dtype=np.int64)
+        np.add.at(want, (brute.pairs[:, 1], cube_of[brute.pairs[:, 0]]), 1)
+        assert np.array_equal(counts, want)
+    # past half the box, every run is clipped at both the bottom and the top row
+    for rows in (0.25, 2.0, 3.5, 2.0 ** 7):
+        thr = rows * P.delta
+        brute = inc.incidences_bruteforce(fam, P, 1.0, threshold=thr)
+        count, runs = inc._count_against_threshold(fam, P, thr, collect=True)
+        pairs = inc._expand_runs(runs)
+        assert count == brute.count == len(pairs)
+        assert np.array_equal(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], brute.pairs)
+        assert (runs[:, 1] + runs[:, 2]).max() <= len(P)
+    assert (runs[:, 1] + runs[:, 2]).max() == len(P)  # a run ends at the last square
+
+
+def test_prefix_count_table_stays_within_its_budget():
+    # 2^12 columns by 2^13 rows of [-1, 1]^2 would need a 128 MB table at
+    # once; the kernel builds at most TABLE_BUDGET entries at a time
+    rng = np.random.default_rng(5)
+    k, n_sq = 12, 20000
+    P = dy.SquareFamily(k, rng.integers(-(2 ** k), 2 ** k, n_sq) // 2 * 2,
+                        rng.integers(-(2 ** k), 2 ** k, n_sq))
+    fam = fl.TransversalFamily.parametric(
+        "affine", rng.uniform(-1.0, 1.0, 16), rng.uniform(-1.0, 1.0, 16), (-1.0, 1.0),
+        check_duplicates=False,
+    )
+    cells = len(np.unique(P.ix)) * (int(P.iy.max() - P.iy.min()) + 2)
+    assert cells > 6 * inc.TABLE_BUDGET and cells > 1000 * len(P)
+    thr = 8 * P.delta
+    tracemalloc.start()
+    try:
+        count, _ = inc._count_against_threshold(fam, P, thr, collect=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == inc.incidences_bruteforce(fam, P, 1.0, threshold=thr).count > 0
+    assert peak <= 4 * inc.TABLE_BUDGET + 64 * len(P) + 64 * inc.STEP_BUDGET
 
 
 def test_run_end_trimming_walks_any_distance():
