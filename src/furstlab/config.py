@@ -221,7 +221,21 @@ def _attach_squares(
 
 def _check_transversality(family: TransversalFamily, t_bound: float) -> None:
     """Check the estimated T against the declared bound, on the whole family
-    up to 512 curves and on an even-stride probe of 512 above."""
+    up to 512 curves and on an even-stride probe of 512 above.
+
+    For lines and parabola translates on WORK_INTERVAL the probe cannot
+    fail against AFFINE_DIFFERENCE_T.  A pair's difference is A*x + B, so
+    its grid defect is min_grid(|A*x + B| + |A|) / (max_grid |A*x + B| + |A|).
+    The grid holds both endpoints, where |A*x + B| takes its maximum, so the
+    denominator is the true C2 distance; the grid minimum is at least the
+    true infimum.  The grid defect is thus at least the true defect, which
+    is at least 1/5 (the comment at AFFINE_DIFFERENCE_T), and the estimate
+    max(1, 1/min defect) is at most 5, up to the float rounding that the
+    1e-9 tolerance below absorbs.  The probe still runs for every kind: it
+    is what catches a declared constant that does not fit the family, such
+    as AFFINE_DIFFERENCE_T after a change of WORK_INTERVAL or of a kind's
+    formula.
+    """
     n, probe = len(family), 512
     if n < 2:
         return

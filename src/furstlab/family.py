@@ -16,7 +16,9 @@ parametric kind as arrays (lines, translates of a parabola, translates of
 a convex seed); ``_kind_values`` is the one place that evaluates a kind.
 Lines and parabola translates get a fast pairwise path: the difference of
 any two members is an affine function of x, so pairwise grid quantities
-reduce to a handful of candidate grid points per pair.
+reduce to a handful of candidate grid points per pair, and the closest pair
+is found by a sorted window over the members' coefficients instead of by
+scoring every pair.
 """
 
 from __future__ import annotations
@@ -223,6 +225,58 @@ def transversality_defect(f: CurveFunction, g: CurveFunction, grid_n: int = DEFA
     return float(np.min(d0 + d1)) / denom
 
 
+def _ragged_pairs(start: np.ndarray, width: np.ndarray, chunk: int):
+    """Yield (i, j) index arrays of at most ``chunk`` pairs each that list,
+    row by row, i with j = start[i], ..., start[i] + width[i] - 1.
+
+    Each chunk [lo, hi) of the flattened list is generated from the rows it
+    overlaps, so the index memory is bounded by the chunk, not by the number
+    of pairs.
+    """
+    ends = np.cumsum(width)
+    shift = start - ends + width
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        r0, r1 = np.searchsorted(ends, [lo, hi - 1], side="right")
+        rows = np.arange(r0, r1 + 1)
+        i = np.repeat(rows, np.minimum(ends[rows], hi) - np.maximum(ends[rows] - width[rows], lo))
+        yield i, np.arange(lo, hi) + shift[i]
+
+
+def _window_pairs(window, w: float, chunk: int):
+    """Yield (i, j) arrays, i < j, that hold every pair whose affine C2
+    distance, as ``TransversalFamily._pair_formula`` computes it, is <= w.
+
+    ``window`` is ``TransversalFamily._window_order()``: the members' order
+    and their coordinates (alpha, beta_c) in that order, sorted by alpha, and
+    the scale S = max|alpha| * max(1, |x_lo|, |x_hi|) + max|beta|.  Here
+    beta_c = alpha * x_c + beta with x_c a point of the interval.  The
+    difference of two members is A*x + B on the interval, with C2 distance
+    |A| + max(|A*x_lo + B|, |A*x_hi + B|); that is at least |A| = |d alpha|
+    and at least |A*x_c + B| = |d beta_c|, because x_c lies between the
+    endpoints.  So a pair at distance <= w lies in the window |d alpha| <= w,
+    |d beta_c| <= w, found by ``searchsorted`` on the sorted alpha.
+
+    Float rounding: with u = eps/2, rounding moves the computed A, B,
+    A*x + B and beta_c by a few u times S or w, so a pair whose computed
+    distance is <= w has |d alpha| and computed |d beta_c| below
+    w + 12u*(S + w).  Computing the padded w and alpha + w rounds twice
+    more, by at most u*(S + w) each.  The window pads w by
+    16*eps*(S + w) = 32u*(S + w), more than all of these, so rounding cannot
+    drop a pair; a wider padding would only add candidates.
+    """
+    order, alpha, beta_c, scale = window
+    w += 16.0 * np.finfo(float).eps * (scale + w)
+    rows = np.arange(len(order))
+    end = np.searchsorted(alpha, alpha + w, side="right")
+    for p, q in _ragged_pairs(rows + 1, end - rows - 1, chunk):
+        keep = np.abs(beta_c[q] - beta_c[p]) <= w
+        if np.any(keep):
+            i, j = order[p[keep]], order[q[keep]]
+            yield np.minimum(i, j), np.maximum(i, j)
+
+
 def _affine_pair_min_max(alpha: np.ndarray, beta: np.ndarray, xs: np.ndarray):
     """Vectorised grid min/max of |alpha*x + beta| over grid xs, per pair.
 
@@ -268,6 +322,9 @@ class TransversalFamily:
 
     #: families larger than this skip the full O(n^2) duplicate scan
     FULL_PAIR_LIMIT = 4096
+    #: floats one chunk of the pairwise pass holds: grid values per pair on
+    #: the grid path, four candidate points per pair on the affine path
+    CHUNK_FLOATS = 1 << 22
 
     def __init__(
         self,
@@ -313,6 +370,8 @@ class TransversalFamily:
             raise DomainError(f"parameter arrays differ in length: {len(a)} and {len(b)}")
         if not len(a):
             raise DomainError("a family needs at least one curve")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and math.isfinite(lead)):
+            raise DomainError("member parameters must be finite")
         fam = cls.__new__(cls)
         fam.kind, fam.a, fam.b, fam.seed = kind, a, b, seed
         fam.lead = float(lead)
@@ -409,31 +468,19 @@ class TransversalFamily:
     # -- duplicate rejection -------------------------------------------------
 
     def _reject_duplicates(self) -> None:
-        n = len(self)
-        coeffs = self.affine_difference_coeffs()
-        if coeffs is not None:
-            order = np.lexsort(coeffs[::-1])
-            al, be = (c[order] for c in coeffs)
-            # a pair is a duplicate when |dalpha| and |dbeta| are both below
-            # the tolerance (for affine differences ||f-g|| >= max(|dalpha|,
-            # |dbeta|)).  Rows are sorted by (alpha, beta), so among rows of
-            # equal alpha the nearest beta is the next row: each row is
-            # compared with the next one and with every row of larger alpha
-            # up to 2 * DUPLICATE_TOL above its own
-            start = np.searchsorted(al, al, "right")
-            width = np.maximum(np.searchsorted(al, al + 2 * DUPLICATE_TOL, "left") - start, 0)
-            ii = np.concatenate([np.arange(n - 1), np.repeat(np.arange(n), width)])
-            jj = np.concatenate([np.arange(1, n), np.repeat(start - np.cumsum(width) + width, width)
-                                 + np.arange(width.sum())])
-            close = (np.abs(al[jj] - al[ii]) < DUPLICATE_TOL) & (np.abs(be[jj] - be[ii]) < DUPLICATE_TOL)
-            if np.any(close):
-                k = int(np.argmax(close))
-                i1, i2 = int(order[ii[k]]), int(order[jj[k]])
-                raise IdenticalCurvesError(f"duplicate curves at indices {i1} and {i2}")
+        """Raise IdenticalCurvesError naming the first pair at C2 distance
+        below DUPLICATE_TOL: among the sorted window's candidates for the
+        affine-difference kinds, among all pairs otherwise (up to
+        FULL_PAIR_LIMIT members)."""
+        if self.affine_difference_coeffs() is not None:
+            pair, chunk = self._pair_formula()
+            scored = ((ii, jj, pair(ii, jj)[1])
+                      for ii, jj in _window_pairs(self._window_order(), DUPLICATE_TOL, chunk))
+        elif len(self) > self.FULL_PAIR_LIMIT:
             return
-        if n > self.FULL_PAIR_LIMIT:
-            return
-        for ii, jj, _, dist in self.pairwise_defect_and_dist():
+        else:
+            scored = ((ii, jj, dist) for ii, jj, _, dist in self.pairwise_defect_and_dist())
+        for ii, jj, dist in scored:
             dup = dist < DUPLICATE_TOL
             if np.any(dup):
                 k = int(np.argmax(dup))
@@ -457,7 +504,7 @@ class TransversalFamily:
                 vmin, vmax = _affine_pair_min_max(a, be[ii] - be[jj], xs)
                 return vmin + np.abs(a), vmax + np.abs(a)
 
-            return pair, 1 << 20
+            return pair, self.CHUNK_FLOATS // 4
         v0, v1, v2 = (self.evaluate(xs[None], order) for order in range(3))
 
         def pair(ii, jj):
@@ -466,24 +513,54 @@ class TransversalFamily:
             d2 = np.abs(v2[ii] - v2[jj])
             return (d0 + d1).min(axis=1), (d0 + d1 + d2).max(axis=1)
 
-        return pair, max(1, (1 << 22) // len(xs))
+        return pair, max(1, self.CHUNK_FLOATS // len(xs))
+
+    def _window_order(self):
+        """(order, alpha, beta_c, scale) for ``_window_pairs``: the members
+        sorted by (alpha, beta_c), with (alpha, beta) from
+        ``affine_difference_coeffs`` and beta_c = alpha * x_c + beta, x_c = 0
+        when the interval holds 0 and its midpoint otherwise."""
+        al, be = self.affine_difference_coeffs()
+        lo, hi = self.interval
+        x_c = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
+        bc = al * x_c + be
+        order = np.lexsort((bc, al))
+        scale = float(np.abs(al).max()) * max(1.0, abs(lo), abs(hi)) + float(np.abs(be).max())
+        return order, al[order], bc[order], scale
 
     def pairwise_defect_and_dist(self):
-        """Yield (i, j, defect, dist) arrays over all pairs i < j, chunked."""
+        """Yield (i, j, defect, dist) arrays over all pairs i < j, chunked, in
+        the order of ``np.triu_indices(n, 1)``."""
         pair, chunk = self._pair_formula()
-        all_ii, all_jj = np.triu_indices(len(self), k=1)
-        for start in range(0, len(all_ii), chunk):
-            ii, jj = all_ii[start:start + chunk], all_jj[start:start + chunk]
+        rows = np.arange(len(self))
+        for ii, jj in _ragged_pairs(rows + 1, len(self) - 1 - rows, chunk):
             num, dist = pair(ii, jj)
             with np.errstate(divide="ignore", invalid="ignore"):
                 defect = np.where(dist > 0, num / np.where(dist == 0, 1.0, dist), np.inf)
             yield ii, jj, defect, dist
 
     def min_pair_distance(self) -> float:
+        """Least C2 grid distance between two members (inf below two).
+
+        The affine-difference kinds score the pairs adjacent in
+        ``_window_order`` to get an upper bound d, then only the pairs in
+        the window of width d around each member (``_window_pairs``), by the
+        same formula as the all-pairs pass: the result is the same float.
+        Other kinds score every pair.
+        """
         if self._min_pair is None:
             worst = math.inf
-            for _, _, _, dist in self.pairwise_defect_and_dist():
-                worst = min(worst, float(dist.min()))
+            if self.affine_difference_coeffs() is None or len(self) < 2:
+                for _, _, _, dist in self.pairwise_defect_and_dist():
+                    worst = min(worst, float(dist.min()))
+            else:
+                pair, chunk = self._pair_formula()
+                window = self._window_order()
+                order = window[0]
+                worst = float(pair(np.minimum(order[:-1], order[1:]),
+                                   np.maximum(order[:-1], order[1:]))[1].min())
+                for ii, jj in _window_pairs(window, worst, chunk):
+                    worst = min(worst, float(pair(ii, jj)[1].min()))
             self._min_pair = worst
         return self._min_pair
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,137 @@ def test_near_duplicate_rejected_at_construction():
         TransversalFamily.parametric("parabola", [0.5, 0.5 - 5e-14, 0.5], [0.0, 3e-13, 1.0], (-2.0, 2.0))
     # the same rows a tolerance apart construct
     TransversalFamily.parametric("affine", [0.0, 0.0, 2e-12], [0.0, 5.0, 0.0], (-2.0, 2.0))
+
+
+def test_near_duplicate_rejected_away_from_zero():
+    # on [5, 6] the members differ by -2e-13 x + 1.1e-12, 3e-13 in C2,
+    # though their intercepts are 1.1e-12 apart
+    with pytest.raises(IdenticalCurvesError, match="indices 0 and 1"):
+        TransversalFamily.parametric("affine", [0.0, -2e-13], [0.0, 1.1e-12], (5.0, 6.0))
+
+
+def test_nonfinite_parameters_rejected():
+    for a, b in (([0.0, np.nan], [0.0, 1.0]), ([0.0, 1.0], [np.inf, 1.0])):
+        with pytest.raises(DomainError, match="finite"):
+            TransversalFamily.parametric("affine", a, b, (-2.0, 2.0))
+
+
+# -- the sorted window against the all-pairs pass ----------------------------
+
+def _all_pairs_min(fam):
+    return min(float(dist.min()) for _, _, _, dist in fam.pairwise_defect_and_dist())
+
+
+@pytest.mark.parametrize("kind", ["affine", "parabola"])
+def test_window_min_equals_all_pairs_on_nice_configurations(kind):
+    for k in range(6, 11):
+        fam = fl.build_nice_configuration(kind, k, 0.5, 1.0, 1, k).family
+        assert fam.min_pair_distance() == _all_pairs_min(fam)
+
+
+def test_window_min_with_tied_slopes():
+    rng = np.random.default_rng(3)
+    a = rng.choice([-0.5, 0.0, 0.25], 200)
+    fam = TransversalFamily.parametric("affine", a, rng.uniform(-1, 1, 200), (-2.0, 2.0))
+    assert fam.min_pair_distance() == _all_pairs_min(fam)
+    # parallel parabola translates: one alpha for every member
+    fam = TransversalFamily.parametric("parabola", np.full(50, 0.5), rng.uniform(0, 1, 50),
+                                       (-2.0, 2.0), lead=0.5)
+    assert fam.min_pair_distance() == _all_pairs_min(fam)
+
+
+def test_window_min_when_the_closest_pair_is_far_apart_in_sort_order():
+    # members (0, 1), ..., (0, 100) sort between (0, 0) and (1e-3, 0), the
+    # closest pair, which is 101 rows apart
+    a = np.r_[0.0, np.zeros(100), 1e-3]
+    b = np.r_[0.0, np.arange(1.0, 101.0), 0.0]
+    fam = TransversalFamily.parametric("affine", a, b, (-2.0, 2.0))
+    order = np.lexsort((b, a))
+    assert abs(int(np.flatnonzero(order == 0)[0]) - int(np.flatnonzero(order == 101)[0])) == 101
+    assert fam.min_pair_distance() == _all_pairs_min(fam) == fam.subfamily([0, 101]).min_pair_distance()
+    # members 0 and 2 (3e-3 + 1 apart) are the closest pair; member 1 sorts
+    # between them, and the adjacent pairs' least distance 1.5015 is less
+    # than twice the closest pair's offset gap 1, so a window of half the
+    # width would miss it
+    fam = TransversalFamily.parametric("affine", [0.0, 5e-4, 1e-3], [0.0, -1.5, 1.0], (-2.0, 2.0))
+    assert fam.min_pair_distance() == _all_pairs_min(fam) == fam.subfamily([0, 2]).min_pair_distance()
+    # the same with the slope gap: on [0, 0.5] members 0 and 2 are 1.25
+    # apart with slopes 1 apart, the adjacent pairs 1.75
+    fam = TransversalFamily.parametric("affine", [0.0, 0.5, 1.0], [0.0, 1.0, -0.25], (0.0, 0.5))
+    assert fam.min_pair_distance() == _all_pairs_min(fam) == fam.subfamily([0, 2]).min_pair_distance()
+
+
+@pytest.mark.parametrize("interval", [(5.0, 6.0), (-7.0, -3.0), (0.5, 4.0)])
+def test_window_min_on_intervals_without_zero(interval):
+    rng = np.random.default_rng(11)
+    for trial in range(10):
+        n = int(rng.integers(2, 120))
+        a = np.round(rng.uniform(-1, 1, n), int(rng.integers(1, 4)))
+        kind = ("affine", "parabola")[trial % 2]
+        fam = TransversalFamily.parametric(kind, a, rng.uniform(-1, 1, n), interval,
+                                           lead=0.5, check_duplicates=False)
+        assert fam.min_pair_distance() == _all_pairs_min(fam)
+
+
+def test_window_min_of_two_members():
+    for kind in ("affine", "parabola"):
+        fam = TransversalFamily.parametric(kind, [0.3, -0.2], [0.1, 0.4], (1.0, 3.0))
+        assert fam.min_pair_distance() == _all_pairs_min(fam)
+    assert TransversalFamily.parametric("affine", [0.3], [0.1], (1.0, 3.0)).min_pair_distance() == math.inf
+
+
+# -- chunking of the grid path -----------------------------------------------
+
+def _convex_family(n, seed=0, **kw):
+    rng = np.random.default_rng(seed)
+    return TransversalFamily.parametric(
+        "convex", rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), (-2.0, 2.0),
+        seed=fl.quadratic_seed(0.5), grid_n=9, **kw,
+    )
+
+
+def test_grid_path_chunks_list_the_pairs_in_triu_order(monkeypatch):
+    monkeypatch.setattr(TransversalFamily, "CHUNK_FLOATS", 50)  # 5 pairs a chunk
+    fam = _convex_family(37)
+    chunks = [(ii, jj) for ii, jj, _, _ in fam.pairwise_defect_and_dist()]
+    assert len(chunks) > 1 and max(len(ii) for ii, _ in chunks) == 5
+    ii, jj = (np.concatenate(c) for c in zip(*chunks))
+    ti, tj = np.triu_indices(37, 1)
+    assert np.array_equal(ii, ti) and np.array_equal(jj, tj)
+
+
+def test_grid_path_names_the_first_duplicate_pair(monkeypatch):
+    monkeypatch.setattr(TransversalFamily, "CHUNK_FLOATS", 50)
+    rng = np.random.default_rng(2)
+    a, b = rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 12)
+    a[9], b[9] = a[5], b[5]
+    a[7], b[7] = a[3], b[3]
+    kw = dict(seed=fl.quadratic_seed(0.5), grid_n=9)
+    with pytest.raises(IdenticalCurvesError, match="indices 3 and 7"):
+        TransversalFamily.parametric("convex", a, b, (-2.0, 2.0), **kw)
+    fam = TransversalFamily.parametric("convex", a, b, (-2.0, 2.0), check_duplicates=False, **kw)
+    with pytest.raises(IdenticalCurvesError, match="indices 3 and 7"):
+        fam.t_const
+
+
+def test_grid_pass_memory_is_bounded_by_the_chunk(monkeypatch):
+    # all pairs' (i, j) at once would take 8 n (n - 1) bytes
+    monkeypatch.setattr(TransversalFamily, "CHUNK_FLOATS", 1 << 14)
+
+    def peak(n):
+        fam = _convex_family(n, check_duplicates=False)
+        tracemalloc.start()
+        try:
+            fl.estimate_transversality_constant(fam)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    chunk = (1 << 14) // 9
+    one_chunk = peak(int((1 + math.sqrt(1 + 8 * chunk)) / 2))  # about one chunk of pairs
+    n = 1000
+    assert 8 * n * (n - 1) >= 4 * one_chunk
+    assert peak(n) < 8 * n * (n - 1)
 
 
 def test_mismatched_intervals_rejected():
