@@ -66,7 +66,7 @@ def _make_family(
         raise ParameterError(f"unknown kind {kind!r}; expected one of {PARAMETRIC_KINDS}")
     if declared_t_const is None and kind != "convex":
         declared_t_const = AFFINE_DIFFERENCE_T
-    return TransversalFamily.parametric(
+    return TransversalFamily(
         kind, a, b - 1.0, WORK_INTERVAL, lead=PARABOLA_LEAD, seed=seed_curve,
         grid_n=grid_n, declared_t_const=declared_t_const, check_duplicates=False,
     )

@@ -11,9 +11,11 @@ are grid-resolution estimates: grid minima over-estimate true infima and
 grid maxima under-estimate true suprema, which makes the estimated T a
 *lower* bound of the true constant.
 
-A family either wraps a list of CurveFunction closures or stores one
-parametric kind as arrays (lines, translates of a parabola, translates of
-a convex seed); ``_kind_values`` is the one place that evaluates a kind.
+A family stores the members of one kind (lines, translates of a parabola,
+translates of a convex seed) as two parameter arrays; ``_kind_values`` is
+the one place that evaluates a kind.  A member is a CurveFunction only
+where a single curve is needed: the per-pair oracles (``c2_dist``,
+``transversality_defect``, ``intersection_components``) take those.
 Lines and parabola translates get a fast pairwise path: the difference of
 any two members is an affine function of x, so pairwise grid quantities
 reduce to a handful of candidate grid points per pair, and the closest pair
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -69,12 +71,12 @@ class CurveFunction:
         return (self.x_lo, self.x_hi)
 
 
-#: curve kinds a TransversalFamily can store as parameter arrays
+#: the curve kinds of a TransversalFamily
 PARAMETRIC_KINDS = ("affine", "parabola", "convex")
 
 
 def _kind_values(kind: str, a, b, lead: float, seed, x, order: int):
-    """f^(order)(x) for the member (a, b) of a parametric kind.
+    """f^(order)(x) for the member (a, b) of a kind.
 
     affine: f(x) = a*x + b; parabola: f(x) = lead*(x-a)^2 + b; convex:
     f(x) = g(x-a) + b with g the seed.  a and b broadcast against x.
@@ -92,8 +94,8 @@ def _kind_values(kind: str, a, b, lead: float, seed, x, order: int):
     return 2.0 * lead * ones
 
 
-def _parametric_curve(kind: str, a: float, b: float, interval, lead: float = 1.0, seed=None) -> CurveFunction:
-    """One member of a parametric kind as a CurveFunction."""
+def _member_curve(kind: str, a: float, b: float, interval, lead: float = 1.0, seed=None) -> CurveFunction:
+    """One member of a kind as a CurveFunction."""
     return CurveFunction(
         x_lo=float(interval[0]),
         x_hi=float(interval[1]),
@@ -105,7 +107,7 @@ def _parametric_curve(kind: str, a: float, b: float, interval, lead: float = 1.0
 
 def affine_curve(a: float, b: float, interval: tuple[float, float] = (-2.0, 2.0)) -> CurveFunction:
     """The line x -> a*x + b."""
-    return _parametric_curve("affine", float(a), float(b), interval)
+    return _member_curve("affine", float(a), float(b), interval)
 
 
 def quadratic_translate_curve(
@@ -115,7 +117,7 @@ def quadratic_translate_curve(
     lead: float = 1.0,
 ) -> CurveFunction:
     """Translate x -> lead*(x-a)^2 + b of the fixed parabola lead*x^2."""
-    return _parametric_curve("parabola", float(a), float(b), interval, lead=float(lead))
+    return _member_curve("parabola", float(a), float(b), interval, lead=float(lead))
 
 
 # --------------------------------------------------------------------------
@@ -305,13 +307,12 @@ def _affine_pair_min_max(alpha: np.ndarray, beta: np.ndarray, xs: np.ndarray):
 # --------------------------------------------------------------------------
 
 class TransversalFamily:
-    """A finite collection of curves over one shared interval.
+    """A finite collection of curves of one kind over one shared interval.
 
-    A family built from a list of CurveFunctions keeps the list and
-    evaluates its closures (``kind == "custom"``).  ``parametric`` builds a
-    family of one of PARAMETRIC_KINDS stored as the arrays ``a`` and ``b``
-    plus ``lead`` or ``seed``; its ``curves`` list is built on first use.
-    ``evaluate`` serves both forms.
+    The members of one of PARAMETRIC_KINDS are stored as the arrays ``a``
+    and ``b`` plus ``lead`` (parabola) or ``seed`` (convex), and ``evaluate``
+    evaluates them all at once.  ``curves``, the members as CurveFunctions
+    for the per-pair oracles, is built on first use.
 
     ``t_const`` (estimated transversality constant) is computed lazily and
     cached; ``declared_t_const`` lets structured generators install an
@@ -328,27 +329,6 @@ class TransversalFamily:
 
     def __init__(
         self,
-        curves: Sequence[CurveFunction],
-        grid_n: int = DEFAULT_GRID_N,
-        declared_t_const: float | None = None,
-        check_duplicates: bool = True,
-    ):
-        curves = list(curves)
-        if not curves:
-            raise DomainError("a family needs at least one curve")
-        iv = curves[0].interval
-        for c in curves[1:]:
-            if c.interval != iv:
-                raise DomainError(f"all curves must share one interval; got {iv} and {c.interval}")
-        self.kind = "custom"
-        self.a = self.b = self.seed = None
-        self.lead = 1.0
-        self._curves = curves
-        self._setup(iv, grid_n, declared_t_const, check_duplicates)
-
-    @classmethod
-    def parametric(
-        cls,
         kind: str,
         a,
         b,
@@ -358,8 +338,8 @@ class TransversalFamily:
         grid_n: int = DEFAULT_GRID_N,
         declared_t_const: float | None = None,
         check_duplicates: bool = True,
-    ) -> "TransversalFamily":
-        """Members (a[i], b[i]) of one parametric kind (see ``_kind_values``)."""
+    ):
+        """Members (a[i], b[i]) of one kind (see ``_kind_values``)."""
         if kind not in PARAMETRIC_KINDS:
             raise DomainError(f"unknown kind {kind!r}; expected one of {PARAMETRIC_KINDS}")
         if kind == "convex" and seed is None:
@@ -372,17 +352,12 @@ class TransversalFamily:
             raise DomainError("a family needs at least one curve")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and math.isfinite(lead)):
             raise DomainError("member parameters must be finite")
-        fam = cls.__new__(cls)
-        fam.kind, fam.a, fam.b, fam.seed = kind, a, b, seed
-        fam.lead = float(lead)
-        fam._curves = None
-        fam._setup((float(interval[0]), float(interval[1])), grid_n, declared_t_const, check_duplicates)
-        return fam
-
-    def _setup(self, interval, grid_n, declared_t_const, check_duplicates) -> None:
-        self.x_lo, self.x_hi = interval
+        self.kind, self.a, self.b, self.seed = kind, a, b, seed
+        self.lead = float(lead)
+        self.x_lo, self.x_hi = float(interval[0]), float(interval[1])
         self.grid_n = int(grid_n)
         self.declared_t_const = declared_t_const
+        self._curves: list[CurveFunction] | None = None
         self._t_const: float | None = None
         self._images: np.ndarray | None = None
         self._grid_cache: np.ndarray | None = None
@@ -396,13 +371,13 @@ class TransversalFamily:
     def curves(self) -> list[CurveFunction]:
         if self._curves is None:
             self._curves = [
-                _parametric_curve(self.kind, float(a), float(b), self.interval, self.lead, self.seed)
+                _member_curve(self.kind, float(a), float(b), self.interval, self.lead, self.seed)
                 for a, b in zip(self.a, self.b)
             ]
         return self._curves
 
     def __len__(self) -> int:
-        return len(self._curves) if self.kind == "custom" else len(self.a)
+        return len(self.a)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -420,11 +395,9 @@ class TransversalFamily:
 
     def subfamily(self, indices) -> "TransversalFamily":
         idx = np.asarray(list(indices), dtype=np.int64)
-        kw = dict(grid_n=self.grid_n, declared_t_const=self.declared_t_const, check_duplicates=False)
-        if self.kind == "custom":
-            return TransversalFamily([self._curves[i] for i in idx], **kw)
-        return TransversalFamily.parametric(
-            self.kind, self.a[idx], self.b[idx], self.interval, self.lead, self.seed, **kw
+        return TransversalFamily(
+            self.kind, self.a[idx], self.b[idx], self.interval, self.lead, self.seed,
+            grid_n=self.grid_n, declared_t_const=self.declared_t_const, check_duplicates=False,
         )
 
     def evaluate(self, x, order: int = 0) -> np.ndarray:
@@ -439,18 +412,11 @@ class TransversalFamily:
         n = len(self)
         if x.ndim == 0 or x.shape[0] not in (1, n):
             raise DomainError(f"x needs a leading curve axis of length 1 or {n}, got shape {x.shape}")
-        what = ("f", "f'", "f''")[order]
-        if self.kind == "custom":
-            rows = np.broadcast_to(x, (n,) + x.shape[1:])
-            return np.concatenate([
-                _eval_checked((c.eval0, c.eval1, c.eval2)[order], rows[i:i + 1], what)
-                for i, c in enumerate(self._curves)
-            ])
         col = (n,) + (1,) * (x.ndim - 1)
         vals = _kind_values(
             self.kind, self.a.reshape(col), self.b.reshape(col), self.lead, self.seed, x, order
         )
-        return _require_finite(vals, x, what)
+        return _require_finite(vals, x, ("f", "f'", "f''")[order])
 
     def affine_difference_coeffs(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(alpha, beta) with f_i - f_j = (alpha_i-alpha_j) x + (beta_i-beta_j).

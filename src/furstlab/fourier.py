@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import AtomicMeasure, frostman_constant, side_of
+from .dyadic import MAX_TREE_CELLS, AtomicMeasure, ParameterError, frostman_constant, side_of
 from .family import DomainError
 
 
@@ -60,10 +60,17 @@ def lift_measure(g0, base_points: np.ndarray, base_weights: np.ndarray, s: float
 
 
 def uniform_grid_lift(g0, delta_exp: int, s: float = 1.0) -> CurveMeasure:
-    """Equal weights on the delta-grid of [-1, 1], lifted to the graph of g."""
-    dl = side_of(delta_exp)
-    n = int(round(2.0 / dl)) + 1
-    xs = -1.0 + dl * np.arange(n)
+    """Equal weights on the delta-grid of [-1, 1], lifted to the graph of g.
+
+    Refuses more than MAX_TREE_CELLS atoms before allocating any.
+    """
+    n = 2 ** (delta_exp + 1) + 1
+    if n > MAX_TREE_CELLS:
+        raise ParameterError(
+            f"the delta-grid of [-1, 1] at delta=2^-{delta_exp} has {n} points, over the "
+            f"limit of {MAX_TREE_CELLS}"
+        )
+    xs = -1.0 + side_of(delta_exp) * np.arange(n)
     ws = np.full(n, 1.0 / n)
     return lift_measure(g0, xs, ws, s, delta_exp)
 

@@ -24,16 +24,13 @@ def report(num: int, name: str, t0: float, detail: str = "") -> None:
     print(f"\nACCEPTANCE {num} ({name}): PASS ({time.time() - t0:.1f}s){extra}")
 
 
-def parabola(a, b):
-    return fl.quadratic_translate_curve(a, b, (-2.0, 2.0), lead=0.5)
+def parabola_family(a, b, declared=None):
+    return fl.TransversalFamily("parabola", a, b, (-2.0, 2.0), lead=0.5,
+                                declared_t_const=declared, check_duplicates=False)
 
 
 def random_parabola_family(rng, n, declared=None):
-    return fl.TransversalFamily(
-        [parabola(a, b - 1.0) for a, b in zip(rng.uniform(0, 1, n), rng.uniform(0, 1, n))],
-        declared_t_const=declared,
-        check_duplicates=False,
-    )
+    return parabola_family(rng.uniform(0, 1, n), rng.uniform(0, 1, n) - 1.0, declared)
 
 
 # -- 1: incidence oracle equivalence ----------------------------------------------
@@ -48,8 +45,7 @@ def test_acceptance_01_oracle_equivalence():
         n_sq = int(rng.integers(16, 4097))   # squares <= 4096
         if trial % 2 == 0:
             fam = fl.TransversalFamily(
-                [fl.affine_curve(a, b - 1.0, (0.0, 1.0))
-                 for a, b in zip(rng.uniform(0, 1, n), rng.uniform(0, 1, n))],
+                "affine", rng.uniform(0, 1, n), rng.uniform(0, 1, n) - 1.0, (0.0, 1.0),
                 declared_t_const=5.0, check_duplicates=False,
             )
         else:
@@ -120,10 +116,7 @@ def test_acceptance_04_uniformization():
         idx = dy.generate_delta_set_indices(m * T, s, T, rng, dim=2, batch=1)[0]
         a = dy.centers_of(idx[:, 0], m * T)
         b = dy.centers_of(idx[:, 1], m * T)
-        fam = fl.TransversalFamily(
-            [parabola(ai, bi - 1.0) for ai, bi in zip(a, b)],
-            declared_t_const=cf.AFFINE_DIFFERENCE_T, check_duplicates=False,
-        )
+        fam = parabola_family(a, b - 1.0, declared=cf.AFFINE_DIFFERENCE_T)
         sub, st = fs.extract_uniform_subset(fam, T, m)
         uniform, counts = fs.audit_uniformity(sub, T, m)
         assert uniform and counts == st.N
@@ -143,8 +136,8 @@ def test_acceptance_05_intersection_structure():
     while tested < 100:
         a1, a2 = rng.uniform(0, 1, 2)
         b1, b2 = rng.uniform(-1, 0, 2)
-        f, g = parabola(a1, b1), parabola(a2, b2)
-        fam = fl.TransversalFamily([f, g], check_duplicates=False)
+        fam = parabola_family([a1, a2], [b1, b2])
+        f, g = fam.curves
         t_est = fam.t_const
         d = fl.c2_dist(f, g, grid_n)
         r = d / (4.0 * t_est) * float(rng.uniform(0.05, 0.95))

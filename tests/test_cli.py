@@ -238,6 +238,8 @@ ABBREVIATED = {"--seed", "--mast", "--sl"}
     (["fourier", "--R", "4,,8,16"], None),
     (["highlow", "--delta-exp", "6,"], None),
     (["highlow", "--S", ",8"], None),
+    (["fourier", "--delta-exp", "40"], None),
+    (["fourier", "--delta-exp", "25"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)

@@ -313,8 +313,7 @@ def test_mainlem_fold_counts_a_run_that_ends_at_the_last_square():
     # grid's last square, which the difference array closes in row |P|
     k = 5
     top = 1.0 - 2.0 ** -(k + 1)
-    fam = fl.TransversalFamily([fl.affine_curve(0.0, top, (0.0, 1.0)),
-                                fl.affine_curve(0.75, top - 0.75, (0.0, 1.0))],
+    fam = fl.TransversalFamily("affine", [0.0, 0.75], [top, top - 0.75], (0.0, 1.0),
                                check_duplicates=False)
     ev = cf.MainlemEvaluator(fam, k, 1, 1.0)
     dense, _ = cf.cube_incidence_counts(fam, ev.squares, 1)

@@ -89,12 +89,16 @@ def test_fast_path_matches_generic_grid():
     for _ in range(25):
         a1, a2 = rng.uniform(0, 1, 2)
         b1, b2 = rng.uniform(-1, 1, 2)
-        f, g = parabola(a1, b1), parabola(a2, b2)
-        fam_fast = TransversalFamily.parametric(
+        fam_fast = TransversalFamily(
             "parabola", [a1, a2], [b1, b2], (-2.0, 2.0), lead=0.5, check_duplicates=False
         )
         assert fam_fast.affine_difference_coeffs() is not None  # the affine shortcut runs
-        fam_slow = TransversalFamily([f, g], check_duplicates=False)  # closures: the grid path
+        # the same members as translates of the seed 0.5*x^2: the grid path
+        fam_slow = TransversalFamily(
+            "convex", [a1, a2], [b1, b2], (-2.0, 2.0), seed=fl.quadratic_seed(0.5),
+            check_duplicates=False,
+        )
+        assert fam_slow.affine_difference_coeffs() is None
         assert fam_fast.t_const == pytest.approx(fam_slow.t_const, rel=1e-9)
         assert fam_fast.min_pair_distance() == pytest.approx(
             fam_slow.min_pair_distance(), rel=1e-9
@@ -103,10 +107,13 @@ def test_fast_path_matches_generic_grid():
 
 # -- family-level estimate ---------------------------------------------------
 
+def _nine_lines():
+    a, b = np.meshgrid([0.0, 1.0, -1.0], [0.0, 0.5, -0.5], indexing="ij")
+    return TransversalFamily("affine", a, b, (0.0, 1.0))
+
+
 def test_estimate_affine_family_below_four():
-    fam = TransversalFamily(
-        [fl.affine_curve(a, b, (0.0, 1.0)) for a in (0.0, 1.0, -1.0) for b in (0.0, 0.5, -0.5)]
-    )
+    fam = _nine_lines()
     t = fl.estimate_transversality_constant(fam)
     assert t <= 4.0
     # frozen from the exhaustive pair/grid oracle: worst pair is slope gap 1,
@@ -115,8 +122,8 @@ def test_estimate_affine_family_below_four():
 
 
 def test_estimate_affine_family_oracle():
-    curves = [fl.affine_curve(a, b, (0.0, 1.0)) for a in (0.0, 1.0, -1.0) for b in (0.0, 0.5, -0.5)]
-    fam = TransversalFamily(curves)
+    fam = _nine_lines()
+    curves = fam.curves
     worst = math.inf
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
@@ -125,17 +132,13 @@ def test_estimate_affine_family_oracle():
 
 
 def test_estimate_single_slope_family():
-    fam = TransversalFamily(
-        [fl.affine_curve(1.0, b, (0.0, 1.0)) for b in np.arange(0, 1, 1 / 16)]
-    )
+    fam = TransversalFamily("affine", np.ones(16), np.arange(0, 1, 1 / 16), (0.0, 1.0))
     assert fl.estimate_transversality_constant(fam) == 1.0
 
 
 def test_estimate_duplicate_pair_error():
-    fam = TransversalFamily(
-        [fl.affine_curve(0.0, 0.0, (0.0, 1.0)), fl.affine_curve(1.0, 0.0, (0.0, 1.0))],
-    )
-    fam.curves.append(fam.curves[0])
+    fam = TransversalFamily("affine", [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], (0.0, 1.0),
+                            check_duplicates=False)
     with pytest.raises(IdenticalCurvesError, match="indices"):
         fl.estimate_transversality_constant(fam)
 
@@ -145,8 +148,8 @@ def test_two_parabola_translates_constant_translation_invariant():
     # must not move the estimate
     seed = fl.quadratic_seed()
     a, b = np.array([0.0, 0.4]), np.array([0.0, 0.3])
-    fam0 = TransversalFamily.parametric("convex", a, b, (-5.0, 5.0), seed=seed)
-    fam1 = TransversalFamily.parametric("convex", a + 0.5, b - 2.0, (-4.5, 5.5), seed=seed)
+    fam0 = TransversalFamily("convex", a, b, (-5.0, 5.0), seed=seed)
+    fam1 = TransversalFamily("convex", a + 0.5, b - 2.0, (-4.5, 5.5), seed=seed)
     assert fam0.t_const == pytest.approx(fam1.t_const, rel=1e-9)
 
 
@@ -164,11 +167,11 @@ def test_affine_pair_certified_floor():
         assert d >= 1.0 / 5.0 - 1e-12
 
 
-# -- convex translates: the convex kind of TransversalFamily.parametric ---------
+# -- convex translates: the convex kind of TransversalFamily -------------------
 
 def test_convex_translates_vertical_pair():
-    fam = TransversalFamily.parametric("convex", [0.0, 0.0], [0.0, 1.0], (-5.0, 5.0),
-                                       seed=fl.quadratic_seed())
+    fam = TransversalFamily("convex", [0.0, 0.0], [0.0, 1.0], (-5.0, 5.0),
+                            seed=fl.quadratic_seed())
     assert fl.transversality_defect(fam.curves[0], fam.curves[1]) == 1.0
 
 
@@ -178,8 +181,8 @@ def test_convex_translates_form28_comparability():
     # between |z1 - z2| and 15 |z1 - z2| for centers in [-1, 1]^2
     rng = np.random.default_rng(3)
     z = rng.uniform(-1, 1, (16, 2))
-    fam = TransversalFamily.parametric("convex", z[:, 0], z[:, 1], (-5.0, 5.0),
-                                       seed=fl.quadratic_seed())
+    fam = TransversalFamily("convex", z[:, 0], z[:, 1], (-5.0, 5.0),
+                            seed=fl.quadratic_seed())
     for i in range(len(z)):
         for j in range(i + 1, len(z)):
             (a1, b1), (a2, b2) = z[i], z[j]
@@ -192,8 +195,8 @@ def test_convex_translates_exp_translation_invariance():
     seed = fl.exp_seed()
     rng = np.random.default_rng(2)
     a, b = rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64)
-    fam0 = TransversalFamily.parametric("convex", a, b, (-5.0, 5.0), seed=seed)
-    fam10 = TransversalFamily.parametric("convex", a + 10.0, b, (5.0, 15.0), seed=seed)
+    fam0 = TransversalFamily("convex", a, b, (-5.0, 5.0), seed=seed)
+    fam10 = TransversalFamily("convex", a + 10.0, b, (5.0, 15.0), seed=seed)
     assert fam10.t_const == pytest.approx(fam0.t_const, rel=0.05)
 
 
@@ -248,10 +251,8 @@ def test_components_under_resolution_flag():
 
 def _random_parabola_family(seed, n=12):
     rng = np.random.default_rng(seed)
-    return TransversalFamily(
-        [parabola(a, b) for a, b in zip(rng.uniform(0, 1, n), rng.uniform(-1, 0, n))],
-        check_duplicates=False,
-    )
+    return TransversalFamily("parabola", rng.uniform(0, 1, n), rng.uniform(-1, 0, n), (-2.0, 2.0),
+                             lead=0.5, check_duplicates=False)
 
 
 def test_min_defect_times_t_is_at_least_one():
@@ -267,32 +268,32 @@ def test_min_defect_times_t_is_at_least_one():
 
 def test_duplicate_rejection_at_construction():
     with pytest.raises(IdenticalCurvesError):
-        TransversalFamily([fl.affine_curve(0.1, 0.2), fl.affine_curve(0.1, 0.2)])
+        TransversalFamily("affine", [0.1, 0.1], [0.2, 0.2], (-2.0, 2.0))
 
 
 def test_near_duplicate_rejected_at_construction():
     # members 0 and 2 are 4e-13 apart in C2 with member 1 between them in
     # (slope, intercept) order
     with pytest.raises(IdenticalCurvesError, match="indices 0 and 2"):
-        TransversalFamily.parametric("affine", [0.0, 0.0, 1e-13], [0.0, 5.0, 1e-13], (-2.0, 2.0))
+        TransversalFamily("affine", [0.0, 0.0, 1e-13], [0.0, 5.0, 1e-13], (-2.0, 2.0))
     # parabola translates carry alpha = -2a: member 1 sorts after member 2
     with pytest.raises(IdenticalCurvesError, match="indices 0 and 1"):
-        TransversalFamily.parametric("parabola", [0.5, 0.5 - 5e-14, 0.5], [0.0, 3e-13, 1.0], (-2.0, 2.0))
+        TransversalFamily("parabola", [0.5, 0.5 - 5e-14, 0.5], [0.0, 3e-13, 1.0], (-2.0, 2.0))
     # the same rows a tolerance apart construct
-    TransversalFamily.parametric("affine", [0.0, 0.0, 2e-12], [0.0, 5.0, 0.0], (-2.0, 2.0))
+    TransversalFamily("affine", [0.0, 0.0, 2e-12], [0.0, 5.0, 0.0], (-2.0, 2.0))
 
 
 def test_near_duplicate_rejected_away_from_zero():
     # on [5, 6] the members differ by -2e-13 x + 1.1e-12, 3e-13 in C2,
     # though their intercepts are 1.1e-12 apart
     with pytest.raises(IdenticalCurvesError, match="indices 0 and 1"):
-        TransversalFamily.parametric("affine", [0.0, -2e-13], [0.0, 1.1e-12], (5.0, 6.0))
+        TransversalFamily("affine", [0.0, -2e-13], [0.0, 1.1e-12], (5.0, 6.0))
 
 
 def test_nonfinite_parameters_rejected():
     for a, b in (([0.0, np.nan], [0.0, 1.0]), ([0.0, 1.0], [np.inf, 1.0])):
         with pytest.raises(DomainError, match="finite"):
-            TransversalFamily.parametric("affine", a, b, (-2.0, 2.0))
+            TransversalFamily("affine", a, b, (-2.0, 2.0))
 
 
 # -- the sorted window against the all-pairs pass ----------------------------
@@ -311,11 +312,11 @@ def test_window_min_equals_all_pairs_on_nice_configurations(kind):
 def test_window_min_with_tied_slopes():
     rng = np.random.default_rng(3)
     a = rng.choice([-0.5, 0.0, 0.25], 200)
-    fam = TransversalFamily.parametric("affine", a, rng.uniform(-1, 1, 200), (-2.0, 2.0))
+    fam = TransversalFamily("affine", a, rng.uniform(-1, 1, 200), (-2.0, 2.0))
     assert fam.min_pair_distance() == _all_pairs_min(fam)
     # parallel parabola translates: one alpha for every member
-    fam = TransversalFamily.parametric("parabola", np.full(50, 0.5), rng.uniform(0, 1, 50),
-                                       (-2.0, 2.0), lead=0.5)
+    fam = TransversalFamily("parabola", np.full(50, 0.5), rng.uniform(0, 1, 50),
+                            (-2.0, 2.0), lead=0.5)
     assert fam.min_pair_distance() == _all_pairs_min(fam)
 
 
@@ -324,7 +325,7 @@ def test_window_min_when_the_closest_pair_is_far_apart_in_sort_order():
     # closest pair, which is 101 rows apart
     a = np.r_[0.0, np.zeros(100), 1e-3]
     b = np.r_[0.0, np.arange(1.0, 101.0), 0.0]
-    fam = TransversalFamily.parametric("affine", a, b, (-2.0, 2.0))
+    fam = TransversalFamily("affine", a, b, (-2.0, 2.0))
     order = np.lexsort((b, a))
     assert abs(int(np.flatnonzero(order == 0)[0]) - int(np.flatnonzero(order == 101)[0])) == 101
     assert fam.min_pair_distance() == _all_pairs_min(fam) == fam.subfamily([0, 101]).min_pair_distance()
@@ -332,11 +333,11 @@ def test_window_min_when_the_closest_pair_is_far_apart_in_sort_order():
     # between them, and the adjacent pairs' least distance 1.5015 is less
     # than twice the closest pair's offset gap 1, so a window of half the
     # width would miss it
-    fam = TransversalFamily.parametric("affine", [0.0, 5e-4, 1e-3], [0.0, -1.5, 1.0], (-2.0, 2.0))
+    fam = TransversalFamily("affine", [0.0, 5e-4, 1e-3], [0.0, -1.5, 1.0], (-2.0, 2.0))
     assert fam.min_pair_distance() == _all_pairs_min(fam) == fam.subfamily([0, 2]).min_pair_distance()
     # the same with the slope gap: on [0, 0.5] members 0 and 2 are 1.25
     # apart with slopes 1 apart, the adjacent pairs 1.75
-    fam = TransversalFamily.parametric("affine", [0.0, 0.5, 1.0], [0.0, 1.0, -0.25], (0.0, 0.5))
+    fam = TransversalFamily("affine", [0.0, 0.5, 1.0], [0.0, 1.0, -0.25], (0.0, 0.5))
     assert fam.min_pair_distance() == _all_pairs_min(fam) == fam.subfamily([0, 2]).min_pair_distance()
 
 
@@ -347,23 +348,23 @@ def test_window_min_on_intervals_without_zero(interval):
         n = int(rng.integers(2, 120))
         a = np.round(rng.uniform(-1, 1, n), int(rng.integers(1, 4)))
         kind = ("affine", "parabola")[trial % 2]
-        fam = TransversalFamily.parametric(kind, a, rng.uniform(-1, 1, n), interval,
-                                           lead=0.5, check_duplicates=False)
+        fam = TransversalFamily(kind, a, rng.uniform(-1, 1, n), interval,
+                                lead=0.5, check_duplicates=False)
         assert fam.min_pair_distance() == _all_pairs_min(fam)
 
 
 def test_window_min_of_two_members():
     for kind in ("affine", "parabola"):
-        fam = TransversalFamily.parametric(kind, [0.3, -0.2], [0.1, 0.4], (1.0, 3.0))
+        fam = TransversalFamily(kind, [0.3, -0.2], [0.1, 0.4], (1.0, 3.0))
         assert fam.min_pair_distance() == _all_pairs_min(fam)
-    assert TransversalFamily.parametric("affine", [0.3], [0.1], (1.0, 3.0)).min_pair_distance() == math.inf
+    assert TransversalFamily("affine", [0.3], [0.1], (1.0, 3.0)).min_pair_distance() == math.inf
 
 
 # -- chunking of the grid path -----------------------------------------------
 
 def _convex_family(n, seed=0, **kw):
     rng = np.random.default_rng(seed)
-    return TransversalFamily.parametric(
+    return TransversalFamily(
         "convex", rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), (-2.0, 2.0),
         seed=fl.quadratic_seed(0.5), grid_n=9, **kw,
     )
@@ -387,8 +388,8 @@ def test_grid_path_names_the_first_duplicate_pair(monkeypatch):
     a[7], b[7] = a[3], b[3]
     kw = dict(seed=fl.quadratic_seed(0.5), grid_n=9)
     with pytest.raises(IdenticalCurvesError, match="indices 3 and 7"):
-        TransversalFamily.parametric("convex", a, b, (-2.0, 2.0), **kw)
-    fam = TransversalFamily.parametric("convex", a, b, (-2.0, 2.0), check_duplicates=False, **kw)
+        TransversalFamily("convex", a, b, (-2.0, 2.0), **kw)
+    fam = TransversalFamily("convex", a, b, (-2.0, 2.0), check_duplicates=False, **kw)
     with pytest.raises(IdenticalCurvesError, match="indices 3 and 7"):
         fam.t_const
 
@@ -414,10 +415,10 @@ def test_grid_pass_memory_is_bounded_by_the_chunk(monkeypatch):
 
 
 def test_mismatched_intervals_rejected():
-    with pytest.raises(DomainError, match="interval"):
-        TransversalFamily(
-            [fl.affine_curve(0.0, 0.0, (0.0, 1.0)), fl.affine_curve(1.0, 0.0, (0.0, 2.0))]
-        )
+    f, g = fl.affine_curve(0.0, 0.0, (0.0, 1.0)), fl.affine_curve(1.0, 0.0, (0.0, 2.0))
+    for pair_oracle in (c2_dist, fl.transversality_defect):
+        with pytest.raises(DomainError, match="interval"):
+            pair_oracle(f, g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -431,7 +432,7 @@ def test_embedding_inequality_affine(a1, b1, a2, b2):
     g = fl.affine_curve(a2, b2)
     if c2_dist(f, g) < 1e-9:
         return
-    fam = TransversalFamily([f, g], check_duplicates=False)
+    fam = TransversalFamily("affine", [a1, a2], [b1, b2], (-2.0, 2.0), check_duplicates=False)
     img = fam.embedding_images()
     gap = math.hypot(img[0, 0] - img[1, 0], img[0, 1] - img[1, 1])
     assert gap <= c2_dist(f, g) * (1 + 1e-12)

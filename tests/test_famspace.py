@@ -11,35 +11,26 @@ from furstlab import incidence as inc
 from furstlab.dyadic import ParameterError
 
 
-def parabola(a, b):
-    return fl.quadratic_translate_curve(a, b, (-2.0, 2.0), lead=0.5)
-
-
 def tree_family(seed, T=19, m=2, s=0.25):
     """Parabola translates whose parameters form a {2^-jT}-uniform tree."""
     rng = np.random.default_rng(seed)
     idx = dy.generate_delta_set_indices(m * T, s, T, rng, dim=2, batch=1)[0]
     a = dy.centers_of(idx[:, 0], m * T)
     b = dy.centers_of(idx[:, 1], m * T)
-    return fl.TransversalFamily(
-        [parabola(ai, bi - 1.0) for ai, bi in zip(a, b)],
-        declared_t_const=5.0,
-        check_duplicates=False,
-    )
+    return fl.TransversalFamily("parabola", a, b - 1.0, (-2.0, 2.0), lead=0.5,
+                                declared_t_const=5.0, check_duplicates=False)
 
 
 # -- embedding --------------------------------------------------------------------
 
 def test_embed_affine_images():
-    fam = fl.TransversalFamily(
-        [fl.affine_curve(1.0, 0.25, (0.0, 1.0)), fl.affine_curve(0.5, 0.0, (0.0, 1.0))]
-    )
+    fam = fl.TransversalFamily("affine", [1.0, 0.5], [0.25, 0.0], (0.0, 1.0))
     assert fam.midpoint_x() == 0.5
     np.testing.assert_allclose(fam.embedding_images(), [[0.75, 1.0], [0.25, 0.5]], atol=0)
 
 
 def test_embed_vertical_translates_differ_in_first_coordinate():
-    fam = fl.TransversalFamily([parabola(0.3, 0.0), parabola(0.3, 0.5)],
+    fam = fl.TransversalFamily("parabola", [0.3, 0.3], [0.0, 0.5], (-2.0, 2.0), lead=0.5,
                                check_duplicates=False)
     images = fam.embedding_images()
     assert images[0, 1] == images[1, 1]
@@ -57,17 +48,15 @@ def bilipschitz_ratios(fam):
 
 def test_embed_bilipschitz_random_family():
     rng = np.random.default_rng(0)
-    fam = fl.TransversalFamily(
-        [parabola(a, b - 1.0) for a, b in zip(rng.uniform(0, 1, 40), rng.uniform(0, 1, 40))],
-        check_duplicates=False,
-    )
+    fam = fl.TransversalFamily("parabola", rng.uniform(0, 1, 40), rng.uniform(0, 1, 40) - 1.0,
+                               (-2.0, 2.0), lead=0.5, check_duplicates=False)
     lower, upper = bilipschitz_ratios(fam)
     assert lower <= 1.0 + 1e-12
     assert upper <= 1.0 + 1e-6
 
 
 def test_embed_flags_bad_t_estimate():
-    fam = fl.TransversalFamily([parabola(0.2, 0.0), parabola(0.9, -0.5)],
+    fam = fl.TransversalFamily("parabola", [0.2, 0.9], [0.0, -0.5], (-2.0, 2.0), lead=0.5,
                                check_duplicates=False)
     assert bilipschitz_ratios(fam)[1] <= 1.0 + 1e-6
     fam.declared_t_const = 1.0  # deliberately too small: t_bound() reports it
@@ -77,7 +66,7 @@ def test_embed_flags_bad_t_estimate():
 # -- cubes ------------------------------------------------------------------------
 
 def test_single_curve_single_cube_every_level():
-    fam = fl.TransversalFamily([fl.affine_curve(0.3, 0.1, (0.0, 1.0))])
+    fam = fl.TransversalFamily("affine", [0.3], [0.1], (0.0, 1.0))
     for level in (-1, 0, 2, 5):
         assert fs.family_cube_count(fam, level) == 1
 
@@ -120,10 +109,8 @@ def test_covering_ratio_bracket():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(15, 50))
-        fam = fl.TransversalFamily(
-            [parabola(a, b - 1.0) for a, b in zip(rng.uniform(0, 1, n), rng.uniform(0, 1, n))],
-            check_duplicates=False,
-        )
+        fam = fl.TransversalFamily("parabola", rng.uniform(0, 1, n), rng.uniform(0, 1, n) - 1.0,
+                                   (-2.0, 2.0), lead=0.5, check_duplicates=False)
         t_est = fam.t_const
         dmat = fs.family_distance_matrix(fam)
         diam = dmat.max()
@@ -135,16 +122,13 @@ def test_covering_ratio_bracket():
             assert 1.0 / 16.0 <= ratio <= 40.0 * t_est ** 4
 
 
-@pytest.mark.parametrize("kind", ["affine", "parabola", "convex", "closures"])
+@pytest.mark.parametrize("kind", ["affine", "parabola", "convex"])
 def test_distance_row_equals_distance_matrix_row(kind):
     # each row of the pairwise matrix against c2_dist taken one pair at a time
     rng = np.random.default_rng(17)
     a, b = rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40)
-    if kind == "closures":
-        fam = fl.TransversalFamily([parabola(ai, bi) for ai, bi in zip(a, b)], grid_n=257)
-    else:
-        fam = fl.TransversalFamily.parametric(kind, a, b, (-2.0, 2.0), lead=0.5,
-                                              seed=fl.quadratic_seed(0.5), grid_n=257)
+    fam = fl.TransversalFamily(kind, a, b, (-2.0, 2.0), lead=0.5,
+                               seed=fl.quadratic_seed(0.5), grid_n=257)
     dmat = fs.family_distance_matrix(fam)
     for i in range(len(fam)):
         row = [fl.c2_dist(fam.curves[i], g, grid_n=257) for g in fam.curves]
@@ -177,8 +161,8 @@ def test_uniform_extraction_bound_and_audit():
 def pinned_parabola_family():
     rng = np.random.default_rng(1)
     a, b = rng.uniform(-1, 1, 3000), rng.uniform(-1, 1, 3000)
-    return fl.TransversalFamily.parametric("parabola", a, b, (-2.0, 2.0), lead=0.5,
-                                           declared_t_const=5.0, check_duplicates=False)
+    return fl.TransversalFamily("parabola", a, b, (-2.0, 2.0), lead=0.5,
+                                declared_t_const=5.0, check_duplicates=False)
 
 
 #: (tree_family seed or None for the parabola family, N, delta cells before,
@@ -213,10 +197,8 @@ def test_generator_branching_recovered_through_vertical_embedding():
     # numbers survive exactly
     T, m, s = 10, 2, 0.35
     pts = dy.generate_delta_set(T * m, s, T, seed=3)
-    fam = fl.TransversalFamily(
-        [fl.affine_curve(0.0, float(b), (0.0, 1.0)) for b in pts.points[:, 0]],
-        declared_t_const=1.0,
-    )
+    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0),
+                               declared_t_const=1.0)
     sub, st_ = fs.extract_uniform_subset(fam, T, m)
     assert len(sub) == len(fam)
     assert st_.N == (round(2 ** (s * T)),) * m
@@ -243,10 +225,8 @@ def test_branching_three_lipschitz_above_period_floor():
 def test_form38_on_uniform_family():
     T, m = 10, 2
     pts = dy.generate_delta_set(T * m, 0.35, T, seed=5)
-    fam = fl.TransversalFamily(
-        [fl.affine_curve(0.0, float(b), (0.0, 1.0)) for b in pts.points[:, 0]],
-        declared_t_const=1.0,
-    )
+    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0),
+                               declared_t_const=1.0)
     sub, st_ = fs.extract_uniform_subset(fam, T, m)
     K = fs.family_cube_count(sub, 0)  # the recorded constant
     for j in range(m + 1):
@@ -260,10 +240,8 @@ def test_superlinear_consistent_with_measured_set_class():
     # forward direction: superlinear branching caps the delta-set constant
     T, m, s = 10, 2, 0.35
     pts = dy.generate_delta_set(T * m, s, T, seed=8)
-    fam = fl.TransversalFamily(
-        [fl.affine_curve(0.0, float(b), (0.0, 1.0)) for b in pts.points[:, 0]],
-        declared_t_const=1.0,
-    )
+    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0),
+                               declared_t_const=1.0)
     sub, st_ = fs.extract_uniform_subset(fam, T, m)
     beta = branching_values(st_)
     sigma = beta[-1] / m
@@ -283,10 +261,8 @@ def test_superlinear_converse_from_measured_constant():
     # function above sigma*x - 2*eps*m with eps = log_delta(1/C)
     T, m, sigma = 10, 2, 0.35
     pts = dy.generate_delta_set(T * m, sigma, T, seed=12)
-    fam = fl.TransversalFamily(
-        [fl.affine_curve(0.0, float(b), (0.0, 1.0)) for b in pts.points[:, 0]],
-        declared_t_const=1.0,
-    )
+    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0),
+                               declared_t_const=1.0)
     sub, st_ = fs.extract_uniform_subset(fam, T, m)
     C = dy.delta_set_constant(DiscretePointsFrom(sub), sigma).best_constant
     eps_meas = math.log2(max(C, 1.0)) / (m * T)

@@ -15,16 +15,13 @@ from furstlab.famspace import family_cell_indices
 
 
 def zero_line():
-    return fl.TransversalFamily([fl.affine_curve(0.0, 0.0, (0.0, 1.0))])
+    return fl.TransversalFamily("affine", [0.0], [0.0], (0.0, 1.0))
 
 
 def random_line_family(seed, n=32, interval=(0.0, 1.0)):
     rng = np.random.default_rng(seed)
-    return fl.TransversalFamily(
-        [fl.affine_curve(a, b, interval) for a, b in zip(rng.uniform(0, 1, n), rng.uniform(0, 1, n))],
-        declared_t_const=5.0,
-        check_duplicates=False,
-    )
+    return fl.TransversalFamily("affine", rng.uniform(0, 1, n), rng.uniform(0, 1, n), interval,
+                                declared_t_const=5.0, check_duplicates=False)
 
 
 # -- counting ---------------------------------------------------------------------
@@ -69,9 +66,9 @@ def test_fast_equals_bruteforce_on_exact_boundaries():
     # exactly; the strict inequality must resolve identically on both paths
     k = 4
     dl = 2.0 ** -k
-    curves = [fl.affine_curve(a, b, (0.0, 1.0))
-              for a in (0.0, 0.5, 1.0) for b in (0.0, dl, 1.5 * dl, 2.0 * dl)]
-    fam = fl.TransversalFamily(curves, declared_t_const=5.0, check_duplicates=False)
+    a, b = np.meshgrid([0.0, 0.5, 1.0], [0.0, dl, 1.5 * dl, 2.0 * dl], indexing="ij")
+    fam = fl.TransversalFamily("affine", a, b, (0.0, 1.0), declared_t_const=5.0,
+                               check_duplicates=False)
     P = dy.SquareFamily.grid(k)
     for lam in (1.0, 1.5, 2.0, 3.0):
         fast = inc.incidences(fam, P, lam)
@@ -131,10 +128,8 @@ def test_high_low_range_validation():
 
 
 def test_high_low_separation_check():
-    close = fl.TransversalFamily(
-        [fl.affine_curve(0.0, 0.0, (0.0, 1.0)), fl.affine_curve(0.0, 1e-6, (0.0, 1.0))],
-        check_duplicates=False,
-    )
+    close = fl.TransversalFamily("affine", [0.0, 0.0], [0.0, 1e-6], (0.0, 1.0),
+                                 check_duplicates=False)
     P = dy.SquareFamily.grid(5)
     with pytest.raises(DomainError, match="separated"):
         inc.high_low_report(close, P, 2.0, 8.0, 0)
@@ -168,7 +163,7 @@ def test_high_low_refuses_an_lhs_above_the_coarse_count():
 # -- N_{Delta,b} ------------------------------------------------------------------------
 
 def test_n_delta_b_single_curve():
-    fam = fl.TransversalFamily([fl.affine_curve(0.0, 0.5, (0.0, 1.0))])
+    fam = fl.TransversalFamily("affine", [0.0], [0.5], (0.0, 1.0))
     k = 5
     iy = int(math.floor(0.5 * 2 ** k))
     p = dy.SquareFamily(k, [3], [iy])
@@ -219,11 +214,10 @@ def test_array_family_matches_closures(kind):
     n, k = 40, 7
     a, b = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
     if kind == "convex":
-        fam = fl.TransversalFamily.parametric("convex", a, b - 3.0, (-4.5, 5.5), seed=fl.exp_seed())
+        fam = fl.TransversalFamily("convex", a, b - 3.0, (-4.5, 5.5), seed=fl.exp_seed())
     else:
-        fam = fl.TransversalFamily.parametric(kind, a, b - 1.0, (-2.0, 2.0), lead=0.5)
-    closures = fl.TransversalFamily(list(fam.curves))
-    assert closures.kind == "custom" and fam.kind == kind
+        fam = fl.TransversalFamily(kind, a, b - 1.0, (-2.0, 2.0), lead=0.5)
+    curves = fam.curves
     shared = np.linspace(0.0, 1.0, 33)
     per_curve = rng.uniform(0.0, 1.0, (n, 5))
     for order in range(3):
@@ -231,30 +225,34 @@ def test_array_family_matches_closures(kind):
             rows = np.broadcast_to(x, (n,) + x.shape[1:])
             want = np.stack([
                 np.broadcast_to((c.eval0, c.eval1, c.eval2)[order](rows[i]), x.shape[1:])
-                for i, c in enumerate(fam.curves)
+                for i, c in enumerate(curves)
             ])
             assert np.array_equal(fam.evaluate(x, order), want)
-            assert np.array_equal(closures.evaluate(x, order), want)
     P = dy.SquareFamily(k, rng.integers(0, 2 ** k, 3000), rng.integers(-(2 ** k), 2 ** (k + 1), 3000))
     for lam in (2.0, 16.0):
         fast = inc.incidences(fam, P, lam)
         assert fast.count > 0
-        assert np.array_equal(fast.pairs, inc.incidences(closures, P, lam).pairs)
         assert np.array_equal(fast.pairs, inc.incidences_bruteforce(fam, P, lam).pairs)
-    assert np.array_equal(fam.embedding_images(), closures.embedding_images())
-    # the affine-difference pairwise path agrees with the grid path
-    assert fam.t_const == pytest.approx(closures.t_const, rel=1e-9)
-    assert fam.min_pair_distance() == pytest.approx(closures.min_pair_distance(), rel=1e-9)
+    x0 = fam.midpoint_x()
+    want = [[float(c.eval0(x0)), float(c.eval1(x0))] for c in curves]
+    assert np.array_equal(fam.embedding_images(), want)
+    # the pairwise pass (the affine shortcut for lines and parabola
+    # translates) agrees with the per-pair oracles on every pair
+    pairs = [(curves[i], curves[j]) for i in range(n) for j in range(i + 1, n)]
+    worst = min(fl.transversality_defect(f, g) for f, g in pairs)
+    assert fam.t_const == pytest.approx(max(1.0, 1.0 / worst), rel=1e-9)
+    assert fam.min_pair_distance() == pytest.approx(min(fl.c2_dist(f, g) for f, g in pairs), rel=1e-9)
 
 
 def test_non_finite_curve_value_is_rejected():
-    nan_at_half = fl.CurveFunction(
-        0.0, 1.0,
-        lambda x: np.where(np.asarray(x) > 0.5, np.nan, 0.25),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    def zero(x):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    nan_at_half = fl.ConvexSeed(
+        g0=lambda x: np.where(np.asarray(x) > 0.5, np.nan, 0.25),
+        g1=zero, g2=zero, g3=zero, frak_G=1.0, frak_g=1.0, name="nan above 1/2",
     )
-    fam = fl.TransversalFamily([fl.affine_curve(0.0, 0.5, (0.0, 1.0)), nan_at_half],
+    fam = fl.TransversalFamily("convex", [0.0, 0.0], [0.25, 0.0], (0.0, 1.0), seed=nan_at_half,
                                check_duplicates=False)
     P = dy.SquareFamily.grid(4)
     with pytest.raises(EvaluationError, match="x="):
@@ -274,19 +272,14 @@ def _dyadic_or_float(k):
 
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["affine", "parabola", "closures"]), k=st.integers(2, 7), data=st.data())
+@given(kind=st.sampled_from(["affine", "parabola", "convex"]), k=st.integers(2, 7), data=st.data())
 def test_kernel_matches_oracle_at_any_threshold(kind, k, data):
     n = data.draw(st.integers(1, 10))
     a = np.array(data.draw(st.lists(_dyadic_or_float(k), min_size=n, max_size=n)))
     b = np.array(data.draw(st.lists(_dyadic_or_float(k), min_size=n, max_size=n)))
-    if kind == "closures":
-        fam = fl.TransversalFamily(
-            [(fl.affine_curve(ai, bi) if i % 2 else fl.quadratic_translate_curve(ai, bi, lead=0.5))
-             for i, (ai, bi) in enumerate(zip(a, b))],
-            check_duplicates=False,
-        )
-    else:
-        fam = fl.TransversalFamily.parametric(kind, a, b, (-2.0, 2.0), lead=0.5, check_duplicates=False)
+    # convex: the parabola kind's members, evaluated through the seed 0.5*x^2
+    fam = fl.TransversalFamily(kind, a, b, (-2.0, 2.0), lead=0.5, seed=fl.quadratic_seed(0.5),
+                               check_duplicates=False)
     # columns across the interval; rows well beyond the curves' range
     m = data.draw(st.integers(1, 300))
     ix = data.draw(st.lists(st.integers(-(2 ** (k + 1)), 2 ** (k + 1) - 1), min_size=m, max_size=m))
@@ -325,7 +318,7 @@ def _spread_squares_and_lines(seed, k=6):
     rows = dy.centers_of(np.array([P.iy.min(), top, top - 1]), k)
     a = np.concatenate([rng.uniform(-2.0, 2.0, 24), np.zeros(3)])
     b = np.concatenate([rng.uniform(-1.0, 1.0, 24), rows])
-    fam = fl.TransversalFamily.parametric("affine", a, b, (-1.0, 1.0), check_duplicates=False)
+    fam = fl.TransversalFamily("affine", a, b, (-1.0, 1.0), check_duplicates=False)
     return fam, P
 
 
@@ -368,7 +361,7 @@ def test_prefix_count_table_stays_within_its_budget():
     k, n_sq = 12, 20000
     P = dy.SquareFamily(k, rng.integers(-(2 ** k), 2 ** k, n_sq) // 2 * 2,
                         rng.integers(-(2 ** k), 2 ** k, n_sq))
-    fam = fl.TransversalFamily.parametric(
+    fam = fl.TransversalFamily(
         "affine", rng.uniform(-1.0, 1.0, 16), rng.uniform(-1.0, 1.0, 16), (-1.0, 1.0),
         check_duplicates=False,
     )
