@@ -31,17 +31,11 @@ from .dyadic import (
     katz_tao_constant,
     side_of,
 )
-from .family import DEFAULT_GRID_N, PARAMETRIC_KINDS, DomainError, TransversalFamily
+from .family import DEFAULT_GRID_N, PARAMETRIC_KINDS, TransversalFamily
 from .famspace import family_cell_indices
 from .incidence import STEP_BUDGET, check_lambda_delta, cube_incidence_counts
 
 WORK_INTERVAL = (-2.0, 2.0)
-
-#: certified transversality bound on [-2,2] for families whose pairwise
-#: differences are affine in x (lines; translates of a fixed quadratic):
-#: with A=|slope gap|, B=|offset gap|, the defect
-#: (max(0,B-2A)+A)/(B+3A) is minimised at B=2A with value 1/5.
-AFFINE_DIFFERENCE_T = 5.0
 
 #: the parabola kind's members are translates of 0.5*x^2
 PARABOLA_LEAD = 0.5
@@ -52,23 +46,19 @@ def _make_family(
     a: np.ndarray,
     b: np.ndarray,
     seed_curve=None,
-    declared_t_const: float | None = None,
     grid_n: int = DEFAULT_GRID_N,
 ) -> TransversalFamily:
     """Map parameter-plane points to a family on the working interval.
 
     Values over the column range [0, 1) land in [-1, 1) for the built-in
     kinds (intercepts are shifted down by 1), so the attached squares stay
-    inside [-1, 1]^2.  Lines and parabola translates declare the certified
-    AFFINE_DIFFERENCE_T unless the caller declares a tighter constant.
+    inside [-1, 1]^2.
     """
     if kind not in PARAMETRIC_KINDS:
         raise ParameterError(f"unknown kind {kind!r}; expected one of {PARAMETRIC_KINDS}")
-    if declared_t_const is None and kind != "convex":
-        declared_t_const = AFFINE_DIFFERENCE_T
     return TransversalFamily(
         kind, a, b - 1.0, WORK_INTERVAL, lead=PARABOLA_LEAD, seed=seed_curve,
-        grid_n=grid_n, declared_t_const=declared_t_const, check_duplicates=False,
+        grid_n=grid_n, check_duplicates=False,
     )
 
 
@@ -168,8 +158,9 @@ def build_nice_configuration(
     (slope/intercept resp. translation center), mapped to curves on
     [-2, 2]; each curve's squares sit on an independent 1-D (delta, s)-tree
     of x-columns (``correlated=True`` shares one column set across curves,
-    a stress mode that shrinks |P|).  Raises if the mapped family fails the
-    declared transversality bound.
+    a stress mode that shrinks |P|).  Lines and parabola translates carry
+    the certified ``t_bound()`` of 1 + |I|; a convex family is estimated in
+    full, which raises if two members coincide or touch.
     """
     if not (0 <= s <= 1):
         raise ParameterError(f"s must lie in [0, 1], got {s}")
@@ -182,9 +173,7 @@ def build_nice_configuration(
     family = _make_family(
         kind, a, b, seed_curve, grid_n=DEFAULT_GRID_N if grid_n is None else grid_n
     )
-    t_bound = family.t_bound()
-    _check_transversality(family, t_bound)
-
+    family.t_bound()  # a convex family's full estimate: raises on coinciding members
     return _attach_squares(family, kind, delta_exp, s, t, T, seed, rng, audit, correlated)
 
 
@@ -219,35 +208,6 @@ def _attach_squares(
     return conf
 
 
-def _check_transversality(family: TransversalFamily, t_bound: float) -> None:
-    """Check the estimated T against the declared bound, on the whole family
-    up to 512 curves and on an even-stride probe of 512 above.
-
-    For lines and parabola translates on WORK_INTERVAL the probe cannot
-    fail against AFFINE_DIFFERENCE_T.  A pair's difference is A*x + B, so
-    its grid defect is min_grid(|A*x + B| + |A|) / (max_grid |A*x + B| + |A|).
-    The grid holds both endpoints, where |A*x + B| takes its maximum, so the
-    denominator is the true C2 distance; the grid minimum is at least the
-    true infimum.  The grid defect is thus at least the true defect, which
-    is at least 1/5 (the comment at AFFINE_DIFFERENCE_T), and the estimate
-    max(1, 1/min defect) is at most 5, up to the float rounding that the
-    1e-9 tolerance below absorbs.  The probe still runs for every kind: it
-    is what catches a declared constant that does not fit the family, such
-    as AFFINE_DIFFERENCE_T after a change of WORK_INTERVAL or of a kind's
-    formula.
-    """
-    n, probe = len(family), 512
-    if n < 2:
-        return
-    sub = family if n <= probe else family.subfamily(np.linspace(0, n - 1, probe).astype(int))
-    est = sub.t_const
-    if est > t_bound * (1 + 1e-9):
-        raise DomainError(
-            f"parameter set maps to a non-transversal family: estimated T {est} "
-            f"on {len(sub)} of {n} curves exceeds the declared bound {t_bound}"
-        )
-
-
 def build_parallel_translate_configuration(
     delta_exp: int,
     s: float,
@@ -265,7 +225,7 @@ def build_parallel_translate_configuration(
     rng = np.random.default_rng(seed)
     b = (np.arange(count) + 0.5) / count
     a = np.full(count, 0.5)
-    family = _make_family("parabola", a, b, declared_t_const=1.0)
+    family = _make_family("parabola", a, b)
     return _attach_squares(family, "parabola", delta_exp, s=s, t=s, T=T, seed=seed, rng=rng, audit="auto")
 
 
@@ -558,6 +518,8 @@ class MainlemEvaluator:
         eps: float,
         lam: float = 2.0,
     ):
+        if not 0 < eps <= 1:
+            raise ParameterError(f"eps must be in (0, 1], got {eps}")
         inv = 1.0 / eps
         if abs(inv - round(inv)) > 1e-9:
             raise ParameterError(f"eps must be the reciprocal of an integer, got {eps}")

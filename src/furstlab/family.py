@@ -41,7 +41,7 @@ class EvaluationError(ValueError):
 
 
 class IdenticalCurvesError(ValueError):
-    """Two curves at C2 distance below the duplicate tolerance."""
+    """Two curves at C2 distance at most the duplicate tolerance."""
 
 
 class DomainError(ValueError):
@@ -175,8 +175,11 @@ def exp_seed() -> ConvexSeed:
 # --------------------------------------------------------------------------
 
 def _grid(x_lo: float, x_hi: float, grid_n: int) -> np.ndarray:
-    if grid_n < 2:
-        raise DomainError(f"grid_n must be >= 2, got {grid_n}")
+    if not 2 <= grid_n <= TransversalFamily.CHUNK_FLOATS:
+        raise DomainError(
+            f"grid_n must lie in [2, {TransversalFamily.CHUNK_FLOATS}], got {grid_n}: "
+            "a longer grid does not fit one pairwise chunk"
+        )
     return np.linspace(x_lo, x_hi, grid_n)
 
 
@@ -223,7 +226,7 @@ def transversality_defect(f: CurveFunction, g: CurveFunction, grid_n: int = DEFA
     d2 = np.abs(_eval_checked(f.eval2, xs, "f''") - _eval_checked(g.eval2, xs, "g''"))
     denom = float(np.max(d0 + d1 + d2))
     if denom <= DUPLICATE_TOL:
-        raise IdenticalCurvesError("curves are identical (C2 distance below 1e-12)")
+        raise IdenticalCurvesError("curves are identical (C2 distance at most 1e-12)")
     return float(np.min(d0 + d1)) / denom
 
 
@@ -314,11 +317,11 @@ class TransversalFamily:
     evaluates them all at once.  ``curves``, the members as CurveFunctions
     for the per-pair oracles, is built on first use.
 
-    ``t_const`` (estimated transversality constant) is computed lazily and
-    cached; ``declared_t_const`` lets structured generators install an
-    analytically certified bound so that huge families skip the O(n^2)
-    pairwise pass.  All state is immutable after construction apart from
-    the caches.
+    ``t_const`` (the grid estimate of the transversality constant) is
+    computed lazily and cached.  ``t_bound()`` is a constant that holds for
+    the family: certified from the interval for lines and parabola
+    translates, with no pairwise pass, and the estimate otherwise.  All
+    state is immutable after construction apart from the caches.
     """
 
     #: families larger than this skip the full O(n^2) duplicate scan
@@ -336,7 +339,6 @@ class TransversalFamily:
         lead: float = 1.0,
         seed: ConvexSeed | None = None,
         grid_n: int = DEFAULT_GRID_N,
-        declared_t_const: float | None = None,
         check_duplicates: bool = True,
     ):
         """Members (a[i], b[i]) of one kind (see ``_kind_values``)."""
@@ -356,7 +358,6 @@ class TransversalFamily:
         self.lead = float(lead)
         self.x_lo, self.x_hi = float(interval[0]), float(interval[1])
         self.grid_n = int(grid_n)
-        self.declared_t_const = declared_t_const
         self._curves: list[CurveFunction] | None = None
         self._t_const: float | None = None
         self._images: np.ndarray | None = None
@@ -397,7 +398,7 @@ class TransversalFamily:
         idx = np.asarray(list(indices), dtype=np.int64)
         return TransversalFamily(
             self.kind, self.a[idx], self.b[idx], self.interval, self.lead, self.seed,
-            grid_n=self.grid_n, declared_t_const=self.declared_t_const, check_duplicates=False,
+            grid_n=self.grid_n, check_duplicates=False,
         )
 
     def evaluate(self, x, order: int = 0) -> np.ndarray:
@@ -435,7 +436,7 @@ class TransversalFamily:
 
     def _reject_duplicates(self) -> None:
         """Raise IdenticalCurvesError naming the first pair at C2 distance
-        below DUPLICATE_TOL: among the sorted window's candidates for the
+        at most DUPLICATE_TOL: among the sorted window's candidates for the
         affine-difference kinds, among all pairs otherwise (up to
         FULL_PAIR_LIMIT members)."""
         if self.affine_difference_coeffs() is not None:
@@ -447,7 +448,7 @@ class TransversalFamily:
         else:
             scored = ((ii, jj, dist) for ii, jj, _, dist in self.pairwise_defect_and_dist())
         for ii, jj, dist in scored:
-            dup = dist < DUPLICATE_TOL
+            dup = dist <= DUPLICATE_TOL
             if np.any(dup):
                 k = int(np.argmax(dup))
                 raise IdenticalCurvesError(
@@ -537,10 +538,29 @@ class TransversalFamily:
         return self._t_const
 
     def t_bound(self) -> float:
-        """Declared constant when present, else the estimated one."""
-        if self.declared_t_const is not None:
-            return self.declared_t_const
-        return self.t_const
+        """A transversality constant T that holds for the family.
+
+        Lines and parabola translates get 1.0 when every slope alpha of
+        ``affine_difference_coeffs`` is the same, and 1 + (x_hi - x_lo)
+        otherwise.  Proof: two members differ by A*x + B on [lo, hi], so
+        their defect is (min|A*x + B| + |A|) / (max|A*x + B| + |A|), which is
+        1 for A = 0.  Otherwise |A*x + B| is |A|-Lipschitz, so
+        max - min <= |A| * (hi - lo), and with m = min|A*x + B| >= 0 the
+        defect is at least (m + |A|) / (m + |A| + |A| * (hi - lo)) >=
+        1 / (1 + hi - lo), with equality when the root -B/A is an endpoint.
+        The grid estimate ``t_const`` reads the same coefficients; its grid
+        holds both endpoints, where the maximum sits, and its grid minimum
+        is at least the true one, so it never exceeds this bound (up to
+        float rounding).
+
+        Other kinds get the estimate ``t_const``, which raises on duplicate
+        or tangent members.
+        """
+        coeffs = self.affine_difference_coeffs()
+        if coeffs is None:
+            return self.t_const
+        alpha = coeffs[0]
+        return 1.0 if np.all(alpha == alpha[0]) else 1.0 + (self.x_hi - self.x_lo)
 
     def embedding_images(self) -> np.ndarray:
         """A(f) = (f(x0), f'(x0)) for every member, x0 the grid midpoint."""

@@ -87,7 +87,7 @@ def extract_uniform_subset(
     if T < t_req:
         raise ParameterError(
             f"period T={T} below the Lipschitz requirement ceil(log2(640*T^4)) = {t_req} "
-            f"for estimated transversality constant {family.t_bound():.3g}"
+            f"for transversality bound {family.t_bound():.3g}"
         )
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")

@@ -24,13 +24,12 @@ def report(num: int, name: str, t0: float, detail: str = "") -> None:
     print(f"\nACCEPTANCE {num} ({name}): PASS ({time.time() - t0:.1f}s){extra}")
 
 
-def parabola_family(a, b, declared=None):
-    return fl.TransversalFamily("parabola", a, b, (-2.0, 2.0), lead=0.5,
-                                declared_t_const=declared, check_duplicates=False)
+def parabola_family(a, b):
+    return fl.TransversalFamily("parabola", a, b, (-2.0, 2.0), lead=0.5, check_duplicates=False)
 
 
-def random_parabola_family(rng, n, declared=None):
-    return parabola_family(rng.uniform(0, 1, n), rng.uniform(0, 1, n) - 1.0, declared)
+def random_parabola_family(rng, n):
+    return parabola_family(rng.uniform(0, 1, n), rng.uniform(0, 1, n) - 1.0)
 
 
 # -- 1: incidence oracle equivalence ----------------------------------------------
@@ -46,10 +45,10 @@ def test_acceptance_01_oracle_equivalence():
         if trial % 2 == 0:
             fam = fl.TransversalFamily(
                 "affine", rng.uniform(0, 1, n), rng.uniform(0, 1, n) - 1.0, (0.0, 1.0),
-                declared_t_const=5.0, check_duplicates=False,
+                check_duplicates=False,
             )
         else:
-            fam = random_parabola_family(rng, n, declared=5.0)
+            fam = random_parabola_family(rng, n)
         ix = rng.integers(0, 2 ** k, n_sq)
         iy = rng.integers(-(2 ** k), 2 ** k, n_sq)
         P = dy.SquareFamily(k, ix, iy)
@@ -108,7 +107,7 @@ def test_acceptance_03_covering_ratio():
 
 def test_acceptance_04_uniformization():
     t0 = time.time()
-    T = fs.lipschitz_period_floor(cf.AFFINE_DIFFERENCE_T)
+    T = fs.lipschitz_period_floor(5.0)
     m = 2
     for seed in range(50):
         rng = np.random.default_rng(400 + seed)
@@ -116,7 +115,7 @@ def test_acceptance_04_uniformization():
         idx = dy.generate_delta_set_indices(m * T, s, T, rng, dim=2, batch=1)[0]
         a = dy.centers_of(idx[:, 0], m * T)
         b = dy.centers_of(idx[:, 1], m * T)
-        fam = parabola_family(a, b - 1.0, declared=cf.AFFINE_DIFFERENCE_T)
+        fam = parabola_family(a, b - 1.0)
         sub, st = fs.extract_uniform_subset(fam, T, m)
         uniform, counts = fs.audit_uniformity(sub, T, m)
         assert uniform and counts == st.N

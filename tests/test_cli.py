@@ -240,6 +240,7 @@ ABBREVIATED = {"--seed", "--mast", "--sl"}
     (["highlow", "--S", ",8"], None),
     (["fourier", "--delta-exp", "40"], None),
     (["fourier", "--delta-exp", "25"], None),
+    (["furstenberg", "--delta-exp", "6", "--T", "3", "--grid-n", "1000000000"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -419,6 +420,9 @@ runs = [
 ]
 for i, argv in enumerate(runs):
     assert cli.main(argv + ["--out", f"{sys.argv[1]}/{i}.csv"]) == 0, argv
+# no CLI run makes an all-pairs pass: the estimate of a small family does
+from furstlab import family
+family.TransversalFamily("parabola", [0.0, 0.5, 1.0], [0.0, 0.0, 0.0], (-2.0, 2.0)).t_const
 metrics = tracer.metrics()
 for name in ("incidence.fine_hits", "incidence.coarse_hits", "incidence.cube_pairs",
              "config.union_squares", "family.pairwise_pairs", "fourier.gemm_gflop"):

@@ -49,9 +49,29 @@ def test_build_validates_parameters():
         cf.build_nice_configuration("spline", 8, 0.5, 1.0, 2, seed=0)
 
 
-def test_build_declared_transversality_is_respected():
-    conf = cf.build_nice_configuration("affine", 7, 0.5, 1.0, 7, seed=3)
-    assert conf.family.t_const <= cf.AFFINE_DIFFERENCE_T + 1e-9
+def test_t_bound_never_below_the_estimate():
+    # t_bound() of lines and parabola translates is certified from the
+    # interval alone: the grid estimate never exceeds it, the pair whose
+    # difference has its root at an endpoint reaches it, equal slopes give 1
+    rng = np.random.default_rng(18)
+    for interval in ((-2.0, 2.0), (0.0, 1.0), (5.0, 6.0), (-0.3, -0.2), (-3.0, 3.0)):
+        lo, hi = interval
+        for kind in ("affine", "parabola"):
+            for _ in range(10):
+                n = int(rng.integers(2, 40))
+                fam = fl.TransversalFamily(kind, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
+                                           interval, lead=0.5, check_duplicates=False)
+                assert fam.t_bound() == 1.0 + (hi - lo)
+                assert fam.t_const <= fam.t_bound() * (1 + 1e-9)
+        # the lines 0 and x - lo differ by x - lo, whose root is lo
+        pair = fl.TransversalFamily("affine", [0.0, 1.0], [0.0, -lo], interval)
+        assert pair.t_const == pytest.approx(pair.t_bound(), rel=1e-12)
+        same = fl.TransversalFamily("parabola", np.full(5, 0.3), np.arange(5.0), interval)
+        assert same.t_bound() == same.t_const == 1.0
+    assert fl.TransversalFamily("affine", [0.0, 1.0], [0.0, 2.0], (-2.0, 2.0)).t_const == 5.0
+    for kind, seed_curve in (("affine", None), ("parabola", None), ("convex", fl.exp_seed())):
+        fam = cf.build_nice_configuration(kind, 6, 0.5, 1.0, 3, seed=0, seed_curve=seed_curve).family
+        assert fam.t_const <= fam.t_bound() * (1 + 1e-9)
 
 
 def test_correlated_mode_shrinks_union():
@@ -231,6 +251,14 @@ def test_mainlem_parameter_validation():
         cf.MainlemEvaluator(fam, 6, 3, 0.3)   # not 1/N
     with pytest.raises(ParameterError):
         cf.MainlemEvaluator(fam, 6, 3, 0.5)   # Delta_exp * eps not integral
+
+
+@pytest.mark.parametrize("eps", [0.0, math.nan, math.inf, -0.25])
+def test_mainlem_eps_outside_unit_interval(eps):
+    # -0.25 passes the reciprocal and dyadic tests at Delta_exp 4
+    fam = cf.build_uniform_line_family(6, 4, seed=0)
+    with pytest.raises(ParameterError, match=r"eps must be in \(0, 1\]"):
+        cf.MainlemEvaluator(fam, 6, 4, eps)
 
 
 def test_mainlem_single_report_matches_evaluator(line_evaluator):

@@ -281,6 +281,11 @@ def test_near_duplicate_rejected_at_construction():
         TransversalFamily("parabola", [0.5, 0.5 - 5e-14, 0.5], [0.0, 3e-13, 1.0], (-2.0, 2.0))
     # the same rows a tolerance apart construct
     TransversalFamily("affine", [0.0, 0.0, 2e-12], [0.0, 5.0, 0.0], (-2.0, 2.0))
+    # construction and the estimate share one boundary: exactly
+    # DUPLICATE_TOL apart is a duplicate, twice that is not
+    with pytest.raises(IdenticalCurvesError, match="indices 0 and 1"):
+        TransversalFamily("affine", [0.0, 0.0], [0.0, 1e-12], (-2.0, 2.0))
+    assert TransversalFamily("affine", [0.0, 0.0], [0.0, 2e-12], (-2.0, 2.0)).t_const == 1.0
 
 
 def test_near_duplicate_rejected_away_from_zero():

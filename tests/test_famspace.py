@@ -18,7 +18,7 @@ def tree_family(seed, T=19, m=2, s=0.25):
     a = dy.centers_of(idx[:, 0], m * T)
     b = dy.centers_of(idx[:, 1], m * T)
     return fl.TransversalFamily("parabola", a, b - 1.0, (-2.0, 2.0), lead=0.5,
-                                declared_t_const=5.0, check_duplicates=False)
+                                check_duplicates=False)
 
 
 # -- embedding --------------------------------------------------------------------
@@ -37,13 +37,15 @@ def test_embed_vertical_translates_differ_in_first_coordinate():
     assert images[0, 0] != images[1, 0]
 
 
-def bilipschitz_ratios(fam):
-    """Largest |A(f)-A(g)| / ||f-g|| and ||f-g|| / (sqrt(2) T |A(f)-A(g)|) over all pairs."""
+def bilipschitz_ratios(fam, t=None):
+    """Largest |A(f)-A(g)| / ||f-g|| and ||f-g|| / (sqrt(2) T |A(f)-A(g)|) over all
+    pairs, with T = fam.t_bound() unless given."""
+    t = fam.t_bound() if t is None else t
     img = fam.embedding_images()
     dmat = fs.family_distance_matrix(fam)
     ii, jj = np.triu_indices(len(fam), k=1)
     gap = np.hypot(*(img[ii] - img[jj]).T)
-    return float(np.max(gap / dmat[ii, jj])), float(np.max(dmat[ii, jj] / (math.sqrt(2) * fam.t_bound() * gap)))
+    return float(np.max(gap / dmat[ii, jj])), float(np.max(dmat[ii, jj] / (math.sqrt(2) * t * gap)))
 
 
 def test_embed_bilipschitz_random_family():
@@ -59,8 +61,7 @@ def test_embed_flags_bad_t_estimate():
     fam = fl.TransversalFamily("parabola", [0.2, 0.9], [0.0, -0.5], (-2.0, 2.0), lead=0.5,
                                check_duplicates=False)
     assert bilipschitz_ratios(fam)[1] <= 1.0 + 1e-6
-    fam.declared_t_const = 1.0  # deliberately too small: t_bound() reports it
-    assert bilipschitz_ratios(fam)[1] > 1.0 + 1e-6
+    assert bilipschitz_ratios(fam, t=1.0)[1] > 1.0 + 1e-6  # deliberately too small
 
 
 # -- cubes ------------------------------------------------------------------------
@@ -162,7 +163,7 @@ def pinned_parabola_family():
     rng = np.random.default_rng(1)
     a, b = rng.uniform(-1, 1, 3000), rng.uniform(-1, 1, 3000)
     return fl.TransversalFamily("parabola", a, b, (-2.0, 2.0), lead=0.5,
-                                declared_t_const=5.0, check_duplicates=False)
+                                check_duplicates=False)
 
 
 #: (tree_family seed or None for the parabola family, N, delta cells before,
@@ -197,8 +198,7 @@ def test_generator_branching_recovered_through_vertical_embedding():
     # numbers survive exactly
     T, m, s = 10, 2, 0.35
     pts = dy.generate_delta_set(T * m, s, T, seed=3)
-    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0),
-                               declared_t_const=1.0)
+    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0))
     sub, st_ = fs.extract_uniform_subset(fam, T, m)
     assert len(sub) == len(fam)
     assert st_.N == (round(2 ** (s * T)),) * m
@@ -225,8 +225,7 @@ def test_branching_three_lipschitz_above_period_floor():
 def test_form38_on_uniform_family():
     T, m = 10, 2
     pts = dy.generate_delta_set(T * m, 0.35, T, seed=5)
-    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0),
-                               declared_t_const=1.0)
+    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0))
     sub, st_ = fs.extract_uniform_subset(fam, T, m)
     K = fs.family_cube_count(sub, 0)  # the recorded constant
     for j in range(m + 1):
@@ -240,8 +239,7 @@ def test_superlinear_consistent_with_measured_set_class():
     # forward direction: superlinear branching caps the delta-set constant
     T, m, s = 10, 2, 0.35
     pts = dy.generate_delta_set(T * m, s, T, seed=8)
-    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0),
-                               declared_t_const=1.0)
+    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0))
     sub, st_ = fs.extract_uniform_subset(fam, T, m)
     beta = branching_values(st_)
     sigma = beta[-1] / m
@@ -261,8 +259,7 @@ def test_superlinear_converse_from_measured_constant():
     # function above sigma*x - 2*eps*m with eps = log_delta(1/C)
     T, m, sigma = 10, 2, 0.35
     pts = dy.generate_delta_set(T * m, sigma, T, seed=12)
-    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0),
-                               declared_t_const=1.0)
+    fam = fl.TransversalFamily("affine", np.zeros(len(pts)), pts.points[:, 0], (0.0, 1.0))
     sub, st_ = fs.extract_uniform_subset(fam, T, m)
     C = dy.delta_set_constant(DiscretePointsFrom(sub), sigma).best_constant
     eps_meas = math.log2(max(C, 1.0)) / (m * T)

@@ -21,7 +21,7 @@ def zero_line():
 def random_line_family(seed, n=32, interval=(0.0, 1.0)):
     rng = np.random.default_rng(seed)
     return fl.TransversalFamily("affine", rng.uniform(0, 1, n), rng.uniform(0, 1, n), interval,
-                                declared_t_const=5.0, check_duplicates=False)
+                                check_duplicates=False)
 
 
 # -- counting ---------------------------------------------------------------------
@@ -67,8 +67,7 @@ def test_fast_equals_bruteforce_on_exact_boundaries():
     k = 4
     dl = 2.0 ** -k
     a, b = np.meshgrid([0.0, 0.5, 1.0], [0.0, dl, 1.5 * dl, 2.0 * dl], indexing="ij")
-    fam = fl.TransversalFamily("affine", a, b, (0.0, 1.0), declared_t_const=5.0,
-                               check_duplicates=False)
+    fam = fl.TransversalFamily("affine", a, b, (0.0, 1.0), check_duplicates=False)
     P = dy.SquareFamily.grid(k)
     for lam in (1.0, 1.5, 2.0, 3.0):
         fast = inc.incidences(fam, P, lam)
