@@ -71,7 +71,6 @@ class RunConfig:
     R: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0, 64.0)
     seeds: int = 1
     master_seed: int = 0
-    grid_n: int = 2049
     eta_max: float = 0.5
     slope_max: float = 0.3
     c0_margin: float = 1.0      # calibrated C0 is scaled by this factor
@@ -187,7 +186,7 @@ def cmd_incidence(config: RunConfig) -> int:
     de = config.delta_exp[0]
     conf = cf.build_nice_configuration(
         config.kind, de, config.s, config.t, config.period_for(de),
-        config.master_seed, audit="probe", grid_n=config.grid_n,
+        config.master_seed, audit="probe"
     )
     P = conf.union_squares()
     fast = inc.incidences(conf.family, P, config.lam)
@@ -212,7 +211,7 @@ def cmd_highlow(config: RunConfig) -> int:
     def run_one(de: int):
         conf = cf.build_nice_configuration(
             config.kind, de, config.s, config.t, config.period_for(de),
-            config.master_seed, audit="probe", grid_n=config.grid_n,
+            config.master_seed, audit="probe"
         )
         P = conf.union_squares()
         lhs = inc.incidences(conf.family, P, config.lam, collect=False).count
@@ -244,8 +243,7 @@ def cmd_furstenberg(config: RunConfig) -> int:
     def run_one(trial):
         de, seed = trial
         conf = cf.build_nice_configuration(
-            config.kind, de, config.s, config.t, config.period_for(de), seed,
-            audit="probe", grid_n=config.grid_n,
+            config.kind, de, config.s, config.t, config.period_for(de), seed, audit="probe"
         )
         return cf.furstenberg_experiment(conf)
 

@@ -57,8 +57,7 @@ def _make_family(
     if kind not in PARAMETRIC_KINDS:
         raise ParameterError(f"unknown kind {kind!r}; expected one of {PARAMETRIC_KINDS}")
     return TransversalFamily(
-        kind, a, b - 1.0, WORK_INTERVAL, lead=PARABOLA_LEAD, seed=seed_curve,
-        grid_n=grid_n, check_duplicates=False,
+        kind, a, b - 1.0, WORK_INTERVAL, lead=PARABOLA_LEAD, seed=seed_curve, grid_n=grid_n
     )
 
 

@@ -424,6 +424,10 @@ def _sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 #: of int64 indices per dimension (delta 2^-12 in the benchmark's Furstenberg
 #: sweep needs 4096 trees of 6^4 cells, about 5.3M)
 MAX_TREE_CELLS = 1 << 26
+#: finest level ``generate_delta_set_indices`` accepts: ``centers_of``'s
+#: (2i + 1) 2^-(k+1) is an exact float only while 2^(k+1) fits the 53-bit
+#: significand
+MAX_DELTA_EXP = 52
 
 
 def generate_delta_set_indices(
@@ -445,6 +449,16 @@ def generate_delta_set_indices(
         raise ParameterError(f"delta_exp={delta_exp} is not a multiple of the period T={T}")
     if not (0 <= s <= dim):
         raise ParameterError(f"s must lie in [0, {dim}], got {s}")
+    if delta_exp > MAX_DELTA_EXP:
+        raise ParameterError(
+            f"delta=2^-{delta_exp} is finer than 2^-{MAX_DELTA_EXP}, "
+            "below which cell centers are not exact floats"
+        )
+    if dim * T > 63:
+        raise ParameterError(
+            f"a period T={T} in dimension {dim} gives 2^{dim * T} children per cell, "
+            "more than the 2^63 an int64 draw reaches"
+        )
     m = delta_exp // T
     K = int(round(2.0 ** (s * T)))
     K = max(1, min(K, 2 ** (dim * T)))

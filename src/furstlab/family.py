@@ -322,10 +322,15 @@ class TransversalFamily:
     the family: certified from the interval for lines and parabola
     translates, with no pairwise pass, and the estimate otherwise.  All
     state is immutable after construction apart from the caches.
+
+    Construction does not compare members: coincident ones (C2 distance
+    at most DUPLICATE_TOL) are refused where a pairwise quantity needs
+    them distinct.  ``t_const`` raises IdenticalCurvesError naming the
+    first such pair, as do ``transversality_defect`` and
+    ``intersection_components`` on the members, and ``min_pair_distance()``
+    returns the tiny distance for a separation check against delta.
     """
 
-    #: families larger than this skip the full O(n^2) duplicate scan
-    FULL_PAIR_LIMIT = 4096
     #: floats one chunk of the pairwise pass holds: grid values per pair on
     #: the grid path, four candidate points per pair on the affine path
     CHUNK_FLOATS = 1 << 22
@@ -339,7 +344,6 @@ class TransversalFamily:
         lead: float = 1.0,
         seed: ConvexSeed | None = None,
         grid_n: int = DEFAULT_GRID_N,
-        check_duplicates: bool = True,
     ):
         """Members (a[i], b[i]) of one kind (see ``_kind_values``)."""
         if kind not in PARAMETRIC_KINDS:
@@ -363,8 +367,6 @@ class TransversalFamily:
         self._images: np.ndarray | None = None
         self._grid_cache: np.ndarray | None = None
         self._min_pair: float | None = None
-        if check_duplicates:
-            self._reject_duplicates()
 
     # -- basics ------------------------------------------------------------
 
@@ -397,8 +399,7 @@ class TransversalFamily:
     def subfamily(self, indices) -> "TransversalFamily":
         idx = np.asarray(list(indices), dtype=np.int64)
         return TransversalFamily(
-            self.kind, self.a[idx], self.b[idx], self.interval, self.lead, self.seed,
-            grid_n=self.grid_n, check_duplicates=False,
+            self.kind, self.a[idx], self.b[idx], self.interval, self.lead, self.seed, self.grid_n
         )
 
     def evaluate(self, x, order: int = 0) -> np.ndarray:
@@ -431,29 +432,6 @@ class TransversalFamily:
         if self.kind == "parabola":
             return -2.0 * self.lead * self.a, self.lead * self.a ** 2 + self.b
         return None
-
-    # -- duplicate rejection -------------------------------------------------
-
-    def _reject_duplicates(self) -> None:
-        """Raise IdenticalCurvesError naming the first pair at C2 distance
-        at most DUPLICATE_TOL: among the sorted window's candidates for the
-        affine-difference kinds, among all pairs otherwise (up to
-        FULL_PAIR_LIMIT members)."""
-        if self.affine_difference_coeffs() is not None:
-            pair, chunk = self._pair_formula()
-            scored = ((ii, jj, pair(ii, jj)[1])
-                      for ii, jj in _window_pairs(self._window_order(), DUPLICATE_TOL, chunk))
-        elif len(self) > self.FULL_PAIR_LIMIT:
-            return
-        else:
-            scored = ((ii, jj, dist) for ii, jj, _, dist in self.pairwise_defect_and_dist())
-        for ii, jj, dist in scored:
-            dup = dist <= DUPLICATE_TOL
-            if np.any(dup):
-                k = int(np.argmax(dup))
-                raise IdenticalCurvesError(
-                    f"duplicate curves at indices {int(ii[k])} and {int(jj[k])}"
-                )
 
     # -- pairwise machinery ---------------------------------------------------
 

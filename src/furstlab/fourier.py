@@ -244,8 +244,8 @@ class DecayReport:
 def decay_slope(sigma, p: float, R_list, h: float = MAX_GRID_STEP) -> DecayReport:
     """Least-squares slope of log2 lp_norm_ball against log2 R.
 
-    Needs at least three increasing dyadic radii; p, R and h obey the rules
-    of `lp_norm_ball`.
+    Needs at least three strictly increasing dyadic radii; p, R and h obey
+    the rules of `lp_norm_ball`.
     """
     R_list = tuple(float(R) for R in R_list)
     if len(R_list) < 3:
@@ -256,8 +256,8 @@ def decay_slope(sigma, p: float, R_list, h: float = MAX_GRID_STEP) -> DecayRepor
         e = math.log2(R)
         if abs(e - round(e)) > 1e-9:
             raise DomainError(f"R values must be dyadic, got {R}")
-    if sorted(R_list) != list(R_list):
-        raise DomainError("R values must be increasing")
+    if any(r >= R for r, R in zip(R_list, R_list[1:])):
+        raise DomainError(f"R values must be strictly increasing, got {R_list}")
     integrals = _ball_integrals(sigma, p, R_list, h)
     slope = float(np.polyfit(np.log2(np.asarray(R_list)), np.log2(np.asarray(integrals)), 1)[0])
     return DecayReport(p=p, h=h, R_list=R_list, integrals=tuple(integrals), slope=slope)

@@ -25,7 +25,7 @@ def report(num: int, name: str, t0: float, detail: str = "") -> None:
 
 
 def parabola_family(a, b):
-    return fl.TransversalFamily("parabola", a, b, (-2.0, 2.0), lead=0.5, check_duplicates=False)
+    return fl.TransversalFamily("parabola", a, b, (-2.0, 2.0), lead=0.5)
 
 
 def random_parabola_family(rng, n):
@@ -44,8 +44,7 @@ def test_acceptance_01_oracle_equivalence():
         n_sq = int(rng.integers(16, 4097))   # squares <= 4096
         if trial % 2 == 0:
             fam = fl.TransversalFamily(
-                "affine", rng.uniform(0, 1, n), rng.uniform(0, 1, n) - 1.0, (0.0, 1.0),
-                check_duplicates=False,
+                "affine", rng.uniform(0, 1, n), rng.uniform(0, 1, n) - 1.0, (0.0, 1.0)
             )
         else:
             fam = random_parabola_family(rng, n)

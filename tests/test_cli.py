@@ -241,6 +241,9 @@ ABBREVIATED = {"--seed", "--mast", "--sl"}
     (["fourier", "--delta-exp", "40"], None),
     (["fourier", "--delta-exp", "25"], None),
     (["furstenberg", "--delta-exp", "6", "--T", "3", "--grid-n", "1000000000"], None),
+    (["furstenberg", "--delta-exp", "40", "--s", "0.5", "--t", "0.5"], None),
+    (["gen", "--delta-exp", "56", "--s", "0.1", "--T", "14"], None),
+    (["fourier", "--R", "4,4,8,16"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -293,7 +296,6 @@ FLAG_CASES = [
     ("--R", "8,16", "R", (8.0, 16.0)),
     ("--seeds", "3", "seeds", 3),
     ("--master-seed", "7", "master_seed", 7),
-    ("--grid-n", "513", "grid_n", 513),
     ("--eta-max", "0.4", "eta_max", 0.4),
     ("--slope-max", "0.2", "slope_max", 0.2),
     ("--c0-margin", "2", "c0_margin", 2.0),

@@ -60,7 +60,7 @@ def test_t_bound_never_below_the_estimate():
             for _ in range(10):
                 n = int(rng.integers(2, 40))
                 fam = fl.TransversalFamily(kind, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
-                                           interval, lead=0.5, check_duplicates=False)
+                                           interval, lead=0.5)
                 assert fam.t_bound() == 1.0 + (hi - lo)
                 assert fam.t_const <= fam.t_bound() * (1 + 1e-9)
         # the lines 0 and x - lo differ by x - lo, whose root is lo
@@ -341,8 +341,7 @@ def test_mainlem_fold_counts_a_run_that_ends_at_the_last_square():
     # grid's last square, which the difference array closes in row |P|
     k = 5
     top = 1.0 - 2.0 ** -(k + 1)
-    fam = fl.TransversalFamily("affine", [0.0, 0.75], [top, top - 0.75], (0.0, 1.0),
-                               check_duplicates=False)
+    fam = fl.TransversalFamily("affine", [0.0, 0.75], [top, top - 0.75], (0.0, 1.0))
     ev = cf.MainlemEvaluator(fam, k, 1, 1.0)
     dense, _ = cf.cube_incidence_counts(fam, ev.squares, 1)
     pairs = fl.incidences_bruteforce(fam, ev.squares, 2.0).pairs

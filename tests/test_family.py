@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import furstlab as fl
 from furstlab.family import (
+    DUPLICATE_TOL,
     DomainError,
     EvaluationError,
     IdenticalCurvesError,
@@ -89,14 +90,11 @@ def test_fast_path_matches_generic_grid():
     for _ in range(25):
         a1, a2 = rng.uniform(0, 1, 2)
         b1, b2 = rng.uniform(-1, 1, 2)
-        fam_fast = TransversalFamily(
-            "parabola", [a1, a2], [b1, b2], (-2.0, 2.0), lead=0.5, check_duplicates=False
-        )
+        fam_fast = TransversalFamily("parabola", [a1, a2], [b1, b2], (-2.0, 2.0), lead=0.5)
         assert fam_fast.affine_difference_coeffs() is not None  # the affine shortcut runs
         # the same members as translates of the seed 0.5*x^2: the grid path
         fam_slow = TransversalFamily(
-            "convex", [a1, a2], [b1, b2], (-2.0, 2.0), seed=fl.quadratic_seed(0.5),
-            check_duplicates=False,
+            "convex", [a1, a2], [b1, b2], (-2.0, 2.0), seed=fl.quadratic_seed(0.5)
         )
         assert fam_slow.affine_difference_coeffs() is None
         assert fam_fast.t_const == pytest.approx(fam_slow.t_const, rel=1e-9)
@@ -137,8 +135,7 @@ def test_estimate_single_slope_family():
 
 
 def test_estimate_duplicate_pair_error():
-    fam = TransversalFamily("affine", [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], (0.0, 1.0),
-                            check_duplicates=False)
+    fam = TransversalFamily("affine", [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], (0.0, 1.0))
     with pytest.raises(IdenticalCurvesError, match="indices"):
         fl.estimate_transversality_constant(fam)
 
@@ -252,7 +249,7 @@ def test_components_under_resolution_flag():
 def _random_parabola_family(seed, n=12):
     rng = np.random.default_rng(seed)
     return TransversalFamily("parabola", rng.uniform(0, 1, n), rng.uniform(-1, 0, n), (-2.0, 2.0),
-                             lead=0.5, check_duplicates=False)
+                             lead=0.5)
 
 
 def test_min_defect_times_t_is_at_least_one():
@@ -266,33 +263,30 @@ def test_min_defect_times_t_is_at_least_one():
     assert worst * t >= 1.0 - 1e-12
 
 
-def test_duplicate_rejection_at_construction():
-    with pytest.raises(IdenticalCurvesError):
-        TransversalFamily("affine", [0.1, 0.1], [0.2, 0.2], (-2.0, 2.0))
-
-
-def test_near_duplicate_rejected_at_construction():
-    # members 0 and 2 are 4e-13 apart in C2 with member 1 between them in
-    # (slope, intercept) order
-    with pytest.raises(IdenticalCurvesError, match="indices 0 and 2"):
-        TransversalFamily("affine", [0.0, 0.0, 1e-13], [0.0, 5.0, 1e-13], (-2.0, 2.0))
-    # parabola translates carry alpha = -2a: member 1 sorts after member 2
-    with pytest.raises(IdenticalCurvesError, match="indices 0 and 1"):
-        TransversalFamily("parabola", [0.5, 0.5 - 5e-14, 0.5], [0.0, 3e-13, 1.0], (-2.0, 2.0))
-    # the same rows a tolerance apart construct
-    TransversalFamily("affine", [0.0, 0.0, 2e-12], [0.0, 5.0, 0.0], (-2.0, 2.0))
-    # construction and the estimate share one boundary: exactly
-    # DUPLICATE_TOL apart is a duplicate, twice that is not
-    with pytest.raises(IdenticalCurvesError, match="indices 0 and 1"):
-        TransversalFamily("affine", [0.0, 0.0], [0.0, 1e-12], (-2.0, 2.0))
-    assert TransversalFamily("affine", [0.0, 0.0], [0.0, 2e-12], (-2.0, 2.0)).t_const == 1.0
-
-
-def test_near_duplicate_rejected_away_from_zero():
-    # on [5, 6] the members differ by -2e-13 x + 1.1e-12, 3e-13 in C2,
-    # though their intercepts are 1.1e-12 apart
-    with pytest.raises(IdenticalCurvesError, match="indices 0 and 1"):
-        TransversalFamily("affine", [0.0, -2e-13], [0.0, 1.1e-12], (5.0, 6.0))
+def test_near_duplicate_members_construct_and_t_const_names_them():
+    near = [
+        # members 0 and 2 are 4e-13 apart in C2 with member 1 between them
+        # in (slope, intercept) order
+        (("affine", [0.0, 0.0, 1e-13], [0.0, 5.0, 1e-13], (-2.0, 2.0)), "indices 0 and 2"),
+        # parabola translates carry alpha = -2a: member 1 sorts after member 2
+        (("parabola", [0.5, 0.5 - 5e-14, 0.5], [0.0, 3e-13, 1.0], (-2.0, 2.0)), "indices 0 and 1"),
+        # exactly DUPLICATE_TOL apart is a duplicate
+        (("affine", [0.0, 0.0], [0.0, 1e-12], (-2.0, 2.0)), "indices 0 and 1"),
+        # on [5, 6] the members differ by -2e-13 x + 1.1e-12, 3e-13 in C2,
+        # though their intercepts are 1.1e-12 apart
+        (("affine", [0.0, -2e-13], [0.0, 1.1e-12], (5.0, 6.0)), "indices 0 and 1"),
+    ]
+    for args, pair in near:
+        fam = TransversalFamily(*args)
+        assert fam.min_pair_distance() == _all_pairs_min(fam) <= DUPLICATE_TOL
+        with pytest.raises(IdenticalCurvesError, match=pair):
+            fam.t_const
+    # the same rows a tolerance apart are distinct
+    fam = TransversalFamily("affine", [0.0, 0.0, 2e-12], [0.0, 5.0, 0.0], (-2.0, 2.0))
+    assert fam.min_pair_distance() == _all_pairs_min(fam) > DUPLICATE_TOL
+    fam = TransversalFamily("affine", [0.0, 0.0], [0.0, 2e-12], (-2.0, 2.0))
+    assert fam.min_pair_distance() == _all_pairs_min(fam) > DUPLICATE_TOL
+    assert fam.t_const == 1.0
 
 
 def test_nonfinite_parameters_rejected():
@@ -353,8 +347,7 @@ def test_window_min_on_intervals_without_zero(interval):
         n = int(rng.integers(2, 120))
         a = np.round(rng.uniform(-1, 1, n), int(rng.integers(1, 4)))
         kind = ("affine", "parabola")[trial % 2]
-        fam = TransversalFamily(kind, a, rng.uniform(-1, 1, n), interval,
-                                lead=0.5, check_duplicates=False)
+        fam = TransversalFamily(kind, a, rng.uniform(-1, 1, n), interval, lead=0.5)
         assert fam.min_pair_distance() == _all_pairs_min(fam)
 
 
@@ -367,11 +360,11 @@ def test_window_min_of_two_members():
 
 # -- chunking of the grid path -----------------------------------------------
 
-def _convex_family(n, seed=0, **kw):
+def _convex_family(n, seed=0):
     rng = np.random.default_rng(seed)
     return TransversalFamily(
         "convex", rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), (-2.0, 2.0),
-        seed=fl.quadratic_seed(0.5), grid_n=9, **kw,
+        seed=fl.quadratic_seed(0.5), grid_n=9,
     )
 
 
@@ -391,10 +384,7 @@ def test_grid_path_names_the_first_duplicate_pair(monkeypatch):
     a, b = rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 12)
     a[9], b[9] = a[5], b[5]
     a[7], b[7] = a[3], b[3]
-    kw = dict(seed=fl.quadratic_seed(0.5), grid_n=9)
-    with pytest.raises(IdenticalCurvesError, match="indices 3 and 7"):
-        TransversalFamily("convex", a, b, (-2.0, 2.0), **kw)
-    fam = TransversalFamily("convex", a, b, (-2.0, 2.0), check_duplicates=False, **kw)
+    fam = TransversalFamily("convex", a, b, (-2.0, 2.0), seed=fl.quadratic_seed(0.5), grid_n=9)
     with pytest.raises(IdenticalCurvesError, match="indices 3 and 7"):
         fam.t_const
 
@@ -404,7 +394,7 @@ def test_grid_pass_memory_is_bounded_by_the_chunk(monkeypatch):
     monkeypatch.setattr(TransversalFamily, "CHUNK_FLOATS", 1 << 14)
 
     def peak(n):
-        fam = _convex_family(n, check_duplicates=False)
+        fam = _convex_family(n)
         tracemalloc.start()
         try:
             fl.estimate_transversality_constant(fam)
@@ -437,7 +427,7 @@ def test_embedding_inequality_affine(a1, b1, a2, b2):
     g = fl.affine_curve(a2, b2)
     if c2_dist(f, g) < 1e-9:
         return
-    fam = TransversalFamily("affine", [a1, a2], [b1, b2], (-2.0, 2.0), check_duplicates=False)
+    fam = TransversalFamily("affine", [a1, a2], [b1, b2], (-2.0, 2.0))
     img = fam.embedding_images()
     gap = math.hypot(img[0, 0] - img[1, 0], img[0, 1] - img[1, 1])
     assert gap <= c2_dist(f, g) * (1 + 1e-12)

@@ -17,8 +17,7 @@ def tree_family(seed, T=19, m=2, s=0.25):
     idx = dy.generate_delta_set_indices(m * T, s, T, rng, dim=2, batch=1)[0]
     a = dy.centers_of(idx[:, 0], m * T)
     b = dy.centers_of(idx[:, 1], m * T)
-    return fl.TransversalFamily("parabola", a, b - 1.0, (-2.0, 2.0), lead=0.5,
-                                check_duplicates=False)
+    return fl.TransversalFamily("parabola", a, b - 1.0, (-2.0, 2.0), lead=0.5)
 
 
 # -- embedding --------------------------------------------------------------------
@@ -30,8 +29,7 @@ def test_embed_affine_images():
 
 
 def test_embed_vertical_translates_differ_in_first_coordinate():
-    fam = fl.TransversalFamily("parabola", [0.3, 0.3], [0.0, 0.5], (-2.0, 2.0), lead=0.5,
-                               check_duplicates=False)
+    fam = fl.TransversalFamily("parabola", [0.3, 0.3], [0.0, 0.5], (-2.0, 2.0), lead=0.5)
     images = fam.embedding_images()
     assert images[0, 1] == images[1, 1]
     assert images[0, 0] != images[1, 0]
@@ -51,15 +49,14 @@ def bilipschitz_ratios(fam, t=None):
 def test_embed_bilipschitz_random_family():
     rng = np.random.default_rng(0)
     fam = fl.TransversalFamily("parabola", rng.uniform(0, 1, 40), rng.uniform(0, 1, 40) - 1.0,
-                               (-2.0, 2.0), lead=0.5, check_duplicates=False)
+                               (-2.0, 2.0), lead=0.5)
     lower, upper = bilipschitz_ratios(fam)
     assert lower <= 1.0 + 1e-12
     assert upper <= 1.0 + 1e-6
 
 
 def test_embed_flags_bad_t_estimate():
-    fam = fl.TransversalFamily("parabola", [0.2, 0.9], [0.0, -0.5], (-2.0, 2.0), lead=0.5,
-                               check_duplicates=False)
+    fam = fl.TransversalFamily("parabola", [0.2, 0.9], [0.0, -0.5], (-2.0, 2.0), lead=0.5)
     assert bilipschitz_ratios(fam)[1] <= 1.0 + 1e-6
     assert bilipschitz_ratios(fam, t=1.0)[1] > 1.0 + 1e-6  # deliberately too small
 
@@ -111,7 +108,7 @@ def test_covering_ratio_bracket():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(15, 50))
         fam = fl.TransversalFamily("parabola", rng.uniform(0, 1, n), rng.uniform(0, 1, n) - 1.0,
-                                   (-2.0, 2.0), lead=0.5, check_duplicates=False)
+                                   (-2.0, 2.0), lead=0.5)
         t_est = fam.t_const
         dmat = fs.family_distance_matrix(fam)
         diam = dmat.max()
@@ -162,8 +159,7 @@ def test_uniform_extraction_bound_and_audit():
 def pinned_parabola_family():
     rng = np.random.default_rng(1)
     a, b = rng.uniform(-1, 1, 3000), rng.uniform(-1, 1, 3000)
-    return fl.TransversalFamily("parabola", a, b, (-2.0, 2.0), lead=0.5,
-                                check_duplicates=False)
+    return fl.TransversalFamily("parabola", a, b, (-2.0, 2.0), lead=0.5)
 
 
 #: (tree_family seed or None for the parabola family, N, delta cells before,

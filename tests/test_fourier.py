@@ -213,6 +213,8 @@ def test_decay_validates_radii():
         fo.decay_slope(point_mass(), 2.0, [4, 8, 12])      # not dyadic
     with pytest.raises(DomainError):
         fo.decay_slope(point_mass(), 2.0, [8, 4, 16])      # not increasing
+    with pytest.raises(DomainError):
+        fo.decay_slope(point_mass(), 2.0, [4, 4, 8])       # a repeated radius
     for bad in (math.nan, math.inf, 0.0, -4.0):
         with pytest.raises(DomainError):
             fo.decay_slope(point_mass(), 2.0, [4, 8, bad])

@@ -20,8 +20,7 @@ def zero_line():
 
 def random_line_family(seed, n=32, interval=(0.0, 1.0)):
     rng = np.random.default_rng(seed)
-    return fl.TransversalFamily("affine", rng.uniform(0, 1, n), rng.uniform(0, 1, n), interval,
-                                check_duplicates=False)
+    return fl.TransversalFamily("affine", rng.uniform(0, 1, n), rng.uniform(0, 1, n), interval)
 
 
 # -- counting ---------------------------------------------------------------------
@@ -67,7 +66,7 @@ def test_fast_equals_bruteforce_on_exact_boundaries():
     k = 4
     dl = 2.0 ** -k
     a, b = np.meshgrid([0.0, 0.5, 1.0], [0.0, dl, 1.5 * dl, 2.0 * dl], indexing="ij")
-    fam = fl.TransversalFamily("affine", a, b, (0.0, 1.0), check_duplicates=False)
+    fam = fl.TransversalFamily("affine", a, b, (0.0, 1.0))
     P = dy.SquareFamily.grid(k)
     for lam in (1.0, 1.5, 2.0, 3.0):
         fast = inc.incidences(fam, P, lam)
@@ -127,8 +126,7 @@ def test_high_low_range_validation():
 
 
 def test_high_low_separation_check():
-    close = fl.TransversalFamily("affine", [0.0, 0.0], [0.0, 1e-6], (0.0, 1.0),
-                                 check_duplicates=False)
+    close = fl.TransversalFamily("affine", [0.0, 0.0], [0.0, 1e-6], (0.0, 1.0))
     P = dy.SquareFamily.grid(5)
     with pytest.raises(DomainError, match="separated"):
         inc.high_low_report(close, P, 2.0, 8.0, 0)
@@ -251,8 +249,7 @@ def test_non_finite_curve_value_is_rejected():
         g0=lambda x: np.where(np.asarray(x) > 0.5, np.nan, 0.25),
         g1=zero, g2=zero, g3=zero, frak_G=1.0, frak_g=1.0, name="nan above 1/2",
     )
-    fam = fl.TransversalFamily("convex", [0.0, 0.0], [0.25, 0.0], (0.0, 1.0), seed=nan_at_half,
-                               check_duplicates=False)
+    fam = fl.TransversalFamily("convex", [0.0, 0.0], [0.25, 0.0], (0.0, 1.0), seed=nan_at_half)
     P = dy.SquareFamily.grid(4)
     with pytest.raises(EvaluationError, match="x="):
         inc.incidences(fam, P, 2.0)
@@ -277,8 +274,7 @@ def test_kernel_matches_oracle_at_any_threshold(kind, k, data):
     a = np.array(data.draw(st.lists(_dyadic_or_float(k), min_size=n, max_size=n)))
     b = np.array(data.draw(st.lists(_dyadic_or_float(k), min_size=n, max_size=n)))
     # convex: the parabola kind's members, evaluated through the seed 0.5*x^2
-    fam = fl.TransversalFamily(kind, a, b, (-2.0, 2.0), lead=0.5, seed=fl.quadratic_seed(0.5),
-                               check_duplicates=False)
+    fam = fl.TransversalFamily(kind, a, b, (-2.0, 2.0), lead=0.5, seed=fl.quadratic_seed(0.5))
     # columns across the interval; rows well beyond the curves' range
     m = data.draw(st.integers(1, 300))
     ix = data.draw(st.lists(st.integers(-(2 ** (k + 1)), 2 ** (k + 1) - 1), min_size=m, max_size=m))
@@ -317,7 +313,7 @@ def _spread_squares_and_lines(seed, k=6):
     rows = dy.centers_of(np.array([P.iy.min(), top, top - 1]), k)
     a = np.concatenate([rng.uniform(-2.0, 2.0, 24), np.zeros(3)])
     b = np.concatenate([rng.uniform(-1.0, 1.0, 24), rows])
-    fam = fl.TransversalFamily("affine", a, b, (-1.0, 1.0), check_duplicates=False)
+    fam = fl.TransversalFamily("affine", a, b, (-1.0, 1.0))
     return fam, P
 
 
@@ -361,8 +357,7 @@ def test_prefix_count_table_stays_within_its_budget():
     P = dy.SquareFamily(k, rng.integers(-(2 ** k), 2 ** k, n_sq) // 2 * 2,
                         rng.integers(-(2 ** k), 2 ** k, n_sq))
     fam = fl.TransversalFamily(
-        "affine", rng.uniform(-1.0, 1.0, 16), rng.uniform(-1.0, 1.0, 16), (-1.0, 1.0),
-        check_duplicates=False,
+        "affine", rng.uniform(-1.0, 1.0, 16), rng.uniform(-1.0, 1.0, 16), (-1.0, 1.0)
     )
     cells = len(np.unique(P.ix)) * (int(P.iy.max() - P.iy.min()) + 2)
     assert cells > 6 * inc.TABLE_BUDGET and cells > 1000 * len(P)
