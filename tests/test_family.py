@@ -263,30 +263,36 @@ def test_min_defect_times_t_is_at_least_one():
     assert worst * t >= 1.0 - 1e-12
 
 
-def test_near_duplicate_members_construct_and_t_const_names_them():
-    near = [
-        # members 0 and 2 are 4e-13 apart in C2 with member 1 between them
-        # in (slope, intercept) order
-        (("affine", [0.0, 0.0, 1e-13], [0.0, 5.0, 1e-13], (-2.0, 2.0)), "indices 0 and 2"),
-        # parabola translates carry alpha = -2a: member 1 sorts after member 2
-        (("parabola", [0.5, 0.5 - 5e-14, 0.5], [0.0, 3e-13, 1.0], (-2.0, 2.0)), "indices 0 and 1"),
-        # exactly DUPLICATE_TOL apart is a duplicate
-        (("affine", [0.0, 0.0], [0.0, 1e-12], (-2.0, 2.0)), "indices 0 and 1"),
-        # on [5, 6] the members differ by -2e-13 x + 1.1e-12, 3e-13 in C2,
-        # though their intercepts are 1.1e-12 apart
-        (("affine", [0.0, -2e-13], [0.0, 1.1e-12], (5.0, 6.0)), "indices 0 and 1"),
-    ]
-    for args, pair in near:
-        fam = TransversalFamily(*args)
-        assert fam.min_pair_distance() == _all_pairs_min(fam) <= DUPLICATE_TOL
-        with pytest.raises(IdenticalCurvesError, match=pair):
-            fam.t_const
+def _assert_refused_by_t_const(args, pair):
+    # the family constructs; t_const refuses it and names the pair
+    fam = TransversalFamily(*args)
+    assert fam.min_pair_distance() == _all_pairs_min(fam) <= DUPLICATE_TOL
+    with pytest.raises(IdenticalCurvesError, match=pair):
+        fam.t_const
+
+
+def test_near_duplicate_rejected_at_construction():
+    # members 0 and 2 are 4e-13 apart in C2 with member 1 between them in
+    # (slope, intercept) order
+    _assert_refused_by_t_const(
+        ("affine", [0.0, 0.0, 1e-13], [0.0, 5.0, 1e-13], (-2.0, 2.0)), "indices 0 and 2")
+    # parabola translates carry alpha = -2a: member 1 sorts after member 2
+    _assert_refused_by_t_const(
+        ("parabola", [0.5, 0.5 - 5e-14, 0.5], [0.0, 3e-13, 1.0], (-2.0, 2.0)), "indices 0 and 1")
+    # exactly DUPLICATE_TOL apart is a duplicate
+    _assert_refused_by_t_const(("affine", [0.0, 0.0], [0.0, 1e-12], (-2.0, 2.0)), "indices 0 and 1")
     # the same rows a tolerance apart are distinct
     fam = TransversalFamily("affine", [0.0, 0.0, 2e-12], [0.0, 5.0, 0.0], (-2.0, 2.0))
     assert fam.min_pair_distance() == _all_pairs_min(fam) > DUPLICATE_TOL
     fam = TransversalFamily("affine", [0.0, 0.0], [0.0, 2e-12], (-2.0, 2.0))
     assert fam.min_pair_distance() == _all_pairs_min(fam) > DUPLICATE_TOL
     assert fam.t_const == 1.0
+
+
+def test_near_duplicate_rejected_away_from_zero():
+    # on [5, 6] the members differ by -2e-13 x + 1.1e-12, 3e-13 in C2,
+    # though their intercepts are 1.1e-12 apart
+    _assert_refused_by_t_const(("affine", [0.0, -2e-13], [0.0, 1.1e-12], (5.0, 6.0)), "indices 0 and 1")
 
 
 def test_nonfinite_parameters_rejected():
