@@ -6,7 +6,7 @@ its graph, each per-curve square set being a (delta, s)-set.  Generators
 here build such configurations from random uniform trees in the parameter
 plane (slope/intercept for lines, translation centers for convex
 translates), attach per-curve column sets, and measure the actual
-set-class constants of everything they emit.
+set-class constants of everything they emit when those are first read.
 
 Experiments evaluate the paper-style counting inequalities at desk scale:
 the three-way Furstenberg lower bound, its two endpoint regimes, and the
@@ -16,7 +16,8 @@ a/b multiplicity bound for squares charged by many cubes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .dyadic import (
     DiscretePointSet,
     ParameterError,
     SquareFamily,
+    _sorted_square_keys,
     cell_indices,
     centers_of,
     delta_set_constant,
@@ -78,7 +80,11 @@ class NiceConfiguration:
     seed: int
     col_idx: np.ndarray       # (n, M) column indices, distinct per row
     iy: np.ndarray            # (n, M) row indices
-    measured: dict = field(default_factory=dict)
+    audit: str = "auto"       # how ``measured`` audits: one of AUDIT_MODES
+
+    def __post_init__(self):
+        if self.audit not in AUDIT_MODES:
+            raise ParameterError(f"unknown audit mode {self.audit!r}; expected one of {AUDIT_MODES}")
 
     @property
     def M(self) -> int:
@@ -88,19 +94,21 @@ class NiceConfiguration:
     def n_curves(self) -> int:
         return len(self.family)
 
+    @cached_property
+    def measured(self) -> dict:
+        """The configuration's set-class constants, audited on first read."""
+        return _audit_constants(self, self.audit)
+
     def union_square_count(self) -> int:
         """|P| = number of distinct squares across all per-curve sets."""
-        ix = self.col_idx.ravel()
-        iy = self.iy.ravel()
-        span = iy.max() - iy.min() + 1
-        keys = (ix - ix.min()) * span + (iy - iy.min())
-        keys.sort()
-        return int(np.count_nonzero(np.diff(keys))) + 1
+        _, first, _ = _sorted_square_keys(self.col_idx.ravel(), self.iy.ravel())
+        return int(np.count_nonzero(first))
 
     def union_squares(self) -> SquareFamily:
         return SquareFamily(self.delta_exp, self.col_idx.ravel(), self.iy.ravel())
 
 
+AUDIT_MODES = ("auto", "full", "probe")
 AUDIT_FULL_CURVES = 600
 AUDIT_FULL_COLUMNS = 64
 AUDIT_PROBE_CENTERS = 128
@@ -159,7 +167,8 @@ def build_nice_configuration(
     of x-columns (``correlated=True`` shares one column set across curves,
     a stress mode that shrinks |P|).  Lines and parabola translates carry
     the certified ``t_bound()`` of 1 + |I|; a convex family is estimated in
-    full, which raises if two members coincide or touch.
+    full, which raises if two members coincide or touch.  ``audit`` (one of
+    AUDIT_MODES) is how ``measured`` audits the result on its first read.
     """
     if not (0 <= s <= 1):
         raise ParameterError(f"s must lie in [0, 1], got {s}")
@@ -190,7 +199,7 @@ def _attach_squares(
 ) -> NiceConfiguration:
     """Give each curve the squares it crosses over a (delta, s)-tree of
     columns drawn from ``rng`` (one tree shared by all curves when
-    ``correlated``), then measure the configuration's set constants."""
+    ``correlated``); ``audit`` is how its set constants are measured when read."""
     n = len(family)
     if correlated:
         cols_one = generate_delta_set_indices(delta_exp, s, T, rng, dim=1, batch=1)[0][:, 0]
@@ -199,12 +208,10 @@ def _attach_squares(
         col_idx = generate_delta_set_indices(delta_exp, s, T, rng, dim=1, batch=n)[..., 0]
     values = family.evaluate(centers_of(col_idx, delta_exp))
     iy = cell_indices(values, delta_exp)
-    conf = NiceConfiguration(
+    return NiceConfiguration(
         family=family, kind=kind, delta_exp=delta_exp, s=s, t=t, T=T, seed=seed,
-        col_idx=col_idx, iy=iy,
+        col_idx=col_idx, iy=iy, audit=audit,
     )
-    conf.measured = _audit_constants(conf, audit)
-    return conf
 
 
 def build_parallel_translate_configuration(

@@ -70,7 +70,7 @@ def side_of(k: int) -> float:
 
 def centers_of(idx: np.ndarray, k: int) -> np.ndarray:
     """Cell centers (idx + 0.5) 2^-k, exact."""
-    return np.ldexp(2 * np.asarray(idx, dtype=np.int64) + 1, -(k + 1)).astype(float)
+    return np.ldexp(2 * np.asarray(idx, dtype=np.int64) + 1, -(k + 1))
 
 
 # --------------------------------------------------------------------------
@@ -470,25 +470,25 @@ def generate_delta_set_indices(
             f"limit of {MAX_TREE_CELLS} cells"
         )
     n_children = 2 ** (dim * T)
-    cells = np.zeros((batch, 1, dim), dtype=np.int64)
+    # a child offset's T-bit digits, most significant first, are its per-axis steps
+    shifts = T * np.arange(dim - 1, -1, -1, dtype=np.int64)
+    cells = np.zeros((batch, dim), dtype=np.int64)  # every tree's cells, tree by tree
     for _ in range(m):
-        b, n, _ = cells.shape
         if n_children <= 4096:
-            offsets = np.tile(np.arange(n_children, dtype=np.int64), (b * n, 1))
-            offsets = rng.permuted(offsets, axis=1)[:, :K]
+            # permuted copies its input, so a broadcast view of one row is enough
+            rows = np.broadcast_to(np.arange(n_children, dtype=np.int64), (len(cells), n_children))
+            offsets = rng.permuted(rows, axis=1)[:, :K]
         else:
             offsets = np.stack(
-                [_sample_distinct(rng, n_children, K) for _ in range(b * n)]
+                [_sample_distinct(rng, n_children, K) for _ in range(len(cells))]
             )
-        offsets = offsets.reshape(b, n, K)
-        child = np.empty((b, n, K, dim), dtype=np.int64)
-        rem = offsets
-        for axis in range(dim - 1, -1, -1):
-            child[..., axis] = rem % (1 << T)
-            rem = rem >> T
-        cells = (cells[:, :, None, :] << T) + child
-        cells = cells.reshape(b, n * K, dim)
-    return cells
+        # the level's cells are written once, in place, in tree order
+        children = np.empty((len(cells), K, dim), dtype=np.int64)
+        np.right_shift(offsets[..., None], shifts, out=children)
+        children &= (1 << T) - 1
+        children += cells[:, None, :] << T
+        cells = children.reshape(-1, dim)
+    return cells.reshape(batch, K ** m, dim)
 
 
 def generate_delta_set(
@@ -515,6 +515,33 @@ def generate_delta_set(
 # Array-backed square collections (for the incidence kernels)
 # --------------------------------------------------------------------------
 
+def _sorted_square_keys(ix: np.ndarray, iy: np.ndarray):
+    """Sort the squares of the int64 index arrays (ix, iy) by (ix, iy).
+
+    Returns ``(keys, first, split)``: one sorted key per input square,
+    ``first`` marking each distinct square's first key, and ``split`` the
+    function that turns keys back into ix and iy arrays.  A key is the int64
+    (ix - ix0) * span + (iy - iy0), which one sort orders far faster than two
+    columns; where the index ranges would carry it past 2^63, the keys are
+    the (ix, iy) rows themselves, lexsorted.
+    """
+    if len(ix) == 0:
+        return ix, np.zeros(0, dtype=bool), lambda keys: (keys, keys)
+    ix0, iy0 = int(ix.min()), int(iy.min())
+    span = int(iy.max()) - iy0 + 1
+    if (int(ix.max()) - ix0 + 1) * span < 2 ** 63:
+        keys = ix - ix0
+        keys *= span
+        keys += iy - iy0
+        keys.sort()
+        first = np.r_[True, keys[1:] != keys[:-1]]
+        return keys, first, lambda keys: (keys // span + ix0, keys % span + iy0)
+    order = np.lexsort((iy, ix))
+    rows = np.stack([ix[order], iy[order]], axis=1)
+    first = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+    return rows, first, lambda rows: (rows[:, 0], rows[:, 1])
+
+
 class SquareFamily:
     """A set of level-k dyadic squares stored as index arrays.
 
@@ -527,8 +554,9 @@ class SquareFamily:
         iy = np.asarray(iy, dtype=np.int64)
         if ix.shape != iy.shape or ix.ndim != 1:
             raise DomainError("ix, iy must be equal-length 1-d arrays")
-        pair = np.unique(np.stack([ix, iy], axis=1), axis=0)
-        self.k, self.ix, self.iy = int(k), pair[:, 0], pair[:, 1]
+        keys, first, split = _sorted_square_keys(ix, iy)
+        self.k = int(k)
+        self.ix, self.iy = split(keys[first])
 
     def __len__(self) -> int:
         return len(self.ix)

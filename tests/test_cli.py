@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from furstlab import cli, dyadic, fourier
+from furstlab import config as cf
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -111,6 +112,20 @@ def test_highlow_subcommand(tmp_path):
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert header == "kind,delta_exp,S,lhs,high_term,low_term,fitted_C,C0,ok"
+
+
+@pytest.mark.parametrize("argv", [
+    ["furstenberg", "--delta-exp", "6", "--T", "2", "--seeds", "2"],
+    ["highlow", "--delta-exp", "6,7", "--kind", "affine"],
+    ["incidence", "--delta-exp", "6", "--T", "2"],
+])
+def test_cli_builds_run_no_audit(tmp_path, monkeypatch, argv):
+    # no CLI output reads NiceConfiguration.measured, so no run audits
+    def must_not_audit(*args, **kwargs):
+        raise AssertionError("audit constants were computed")
+
+    monkeypatch.setattr(cf, "_audit_constants", must_not_audit)
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
 
 
 def test_mainlem_subcommand(tmp_path):

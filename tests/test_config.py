@@ -49,6 +49,46 @@ def test_build_validates_parameters():
         cf.build_nice_configuration("spline", 8, 0.5, 1.0, 2, seed=0)
 
 
+def test_unknown_audit_mode_is_refused():
+    with pytest.raises(ParameterError, match="audit mode"):
+        cf.build_nice_configuration("parabola", 6, 0.5, 1.0, 3, seed=0, audit="bogus")
+
+
+def test_measured_is_audited_once_on_first_read(monkeypatch):
+    calls = []
+    audit = cf._audit_constants
+    monkeypatch.setattr(cf, "_audit_constants", lambda conf, mode: calls.append(mode) or audit(conf, mode))
+    conf = cf.build_nice_configuration("parabola", 8, 0.5, 1.0, 2, seed=0, audit="probe")
+    assert calls == []
+    first = conf.measured
+    assert conf.measured is first
+    assert calls == ["probe"] and first["audit"] == "probe"
+
+
+def _union_oracle(conf):
+    return np.unique(np.stack([conf.col_idx.ravel(), conf.iy.ravel()], axis=1), axis=0)
+
+
+def test_union_count_where_square_keys_pass_int64():
+    # (ix range + 1) * iy span reaches 2^64, so one int64 key per square would
+    # wrap distinct squares onto each other
+    fam = fl.TransversalFamily("affine", [0.0, 1.0], [0.0, 1.0], (-2.0, 2.0))
+    conf = cf.NiceConfiguration(
+        fam, "affine", 6, 0.5, 1.0, 3, 0,
+        col_idx=np.array([[0, 2 ** 31], [0, 2 ** 31]]),
+        iy=np.array([[0, 0], [2 ** 33 - 1, 2 ** 33 - 1]]),
+    )
+    # a parabola build at 2^-32 whose ix and iy ranges give (ix range + 1) * iy span > 2^64
+    built = cf.build_nice_configuration("parabola", 32, 0.25, 0.25, 16, seed=0)
+    assert (int(np.ptp(built.col_idx)) + 1) * (int(np.ptp(built.iy)) + 1) >= 2 ** 64
+    for c in (conf, built):
+        want = _union_oracle(c)
+        assert c.union_square_count() == len(want)
+        sq = c.union_squares()
+        assert np.array_equal(np.stack([sq.ix, sq.iy], axis=1), want)
+    assert conf.union_square_count() == 4
+
+
 def test_t_bound_never_below_the_estimate():
     # t_bound() of lines and parabola translates is certified from the
     # interval alone: the grid estimate never exceeds it, the pair whose

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -78,6 +79,11 @@ def test_square_family_is_sorted_and_distinct():
     perm = rng.permutation(len(grid))
     rebuilt = SquareFamily(3, np.r_[grid.ix[perm], grid.ix[:5]], np.r_[grid.iy[perm], grid.iy[:5]])
     assert np.array_equal(grid.ix, rebuilt.ix) and np.array_equal(grid.iy, rebuilt.iy)
+    # ranges whose one-integer key would pass 2^63 are sorted by both columns
+    wide_ix = np.r_[ix, ix[:40]] << 40
+    wide_iy = np.r_[iy, iy[:40]] << 40
+    wide = SquareFamily(4, wide_ix, wide_iy)
+    assert np.array_equal(np.stack([wide.ix, wide.iy], axis=1), want << 40)
     assert len(SquareFamily(2, [], [])) == 0
     unit = SquareFamily.grid(5)  # every square of [0, 1)^2
     assert len(unit) == 4 ** 5
@@ -409,6 +415,28 @@ def test_generate_deterministic():
     p1 = dy.generate_delta_set(8, 0.7, 2, seed=9, dim=2)
     p2 = dy.generate_delta_set(8, 0.7, 2, seed=9, dim=2)
     np.testing.assert_array_equal(p1.points, p2.points)
+
+
+#: (delta_exp, s, T, dim, batch, seed, shape, sha256 prefix of the bytes) of
+#: generate_delta_set_indices(delta_exp, s, T, default_rng(seed), dim, batch):
+#: the furstenberg sweep's 1-D and 2-D trees at T = 3, batches, 2-D at T = 2,
+#: and the _sample_distinct branch (2^13 children per cell)
+PINNED_TREES = [
+    (12, 0.9, 3, 1, 1, 0, (1, 1296, 1), "496ea49c5ba3af7f"),
+    (12, 1.0, 3, 2, 1, 0, (1, 4096, 2), "25bc250a2549ff3c"),
+    (9, 0.5, 3, 1, 6, 3, (6, 27, 1), "f271f969f9837141"),
+    (8, 1.5, 2, 2, 1, 5, (1, 4096, 2), "63cc662e25b74dae"),
+    (8, 1.0, 2, 2, 3, 2, (3, 256, 2), "f6f04127ce6a5701"),
+    (13, 0.2, 13, 1, 1, 0, (1, 6, 1), "4a6ac18ea4b03599"),
+    (26, 0.3, 13, 1, 2, 1, (2, 225, 1), "87fc93461709a068"),
+]
+
+
+@pytest.mark.parametrize("delta_exp, s, T, dim, batch, seed, shape, digest", PINNED_TREES)
+def test_generate_indices_are_pinned(delta_exp, s, T, dim, batch, seed, shape, digest):
+    idx = dy.generate_delta_set_indices(delta_exp, s, T, np.random.default_rng(seed), dim=dim, batch=batch)
+    assert idx.shape == shape and idx.dtype == np.int64
+    assert hashlib.sha256(idx.tobytes()).hexdigest()[:16] == digest
 
 
 # -- measures and serialization ------------------------------------------------------
