@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import (
+    MAX_TREE_CELLS,
     DiscretePointSet,
     ParameterError,
     SquareFamily,
@@ -32,6 +33,7 @@ from .dyadic import (
     generate_delta_set_indices,
     katz_tao_constant,
     side_of,
+    unique_cells,
 )
 from .family import DEFAULT_GRID_N, PARAMETRIC_KINDS, TransversalFamily
 from .famspace import family_cell_indices
@@ -203,6 +205,12 @@ def _attach_squares(
     n = len(family)
     if correlated:
         cols_one = generate_delta_set_indices(delta_exp, s, T, rng, dim=1, batch=1)[0][:, 0]
+        # the random layout's limit, on the (n, M) array the tiling would build
+        if n * len(cols_one) > MAX_TREE_CELLS:
+            raise ParameterError(
+                f"{n} curves on {len(cols_one)} shared columns at delta=2^-{delta_exp} "
+                f"exceed the limit of {MAX_TREE_CELLS} cells"
+            )
         col_idx = np.tile(cols_one, (n, 1))
     else:
         col_idx = generate_delta_set_indices(delta_exp, s, T, rng, dim=1, batch=n)[..., 0]
@@ -419,12 +427,13 @@ MAINLEM_MAX_BYTES = 5 << 29
 #: bytes held at once, per unit, rounded up so that tracemalloc peaks from
 #: delta = 2^-5 to 2^-10 at Delta = 2^-4, and from 2^-9 to 2^-12 at
 #: Delta = 2^-8 (where the squares' bytes are 34% to 95% of the estimate),
-#: reach at most 0.9 of the estimate: a grid square's indices, sort keys,
-#: difference array and count column; an int32 n_big level per square; a
-#: curve's parameters and cells; a (curve, column) pair, which can make one
-#: run of three int64, held twice (chunks and their concatenation, or runs
-#: and their bincount keys); a hypothesis-(i) table entry; a kernel step's
-#: temporaries
+#: reach at most 0.9 of the estimate (they reach 0.10 to 0.65 of it, the
+#: most at delta = 2^-10, Delta = 2^-4): a grid square's indices, kept
+#: prefix-count entry, sort keys, difference array and count column; an
+#: int32 n_big level per square; a curve's parameters and cells; a (curve,
+#: column) pair, which can make one run of three int64, held twice (chunks
+#: and their concatenation, or runs and their bincount keys); a
+#: hypothesis-(i) table entry; a kernel step's buffers and temporaries
 MAINLEM_BYTES_PER = {"square": 64, "level": 4, "curve": 128, "pair": 48, "entry": 32,
                      "step": 64 * STEP_BUDGET}
 
@@ -543,9 +552,7 @@ class MainlemEvaluator:
         self.eps = eps
         self.lam = lam
         self.squares = SquareFamily.grid(delta_exp)
-        self.cube_ids, cube_of = np.unique(
-            family_cell_indices(family, Delta_exp), axis=0, return_inverse=True
-        )
+        self.cube_ids, cube_of = unique_cells(family_cell_indices(family, Delta_exp))
         #: n_big[j]: per square, the int32 count of cubes with >= 2^j incident curves
         self.n_big: list[np.ndarray] = []
         self.max_b = 0  # the largest count of one cube's curves at one square
@@ -559,6 +566,7 @@ class MainlemEvaluator:
                     self.n_big.append(np.zeros(len(counts), dtype=np.int32))
                 self.n_big[j] += counts[:, 0] >= 1 << j
             self.max_b = max(self.max_b, top)
+            del counts  # not held through the next cube's kernel call
         self.hyp_i_mask = self._hypothesis_i_mask()
         self.cube_separated = self._cube_separation()
 

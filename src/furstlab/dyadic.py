@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -515,38 +516,75 @@ def generate_delta_set(
 # Array-backed square collections (for the incidence kernels)
 # --------------------------------------------------------------------------
 
+def _square_keys(ix: np.ndarray, iy: np.ndarray):
+    """One int64 key per square of the nonempty index arrays (ix, iy), which
+    orders as (ix, iy) does, and the function that turns keys back into ix
+    and iy arrays; None where the index ranges would carry a key past 2^63.
+
+    A key is (ix - ix0) * span + (iy - iy0), which one sort orders far faster
+    than two columns.
+    """
+    ix0, iy0 = int(ix.min()), int(iy.min())
+    span = int(iy.max()) - iy0 + 1
+    if (int(ix.max()) - ix0 + 1) * span >= 2 ** 63:
+        return None
+    keys = ix - ix0
+    keys *= span
+    keys += iy - iy0
+    return keys, lambda keys: (keys // span + ix0, keys % span + iy0)
+
+
 def _sorted_square_keys(ix: np.ndarray, iy: np.ndarray):
     """Sort the squares of the int64 index arrays (ix, iy) by (ix, iy).
 
     Returns ``(keys, first, split)``: one sorted key per input square,
     ``first`` marking each distinct square's first key, and ``split`` the
-    function that turns keys back into ix and iy arrays.  A key is the int64
-    (ix - ix0) * span + (iy - iy0), which one sort orders far faster than two
-    columns; where the index ranges would carry it past 2^63, the keys are
-    the (ix, iy) rows themselves, lexsorted.
+    function that turns keys back into ix and iy arrays.  The keys are
+    ``_square_keys``'s or, where those would pass 2^63, the (ix, iy) rows
+    themselves, lexsorted.
     """
     if len(ix) == 0:
         return ix, np.zeros(0, dtype=bool), lambda keys: (keys, keys)
-    ix0, iy0 = int(ix.min()), int(iy.min())
-    span = int(iy.max()) - iy0 + 1
-    if (int(ix.max()) - ix0 + 1) * span < 2 ** 63:
-        keys = ix - ix0
-        keys *= span
-        keys += iy - iy0
+    keyed = _square_keys(ix, iy)
+    if keyed is not None:
+        keys, split = keyed
         keys.sort()
-        first = np.r_[True, keys[1:] != keys[:-1]]
-        return keys, first, lambda keys: (keys // span + ix0, keys % span + iy0)
+        return keys, np.r_[True, keys[1:] != keys[:-1]], split
     order = np.lexsort((iy, ix))
     rows = np.stack([ix[order], iy[order]], axis=1)
     first = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
     return rows, first, lambda rows: (rows[:, 0], rows[:, 1])
 
 
+def unique_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (n, 2) int64 array of planar cell indices,
+    sorted, and each input row's position among them: the result of
+    ``np.unique(cells, axis=0, return_inverse=True)``, by a sort of one int64
+    key per row (``_square_keys``), or a lexsort where that key would pass 2^63.
+    """
+    if len(cells) == 0:
+        return cells[:0], np.zeros(0, dtype=np.int64)
+    keyed = _square_keys(cells[:, 0], cells[:, 1])
+    if keyed is not None:
+        keys, split = keyed
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        return np.stack(split(distinct), axis=1), inverse
+    order = np.lexsort((cells[:, 1], cells[:, 0]))
+    rows = cells[order]
+    first = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+    inverse = np.empty(len(cells), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[first], inverse
+
+
 class SquareFamily:
     """A set of level-k dyadic squares stored as index arrays.
 
     The squares are distinct and sorted by (ix, iy), whatever order and
-    repeats the input has; the incidence kernel's prefix-count lookup relies on it.
+    repeats the input has; the incidence kernel's prefix-count lookup relies
+    on it.  The column layout and prefix-count table that the kernel reads
+    are built from ix and iy on first use and kept, so the index arrays are
+    not to be changed in place.
     """
 
     def __init__(self, k: int, ix: np.ndarray, iy: np.ndarray):
@@ -573,3 +611,44 @@ class SquareFamily:
         grid = cls.__new__(cls)  # the ix-major meshgrid is already sorted and distinct
         grid.k, grid.ix, grid.iy = int(k), gx.ravel(), gy.ravel()
         return grid
+
+    @cached_property
+    def column_starts(self) -> np.ndarray:
+        """Where each occupied column's block of squares starts, then len(self):
+        column c holds the squares column_starts[c] to column_starts[c + 1] - 1."""
+        return np.append(np.flatnonzero(np.diff(self.ix, prepend=self.ix[:1] - 1)), len(self))
+
+    @cached_property
+    def row_range(self) -> tuple[int, int]:
+        """(iy_min, iy_max), or (0, 0) for no squares."""
+        return (int(self.iy.min()), int(self.iy.max())) if len(self) else (0, 0)
+
+    def prefix_counts(self, c0: int, c1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The int32 prefix counts over the occupied columns c0 <= c < c1.
+
+        With (iy_min, iy_max) the row range and span = iy_max - iy_min + 1,
+        entry (c - c0) * span + (iy - iy_min) counts those columns' squares
+        that come before (c, iy), wherever a square sits there or not; one
+        entry more closes the last column.  These keys are sorted and
+        distinct, as the squares are, so the entry is also the position,
+        relative to the first square of column c0, of the first square at or
+        after (c, iy).  Written into ``out``, which must hold the
+        (c1 - c0) * span + 1 entries, when it is given.
+        """
+        iy_min, iy_max = self.row_range
+        span = iy_max - iy_min + 1
+        starts = self.column_starts[c0:c1 + 1]
+        keys = np.repeat(np.arange(c1 - c0) * span, np.diff(starts))
+        keys += self.iy[starts[0]:starts[-1]] - iy_min
+        size = (c1 - c0) * span + 1
+        first = np.empty(size, dtype=np.int32) if out is None else out[:size]
+        first[:] = 0
+        first[1:][keys] = 1
+        return np.cumsum(first, dtype=np.int32, out=first)
+
+    @cached_property
+    def prefix_table(self) -> np.ndarray:
+        """``prefix_counts`` over every occupied column, built once and kept;
+        the incidence kernel reads it only where it fits the kernel's table
+        budget, and builds chunks of it into one reused buffer elsewhere."""
+        return self.prefix_counts(0, len(self.column_starts) - 1)

@@ -12,13 +12,24 @@ row units, as floor(u + t - 1/2) above and ceil(u - t - 1/2) below, with
 u = f(x)/delta and t = threshold/delta (both exact).  The estimate never
 falls inside the run: row n hits above f(x) only if n + 1/2 < u + t
 exactly, and n + 1/2 is a float, so the rounded u + t is at least n + 1/2
-too (likewise below).  Each end is then settled by stepping inwards while
-its row misses, under the oracle's own expression and strict inequality,
-and a prefix-count table over the sorted squares' keys gives the run's
-first square and length by two direct lookups.  The cost does not depend
-on the threshold, and the counter agrees *exactly* with the brute-force
-oracle, which evaluates every (curve, square) pair directly, one curve
-closure at a time.
+too (likewise below).  The ends stay floats.  They are clamped to the rows
+the squares span, the lower end to [iy_min, iy_max + 1] and the upper to
+[iy_min - 1, iy_max], which keeps lower <= upper + 1 as the estimates are.
+Each end is then settled by stepping inwards while its row misses and the
+run still holds it, so a run with no hitting row ends as lower = upper + 1
+and counts 0.  A row misses by the oracle's own predicate and strict
+inequality, |(row + 1/2) * delta - f(x)| < threshold: for an integer row
+below 2^52 in size, row + 1/2 and its product with the power of two delta
+are exact, the same float as the oracle's ``centers_of``.
+
+A prefix-count table over the sorted squares' keys then gives the run's
+first square and length by two direct lookups, with the ends cast to int64
+only for them.  The table and the column layout depend only on the
+squares, so a SquareFamily builds them once and keeps them (a table larger
+than ``TABLE_BUDGET`` is built a chunk of columns at a time, each call,
+into one buffer).  The cost does not depend on the threshold, and the
+counter agrees *exactly* with the brute-force oracle, which evaluates
+every (curve, square) pair directly, one curve closure at a time.
 
 A run's squares are contiguous in the sorted squares, so the kernel
 collects each run as one row (curve, first square, length) rather than as
@@ -35,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import SquareFamily, centers_of, side_of
+from .dyadic import SquareFamily, centers_of, side_of, unique_cells
 from .family import DomainError, TransversalFamily, _eval_checked
 from .famspace import family_cell_indices
 
@@ -56,24 +67,34 @@ class IncidenceResult:
 #: to 1.5x slower
 STEP_BUDGET = 1 << 16
 
-#: int32 entries of one prefix-count table: the kernel builds it over as
-#: many columns at a time as fit (at least one), where the high-low squares
-#: at 2^-12, 4,096 columns by about 6,050 rows, would need 24.8M entries
+#: int32 entries of one prefix-count table: a square set whose table fits
+#: keeps it for every call; a larger one is built over as many columns at a
+#: time as fit (at least one), where the high-low squares at 2^-12, 4,096
+#: columns by about 6,050 rows, would need 24.8M entries
 TABLE_BUDGET = 1 << 22
 
 
-def _trim_to_run(hits, fx, nearest, end):
-    """Step each run-end estimate in ``end`` towards ``nearest`` while its row misses.
+def _settle(end, other, fx, dl, threshold, step, scratch):
+    """Step each run end in ``end`` by ``step`` rows (+1 for lower ends, -1
+    for upper ones) while its row misses and its run, bounded by ``other``,
+    still holds that row.
 
-    An estimate never falls inside its run (see the module docstring), so
-    this settles the exact end; where no row hits, it stops at ``nearest``.
+    An end estimate never falls inside its run (see the module docstring),
+    so this settles the exact end; a run with no hitting row settles empty,
+    the lower end one above the upper.  A row misses by the oracle's own
+    predicate, on the oracle's center (row + 1/2) * delta; fx is finite and
+    the threshold not nan, so ">=" is "not <".  ``scratch`` has end's shape.
     """
-    flat, fx, nearest = end.reshape(-1), fx.reshape(-1), nearest.reshape(-1)
-    todo = np.flatnonzero((flat != nearest) & ~hits(flat, fx))
+    lower, upper = (end, other) if step > 0 else (other, end)
+    np.add(end, 0.5, out=scratch)
+    scratch *= dl
+    scratch -= fx
+    todo = np.flatnonzero((np.abs(scratch, out=scratch) >= threshold) & (lower <= upper))
+    flat, lower, upper, fx = end.reshape(-1), lower.reshape(-1), upper.reshape(-1), fx.reshape(-1)
     while len(todo):
-        flat[todo] += np.sign(nearest[todo] - flat[todo])
-        todo = todo[flat[todo] != nearest[todo]]
-        todo = todo[~hits(flat[todo], fx[todo])]
+        flat[todo] += step
+        todo = todo[(lower[todo] <= upper[todo])
+                    & (np.abs((flat[todo] + 0.5) * dl - fx[todo]) >= threshold)]
     return end
 
 
@@ -94,49 +115,55 @@ def _count_against_threshold(
     k = squares.k
     dl = side_of(k)
     # a SquareFamily is sorted by (ix, iy): each column is one block of squares
-    col_start = np.flatnonzero(np.diff(squares.ix, prepend=squares.ix[:1] - 1))
-    col_len = np.diff(col_start, append=len(squares))
-    xc = centers_of(squares.ix[col_start], k)
-    iy_min = int(squares.iy.min()) if len(squares) else 0
-    iy_max = int(squares.iy.max()) if len(squares) else 0
+    col_start = squares.column_starts
+    xc = centers_of(squares.ix[col_start[:-1]], k)
+    iy_min, iy_max = squares.row_range
     span = iy_max - iy_min + 1
-
-    def hits(iy, fx):  # the oracle's predicate, on the oracle's center expression
-        return np.abs(centers_of(iy, k) - fx) < threshold
 
     count = 0
     run_chunks: list[np.ndarray] = []
-    t = threshold / dl  # the threshold in rows
-    col_chunk = max(1, min(len(xc), STEP_BUDGET, TABLE_BUDGET // (span + 1)))
-    rows = max(1, STEP_BUDGET // col_chunk)
-    table = np.empty(col_chunk * span + 1, dtype=np.int32)  # one buffer for every chunk
-    for start in range(0, len(xc), col_chunk):
-        xs = xc[start:start + col_chunk]
-        # the chunk's keys (column in chunk)*span + (iy - iy_min) are sorted
-        # and distinct, as the squares are, so first[key], the count of keys
-        # below key, is the chunk position of the first square at or after key
-        base = int(col_start[start])
-        keys = np.repeat(np.arange(len(xs)) * span, col_len[start:start + len(xs)])
-        keys += squares.iy[base:base + len(keys)] - iy_min
-        first = table[:len(xs) * span + 1]
-        first[:] = 0
-        first[1:][keys] = 1
-        np.cumsum(first, dtype=np.int32, out=first)
-        del keys
-        col_keys = (np.arange(len(xs)) * span - iy_min)[None]
+    # the threshold in rows; below 0 no row hits, and t = 0 keeps lo <= hi + 1
+    t = max(threshold, 0.0) / dl
+    fit = min(STEP_BUDGET, TABLE_BUDGET // (span + 1))  # columns per table
+    col_chunk = max(1, min(len(xc), fit))
+    rows = max(1, min(len(family), STEP_BUDGET // col_chunk))
+    # a table that fits the budget is the square set's kept one; chunks of a
+    # larger one are built in turn into one buffer
+    buffer = None if len(xc) <= fit else np.empty(col_chunk * span + 1, dtype=np.int32)
+    # a step's run ends and scratch, in buffers that every step reuses; the
+    # scratch row, read as int64, then holds the table keys
+    work = np.empty((3, rows * col_chunk))
+    for c0 in range(0, len(xc), col_chunk):
+        c1 = min(c0 + col_chunk, len(xc))
+        xs = xc[c0:c1]
+        first = squares.prefix_table if buffer is None else squares.prefix_counts(c0, c1, buffer)
+        base = int(col_start[c0])
+        # a row's table key, less the row: float, as the run ends are, and exact
+        col_keys = np.arange(c1 - c0, dtype=float) * span - iy_min
         for r0 in range(0, len(family), rows):
             fx = family.subfamily(range(r0, min(r0 + rows, len(family)))).evaluate(xs[None])
-            # the row in [iy_min, iy_max] nearest to f(x): hits lie in one run through it
-            u = fx / dl
-            nearest = np.floor(np.clip(u, iy_min, iy_max)).astype(np.int64)
-            lo = np.ceil(np.clip(u - t - 0.5, iy_min, nearest)).astype(np.int64)
-            hi = np.floor(np.clip(u + t - 0.5, nearest, iy_max)).astype(np.int64)
-            lo = _trim_to_run(hits, fx, nearest, lo)
-            hi = _trim_to_run(hits, fx, nearest, hi)
-            # the clips keep lo and hi in [iy_min, iy_max], so no index wraps round
-            pos_lo = first[col_keys + lo]
-            n = first[col_keys + hi + 1] - pos_lo
-            n[~hits(nearest, fx)] = 0
+            lo, hi, scratch = (w[:fx.size].reshape(fx.shape) for w in work)
+            # run-end estimates in rows, clamped to the rows the table holds:
+            # lo in [iy_min, iy_max + 1], hi in [iy_min - 1, iy_max], lo <= hi + 1
+            np.multiply(fx, 1.0 / dl, out=hi)  # u = f(x)/delta, exact
+            np.subtract(hi, t, out=lo)
+            hi += t
+            lo -= 0.5
+            hi -= 0.5
+            np.clip(np.ceil(lo, out=lo), iy_min, iy_max + 1, out=lo)
+            np.clip(np.floor(hi, out=hi), iy_min - 1, iy_max, out=hi)
+            _settle(lo, hi, fx, dl, threshold, 1, scratch)
+            _settle(hi, lo, fx, dl, threshold, -1, scratch)
+            # an empty run is lo = hi + 1, whose two reads agree
+            key = scratch.view(np.int64)
+            lo += col_keys
+            np.copyto(key, lo, casting="unsafe")
+            pos_lo = first[key]
+            hi += col_keys
+            hi += 1
+            np.copyto(key, hi, casting="unsafe")
+            n = first[key]
+            n -= pos_lo
             found = int(n.sum())
             count += found
             if collect and found:
@@ -302,8 +329,7 @@ def cube_incidence_counts(
     array with |P| + 1 rows (a run may end at the last square), and a
     cumulative sum down the square axis gives the table.
     """
-    fam_cells = family_cell_indices(family, Delta_exp)
-    cube_ids, inverse = np.unique(fam_cells, axis=0, return_inverse=True)
+    cube_ids, inverse = unique_cells(family_cell_indices(family, Delta_exp))
     _, runs = _count_against_threshold(family, squares, lam * squares.delta, collect=True)
     n_cubes = len(cube_ids)
     curve, first, length = runs.T

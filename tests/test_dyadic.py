@@ -90,6 +90,18 @@ def test_square_family_is_sorted_and_distinct():
     assert set(unit.ix.tolist()) == set(unit.iy.tolist()) == set(range(2 ** 5))
 
 
+def test_unique_cells_equals_numpy_unique_rows():
+    # the one-key sort, and the lexsort where a key would pass 2^63, give
+    # np.unique's sorted rows and inverse
+    rng = np.random.default_rng(6)
+    cells = rng.integers(-5, 5, (300, 2))
+    for rows in (cells, cells << 40, cells[:1], cells[:0]):
+        got, inverse = dy.unique_cells(rows)
+        want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(got, want) and np.array_equal(inverse, want_inverse.ravel())
+        assert got.shape == (len(want), 2) and inverse.shape == (len(rows),)
+
+
 @settings(max_examples=80, deadline=None)
 @given(x=st.floats(-4, 4), k=st.integers(0, 20))
 def test_cell_indices_match_floor_oracle(x, k):

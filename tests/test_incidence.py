@@ -288,13 +288,78 @@ def test_kernel_matches_oracle_at_any_threshold(kind, k, data):
         st.floats(0.5, 2.0 ** (k + 1)),
         st.integers(0, k).map(lambda j: 2.0 ** (j + 1)),
     ))
-    thr = rows * P.delta
+    _assert_kernel_matches_oracle(fam, P, rows * P.delta)
+
+
+def _assert_kernel_matches_oracle(fam, P, thr):
+    """The kernel's runs, collected and count-only, equal the oracle's pairs; returns the count."""
     brute = inc.incidences_bruteforce(fam, P, 1.0, threshold=thr)
     count, runs = inc._count_against_threshold(fam, P, thr, collect=True)
     pairs = inc._expand_runs(runs)
     assert count == brute.count == len(pairs)
     assert np.array_equal(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], brute.pairs)
     assert inc._count_against_threshold(fam, P, thr, collect=False)[0] == brute.count
+    return count
+
+
+def test_kernel_matches_oracle_where_runs_are_empty_mid_column():
+    # below half a row a curve between two centers hits neither: its run is
+    # empty although f(x) lies among the rows
+    k = 6
+    P = dy.SquareFamily.grid(k)
+    fam = random_line_family(4, 40, interval=(0.0, 1.0))
+    fx = fam.evaluate(dy.centers_of(np.arange(2 ** k), k)[None])
+    inside = int(np.sum((fx >= 0) & (fx < 1)))
+    for rows in (0.1, 0.25, 0.45):
+        count = _assert_kernel_matches_oracle(fam, P, rows * P.delta)
+        assert 0 < count < inside
+
+
+def test_kernel_matches_oracle_for_curves_above_or_below_every_row():
+    k = 5
+    P = dy.SquareFamily(k, np.arange(2 ** k).repeat(4), np.tile([0, 1, 9, 2 ** k - 1], 2 ** k))
+    above = fl.TransversalFamily("affine", [0.0, 0.5, -0.5], [2.0, 1.75, 2.5], (0.0, 1.0))
+    below = fl.TransversalFamily("affine", [0.0, 0.5, -0.5], [-1.0, -1.75, -0.6], (0.0, 1.0))
+    for fam in (above, below):
+        for rows in (0.25, 2.0, 16.0):
+            assert _assert_kernel_matches_oracle(fam, P, rows * P.delta) == 0
+    # a curve through the rows among them still counts, and only it
+    row_9 = float(dy.centers_of(9, k))
+    mixed = fl.TransversalFamily("affine", [0.0, 0.0, 0.0], [2.0, row_9, -1.0], (0.0, 1.0))
+    assert _assert_kernel_matches_oracle(mixed, P, 2.0 * P.delta) == 2 ** k
+
+
+def test_kernel_matches_oracle_on_sparse_rows_with_gaps():
+    # a few rows per column with wide gaps: runs that span a gap, end in one
+    # or hold no square at all
+    rng = np.random.default_rng(11)
+    k = 7
+    gaps = np.array([-40, -3, 0, 1, 9, 30, 31, 77, 200])
+    ix = rng.integers(-(2 ** k), 2 ** k, 600)
+    P = dy.SquareFamily(k, ix, rng.choice(gaps, 600))
+    fam = random_line_family(12, 30, interval=(-1.0, 1.0))
+    for rows in (0.3, 2.0, 5.5, 16.0, 60.0):
+        assert _assert_kernel_matches_oracle(fam, P, rows * P.delta) > 0
+
+
+def test_kernel_matches_oracle_with_one_square_set_reused(monkeypatch):
+    # the layout and table kept on P serve every family and threshold, and a
+    # budget that splits P into chunks after its table was kept reads chunks
+    fam_p, P = _spread_squares_and_lines(3)
+    fams = [fam_p, random_line_family(5, 12, interval=(-1.0, 1.0)),
+            fl.TransversalFamily("parabola", [0.2, -0.4], [-0.5, 0.1], (-1.0, 1.0), lead=0.5)]
+    span = int(P.iy.max() - P.iy.min()) + 1
+    want = {}
+    for cols_per_table in (None, 5, 1):
+        if cols_per_table is not None:
+            monkeypatch.setattr(inc, "TABLE_BUDGET", cols_per_table * (span + 1))
+        for i, fam in enumerate(fams):
+            for rows in (0.3, 2.0, 16.0):
+                count = _assert_kernel_matches_oracle(fam, P, rows * P.delta)
+                assert want.setdefault((i, rows), count) == count
+    assert "prefix_table" in vars(P)  # kept from the first, unsplit pass
+    fresh = dy.SquareFamily(P.k, P.ix, P.iy)
+    assert np.array_equal(fresh.prefix_table, P.prefix_table)
 
 
 # -- the prefix-count lookup at its edges ---------------------------------------------
@@ -373,19 +438,21 @@ def test_prefix_count_table_stays_within_its_budget():
 
 
 def test_run_end_trimming_walks_any_distance():
-    # an estimate far outside the run still settles on its exact end
+    # end estimates 20 rows outside the run still settle on its exact ends
     k = 6
+    dl = 2.0 ** -k
     fx = np.array([[0.3, 0.3001, -0.7, 5.0]])
-    thr = 3.25 * 2.0 ** -k
-
-    def hits(iy, f):
-        return np.abs(dy.centers_of(iy, k) - f) < thr
-
-    nearest = np.floor(fx * 2 ** k).astype(np.int64)
+    thr = 3.25 * dl
     rows = np.arange(-2 ** (k + 4), 2 ** (k + 4))
-    for step in (1, -1):
-        end = inc._trim_to_run(hits, fx, nearest, nearest + step * 20)
-        want = [max(rows[hits(rows, f)] * step) * step for f in fx[0]]
-        assert end[0].tolist() == want
-    # with no row in reach the end stops at the nearest row
-    assert inc._trim_to_run(lambda iy, f: iy != iy, fx, nearest, nearest + 5).tolist() == nearest.tolist()
+    hit = [rows[np.abs(dy.centers_of(rows, k) - f) < thr] for f in fx[0]]
+    nearest = np.floor(fx * 2 ** k)
+    lo, hi, scratch = nearest - 20, nearest + 20, np.empty_like(fx)
+    inc._settle(lo, hi, fx, dl, thr, 1, scratch)
+    inc._settle(hi, lo, fx, dl, thr, -1, scratch)
+    assert lo[0].tolist() == [r.min() for r in hit]
+    assert hi[0].tolist() == [r.max() for r in hit]
+    # with no row in reach the run settles empty: its lower end one above its upper
+    lo, hi = nearest - 5, nearest + 5
+    inc._settle(lo, hi, fx, dl, 0.0, 1, scratch)
+    inc._settle(hi, lo, fx, dl, 0.0, -1, scratch)
+    assert (lo == hi + 1).all() and (hi == nearest + 5).all()
