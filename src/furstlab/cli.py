@@ -185,8 +185,7 @@ def cmd_check_set(config: RunConfig) -> int:
 def cmd_incidence(config: RunConfig) -> int:
     de = config.delta_exp[0]
     conf = cf.build_nice_configuration(
-        config.kind, de, config.s, config.t, config.period_for(de),
-        config.master_seed, audit="probe"
+        config.kind, de, config.s, config.t, config.period_for(de), config.master_seed
     )
     P = conf.union_squares()
     fast = inc.incidences(conf.family, P, config.lam)
@@ -210,8 +209,7 @@ def cmd_highlow(config: RunConfig) -> int:
 
     def run_one(de: int):
         conf = cf.build_nice_configuration(
-            config.kind, de, config.s, config.t, config.period_for(de),
-            config.master_seed, audit="probe"
+            config.kind, de, config.s, config.t, config.period_for(de), config.master_seed
         )
         P = conf.union_squares()
         lhs = inc.incidences(conf.family, P, config.lam, collect=False).count
@@ -243,7 +241,7 @@ def cmd_furstenberg(config: RunConfig) -> int:
     def run_one(trial):
         de, seed = trial
         conf = cf.build_nice_configuration(
-            config.kind, de, config.s, config.t, config.period_for(de), seed, audit="probe"
+            config.kind, de, config.s, config.t, config.period_for(de), seed
         )
         return cf.furstenberg_experiment(conf)
 

@@ -167,9 +167,9 @@ def build_nice_configuration(
     (slope/intercept resp. translation center), mapped to curves on
     [-2, 2]; each curve's squares sit on an independent 1-D (delta, s)-tree
     of x-columns (``correlated=True`` shares one column set across curves,
-    a stress mode that shrinks |P|).  Lines and parabola translates carry
-    the certified ``t_bound()`` of 1 + |I|; a convex family is estimated in
-    full, which raises if two members coincide or touch.  ``audit`` (one of
+    a stress mode that shrinks |P|).  No kind's build compares members:
+    coincident ones are refused where a pairwise quantity reads them
+    (``t_const``, ``verify_nice``, ``high_low_report``).  ``audit`` (one of
     AUDIT_MODES) is how ``measured`` audits the result on its first read.
     """
     if not (0 <= s <= 1):
@@ -183,7 +183,6 @@ def build_nice_configuration(
     family = _make_family(
         kind, a, b, seed_curve, grid_n=DEFAULT_GRID_N if grid_n is None else grid_n
     )
-    family.t_bound()  # a convex family's full estimate: raises on coinciding members
     return _attach_squares(family, kind, delta_exp, s, t, T, seed, rng, audit, correlated)
 
 
@@ -252,18 +251,17 @@ class NiceReport:
     passed: bool
     failures: tuple[str, ...]
     min_separation: float
-    measured: dict
 
 
 def verify_nice(conf: NiceConfiguration) -> NiceReport:
-    """Re-check all nice-configuration invariants.
+    """Re-check all nice-configuration invariants, without auditing.
 
     Graph intersection is tested by sampling every curve at 9 points
     across each of its squares' x-range and requiring some sample to land
-    in the square's half-open y-interval.
+    in the square's half-open y-interval.  Delta-separation is the least
+    C2 distance between members, so coincident members fail it.
     """
     failures: list[str] = []
-    n, M = conf.n_curves, conf.M
     if conf.col_idx.shape != conf.iy.shape:
         failures.append("square index arrays are ragged")
     cols_sorted = np.sort(conf.col_idx, axis=1)
@@ -281,15 +279,10 @@ def verify_nice(conf: NiceConfiguration) -> NiceReport:
         failures.append(
             f"square (ix={conf.col_idx[i][j]}, iy={conf.iy[i][j]}) misses the graph of curve {i}"
         )
-    min_sep = conf.family.min_pair_distance() if n >= 2 else math.inf
+    min_sep = conf.family.min_pair_distance() if conf.n_curves >= 2 else math.inf
     if min_sep < dl:
         failures.append(f"family not delta-separated: min distance {min_sep} < {dl}")
-    return NiceReport(
-        passed=not failures,
-        failures=tuple(failures),
-        min_separation=min_sep,
-        measured=dict(conf.measured),
-    )
+    return NiceReport(passed=not failures, failures=tuple(failures), min_separation=min_sep)
 
 
 # --------------------------------------------------------------------------

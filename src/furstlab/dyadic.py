@@ -429,6 +429,10 @@ MAX_TREE_CELLS = 1 << 26
 #: (2i + 1) 2^-(k+1) is an exact float only while 2^(k+1) fits the 53-bit
 #: significand
 MAX_DELTA_EXP = 52
+#: most entries ``generate_delta_set_indices`` permutes at once (32 MiB of
+#: int64); a level with more is permuted a block of rows at a time, with the
+#: same stream
+PERMUTE_BUDGET = 1 << 22
 
 
 def generate_delta_set_indices(
@@ -475,17 +479,22 @@ def generate_delta_set_indices(
     shifts = T * np.arange(dim - 1, -1, -1, dtype=np.int64)
     cells = np.zeros((batch, dim), dtype=np.int64)  # every tree's cells, tree by tree
     for _ in range(m):
-        if n_children <= 4096:
-            # permuted copies its input, so a broadcast view of one row is enough
-            rows = np.broadcast_to(np.arange(n_children, dtype=np.int64), (len(cells), n_children))
-            offsets = rng.permuted(rows, axis=1)[:, :K]
-        else:
-            offsets = np.stack(
-                [_sample_distinct(rng, n_children, K) for _ in range(len(cells))]
-            )
         # the level's cells are written once, in place, in tree order
         children = np.empty((len(cells), K, dim), dtype=np.int64)
-        np.right_shift(offsets[..., None], shifts, out=children)
+        if n_children <= 4096:
+            # permuted copies its input into buf, so a broadcast view of one
+            # row is enough, and shuffles row after row, so a block of rows at
+            # a time draws the stream of one call
+            row = np.arange(n_children, dtype=np.int64)
+            buf = np.empty((min(len(cells), max(1, PERMUTE_BUDGET // n_children)), n_children),
+                           dtype=np.int64)
+            for r0 in range(0, len(cells), len(buf)):
+                out = buf[:len(cells) - r0]
+                rng.permuted(np.broadcast_to(row, out.shape), axis=1, out=out)
+                np.right_shift(out[:, :K, None], shifts, out=children[r0:r0 + len(out)])
+        else:
+            offsets = np.stack([_sample_distinct(rng, n_children, K) for _ in range(len(cells))])
+            np.right_shift(offsets[..., None], shifts, out=children)
         children &= (1 << T) - 1
         children += cells[:, None, :] << T
         cells = children.reshape(-1, dim)
@@ -534,6 +543,15 @@ def _square_keys(ix: np.ndarray, iy: np.ndarray):
     return keys, lambda keys: (keys // span + ix0, keys % span + iy0)
 
 
+def _lexsorted_rows(ix: np.ndarray, iy: np.ndarray):
+    """``(order, rows, first)``: the order that sorts the squares by (ix, iy),
+    their sorted (n, 2) index rows, and a mask of each distinct row's first;
+    the fallback of the two functions below where ``_square_keys`` is None."""
+    order = np.lexsort((iy, ix))
+    rows = np.stack([ix[order], iy[order]], axis=1)
+    return order, rows, np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+
+
 def _sorted_square_keys(ix: np.ndarray, iy: np.ndarray):
     """Sort the squares of the int64 index arrays (ix, iy) by (ix, iy).
 
@@ -550,9 +568,7 @@ def _sorted_square_keys(ix: np.ndarray, iy: np.ndarray):
         keys, split = keyed
         keys.sort()
         return keys, np.r_[True, keys[1:] != keys[:-1]], split
-    order = np.lexsort((iy, ix))
-    rows = np.stack([ix[order], iy[order]], axis=1)
-    first = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+    _, rows, first = _lexsorted_rows(ix, iy)
     return rows, first, lambda rows: (rows[:, 0], rows[:, 1])
 
 
@@ -569,9 +585,7 @@ def unique_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys, split = keyed
         distinct, inverse = np.unique(keys, return_inverse=True)
         return np.stack(split(distinct), axis=1), inverse
-    order = np.lexsort((cells[:, 1], cells[:, 0]))
-    rows = cells[order]
-    first = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+    order, rows, first = _lexsorted_rows(cells[:, 0], cells[:, 1])
     inverse = np.empty(len(cells), dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
     return rows[first], inverse

@@ -4,8 +4,9 @@ A transversal family embeds into the plane by A(f) = (f(x0), f'(x0)) with
 x0 the interval midpoint; the embedding is sqrt(2)*T bi-Lipschitz, so
 dyadic squares in the plane pull back to "dyadic cubes" in the family.
 This module groups the curves' cell indices into those cubes and into
-exactly-uniform subsets (level-wise pigeonholing) as array code, with
-``audit_uniformity`` as the independent recount.
+exactly-uniform subsets (level-wise pigeonholing, grouping cells with
+``dyadic.unique_cells``), with ``audit_uniformity`` as the independent
+recount.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import ParameterError, cell_indices, dyadic_cell_count
+from .dyadic import ParameterError, cell_indices, dyadic_cell_count, unique_cells
 from .family import TransversalFamily
 
 
@@ -93,12 +94,12 @@ def extract_uniform_subset(
         raise ParameterError(f"m must be >= 1, got {m}")
     # leaf cells at level mT; the level-jT cubes above them are right
     # shifts of their indices (arithmetic shift = floor division)
-    leaves, leaf_of = np.unique(family_cell_indices(family, m * T), axis=0, return_inverse=True)
+    leaves, leaf_of = unique_cells(family_cell_indices(family, m * T))
     live = np.arange(len(leaves))
     n_counts = [0] * m
     for level in range(m - 1, -1, -1):
-        child, child_of = np.unique(leaves[live] >> (m - level - 1) * T, axis=0, return_inverse=True)
-        _, parent_of = np.unique(child >> T, axis=0, return_inverse=True)
+        child, child_of = unique_cells(leaves[live] >> (m - level - 1) * T)
+        _, parent_of = unique_cells(child >> T)
         n = np.bincount(parent_of)
         k = np.frexp(n)[1] - 1                 # floor(log2 n), exactly
         k_star = int(np.argmax(np.bincount(k, weights=n)))

@@ -11,7 +11,7 @@ the whole grid is one complex matrix product.  Both are exact
 rearrangements of the direct sum, not approximations.
 
 Every measure here is a `dyadic.AtomicMeasure`; `CurveMeasure`, the lift
-of a base set onto a curve, also records its Frostman constant.
+of a base set onto a curve, also measures its Frostman constant when read.
 `lp_norm_ball` and `decay_slope` share one ball-integral routine, which
 checks p, R and h once and runs one grid transform at the largest R.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,15 +35,19 @@ from .family import DomainError
 class CurveMeasure(AtomicMeasure):
     """An atomic measure supported on the graph {(x, g(x)) : x in [-1, 1]}.
 
-    Records its planar Frostman constant at exponent s, measured down to
-    scale 2^-delta_exp when the measure is built.
+    Carries the exponent s and scale 2^-delta_exp of its planar Frostman
+    constant ``frostman_c``, which is measured on its first read.
     """
 
     def __init__(self, points: np.ndarray, weights: np.ndarray, s: float, delta_exp: int):
         super().__init__(points, weights)
         self.s = s
         self.delta_exp = delta_exp
-        self.frostman_c = frostman_constant(self, s, delta_exp, max_centers=256).best_constant
+
+    @cached_property
+    def frostman_c(self) -> float:
+        """The Frostman constant at exponent s down to 2^-delta_exp, over 256 probe centers."""
+        return frostman_constant(self, self.s, self.delta_exp, max_centers=256).best_constant
 
 
 def lift_measure(g0, base_points: np.ndarray, base_weights: np.ndarray, s: float,

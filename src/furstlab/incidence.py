@@ -216,12 +216,11 @@ def incidences_bruteforce(
     family: TransversalFamily,
     squares: SquareFamily,
     lam: float,
-    threshold: float | None = None,
 ) -> IncidenceResult:
     """Direct double-loop oracle: evaluates every curve at every square center."""
     xc = centers_of(squares.ix, squares.k)
     yc = centers_of(squares.iy, squares.k)
-    thr = lam * squares.delta if threshold is None else threshold
+    thr = lam * squares.delta
     chunks = []
     count = 0
     for fi, curve in enumerate(family.curves):

@@ -267,3 +267,46 @@ def test_acceptance_11_determinism(tmp_path, monkeypatch):
         assert b1 == b8, f"{name} differs between 1 and 8 threads"
     report(11, "suite CSVs byte-identical across 1 and 8 threads", t0,
            f"{len(names)} files compared")
+
+
+# -- negative controls: each criterion fails its own assertion on a wrong input ----------
+
+def _fails_at(assertion: str, criterion, *args) -> None:
+    """Run an acceptance test and require it to fail at the assert statement given."""
+    with pytest.raises(AssertionError) as err:
+        criterion(*args)
+    assert str(err.traceback[-1].statement).strip() == assertion
+
+
+def test_acceptance_01_control_runs_one_square_short(monkeypatch):
+    kernel = inc._count_against_threshold
+
+    def short_kernel(*args, **kwargs):
+        count, runs = kernel(*args, **kwargs)
+        nonempty = runs[:, 2] > 0
+        runs[:, 2] -= nonempty
+        return count - int(nonempty.sum()), runs
+
+    monkeypatch.setattr(inc, "_count_against_threshold", short_kernel)
+    _fails_at("assert fast.count == brute.count", test_acceptance_01_oracle_equivalence)
+
+
+def test_acceptance_10_control_point_mass_as_the_lift(monkeypatch):
+    point = dy.AtomicMeasure(np.array([[0.0, 0.0]]), np.array([1.0]))
+    monkeypatch.setattr(fo, "uniform_grid_lift", lambda *args, **kwargs: point)
+    _fails_at("assert rep.slope <= 0.3", test_acceptance_10_fourier_decay)
+
+
+def test_acceptance_11_control_two_master_seeds(tmp_path, monkeypatch):
+    main = cli.main
+
+    def seed_1_at_8_threads(argv):
+        return main(argv + ["--master-seed", "1"] if "8" in argv else argv)
+
+    monkeypatch.setattr(cli, "main", seed_1_at_8_threads)
+    _fails_at('assert b1 == b8, f"{name} differs between 1 and 8 threads"',
+              test_acceptance_11_determinism, tmp_path, monkeypatch)
+    # the rows differ, not only the footers that name the seed
+    rows = [(tmp_path / run / "furstenberg.csv").read_text().splitlines()[:-1]
+            for run in ("threads1", "threads8")]
+    assert rows[0][0] == rows[1][0] and rows[0][1:] != rows[1][1:]

@@ -41,6 +41,23 @@ def test_build_convex_kind_with_seed_curve():
     assert cf.verify_nice(conf).passed
 
 
+def test_no_kind_builds_with_a_pairwise_pass(monkeypatch):
+    # coincident members are refused where a pairwise quantity reads them,
+    # not at build; the configurations then verify with the pass restored
+    def must_not_pair(self):
+        raise AssertionError("a pairwise pass ran")
+
+    confs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(fl.TransversalFamily, "pairwise_defect_and_dist", must_not_pair)
+        for kind, seed_curve in (("affine", None), ("parabola", None), ("convex", fl.exp_seed())):
+            for k in (6, 8):
+                confs.append(cf.build_nice_configuration(kind, k, 0.5, 1.0, 2, seed=0,
+                                                         seed_curve=seed_curve))
+    assert [c.n_curves for c in confs] == [64, 256] * 3
+    assert all(cf.verify_nice(c).passed for c in confs[::2])
+
+
 def test_build_validates_parameters():
     with pytest.raises(ParameterError):
         cf.build_nice_configuration("parabola", 8, 1.5, 1.0, 2, seed=0)
@@ -160,7 +177,11 @@ def test_parallel_translate_configuration_is_pinned(seed, col_digest, iy_digest)
 
 # -- verification --------------------------------------------------------------------
 
-def test_verify_positive():
+def test_verify_positive(monkeypatch):
+    def must_not_audit(*args, **kwargs):
+        raise AssertionError("audit constants were computed")
+
+    monkeypatch.setattr(cf, "_audit_constants", must_not_audit)  # verifying reads no audit
     conf = cf.build_nice_configuration("parabola", 8, 0.5, 1.0, 2, seed=1)
     rep = cf.verify_nice(conf)
     assert rep.passed

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,6 +450,30 @@ def test_generate_indices_are_pinned(delta_exp, s, T, dim, batch, seed, shape, d
     idx = dy.generate_delta_set_indices(delta_exp, s, T, np.random.default_rng(seed), dim=dim, batch=batch)
     assert idx.shape == shape and idx.dtype == np.int64
     assert hashlib.sha256(idx.tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("delta_exp, s, T, dim", [(24, 0.25, 12, 1), (12, 0.5, 6, 2)])
+def test_generate_indices_permute_within_their_budget(monkeypatch, delta_exp, s, T, dim):
+    # 32 trees of 8 cells permute 256 rows of 4096 children at their second
+    # level, 8 MiB at once; a budget of one or three rows and a bit draws the
+    # same stream, holding a small part of that
+    def draw():
+        rng = np.random.default_rng(11)
+        tracemalloc.start()
+        try:
+            idx = dy.generate_delta_set_indices(delta_exp, s, T, rng, dim=dim, batch=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return idx, peak, rng.integers(0, 1 << 62, 4)
+
+    whole, whole_peak, whole_next = draw()
+    assert whole.shape == (32, 64, dim) and whole_peak > 256 * 4096 * 8
+    for budget in (1 << 12, 3 * 4096 + 5):
+        monkeypatch.setattr(dy, "PERMUTE_BUDGET", budget)
+        idx, peak, after = draw()
+        assert np.array_equal(idx, whole) and np.array_equal(after, whole_next)
+        assert peak < 1 << 20
 
 
 # -- measures and serialization ------------------------------------------------------

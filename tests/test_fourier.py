@@ -38,6 +38,18 @@ def test_lift_uniform_grid_frostman():
     np.testing.assert_allclose(cm.points[:, 1], cm.points[:, 0] ** 2, atol=1e-12)
 
 
+def test_lift_measures_its_frostman_constant_once_on_first_read(monkeypatch):
+    calls = []
+    measure = fo.frostman_constant
+    monkeypatch.setattr(fo, "frostman_constant",
+                        lambda *args, **kwargs: calls.append(args[1:]) or measure(*args, **kwargs))
+    cm = parabola_lift(6)
+    assert calls == []
+    first = cm.frostman_c
+    assert cm.frostman_c == first <= 8.0
+    assert calls == [(1.0, 6)]
+
+
 def test_lift_half_dim_set():
     k = 8
     base = dy.generate_delta_set(k, 0.5, 2, seed=0)

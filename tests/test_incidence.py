@@ -138,7 +138,7 @@ def test_high_low_identity_decomposition():
     P = dy.SquareFamily.grid(6)
     rep = inc.high_low_report(fam, P, 2.0, 8.0, inc.incidences(fam, P, 2.0, collect=False).count)
     assert rep.lhs == inc.incidences_bruteforce(fam, P, 2.0).count
-    coarse = inc.incidences_bruteforce(fam, P, 2.0, threshold=2 * 8.0 * P.delta).count
+    coarse = inc.incidences_bruteforce(fam, P, 2 * 8.0).count
     assert rep.coarse_count == coarse
     assert rep.low_term == pytest.approx(coarse / 8.0, rel=1e-12)
 
@@ -288,12 +288,14 @@ def test_kernel_matches_oracle_at_any_threshold(kind, k, data):
         st.floats(0.5, 2.0 ** (k + 1)),
         st.integers(0, k).map(lambda j: 2.0 ** (j + 1)),
     ))
-    _assert_kernel_matches_oracle(fam, P, rows * P.delta)
+    _assert_kernel_matches_oracle(fam, P, rows)
 
 
-def _assert_kernel_matches_oracle(fam, P, thr):
-    """The kernel's runs, collected and count-only, equal the oracle's pairs; returns the count."""
-    brute = inc.incidences_bruteforce(fam, P, 1.0, threshold=thr)
+def _assert_kernel_matches_oracle(fam, P, rows):
+    """At the threshold of ``rows`` rows, the kernel's runs, collected and
+    count-only, equal the oracle's pairs; returns the count."""
+    thr = rows * P.delta
+    brute = inc.incidences_bruteforce(fam, P, rows)
     count, runs = inc._count_against_threshold(fam, P, thr, collect=True)
     pairs = inc._expand_runs(runs)
     assert count == brute.count == len(pairs)
@@ -311,7 +313,7 @@ def test_kernel_matches_oracle_where_runs_are_empty_mid_column():
     fx = fam.evaluate(dy.centers_of(np.arange(2 ** k), k)[None])
     inside = int(np.sum((fx >= 0) & (fx < 1)))
     for rows in (0.1, 0.25, 0.45):
-        count = _assert_kernel_matches_oracle(fam, P, rows * P.delta)
+        count = _assert_kernel_matches_oracle(fam, P, rows)
         assert 0 < count < inside
 
 
@@ -322,11 +324,11 @@ def test_kernel_matches_oracle_for_curves_above_or_below_every_row():
     below = fl.TransversalFamily("affine", [0.0, 0.5, -0.5], [-1.0, -1.75, -0.6], (0.0, 1.0))
     for fam in (above, below):
         for rows in (0.25, 2.0, 16.0):
-            assert _assert_kernel_matches_oracle(fam, P, rows * P.delta) == 0
+            assert _assert_kernel_matches_oracle(fam, P, rows) == 0
     # a curve through the rows among them still counts, and only it
     row_9 = float(dy.centers_of(9, k))
     mixed = fl.TransversalFamily("affine", [0.0, 0.0, 0.0], [2.0, row_9, -1.0], (0.0, 1.0))
-    assert _assert_kernel_matches_oracle(mixed, P, 2.0 * P.delta) == 2 ** k
+    assert _assert_kernel_matches_oracle(mixed, P, 2.0) == 2 ** k
 
 
 def test_kernel_matches_oracle_on_sparse_rows_with_gaps():
@@ -339,7 +341,7 @@ def test_kernel_matches_oracle_on_sparse_rows_with_gaps():
     P = dy.SquareFamily(k, ix, rng.choice(gaps, 600))
     fam = random_line_family(12, 30, interval=(-1.0, 1.0))
     for rows in (0.3, 2.0, 5.5, 16.0, 60.0):
-        assert _assert_kernel_matches_oracle(fam, P, rows * P.delta) > 0
+        assert _assert_kernel_matches_oracle(fam, P, rows) > 0
 
 
 def test_kernel_matches_oracle_with_one_square_set_reused(monkeypatch):
@@ -355,7 +357,7 @@ def test_kernel_matches_oracle_with_one_square_set_reused(monkeypatch):
             monkeypatch.setattr(inc, "TABLE_BUDGET", cols_per_table * (span + 1))
         for i, fam in enumerate(fams):
             for rows in (0.3, 2.0, 16.0):
-                count = _assert_kernel_matches_oracle(fam, P, rows * P.delta)
+                count = _assert_kernel_matches_oracle(fam, P, rows)
                 assert want.setdefault((i, rows), count) == count
     assert "prefix_table" in vars(P)  # kept from the first, unsplit pass
     fresh = dy.SquareFamily(P.k, P.ix, P.iy)
@@ -405,7 +407,7 @@ def test_prefix_count_lookup_matches_oracle_at_the_edges(monkeypatch, seed, cols
     # past half the box, every run is clipped at both the bottom and the top row
     for rows in (0.25, 2.0, 3.5, 2.0 ** 7):
         thr = rows * P.delta
-        brute = inc.incidences_bruteforce(fam, P, 1.0, threshold=thr)
+        brute = inc.incidences_bruteforce(fam, P, rows)
         count, runs = inc._count_against_threshold(fam, P, thr, collect=True)
         pairs = inc._expand_runs(runs)
         assert count == brute.count == len(pairs)
@@ -433,7 +435,7 @@ def test_prefix_count_table_stays_within_its_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == inc.incidences_bruteforce(fam, P, 1.0, threshold=thr).count > 0
+    assert count == inc.incidences_bruteforce(fam, P, 8).count > 0
     assert peak <= 4 * inc.TABLE_BUDGET + 64 * len(P) + 64 * inc.STEP_BUDGET
 
 
