@@ -479,6 +479,8 @@ def generate_delta_set_indices(
     shifts = T * np.arange(dim - 1, -1, -1, dtype=np.int64)
     cells = np.zeros((batch, dim), dtype=np.int64)  # every tree's cells, tree by tree
     for _ in range(m):
+        # the last level's permutation buffer goes before this level's is made
+        buf = out = None
         # the level's cells are written once, in place, in tree order
         children = np.empty((len(cells), K, dim), dtype=np.int64)
         if n_children <= 4096:

@@ -254,31 +254,43 @@ def _window_pairs(window, w: float, chunk: int):
     distance, as ``TransversalFamily._pair_formula`` computes it, is <= w.
 
     ``window`` is ``TransversalFamily._window_order()``: the members' order
-    and their coordinates (alpha, beta_c) in that order, sorted by alpha, and
-    the scale S = max|alpha| * max(1, |x_lo|, |x_hi|) + max|beta|.  Here
-    beta_c = alpha * x_c + beta with x_c a point of the interval.  The
-    difference of two members is A*x + B on the interval, with C2 distance
-    |A| + max(|A*x_lo + B|, |A*x_hi + B|); that is at least |A| = |d alpha|
-    and at least |A*x_c + B| = |d beta_c|, because x_c lies between the
-    endpoints.  So a pair at distance <= w lies in the window |d alpha| <= w,
-    |d beta_c| <= w, found by ``searchsorted`` on the sorted alpha.
+    and their coordinates (alpha, beta_c) in that order, sorted by alpha and
+    then beta_c, and the scale S = max|alpha| * max(1, |x_lo|, |x_hi|) +
+    max|beta|.  Here beta_c = alpha * x_c + beta with x_c a point of the
+    interval.  The difference of two members is A*x + B on the interval,
+    with C2 distance |A| + max(|A*x_lo + B|, |A*x_hi + B|); that is at least
+    |A| = |d alpha| and at least |A*x_c + B| = |d beta_c|, because x_c lies
+    between the endpoints.  So a pair at distance <= w lies in the window
+    |d alpha| <= w, |d beta_c| <= w.  The members of one alpha value form a
+    block sorted by beta_c; ``searchsorted`` finds the blocks within w of a
+    member's alpha, and, in each, the members whose beta_c lies in
+    [beta_c - w, beta_c + w], so only the window's pairs are made.
 
     Float rounding: with u = eps/2, rounding moves the computed A, B,
     A*x + B and beta_c by a few u times S or w, so a pair whose computed
-    distance is <= w has |d alpha| and computed |d beta_c| below
-    w + 12u*(S + w).  Computing the padded w and alpha + w rounds twice
-    more, by at most u*(S + w) each.  The window pads w by
-    16*eps*(S + w) = 32u*(S + w), more than all of these, so rounding cannot
-    drop a pair; a wider padding would only add candidates.
+    distance is <= w has |d alpha| and |d beta_c| below w + 14u*(S + w).
+    Computing the padded w, alpha + w and beta_c -+ w rounds once more each,
+    by at most u*(S + w).  The window pads w by 16*eps*(S + w) =
+    32u*(S + w), more than all of these, so rounding cannot drop a pair; a
+    wider padding would only add candidates.
     """
     order, alpha, beta_c, scale = window
     w += 16.0 * np.finfo(float).eps * (scale + w)
-    rows = np.arange(len(order))
-    end = np.searchsorted(alpha, alpha + w, side="right")
-    for p, q in _ragged_pairs(rows + 1, end - rows - 1, chunk):
-        keep = np.abs(beta_c[q] - beta_c[p]) <= w
-        if np.any(keep):
-            i, j = order[p[keep]], order[q[keep]]
+    n = len(order)
+    new_block = np.r_[True, alpha[1:] != alpha[:-1]]
+    head = np.flatnonzero(new_block)  # each block's first member
+    block = np.cumsum(new_block) - 1
+    # a member's key orders as (block, beta_c) does: beta_c enters by its rank
+    # among all members, so one searchsorted finds a bound inside any block
+    ranked = np.sort(beta_c)
+    key = block * (n + 1) + np.searchsorted(ranked, beta_c)
+    past = np.searchsorted(alpha[head], alpha + w, side="right")  # first block beyond the strip
+    for p, b in _ragged_pairs(block, past - block, chunk):
+        lo = np.searchsorted(key, b * (n + 1) + np.searchsorted(ranked, beta_c[p] - w))
+        hi = np.searchsorted(key, b * (n + 1) + np.searchsorted(ranked, beta_c[p] + w, side="right"))
+        lo = np.maximum(lo, p + 1)  # in p's own block, the members after it
+        for r, q in _ragged_pairs(lo, np.maximum(hi - lo, 0), chunk):
+            i, j = order[p[r]], order[q]
             yield np.minimum(i, j), np.maximum(i, j)
 
 

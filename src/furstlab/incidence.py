@@ -22,6 +22,22 @@ inequality, |(row + 1/2) * delta - f(x)| < threshold: for an integer row
 below 2^52 in size, row + 1/2 and its product with the power of two delta
 are exact, the same float as the oracle's ``centers_of``.
 
+Before any of this, a step keeps only the values that some row of the
+squares can hit: iy_min * delta - threshold < f(x) < (iy_max + 1) * delta +
+threshold, half a row wider on each side than the rows' centers need.
+Dropping a value outside it is exact.  The lower edge rounds from
+iy_min * delta - threshold (the product is exact) by at most half an ulp,
+and that is at most delta/2 while |iy_min| < 2^52 and t < 2^51, as the
+edge is then below 2^53 * delta in size; so for f(x) at or below the edge
+and any row n >= iy_min, (n + 1/2) * delta - f(x) >= threshold exactly,
+and rounding, which is monotone, keeps the oracle's difference >= the
+float threshold: the row misses.  The upper edge is the mirror image, and
+at a threshold <= 0 no row hits at all.  From t = 2^51 on, every value is
+kept.  A step with no kept value is skipped.  Where fewer than half are
+kept, the rest of the step runs on those alone, as one flat array, and each
+run maps back to its curve; otherwise it runs on the whole (curve, column)
+array, as gathering the values would cost more than it saves.
+
 A prefix-count table over the sorted squares' keys then gives the run's
 first square and length by two direct lookups, with the ends cast to int64
 only for them.  The table and the column layout depend only on the
@@ -124,6 +140,13 @@ def _count_against_threshold(
     run_chunks: list[np.ndarray] = []
     # the threshold in rows; below 0 no row hits, and t = 0 keeps lo <= hi + 1
     t = max(threshold, 0.0) / dl
+    # a value outside (lo_edge, hi_edge) hits no row (see the module
+    # docstring, whose bound on the edges' rounding needs t < 2^51); from
+    # 2^51 rows on, every value is kept
+    lo_edge, hi_edge = (
+        (iy_min * dl - threshold, (iy_max + 1) * dl + threshold) if t < 2.0 ** 51
+        else (-math.inf, math.inf)
+    )
     fit = min(STEP_BUDGET, TABLE_BUDGET // (span + 1))  # columns per table
     col_chunk = max(1, min(len(xc), fit))
     rows = max(1, min(len(family), STEP_BUDGET // col_chunk))
@@ -142,6 +165,19 @@ def _count_against_threshold(
         col_keys = np.arange(c1 - c0, dtype=float) * span - iy_min
         for r0 in range(0, len(family), rows):
             fx = family.subfamily(range(r0, min(r0 + rows, len(family)))).evaluate(xs[None])
+            live = fx > lo_edge
+            live &= fx < hi_edge
+            n_live = int(np.count_nonzero(live))
+            if not n_live:
+                continue
+            # where fewer than half the values can hit, the step runs on those
+            # alone, flat; otherwise on the whole (curve, column) array
+            if 2 * n_live < fx.size:
+                at = np.flatnonzero(live)
+                keys = col_keys[at % (c1 - c0)]
+                fx = fx.ravel()[at]
+            else:
+                at, keys = None, col_keys
             lo, hi, scratch = (w[:fx.size].reshape(fx.shape) for w in work)
             # run-end estimates in rows, clamped to the rows the table holds:
             # lo in [iy_min, iy_max + 1], hi in [iy_min - 1, iy_max], lo <= hi + 1
@@ -156,10 +192,10 @@ def _count_against_threshold(
             _settle(hi, lo, fx, dl, threshold, -1, scratch)
             # an empty run is lo = hi + 1, whose two reads agree
             key = scratch.view(np.int64)
-            lo += col_keys
+            lo += keys
             np.copyto(key, lo, casting="unsafe")
             pos_lo = first[key]
-            hi += col_keys
+            hi += keys
             hi += 1
             np.copyto(key, hi, casting="unsafe")
             n = first[key]
@@ -168,7 +204,8 @@ def _count_against_threshold(
             count += found
             if collect and found:
                 run = np.flatnonzero(n)
-                curve = run // fx.shape[1] + r0
+                value = run if at is None else at[run]  # the run's (curve, column) value
+                curve = value // (c1 - c0) + r0
                 run_chunks.append(np.stack(
                     [curve, pos_lo.ravel()[run] + np.int64(base), n.ravel()[run]], axis=1))
     if not collect:
@@ -326,11 +363,14 @@ def cube_incidence_counts(
     kernel's runs are counted without expanding them: each run adds 1 at
     (first square, cube) and -1 at (first + length, cube) of a difference
     array with |P| + 1 rows (a run may end at the last square), and a
-    cumulative sum down the square axis gives the table.
+    cumulative sum down the square axis gives the table.  Where the kernel
+    finds no run, the zero table is returned as it is.
     """
     cube_ids, inverse = unique_cells(family_cell_indices(family, Delta_exp))
     _, runs = _count_against_threshold(family, squares, lam * squares.delta, collect=True)
     n_cubes = len(cube_ids)
+    if not len(runs):
+        return np.zeros((len(squares), n_cubes), dtype=np.int64), cube_ids
     curve, first, length = runs.T
     start = first * n_cubes + inverse[curve]
     size = (len(squares) + 1) * n_cubes

@@ -291,6 +291,15 @@ def test_acceptance_01_control_runs_one_square_short(monkeypatch):
     _fails_at("assert fast.count == brute.count", test_acceptance_01_oracle_equivalence)
 
 
+def test_acceptance_06_control_c0_halved(monkeypatch):
+    # the largest fitted constant at a finer delta is 0.70 C0 on lines and
+    # 0.55 C0 on parabolas, so half of C0 is too small for both
+    satisfies = inc.HighLowReport.satisfies
+    monkeypatch.setattr(inc.HighLowReport, "satisfies", lambda rep, C0: satisfies(rep, C0 / 2))
+    _fails_at("assert rep.satisfies(C0), (kind, rep.delta_exp, rep.S, rep.fitted_C, C0)",
+              test_acceptance_06_high_low)
+
+
 def test_acceptance_10_control_point_mass_as_the_lift(monkeypatch):
     point = dy.AtomicMeasure(np.array([[0.0, 0.0]]), np.array([1.0]))
     monkeypatch.setattr(fo, "uniform_grid_lift", lambda *args, **kwargs: point)

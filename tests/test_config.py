@@ -453,6 +453,22 @@ def test_mainlem_counts_equal_an_oracle_recount(Delta_exp, eps, branching, share
     np.testing.assert_array_equal(ev.hyp_i_mask, ok)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mainlem_counts_with_empty_cubes_equal_an_oracle_recount(seed):
+    # at 2^-7 and Delta = 2^-4, the lines of 6 to 8 of the 16 cubes miss the
+    # grid: the kernel finds no run for them and their column is all zeros
+    k, Delta_exp = 7, 4
+    fam = cf.build_uniform_line_family(k, Delta_exp, seed)
+    ev = cf.MainlemEvaluator(fam, k, Delta_exp, 0.25)
+    table = _cube_table(fam, ev.squares, Delta_exp, 2.0)
+    empty = ~table.any(axis=0)
+    assert 6 <= empty.sum() <= 8 and len(empty) == 16
+    assert ev.max_b == table.max() > 1
+    assert len(ev.n_big) == int(table.max()).bit_length()
+    for j, column in enumerate(ev.n_big):
+        np.testing.assert_array_equal(column, np.sum(table >= 2 ** j, axis=1))
+
+
 def test_mainlem_fold_counts_a_run_that_ends_at_the_last_square():
     # curves through the top row: in the last column their runs end at the
     # grid's last square, which the difference array closes in row |P|

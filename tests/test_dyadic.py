@@ -476,6 +476,24 @@ def test_generate_indices_permute_within_their_budget(monkeypatch, delta_exp, s,
         assert peak < 1 << 20
 
 
+def test_generate_indices_release_a_level_buffer_before_the_next():
+    # 256 trees of 8 cells among 2^12 children per cell: the first level
+    # permutes 256 rows (8.4 MB), the second a block of PERMUTE_BUDGET
+    # entries (33.5 MB); the first is gone before the second is made
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        idx = dy.generate_delta_set_indices(24, 0.25, 12, rng, dim=1, batch=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * dy.PERMUTE_BUDGET
+    assert block < peak < block + (1 << 20)
+    assert idx.shape == (256, 64, 1)
+    assert hashlib.sha256(idx.tobytes()).hexdigest()[:16] == "6b324bcc5dbccdad"
+    assert rng.integers(0, 1 << 62, 2).tolist() == [4606662522747153546, 3231983834862797417]
+
+
 # -- measures and serialization ------------------------------------------------------
 
 def test_atomic_measure_mass_cap():

@@ -325,6 +325,26 @@ def test_window_min_with_tied_slopes():
     assert fam.min_pair_distance() == _all_pairs_min(fam)
 
 
+def test_window_searches_each_tied_slope_block():
+    # 1,500 parabola translates over 12 values of a: blocks of tied alpha
+    # whose beta_c spans far more than the window, so a strip scan would make
+    # most of its pairs only to drop them
+    rng = np.random.default_rng(6)
+    a = rng.choice(np.arange(12) / 64, 1500)
+    fam = TransversalFamily("parabola", a, rng.uniform(-1, 1, 1500), (-2.0, 2.0), lead=0.5)
+    assert fam.min_pair_distance() == _all_pairs_min(fam)
+    # the window's pairs are those within w in alpha and in beta_c, no more
+    order, alpha, beta_c, scale = window = fam._window_order()
+    for w in (0.004, 1 / 32, 0.1):
+        i, j = (np.concatenate(side) for side in zip(*fl.family._window_pairs(window, w, 1000)))
+        got = set(zip(i.tolist(), j.tolist()))
+        assert len(got) == len(i) and (i < j).all()
+        p, q = np.triu_indices(len(fam), 1)
+        near = (np.abs(alpha[p] - alpha[q]) <= w) & (np.abs(beta_c[p] - beta_c[q]) <= w)
+        ii, jj = order[p[near]], order[q[near]]
+        assert got == set(zip(np.minimum(ii, jj).tolist(), np.maximum(ii, jj).tolist()))
+
+
 def test_window_min_when_the_closest_pair_is_far_apart_in_sort_order():
     # members (0, 1), ..., (0, 100) sort between (0, 0) and (1e-3, 0), the
     # closest pair, which is 101 rows apart

@@ -458,3 +458,74 @@ def test_run_end_trimming_walks_any_distance():
     inc._settle(lo, hi, fx, dl, 0.0, 1, scratch)
     inc._settle(hi, lo, fx, dl, 0.0, -1, scratch)
     assert (lo == hi + 1).all() and (hi == nearest + 5).all()
+
+
+# -- the kernel's filter on the values a row can hit -------------------------------
+
+def _kept_share(fam, P, rows, curves_per_step):
+    """Per kernel step of ``curves_per_step`` curves, the share of its (curve,
+    column) values inside the filter interval at the threshold of ``rows`` rows."""
+    iy_min, iy_max = P.row_range
+    thr = rows * P.delta
+    fx = fam.evaluate(dy.centers_of(np.unique(P.ix), P.k)[None])
+    kept = (fx > iy_min * P.delta - thr) & (fx < (iy_max + 1) * P.delta + thr)
+    return [kept[r0:r0 + curves_per_step].mean() for r0 in range(0, len(fam), curves_per_step)]
+
+
+def test_kernel_matches_oracle_where_most_values_miss_the_rows(monkeypatch):
+    # shallow lines inside the grid, steep lines that cross it in a few
+    # columns, and lines above and below it, four curves per step: steps with
+    # every value kept, with a few kept and with none
+    k = 6
+    P = dy.SquareFamily.grid(k)
+    rng = np.random.default_rng(8)
+    slopes = np.r_[rng.uniform(-0.3, 0.3, 8), rng.choice([-1, 1], 8) * rng.uniform(15, 40, 8), np.zeros(8)]
+    offsets = np.r_[rng.uniform(0.3, 0.7, 8), rng.uniform(0.1, 0.9, 8), [-3.0, 2.5] * 4]
+    fam = fl.TransversalFamily("affine", slopes, offsets - slopes * rng.uniform(0, 1, 24), (0.0, 1.0))
+    monkeypatch.setattr(inc, "STEP_BUDGET", 4 * 2 ** k)
+    for rows in (0.3, 2.0, 16.0):
+        share = _kept_share(fam, P, rows, 4)
+        assert min(share[:2]) >= 0.5 and all(0 < s < 0.5 for s in share[2:4]) and max(share[4:]) == 0
+        assert _assert_kernel_matches_oracle(fam, P, rows) > 0
+    # in one step the few kept values of all 24 curves run flat
+    monkeypatch.undo()
+    for rows in (0.3, 2.0, 16.0):
+        assert _kept_share(fam, P, rows, len(fam))[0] < 0.5
+        assert _assert_kernel_matches_oracle(fam, P, rows) > 0
+
+
+@pytest.mark.parametrize("rows", [0.25, 1 / 3, 2.0, 3.5])
+def test_kernel_matches_oracle_at_the_filter_edges(rows):
+    # horizontal lines at each filter edge, at the value where the nearest
+    # row starts to hit, and one float to either side of both; alone (every
+    # value kept) and among lines far off the rows (few kept)
+    k = 6
+    rng = np.random.default_rng(2)
+    P = dy.SquareFamily(k, rng.integers(0, 2 ** k, 200), rng.choice([-5, 0, 3, 20], 200))
+    iy_min, iy_max = P.row_range
+    thr = rows * P.delta
+    edges = [iy_min * P.delta - thr, (iy_max + 1) * P.delta + thr,
+             (iy_min + 0.5) * P.delta - thr, (iy_max + 0.5) * P.delta + thr]
+    levels = [np.nextafter(v, side) for v in edges for side in (-np.inf, np.inf)] + edges
+    for far in (0, 40):
+        b = np.r_[levels, np.full(far, -7.0)]
+        fam = fl.TransversalFamily("affine", np.zeros(len(b)), b, (0.0, 1.0))
+        assert (_kept_share(fam, P, rows, len(fam))[0] >= 0.5) == (far == 0)
+        assert _assert_kernel_matches_oracle(fam, P, rows) > 0
+
+
+@pytest.mark.parametrize("rows", [0.0, -0.5, -3.0, -math.inf, 2.0 ** 51, math.inf])
+def test_kernel_matches_oracle_at_thresholds_beyond_the_filter(rows):
+    # at or below 0 no row hits, and no value is kept; from 2^51 rows on every
+    # value is kept, and every pair hits
+    fam, P = _spread_squares_and_lines(4)
+    count = _assert_kernel_matches_oracle(fam, P, rows)
+    assert count == (0 if rows <= 0 else len(fam) * len(P))
+
+
+def test_cube_counts_of_a_family_with_no_run_are_the_zero_table():
+    fam = fl.TransversalFamily("affine", [0.0, 0.5, 0.0], [3.0, 2.0, -2.0], (0.0, 1.0))
+    P = dy.SquareFamily.grid(5)
+    counts, cube_ids = inc.cube_incidence_counts(fam, P, 2)
+    assert counts.shape == (len(P), len(cube_ids)) == (len(P), 3)
+    assert counts.dtype == np.int64 and not counts.any()
