@@ -38,6 +38,7 @@ from .dyadic import (
     ParameterError,
     delta_set_constant,
     generate_delta_set,
+    side_of,
     write_csv,
 )
 from .family import DomainError, EvaluationError, exp_seed, quadratic_seed
@@ -94,14 +95,13 @@ class RunConfig:
         """What every CSV footer records: version and semantic hash."""
         return f"furst-lab {__version__} config={self.semantic_hash()}"
 
+    @property
+    def S_values(self) -> tuple[float, ...]:
+        """The S of a highlow run: S, or 2*lam*{1, 2, 4} when S is empty."""
+        return self.S if self.S else tuple(2 * self.lam * f for f in (1, 2, 4))
+
     def period_for(self, delta_exp: int) -> int:
-        if self.T <= 0:
-            return delta_exp
-        if delta_exp % self.T != 0:
-            raise ValidationError(
-                f"delta exponent {delta_exp} is not a multiple of the period T={self.T}"
-            )
-        return self.T
+        return self.T if self.T > 0 else delta_exp
 
 
 def _comma_list(parse):
@@ -205,7 +205,6 @@ def cmd_incidence(config: RunConfig) -> int:
 def cmd_highlow(config: RunConfig) -> int:
     """Calibrate C0 at the largest delta and require it at the rest."""
     exps = sorted(config.delta_exp)
-    S_values = config.S if config.S else tuple(2 * config.lam * f for f in (1, 2, 4))
 
     def run_one(de: int):
         conf = cf.build_nice_configuration(
@@ -213,7 +212,7 @@ def cmd_highlow(config: RunConfig) -> int:
         )
         P = conf.union_squares()
         lhs = inc.incidences(conf.family, P, config.lam, collect=False).count
-        return [inc.high_low_report(conf.family, P, config.lam, S, lhs) for S in S_values]
+        return [inc.high_low_report(conf.family, P, config.lam, S, lhs) for S in config.S_values]
 
     reports = dict(zip(exps, _run_trials(exps, run_one, config.threads)))
     calib = exps[0]
@@ -260,7 +259,6 @@ def cmd_furstenberg(config: RunConfig) -> int:
 
 def cmd_mainlem(config: RunConfig) -> int:
     de = config.delta_exp[0]
-    cf.check_mainlem_size(de, config.Delta_exp)
     fam = cf.build_uniform_line_family(de, config.Delta_exp, config.master_seed)
     ev = cf.MainlemEvaluator(fam, de, config.Delta_exp, config.eps, config.lam)
     reports = ev.sweep()
@@ -395,12 +393,7 @@ def resolve_config(argv) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
-    runs = [sub for sub, _, _ in SUITE] if config.subcommand == "suite" else [config.subcommand]
-    for sub in runs:
-        if sub in KINDS and config.kind not in KINDS[sub]:
-            raise ValidationError(
-                f"{sub} takes --kind {' | '.join(KINDS[sub])}, got {config.kind!r}"
-            )
+    """The CLI's own rules, then `_check_run` on every run the command makes."""
     if not config.delta_exp:
         raise ValidationError("need at least one delta exponent")
     for de in config.delta_exp:
@@ -428,15 +421,32 @@ def _validate(config: RunConfig) -> None:
         )
     if not (0 < config.c0_margin < math.inf):
         raise ValidationError(f"c0 margin must be positive and finite, got {config.c0_margin}")
-    if not (0 < config.lam < math.inf):
-        raise ValidationError(f"lambda must be positive and finite, got {config.lam}")
-    if not (1 <= config.p < math.inf):
-        raise ValidationError(f"p must be finite and >= 1, got {config.p}")
-    if not (0 < config.eps <= 1):
-        raise ValidationError(f"eps must be in (0, 1], got {config.eps}")
-    for R in config.R:
-        if not (0 < R < math.inf) or abs(math.log2(R) - round(math.log2(R))) > 1e-9:
-            raise ValidationError(f"R values must be positive powers of two, got {R}")
+    runs = ([replace(config, subcommand=sub, **overrides) for sub, overrides, _ in SUITE]
+            if config.subcommand == "suite" else [config])
+    for one in runs:
+        _check_run(one)
+
+
+def _check_run(config: RunConfig) -> None:
+    """Refuse, before any run starts, a kind or a value that a library call of
+    this run would refuse: lambda, then S, the main lemma's scales and eps, p and R."""
+    sub = config.subcommand
+    if sub in KINDS and config.kind not in KINDS[sub]:
+        raise ValidationError(
+            f"{sub} takes --kind {' | '.join(KINDS[sub])}, got {config.kind!r}"
+        )
+    if sub in ("incidence", "highlow", "mainlem"):
+        for de in config.delta_exp:
+            inc.check_lambda_delta(config.lam, side_of(de))
+    if sub == "highlow":
+        for de in config.delta_exp:
+            for S in config.S_values:
+                inc.check_high_low_S(config.lam, S, side_of(de))
+    elif sub == "mainlem":
+        cf.check_mainlem_size(config.delta_exp[0], config.Delta_exp)
+        cf.check_mainlem_eps(config.Delta_exp, config.eps)
+    elif sub == "fourier":
+        fo.check_decay(config.p, config.R)
 
 
 def run(config: RunConfig) -> int:

@@ -345,12 +345,11 @@ def furstenberg_experiment(conf: NiceConfiguration) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class EndpointReport:
-    """Both endpoint ratios with their measured epsilon slack.
+    """Both endpoint ratios with the family's set constants.
 
     dense_ratio = |P| / (delta^-1 M) targets the dense regime (family a
     (delta, 2-s)-set); kt_ratio = |P| / (|F| M) targets the Katz-Tao
-    regime.  eps_* = log_delta(ratio): the exponent epsilon with ratio =
-    delta^eps (smaller is better; 0 means the bound is met exactly).
+    regime.
     """
 
     delta_exp: int
@@ -360,8 +359,6 @@ class EndpointReport:
     M: int
     dense_ratio: float
     kt_ratio: float
-    eps_dense: float
-    eps_kt: float
     family_delta_set_c: float
     family_katz_tao_c: float
 
@@ -380,9 +377,6 @@ def endpoint_checks(conf: NiceConfiguration) -> EndpointReport:
     c_dense = delta_set_constant(fam_set, min(2.0 - conf.s, 2.0), max_centers=256)
     c_kt = katz_tao_constant(fam_set, conf.s, max_centers=256)
 
-    def eps_of(ratio: float) -> float:
-        return math.log2(1.0 / ratio) / k if ratio > 0 else math.inf
-
     return EndpointReport(
         delta_exp=k,
         s=conf.s,
@@ -391,8 +385,6 @@ def endpoint_checks(conf: NiceConfiguration) -> EndpointReport:
         M=M,
         dense_ratio=dense_ratio,
         kt_ratio=kt_ratio,
-        eps_dense=eps_of(dense_ratio),
-        eps_kt=eps_of(kt_ratio),
         family_delta_set_c=c_dense.best_constant,
         family_katz_tao_c=c_kt.best_constant,
     )
@@ -509,6 +501,22 @@ def build_uniform_line_family(
     return _make_family("affine", a, b)
 
 
+def check_mainlem_eps(Delta_exp: int, eps: float) -> tuple[int, int]:
+    """The rule on the main lemma's eps: (1/eps, Delta_exp * eps), the count
+    of crowding levels and the level step, both integers."""
+    if not 0 < eps <= 1:
+        raise ParameterError(f"eps must be in (0, 1], got {eps}")
+    inv = 1.0 / eps
+    if abs(inv - round(inv)) > 1e-9:
+        raise ParameterError(f"eps must be the reciprocal of an integer, got {eps}")
+    step = Delta_exp * eps
+    if abs(step - round(step)) > 1e-9:
+        raise ParameterError(
+            f"Delta^(k*eps) must be dyadic: Delta_exp*eps = {step} is not an integer"
+        )
+    return int(round(inv)), int(round(step))
+
+
 class MainlemEvaluator:
     """Shared counting state for a full (a, b) sweep at fixed scales.
 
@@ -526,18 +534,7 @@ class MainlemEvaluator:
         eps: float,
         lam: float = 2.0,
     ):
-        if not 0 < eps <= 1:
-            raise ParameterError(f"eps must be in (0, 1], got {eps}")
-        inv = 1.0 / eps
-        if abs(inv - round(inv)) > 1e-9:
-            raise ParameterError(f"eps must be the reciprocal of an integer, got {eps}")
-        self.n_levels = int(round(inv))
-        step = Delta_exp * eps
-        if abs(step - round(step)) > 1e-9:
-            raise ParameterError(
-                f"Delta^(k*eps) must be dyadic: Delta_exp*eps = {step} is not an integer"
-            )
-        self.level_step = int(round(step))
+        self.n_levels, self.level_step = check_mainlem_eps(Delta_exp, eps)
         check_lambda_delta(lam, side_of(delta_exp))
         self.family = family
         self.delta_exp = delta_exp

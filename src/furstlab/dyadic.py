@@ -78,21 +78,26 @@ def centers_of(idx: np.ndarray, k: int) -> np.ndarray:
 # Point sets and measures
 # --------------------------------------------------------------------------
 
+def _point_rows(points, noun: str) -> np.ndarray:
+    """The one row check of point sets and measures: finite, pairwise distinct
+    rows of 1 or 2 columns (a 1-d input is one column), called ``noun``."""
+    pts = _as_points(points)
+    if pts.ndim != 2 or pts.shape[1] not in (1, 2):
+        raise DomainError(f"{noun} must be (n,1) or (n,2), got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError(f"{noun} must be finite")
+    if len(pts) != len(np.unique(pts, axis=0)):
+        raise DomainError(f"{noun} must be pairwise distinct")
+    return pts
+
+
 class DiscretePointSet:
     """A finite set of distinct points in R^1 or R^2 with a dyadic scale."""
 
     def __init__(self, points: np.ndarray, delta_exp: int):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[1] not in (1, 2):
-            raise DomainError(f"points must be (n,1) or (n,2), got shape {pts.shape}")
+        pts = _point_rows(points, "points")
         if delta_exp < 0:
             raise ParameterError(f"delta_exp must be >= 0, got {delta_exp}")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("points must be finite")
-        if len(pts) != len(np.unique(pts, axis=0)):
-            raise DomainError("points must be pairwise distinct")
         self.points = pts
         self.delta_exp = int(delta_exp)
 
@@ -135,18 +140,14 @@ class AtomicMeasure:
     MASS_TOL = 1e-12
 
     def __init__(self, points: np.ndarray, weights: np.ndarray):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = _point_rows(points, "atoms")
         w = np.asarray(weights, dtype=float)
         if len(w) != len(pts):
             raise DomainError("one weight per atom required")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
-            raise DomainError("atoms and weights must be finite")
+        if not np.all(np.isfinite(w)):
+            raise DomainError("weights must be finite")
         if np.any(w < 0):
             raise DomainError("weights must be nonnegative")
-        if len(pts) != len(np.unique(pts, axis=0)):
-            raise DomainError("atoms must be distinct")
         total = float(w.sum())
         if total > 1.0 + self.MASS_TOL:
             raise DomainError(f"total mass {total} exceeds 1")
@@ -186,11 +187,6 @@ class SetClassReport:
 def dyadic_cover(pset: DiscretePointSet | np.ndarray, k: int) -> np.ndarray:
     """The level-k cells meeting P: their distinct index rows, sorted (int64, shape (m, d))."""
     return np.unique(cell_indices(_as_points(pset), k), axis=0)
-
-
-def dyadic_cell_count(points: np.ndarray, k: int) -> int:
-    """|D_{2^-k}(P)|, the level-k cell count."""
-    return len(dyadic_cover(points, k))
 
 
 def _as_points(pset) -> np.ndarray:

@@ -198,19 +198,23 @@ def _eval_checked(fn, xs: np.ndarray, what: str) -> np.ndarray:
     return _require_finite(vals, xs, what)
 
 
-def c2_dist(f: CurveFunction, g: CurveFunction, grid_n: int = DEFAULT_GRID_N) -> float:
-    """Grid estimate of ||f - g||_C2 on the shared interval."""
-    _require_shared_interval(f, g)
-    xs = _grid(f.x_lo, f.x_hi, grid_n)
-    d0 = _eval_checked(f.eval0, xs, "f") - _eval_checked(g.eval0, xs, "g")
-    d1 = _eval_checked(f.eval1, xs, "f'") - _eval_checked(g.eval1, xs, "g'")
-    d2 = _eval_checked(f.eval2, xs, "f''") - _eval_checked(g.eval2, xs, "g''")
-    return float(np.max(np.abs(d0) + np.abs(d1) + np.abs(d2)))
-
-
-def _require_shared_interval(f: CurveFunction, g: CurveFunction) -> None:
+def _grid_gaps(f: CurveFunction, g: CurveFunction, grid_n: int):
+    """(xs, |f - g|, |f' - g'|, |f'' - g''|) on the grid of the shared interval:
+    the one grid pass of the per-pair oracles."""
     if (f.x_lo, f.x_hi) != (g.x_lo, g.x_hi):
         raise DomainError(f"curves live on different intervals {f.interval} vs {g.interval}")
+    xs = _grid(f.x_lo, f.x_hi, grid_n)
+    gaps = []
+    for order, (fe, ge) in enumerate(((f.eval0, g.eval0), (f.eval1, g.eval1), (f.eval2, g.eval2))):
+        primes = "'" * order
+        gaps.append(np.abs(_eval_checked(fe, xs, "f" + primes) - _eval_checked(ge, xs, "g" + primes)))
+    return (xs, *gaps)
+
+
+def c2_dist(f: CurveFunction, g: CurveFunction, grid_n: int = DEFAULT_GRID_N) -> float:
+    """Grid estimate of ||f - g||_C2 on the shared interval."""
+    _, d0, d1, d2 = _grid_gaps(f, g, grid_n)
+    return float(np.max(d0 + d1 + d2))
 
 
 def transversality_defect(f: CurveFunction, g: CurveFunction, grid_n: int = DEFAULT_GRID_N) -> float:
@@ -219,11 +223,7 @@ def transversality_defect(f: CurveFunction, g: CurveFunction, grid_n: int = DEFA
     A family is T-transversal (at grid resolution) iff every pairwise defect
     is >= 1/T.  Raises IdenticalCurvesError when ||f-g|| vanishes.
     """
-    _require_shared_interval(f, g)
-    xs = _grid(f.x_lo, f.x_hi, grid_n)
-    d0 = np.abs(_eval_checked(f.eval0, xs, "f") - _eval_checked(g.eval0, xs, "g"))
-    d1 = np.abs(_eval_checked(f.eval1, xs, "f'") - _eval_checked(g.eval1, xs, "g'"))
-    d2 = np.abs(_eval_checked(f.eval2, xs, "f''") - _eval_checked(g.eval2, xs, "g''"))
+    _, d0, d1, d2 = _grid_gaps(f, g, grid_n)
     denom = float(np.max(d0 + d1 + d2))
     if denom <= DUPLICATE_TOL:
         raise IdenticalCurvesError("curves are identical (C2 distance at most 1e-12)")
@@ -613,14 +613,11 @@ def intersection_components(
     """
     if not (r > 0):
         raise DomainError(f"r must be positive, got {r}")
-    _require_shared_interval(f, g)
-    if c2_dist(f, g, grid_n) <= DUPLICATE_TOL:
+    xs, d0, d1, d2 = _grid_gaps(f, g, grid_n)
+    if np.max(d0 + d1 + d2) <= DUPLICATE_TOL:
         raise IdenticalCurvesError("curves are identical")
-    xs = _grid(f.x_lo, f.x_hi, grid_n)[1:-1]
-    gap = np.abs(
-        _eval_checked(f.eval0, xs, "f") - _eval_checked(g.eval0, xs, "g")
-    )
-    mask = gap < 2.0 * r
+    xs = xs[1:-1]
+    mask = d0[1:-1] < 2.0 * r
     if not np.any(mask):
         return ComponentReport((), (), False)
     padded = np.concatenate([[False], mask, [False]])

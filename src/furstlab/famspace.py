@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import ParameterError, cell_indices, dyadic_cell_count, unique_cells
+from .dyadic import ParameterError, cell_indices, dyadic_cover, unique_cells
 from .family import TransversalFamily
 
 
@@ -30,7 +30,7 @@ def family_cell_indices(family: TransversalFamily, level: int) -> np.ndarray:
 
 
 def family_cube_count(family: TransversalFamily, level: int) -> int:
-    return dyadic_cell_count(family.embedding_images(), level)
+    return len(dyadic_cover(family.embedding_images(), level))
 
 
 def family_distance_matrix(family: TransversalFamily) -> np.ndarray:

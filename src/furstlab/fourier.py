@@ -10,10 +10,11 @@ each frequency column l is one length-N DFT, computed by FFT; otherwise
 the whole grid is one complex matrix product.  Both are exact
 rearrangements of the direct sum, not approximations.
 
-Every measure here is a `dyadic.AtomicMeasure`; `CurveMeasure`, the lift
-of a base set onto a curve, also measures its Frostman constant when read.
-`lp_norm_ball` and `decay_slope` share one ball-integral routine, which
-checks p, R and h once and runs one grid transform at the largest R.
+Every measure here is a planar `dyadic.AtomicMeasure`; `CurveMeasure`, the
+lift of a base set onto a curve, also measures its Frostman constant when
+read.  `lp_norm_ball` and `decay_slope` share one ball-integral routine,
+which checks p, R (`check_lp`) and h once and runs one grid transform at
+the largest R.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ def fourier_transform(sigma, xi) -> complex | np.ndarray:
 def _atoms_of(sigma) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(sigma, AtomicMeasure):
         raise DomainError(f"unsupported measure type {type(sigma)!r}")
+    if sigma.points.shape[1] != 2:
+        raise DomainError(f"the transform needs planar atoms, got shape {sigma.points.shape}")
     return sigma.points, sigma.weights
 
 
@@ -191,17 +194,38 @@ def _fft_transform_sq(ys, ws, n: int, h: float, m: np.ndarray, N: int) -> np.nda
     return mag2
 
 
+def check_lp(p: float, R_list) -> None:
+    """The rule on every ball integral's p and radii: finite p >= 1 and R >= 1."""
+    if not (1 <= p < math.inf):  # nan fails too
+        raise DomainError(f"p must be finite and >= 1, got {p}")
+    for R in R_list:
+        if not (1 <= R < math.inf):
+            raise DomainError(f"R must be finite and >= 1, got {R}")
+
+
+def check_decay(p: float, R_list) -> tuple[float, ...]:
+    """The rule on `decay_slope`'s p and radii: those of `check_lp`, and at
+    least three strictly increasing dyadic radii; returns them as floats."""
+    R_list = tuple(float(R) for R in R_list)
+    if len(R_list) < 3:
+        raise DomainError("need at least three R values")
+    check_lp(p, R_list)
+    for R in R_list:
+        e = math.log2(R)
+        if abs(e - round(e)) > 1e-9:
+            raise DomainError(f"R values must be dyadic, got {R}")
+    if any(r >= R for r, R in zip(R_list, R_list[1:])):
+        raise DomainError(f"R values must be strictly increasing, got {R_list}")
+    return R_list
+
+
 def _ball_integrals(sigma, p: float, R_list: tuple[float, ...], h: float) -> list[float]:
     """Riemann sums of |sigma-hat|^p over the grid points of each closed ball B(R).
 
     One grid transform at the largest R; each smaller ball sums its sub-grid,
     so the integrals are mutually consistent.
     """
-    if not (1 <= p < math.inf):  # nan fails too
-        raise DomainError(f"p must be finite and >= 1, got {p}")
-    for R in R_list:
-        if not (1 <= R < math.inf):
-            raise DomainError(f"R must be finite and >= 1, got {R}")
+    check_lp(p, R_list)
     if not (0 < h <= MAX_GRID_STEP + 1e-15):
         raise DomainError(f"grid step h={h} must be positive and <= {MAX_GRID_STEP}")
     mag2, krange = _grid_transform_sq(sigma, max(R_list), h)
@@ -249,20 +273,9 @@ class DecayReport:
 def decay_slope(sigma, p: float, R_list, h: float = MAX_GRID_STEP) -> DecayReport:
     """Least-squares slope of log2 lp_norm_ball against log2 R.
 
-    Needs at least three strictly increasing dyadic radii; p, R and h obey
-    the rules of `lp_norm_ball`.
+    p and R obey `check_decay`, and h the rule of `lp_norm_ball`.
     """
-    R_list = tuple(float(R) for R in R_list)
-    if len(R_list) < 3:
-        raise DomainError("need at least three R values")
-    for R in R_list:
-        if not (0 < R < math.inf):  # before log2: it and round refuse these
-            raise DomainError(f"R values must be positive and finite, got {R}")
-        e = math.log2(R)
-        if abs(e - round(e)) > 1e-9:
-            raise DomainError(f"R values must be dyadic, got {R}")
-    if any(r >= R for r, R in zip(R_list, R_list[1:])):
-        raise DomainError(f"R values must be strictly increasing, got {R_list}")
+    R_list = check_decay(p, R_list)
     integrals = _ball_integrals(sigma, p, R_list, h)
     slope = float(np.polyfit(np.log2(np.asarray(R_list)), np.log2(np.asarray(integrals)), 1)[0])
     return DecayReport(p=p, h=h, R_list=R_list, integrals=tuple(integrals), slope=slope)

@@ -228,6 +228,12 @@ def check_lambda_delta(lam: float, delta: float) -> None:
         raise DomainError(f"lambda*delta = {lam * delta} exceeds 1/2")
 
 
+def check_high_low_S(lam: float, S: float, delta: float) -> None:
+    """The rule on the high-low estimate's S: 2 lambda <= S <= delta^-1."""
+    if not (2 * lam <= S <= 1.0 / delta + 1e-9):
+        raise DomainError(f"S={S} outside [2 lambda, delta^-1] = [{2 * lam}, {1.0 / delta}]")
+
+
 def incidences(
     family: TransversalFamily,
     squares: SquareFamily,
@@ -323,8 +329,7 @@ def high_low_report(
     """
     delta_exp = squares.k
     dl = side_of(delta_exp)
-    if not (2 * lam <= S <= 1.0 / dl + 1e-9):
-        raise DomainError(f"S={S} outside [2 lambda, delta^-1] = [{2 * lam}, {1.0 / dl}]")
+    check_high_low_S(lam, S, dl)
     sep = family.min_pair_distance()
     if sep < dl:
         raise DomainError(

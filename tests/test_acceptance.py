@@ -291,6 +291,35 @@ def test_acceptance_01_control_runs_one_square_short(monkeypatch):
     _fails_at("assert fast.count == brute.count", test_acceptance_01_oracle_equivalence)
 
 
+def _scaled_t_const(monkeypatch, factor: float) -> None:
+    """Make every family report its estimated T scaled by ``factor``."""
+    t_const = fl.TransversalFamily.t_const
+    monkeypatch.setattr(fl.TransversalFamily, "t_const",
+                        property(lambda fam: factor * t_const.fget(fam)))
+
+
+def test_acceptance_02_control_t_scaled_down(monkeypatch):
+    # the largest d/(sqrt(2) T gap) over the 20 families is 0.485
+    _scaled_t_const(monkeypatch, 0.4)
+    _fails_at("assert dmat[i, j] <= math.sqrt(2) * t_est * gap * (1 + 1e-6)",
+              test_acceptance_02_embedding)
+
+
+def test_acceptance_03_control_t_scaled_down(monkeypatch):
+    # the largest ratio/(40 T^4) is 1.2e-4: the upper bound is about 8,300x loose
+    _scaled_t_const(monkeypatch, 0.05)
+    _fails_at("assert 1.0 / 16.0 <= ratio <= 40.0 * t_est ** 4, (seed, level, ratio)",
+              test_acceptance_03_covering_ratio)
+
+
+def test_acceptance_04_control_family_before_extraction(monkeypatch):
+    # 46 of the 50 families are not uniform before extraction
+    extract = fs.extract_uniform_subset
+    monkeypatch.setattr(fs, "extract_uniform_subset",
+                        lambda family, T, m: (family, extract(family, T, m)[1]))
+    _fails_at("assert uniform and counts == st.N", test_acceptance_04_uniformization)
+
+
 def test_acceptance_06_control_c0_halved(monkeypatch):
     # the largest fitted constant at a finer delta is 0.70 C0 on lines and
     # 0.55 C0 on parabolas, so half of C0 is too small for both

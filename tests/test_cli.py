@@ -262,6 +262,13 @@ ABBREVIATED = {"--seed", "--mast", "--sl"}
     (["furstenberg", "--delta-exp", "40", "--s", "0.5", "--t", "0.5"], None),
     (["gen", "--delta-exp", "56", "--s", "0.1", "--T", "14"], None),
     (["fourier", "--R", "4,4,8,16"], None),
+    # suite checks every run's values before its first run writes a CSV
+    (["suite", "--S", "1"], None),
+    (["suite", "--lambda", "100"], None),
+    (["suite", "--eps", "0.3"], None),
+    (["suite", "--R", "0.5,1,2"], None),
+    (["suite", "--R", "4,8"], None),
+    (["suite", "--Delta-exp", "9"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)
@@ -284,6 +291,8 @@ def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, 
         assert f"{argv[0]} runs at one scale" in err
     if argv[0] == "suite" and argv[1] in ("--delta-exp", "--T"):
         assert argv[1] in err
+    if "--lambda" in argv:  # highlow checks lambda before S
+        assert "lambda" in err and "S=" not in err
     for flag, value in zip(argv, argv[1:]):
         if "," in value and "" in value.split(","):
             assert flag in err
@@ -353,7 +362,8 @@ def test_fourier_exp_lift_writes_its_decay_table(tmp_path):
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])
 def test_lambda_outside_the_positive_reals_is_refused(lam):
-    with pytest.raises(cli.ValidationError):
+    # the incidence layer's rule on lambda, which resolve_config applies
+    with pytest.raises(cli.DomainError):
         cli.resolve_config(["mainlem", "--lambda", lam])
 
 

@@ -62,9 +62,9 @@ def test_dyadic_cover_any_level():
     for k in (-3, -1, 0, 2):
         want = np.unique(dy.cell_indices(pts, k), axis=0)
         assert np.array_equal(dy.dyadic_cover(pts, k), want)
-        assert dy.dyadic_cell_count(pts, k) == len(want)
+        assert len(dy.dyadic_cover(pts, k)) == len(want)
     assert dy.dyadic_cover(pts, -3).tolist() == [[i, j] for i in range(-2, 2) for j in range(-2, 2)]
-    assert dy.dyadic_cell_count(np.zeros((0, 2)), 4) == 0
+    assert len(dy.dyadic_cover(np.zeros((0, 2)), 4)) == 0
 
 
 def test_square_family_is_sorted_and_distinct():
@@ -504,6 +504,14 @@ def test_atomic_measure_mass_cap():
 def test_atomic_measure_negative_weight():
     with pytest.raises(DomainError):
         AtomicMeasure(np.array([[0.0, 0.0]]), np.array([-0.1]))
+
+
+def test_point_sets_and_measures_refuse_rows_of_three():
+    rows = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(DomainError, match="points must be"):
+        DiscretePointSet(rows, 4)
+    with pytest.raises(DomainError, match="atoms must be"):
+        AtomicMeasure(rows, np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

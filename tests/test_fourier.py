@@ -164,6 +164,36 @@ def test_off_grid_atoms_take_the_gemm_path():
     assert fo._x_grid(rng.uniform(-1, 1, 7), 1 / 8) is None
 
 
+def _dirichlet(t: np.ndarray, n: int) -> np.ndarray:
+    """D_n(t) = sum over |m| <= n of exp(-2 pi i m t), real."""
+    return 1.0 + 2.0 * np.cos(2.0 * np.pi * np.outer(t, np.arange(1, n + 1))).sum(axis=1)
+
+
+@pytest.mark.parametrize("fft_path", [True, False])
+def test_grid_fourth_moment_equals_the_additive_energy_sum(fft_path):
+    # sum over the square grid of |sigma-hat|^4 is the sum over quadruples of
+    # w_i w_j w_k w_l D_n(h dx) D_n(h dy), (dx, dy) = a_i + a_j - a_k - a_l:
+    # an oracle that uses neither the FFT nor the GEMM
+    h, R = 1 / 8, 16.0
+    if fft_path:
+        mu = parabola_lift(3)
+    else:
+        mu = AtomicMeasure(np.random.default_rng(0).uniform(-1, 1, (9, 2)), np.full(9, 1 / 9))
+    assert (fo._x_grid(mu.points[:, 0], h) is not None) == fft_path
+    mag2, kr = fo._grid_transform_sq(mu, R, h)
+    n = (len(kr) - 1) // 2
+    pair_sum = (mu.points[:, None, :] + mu.points[None, :, :]).reshape(-1, 2)
+    pair_w = np.outer(mu.weights, mu.weights).ravel()
+    diff = (pair_sum[:, None, :] - pair_sum[None, :, :]).reshape(-1, 2)
+    weight = np.outer(pair_w, pair_w).ravel()
+    dirichlet = []
+    for axis in range(2):  # D_n once per distinct difference
+        t, inverse = np.unique(h * diff[:, axis], return_inverse=True)
+        dirichlet.append(_dirichlet(t, n)[inverse.ravel()])
+    energy = float(np.sum(weight * dirichlet[0] * dirichlet[1]))
+    assert float(np.sum(mag2 ** 2)) == pytest.approx(energy, rel=1e-12)
+
+
 # -- L^p norms ------------------------------------------------------------------------
 
 def test_lp_point_mass_matches_disk_area():
@@ -188,6 +218,8 @@ def test_lp_rejects_bad_p_radius_and_step():
 def test_lp_rejects_non_measures():
     with pytest.raises(DomainError):
         fo.lp_norm_ball(np.array([[0.0, 0.0]]), 2.0, 4.0)
+    with pytest.raises(DomainError, match="planar"):  # atoms on a line
+        fo.lp_norm_ball(AtomicMeasure(np.array([0.0, 0.5]), np.array([0.5, 0.5])), 2.0, 4.0)
 
 
 def test_lp_quadrature_halving_stable():
