@@ -35,21 +35,16 @@ from . import incidence as inc
 from .dyadic import (
     AtomicMeasure,
     DiscretePointSet,
-    ParameterError,
     delta_set_constant,
     generate_delta_set,
     side_of,
     write_csv,
 )
-from .family import DomainError, EvaluationError, exp_seed, quadratic_seed
+from .family import DomainError, exp_seed, quadratic_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_THRESHOLD = 2
-
-
-class ValidationError(ValueError):
-    pass
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +121,7 @@ def _parse_value(key: str, text: str, source: str | None = None):
     try:
         return _CONFIG_PARSERS[key](text)
     except ValueError:
-        raise ValidationError(f"{source or key}: cannot parse {text!r}") from None
+        raise DomainError(f"{source or key}: cannot parse {text!r}") from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -139,14 +134,14 @@ def parse_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                raise DomainError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_PARSERS:
                 unknown.append(key)
                 continue
             out[key] = _parse_value(key, val, f"{path}:{lineno}: {key}")
     if unknown:
-        raise ValidationError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
+        raise DomainError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
     return out
 
 
@@ -172,7 +167,7 @@ def cmd_gen(config: RunConfig) -> int:
 
 def cmd_check_set(config: RunConfig) -> int:
     if not config.input:
-        raise ValidationError("check-set needs --input pointing at a points CSV")
+        raise DomainError("check-set needs --input pointing at a points CSV")
     pset = DiscretePointSet.from_csv(config.input, config.delta_exp[0])
     rep = delta_set_constant(pset, config.s)
     print(
@@ -358,7 +353,7 @@ COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one line and exit 1, not argparse's usage and exit 2
-        raise ValidationError(message)
+        raise DomainError(message)
 
 
 def build_parser() -> _Parser:
@@ -382,7 +377,7 @@ def resolve_config(argv) -> RunConfig:
     if args.subcommand == "suite":  # each suite run sets these keys itself
         given = sorted(values.keys() & {name for _, overrides, _ in SUITE for name in overrides})
         if given:
-            raise ValidationError(f"suite sets {_FLAGS[given[0]]} ({given[0]}) for each run; drop it")
+            raise DomainError(f"suite sets {_FLAGS[given[0]]} ({given[0]}) for each run; drop it")
     values["subcommand"] = args.subcommand
     env_threads = os.environ.get("FURSTLAB_THREADS")
     if env_threads:
@@ -395,32 +390,32 @@ def resolve_config(argv) -> RunConfig:
 def _validate(config: RunConfig) -> None:
     """The CLI's own rules, then `_check_run` on every run the command makes."""
     if not config.delta_exp:
-        raise ValidationError("need at least one delta exponent")
+        raise DomainError("need at least one delta exponent")
     for de in config.delta_exp:
         if de < 1:
-            raise ValidationError(f"delta exponent must be >= 1, got {de}")
+            raise DomainError(f"delta exponent must be >= 1, got {de}")
         if config.delta_exp.count(de) > 1:
-            raise ValidationError(f"delta exponent {de} is given more than once")
+            raise DomainError(f"delta exponent {de} is given more than once")
     if config.subcommand in ONE_SCALE and len(config.delta_exp) > 1:
-        raise ValidationError(
+        raise DomainError(
             f"{config.subcommand} runs at one scale; give one delta exponent, "
             f"got {','.join(map(str, config.delta_exp))}"
         )
     if config.seeds < 1:
-        raise ValidationError("seed count must be >= 1")
+        raise DomainError("seed count must be >= 1")
     if config.master_seed < 0:
-        raise ValidationError(f"master seed must be >= 0, got {config.master_seed}")
+        raise DomainError(f"master seed must be >= 0, got {config.master_seed}")
     if config.threads < 1:
-        raise ValidationError(f"thread count must be >= 1, got {config.threads}")
+        raise DomainError(f"thread count must be >= 1, got {config.threads}")
     if config.T < 0:
-        raise ValidationError(f"period T must be >= 0 (0 picks the delta exponent), got {config.T}")
+        raise DomainError(f"period T must be >= 0 (0 picks the delta exponent), got {config.T}")
     if not (config.eta_max > 0 and config.slope_max > 0):  # nan fails too
-        raise ValidationError(
+        raise DomainError(
             f"thresholds must be positive, got eta max {config.eta_max}, "
             f"slope max {config.slope_max}"
         )
     if not (0 < config.c0_margin < math.inf):
-        raise ValidationError(f"c0 margin must be positive and finite, got {config.c0_margin}")
+        raise DomainError(f"c0 margin must be positive and finite, got {config.c0_margin}")
     runs = ([replace(config, subcommand=sub, **overrides) for sub, overrides, _ in SUITE]
             if config.subcommand == "suite" else [config])
     for one in runs:
@@ -432,7 +427,7 @@ def _check_run(config: RunConfig) -> None:
     this run would refuse: lambda, then S, the main lemma's scales and eps, p and R."""
     sub = config.subcommand
     if sub in KINDS and config.kind not in KINDS[sub]:
-        raise ValidationError(
+        raise DomainError(
             f"{sub} takes --kind {' | '.join(KINDS[sub])}, got {config.kind!r}"
         )
     if sub in ("incidence", "highlow", "mainlem"):
@@ -460,7 +455,7 @@ def main(argv=None) -> int:
         return run(resolve_config(argv))
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    except (ValidationError, ParameterError, DomainError, EvaluationError, OSError) as e:
+    except (DomainError, OSError) as e:
         print(f"furst-lab: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,7 +24,6 @@ import numpy as np
 from .dyadic import (
     MAX_TREE_CELLS,
     DiscretePointSet,
-    ParameterError,
     SquareFamily,
     _sorted_square_keys,
     cell_indices,
@@ -35,7 +34,7 @@ from .dyadic import (
     side_of,
     unique_cells,
 )
-from .family import DEFAULT_GRID_N, PARAMETRIC_KINDS, TransversalFamily
+from .family import DEFAULT_GRID_N, DomainError, TransversalFamily
 from .famspace import family_cell_indices
 from .incidence import STEP_BUDGET, check_lambda_delta, cube_incidence_counts
 
@@ -58,8 +57,6 @@ def _make_family(
     kinds (intercepts are shifted down by 1), so the attached squares stay
     inside [-1, 1]^2.
     """
-    if kind not in PARAMETRIC_KINDS:
-        raise ParameterError(f"unknown kind {kind!r}; expected one of {PARAMETRIC_KINDS}")
     return TransversalFamily(
         kind, a, b - 1.0, WORK_INTERVAL, lead=PARABOLA_LEAD, seed=seed_curve, grid_n=grid_n
     )
@@ -86,7 +83,7 @@ class NiceConfiguration:
 
     def __post_init__(self):
         if self.audit not in AUDIT_MODES:
-            raise ParameterError(f"unknown audit mode {self.audit!r}; expected one of {AUDIT_MODES}")
+            raise DomainError(f"unknown audit mode {self.audit!r}; expected one of {AUDIT_MODES}")
 
     @property
     def M(self) -> int:
@@ -173,9 +170,9 @@ def build_nice_configuration(
     AUDIT_MODES) is how ``measured`` audits the result on its first read.
     """
     if not (0 <= s <= 1):
-        raise ParameterError(f"s must lie in [0, 1], got {s}")
+        raise DomainError(f"s must lie in [0, 1], got {s}")
     if not (0 <= t <= 2):
-        raise ParameterError(f"t must lie in [0, 2], got {t}")
+        raise DomainError(f"t must lie in [0, 2], got {t}")
     rng = np.random.default_rng(seed)
     param_idx = generate_delta_set_indices(delta_exp, t, T, rng, dim=2, batch=1)[0]
     a = centers_of(param_idx[:, 0], delta_exp)
@@ -206,7 +203,7 @@ def _attach_squares(
         cols_one = generate_delta_set_indices(delta_exp, s, T, rng, dim=1, batch=1)[0][:, 0]
         # the random layout's limit, on the (n, M) array the tiling would build
         if n * len(cols_one) > MAX_TREE_CELLS:
-            raise ParameterError(
+            raise DomainError(
                 f"{n} curves on {len(cols_one)} shared columns at delta=2^-{delta_exp} "
                 f"exceed the limit of {MAX_TREE_CELLS} cells"
             )
@@ -437,7 +434,7 @@ def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int, i
     columns with its (square, cube) table, come and go in turn.
     """
     if not 1 <= Delta_exp <= delta_exp:
-        raise ParameterError(f"need 1 <= Delta_exp <= delta_exp, got {Delta_exp} and {delta_exp}")
+        raise DomainError(f"need 1 <= Delta_exp <= delta_exp, got {Delta_exp} and {delta_exp}")
     n_cubes = math.prod(_default_branching(Delta_exp))
     cube_curves = 1 << 2 * (delta_exp - Delta_exp)
     n_curves = n_cubes * cube_curves
@@ -449,7 +446,7 @@ def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int, i
     n_bytes = (n_squares * (per["square"] + per["level"] * cube_curves.bit_length())
                + n_curves * per["curve"] + max(stream, hypothesis) + per["step"])
     if n_bytes > MAINLEM_MAX_BYTES:
-        raise ParameterError(
+        raise DomainError(
             f"mainlem at delta=2^-{delta_exp}, Delta=2^-{Delta_exp} needs an estimated "
             f"{n_bytes / 1e9:.2f} GB; the limit is {MAINLEM_MAX_BYTES / 1e9:.2f} GB"
         )
@@ -472,14 +469,14 @@ def build_uniform_line_family(
     if branching is None:
         branching = _default_branching(Delta_exp)
     if len(branching) != Delta_exp:
-        raise ParameterError(f"need one branching factor per level, got {len(branching)} for {Delta_exp}")
+        raise DomainError(f"need one branching factor per level, got {len(branching)} for {Delta_exp}")
     if branching[-1] != 1:
-        raise ParameterError("last branching factor must be 1 (even-child separation)")
+        raise DomainError("last branching factor must be 1 (even-child separation)")
     rng = np.random.default_rng(seed)
     cells = np.zeros((1, 2), dtype=np.int64)
     for level, c in enumerate(branching, start=1):
         if not (1 <= c <= 4):
-            raise ParameterError(f"branching factors must lie in [1, 4], got {c}")
+            raise DomainError(f"branching factors must lie in [1, 4], got {c}")
         children = []
         for cell in cells:
             if level == Delta_exp:
@@ -505,13 +502,13 @@ def check_mainlem_eps(Delta_exp: int, eps: float) -> tuple[int, int]:
     """The rule on the main lemma's eps: (1/eps, Delta_exp * eps), the count
     of crowding levels and the level step, both integers."""
     if not 0 < eps <= 1:
-        raise ParameterError(f"eps must be in (0, 1], got {eps}")
+        raise DomainError(f"eps must be in (0, 1], got {eps}")
     inv = 1.0 / eps
     if abs(inv - round(inv)) > 1e-9:
-        raise ParameterError(f"eps must be the reciprocal of an integer, got {eps}")
+        raise DomainError(f"eps must be the reciprocal of an integer, got {eps}")
     step = Delta_exp * eps
     if abs(step - round(step)) > 1e-9:
-        raise ParameterError(
+        raise DomainError(
             f"Delta^(k*eps) must be dyadic: Delta_exp*eps = {step} is not an integer"
         )
     return int(round(inv)), int(round(step))
@@ -591,7 +588,7 @@ class MainlemEvaluator:
     def report(self, a: int, b: int) -> MainlemReport:
         """The (a, b) cell; b must be a power of two, the only b that n_big keeps."""
         if not (b >= 1 and math.log2(b).is_integer()):
-            raise ParameterError(f"b must be a power of two, got {b}")
+            raise DomainError(f"b must be a power of two, got {b}")
         j = int(math.log2(b))
         pre = self.n_big[j] >= a if j < len(self.n_big) else np.zeros(len(self.squares), bool)
         mask = pre & self.hyp_i_mask

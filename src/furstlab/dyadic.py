@@ -27,10 +27,6 @@ import numpy as np
 from .family import DomainError
 
 
-class ParameterError(ValueError):
-    """A scale or shape parameter outside the supported form."""
-
-
 # --------------------------------------------------------------------------
 # CSV output
 # --------------------------------------------------------------------------
@@ -97,7 +93,7 @@ class DiscretePointSet:
     def __init__(self, points: np.ndarray, delta_exp: int):
         pts = _point_rows(points, "points")
         if delta_exp < 0:
-            raise ParameterError(f"delta_exp must be >= 0, got {delta_exp}")
+            raise DomainError(f"delta_exp must be >= 0, got {delta_exp}")
         self.points = pts
         self.delta_exp = int(delta_exp)
 
@@ -196,44 +192,35 @@ def _as_points(pset) -> np.ndarray:
     return pts
 
 
-def _separation(points, dist, r: float):
-    """(n, thr, between) for points or for ``dist``, a full pairwise distance
-    matrix in any metric: between(j, k) (indices, slices or broadcasting
-    arrays) is compared with thr, as the squared Euclidean distance against
-    r^2 for points and as the entry dist[j, k] against r for a matrix."""
-    if (points is None) == (dist is None):
-        raise DomainError("give exactly one of points and dist=")
-    if dist is None:
-        pts = _as_points(points)
-        return len(pts), r * r, lambda j, k: np.sum((pts[k] - pts[j]) ** 2, axis=-1)
+def _distance_matrix(dist) -> np.ndarray:
     dmat = np.asarray(dist, dtype=float)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise DomainError(f"dist must be a square matrix, got shape {dmat.shape}")
-    return len(dmat), r, lambda j, k: dmat[j, k]
+    return dmat
 
 
-def greedy_separated(points=None, r: float | None = None, *, dist=None) -> np.ndarray:
-    """Indices of a maximal r-separated subset of points (or of ``dist=``, a
-    full pairwise distance matrix in any metric), scanned in input order.
+def greedy_separated(dist, r: float) -> np.ndarray:
+    """Indices of a maximal r-separated subset of the points of ``dist``, a
+    full pairwise distance matrix in any metric, scanned in input order.
 
     A point is kept when its distance to every kept point exceeds r
     (packing convention: the count brackets the covering number,
     N(P,r) <= count <= N(P,r/2)).  Each kept point blocks the later points
     within r of it; a point is kept if still unblocked.
     """
-    n, thr, between = _separation(points, dist, r)
-    blocked = np.zeros(n, dtype=bool)
-    for k in range(n):
+    dmat = _distance_matrix(dist)
+    blocked = np.zeros(len(dmat), dtype=bool)
+    for k in range(len(dmat)):
         if not blocked[k]:
-            blocked[k + 1:] |= between(slice(k + 1, None), k) <= thr
+            blocked[k + 1:] |= dmat[k + 1:, k] <= r
     return np.flatnonzero(~blocked)
 
 
 EXACT_COVER_LIMIT = 512
 
 
-def covering_number(pset=None, r: float | None = None, mode: str = "auto", *, dist=None) -> int:
-    """Covering-number estimate at radius r of points, or of ``dist=``, a full
+def covering_number(dist, r: float, mode: str = "auto") -> int:
+    """Covering-number estimate at radius r of the points of ``dist``, a full
     pairwise distance matrix in any metric (curve families in the C2 metric).
 
     mode="exact": minimum closed-r-ball cover with centers in P, solved as
@@ -242,7 +229,8 @@ def covering_number(pset=None, r: float | None = None, mode: str = "auto", *, di
     r-separated subset, which satisfies N(P, r) <= greedy <= N(P, r/2), so
     the two modes cross-check.  mode="auto" picks exact when |P| <= 512.
     """
-    n, thr, between = _separation(pset, dist, r)
+    dmat = _distance_matrix(dist)
+    n = len(dmat)
     if n == 0:
         raise DomainError("covering_number of an empty set")
     if not (r > 0):
@@ -250,15 +238,14 @@ def covering_number(pset=None, r: float | None = None, mode: str = "auto", *, di
     if mode == "auto":
         mode = "exact" if n <= EXACT_COVER_LIMIT else "greedy"
     if mode == "greedy":
-        return len(greedy_separated(pset, r, dist=dist))
+        return len(greedy_separated(dmat, r))
     if mode != "exact":
-        raise ParameterError(f"unknown covering mode {mode!r}")
+        raise DomainError(f"unknown covering mode {mode!r}")
     if n > EXACT_COVER_LIMIT:
-        raise ParameterError(f"exact mode supports |P| <= {EXACT_COVER_LIMIT}")
+        raise DomainError(f"exact mode supports |P| <= {EXACT_COVER_LIMIT}")
     from scipy import optimize, sparse
 
-    idx = np.arange(n)
-    cover = between(idx[:, None], idx) <= thr  # ball j covers the points cover[:, j]
+    cover = dmat <= r  # ball j covers the points cover[:, j]
     res = optimize.milp(np.ones(n), integrality=np.ones(n), bounds=optimize.Bounds(0, 1),
                         constraints=optimize.LinearConstraint(sparse.csr_matrix(cover.astype(float)),
                                                               lb=np.ones(n)))
@@ -323,7 +310,7 @@ def _max_ball_ratio(pset: DiscretePointSet, s: float, max_centers: int | None,
     if len(pset) == 0:
         raise DomainError("empty point set")
     if not (0 <= s <= pset.dim):
-        raise ParameterError(f"s must lie in [0, {pset.dim}], got {s}")
+        raise DomainError(f"s must lie in [0, {pset.dim}], got {s}")
     reps = _cell_representatives(pset.points, pset.delta_exp)
     radii = _dyadic_radii(pset.delta_exp)
     return _best_ratio(reps, _probe_centers(reps, max_centers), radii,
@@ -429,6 +416,11 @@ MAX_DELTA_EXP = 52
 #: int64); a level with more is permuted a block of rows at a time, with the
 #: same stream
 PERMUTE_BUDGET = 1 << 22
+#: most child offsets ``generate_delta_set_indices`` permutes in one call,
+#: refused beyond: about 14 s at the 13 ns per entry of the 2^-36 parabola
+#: build (T = 12, s = t = 0.25, 1.5e8 entries in 2 s on one core of a shared
+#: 2-core x86-64 host); its 2^-48 build's 4,096 column trees would permute 9.8e9
+MAX_PERMUTE_ENTRIES = 1 << 30
 
 
 def generate_delta_set_indices(
@@ -447,16 +439,16 @@ def generate_delta_set_indices(
     and K = round(2^{sT}).
     """
     if T <= 0 or delta_exp % T != 0:
-        raise ParameterError(f"delta_exp={delta_exp} is not a multiple of the period T={T}")
+        raise DomainError(f"delta_exp={delta_exp} is not a multiple of the period T={T}")
     if not (0 <= s <= dim):
-        raise ParameterError(f"s must lie in [0, {dim}], got {s}")
+        raise DomainError(f"s must lie in [0, {dim}], got {s}")
     if delta_exp > MAX_DELTA_EXP:
-        raise ParameterError(
+        raise DomainError(
             f"delta=2^-{delta_exp} is finer than 2^-{MAX_DELTA_EXP}, "
             "below which cell centers are not exact floats"
         )
     if dim * T > 63:
-        raise ParameterError(
+        raise DomainError(
             f"a period T={T} in dimension {dim} gives 2^{dim * T} children per cell, "
             "more than the 2^63 an int64 draw reaches"
         )
@@ -466,11 +458,18 @@ def generate_delta_set_indices(
     # with K >= 2, m > 64 is over the limit; testing it first keeps a huge m
     # from building a huge integer
     if (K > 1 and m > 64) or int(batch) * K ** m > MAX_TREE_CELLS:
-        raise ParameterError(
+        raise DomainError(
             f"{batch} trees of {K}^{m} cells at delta=2^-{delta_exp} exceed the "
             f"limit of {MAX_TREE_CELLS} cells"
         )
     n_children = 2 ** (dim * T)
+    # where it permutes, a level draws a full row of offsets per cell above it
+    n_permuted = int(batch) * n_children * sum(K ** j for j in range(m))
+    if n_children <= 4096 and n_permuted > MAX_PERMUTE_ENTRIES:
+        raise DomainError(
+            f"{batch} trees of {K}^{m} cells at delta=2^-{delta_exp} permute {n_permuted} "
+            f"child offsets, over the limit of {MAX_PERMUTE_ENTRIES}"
+        )
     # a child offset's T-bit digits, most significant first, are its per-axis steps
     shifts = T * np.arange(dim - 1, -1, -1, dtype=np.int64)
     cells = np.zeros((batch, dim), dtype=np.int64)  # every tree's cells, tree by tree

@@ -36,16 +36,17 @@ DEFAULT_GRID_N = 2049
 DUPLICATE_TOL = 1e-12
 
 
-class EvaluationError(ValueError):
+class DomainError(ValueError):
+    """Input outside the admissible domain of an operation: the one refusal
+    type of the library, which ``furst-lab`` reports in one line, exit 1."""
+
+
+class EvaluationError(DomainError):
     """A curve evaluator returned a non-finite value."""
 
 
-class IdenticalCurvesError(ValueError):
+class IdenticalCurvesError(DomainError):
     """Two curves at C2 distance at most the duplicate tolerance."""
-
-
-class DomainError(ValueError):
-    """Input outside the admissible domain of an operation."""
 
 
 # --------------------------------------------------------------------------
@@ -403,15 +404,11 @@ class TransversalFamily:
             self._grid_cache = _grid(self.x_lo, self.x_hi, self.grid_n)
         return self._grid_cache
 
-    def midpoint_x(self) -> float:
-        """The grid's middle element; equals the interval midpoint for odd grid_n."""
-        g = self.grid()
-        return float(g[(len(g) - 1) // 2])
-
     def subfamily(self, indices) -> "TransversalFamily":
-        idx = np.asarray(list(indices), dtype=np.int64)
+        """The members that ``indices`` (any numpy index: a boolean mask, an
+        index array, a list or a range) selects from ``a`` and ``b``."""
         return TransversalFamily(
-            self.kind, self.a[idx], self.b[idx], self.interval, self.lead, self.seed, self.grid_n
+            self.kind, self.a[indices], self.b[indices], self.interval, self.lead, self.seed, self.grid_n
         )
 
     def evaluate(self, x, order: int = 0) -> np.ndarray:
@@ -553,9 +550,9 @@ class TransversalFamily:
         return 1.0 if np.all(alpha == alpha[0]) else 1.0 + (self.x_hi - self.x_lo)
 
     def embedding_images(self) -> np.ndarray:
-        """A(f) = (f(x0), f'(x0)) for every member, x0 the grid midpoint."""
+        """A(f) = (f(x0), f'(x0)) for every member, x0 the interval midpoint."""
         if self._images is None:
-            x0 = [self.midpoint_x()]
+            x0 = [0.5 * (self.x_lo + self.x_hi)]
             self._images = np.stack([self.evaluate(x0, 0), self.evaluate(x0, 1)], axis=1)
         return self._images
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import ParameterError, cell_indices, dyadic_cover, unique_cells
-from .family import TransversalFamily
+from .dyadic import cell_indices, dyadic_cover, unique_cells
+from .family import DomainError, TransversalFamily
 
 
 # --------------------------------------------------------------------------
@@ -86,12 +86,12 @@ def extract_uniform_subset(
     """
     t_req = lipschitz_period_floor(family.t_bound())
     if T < t_req:
-        raise ParameterError(
+        raise DomainError(
             f"period T={T} below the Lipschitz requirement ceil(log2(640*T^4)) = {t_req} "
             f"for transversality bound {family.t_bound():.3g}"
         )
     if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
+        raise DomainError(f"m must be >= 1, got {m}")
     # leaf cells at level mT; the level-jT cubes above them are right
     # shifts of their indices (arithmetic shift = floor division)
     leaves, leaf_of = unique_cells(family_cell_indices(family, m * T))

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import MAX_TREE_CELLS, AtomicMeasure, ParameterError, frostman_constant, side_of
+from .dyadic import MAX_TREE_CELLS, AtomicMeasure, frostman_constant, side_of
 from .family import DomainError
 
 
@@ -72,7 +72,7 @@ def uniform_grid_lift(g0, delta_exp: int, s: float = 1.0) -> CurveMeasure:
     """
     n = 2 ** (delta_exp + 1) + 1
     if n > MAX_TREE_CELLS:
-        raise ParameterError(
+        raise DomainError(
             f"the delta-grid of [-1, 1] at delta=2^-{delta_exp} has {n} points, over the "
             f"limit of {MAX_TREE_CELLS}"
         )

@@ -89,6 +89,13 @@ STEP_BUDGET = 1 << 16
 #: columns by about 6,050 rows, would need 24.8M entries
 TABLE_BUDGET = 1 << 22
 
+#: most prefix-count entries one kernel call may build (a table over every
+#: occupied column), refused beyond: about 3.6 s of table at 3.4 ns per entry
+#: (2^24-row columns, one core of a shared 2-core x86-64 host), 43x the
+#: high-low squares at 2^-12; 4,096 sparse squares at 2^-24 over 1.97e7 rows
+#: would need 8.1e10
+MAX_TABLE_ENTRIES = 1 << 30
+
 
 def _settle(end, other, fx, dl, threshold, step, scratch):
     """Step each run end in ``end`` by ``step`` rows (+1 for lower ends, -1
@@ -135,6 +142,11 @@ def _count_against_threshold(
     xc = centers_of(squares.ix[col_start[:-1]], k)
     iy_min, iy_max = squares.row_range
     span = iy_max - iy_min + 1
+    if len(xc) * span > MAX_TABLE_ENTRIES:
+        raise DomainError(
+            f"a prefix-count table over {len(xc)} columns and {span} rows at delta=2^-{k} "
+            f"has {len(xc) * span} entries, over the limit of {MAX_TABLE_ENTRIES}"
+        )
 
     count = 0
     run_chunks: list[np.ndarray] = []

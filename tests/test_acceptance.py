@@ -320,6 +320,17 @@ def test_acceptance_04_control_family_before_extraction(monkeypatch):
     _fails_at("assert uniform and counts == st.N", test_acceptance_04_uniformization)
 
 
+def test_acceptance_05_control_radius_tripled(monkeypatch):
+    # the largest L / (16 r T / d) over the 100 pairs is 0.249, so 2r still
+    # passes and 3r does not; the count assert cannot fail here, as two
+    # parabola translates differ by an affine function (at most one component)
+    components = fl.intersection_components
+    monkeypatch.setattr(fl, "intersection_components",
+                        lambda f, g, r, grid_n: components(f, g, 3.0 * r, grid_n))
+    _fails_at("assert L <= 16.0 * r * t_est / d * (1.0 + 10.0 / grid_n)",
+              test_acceptance_05_intersection_structure)
+
+
 def test_acceptance_06_control_c0_halved(monkeypatch):
     # the largest fitted constant at a finer delta is 0.70 C0 on lines and
     # 0.55 C0 on parabolas, so half of C0 is too small for both
@@ -327,6 +338,17 @@ def test_acceptance_06_control_c0_halved(monkeypatch):
     monkeypatch.setattr(inc.HighLowReport, "satisfies", lambda rep, C0: satisfies(rep, C0 / 2))
     _fails_at("assert rep.satisfies(C0), (kind, rep.delta_exp, rep.S, rep.fitted_C, C0)",
               test_acceptance_06_high_low)
+
+
+def test_acceptance_08_control_dense_family_at_t_half(monkeypatch):
+    # the dense ratio is 8.99 to 10.04 at t = 1.5 and 0.0615 to 0.0625 at
+    # t = 0.5, against a slack of 0.109; the Katz-Tao ratio is 1.0 on every
+    # seed, as translates delta^s apart never share a square
+    build = cf.build_nice_configuration
+    monkeypatch.setattr(cf, "build_nice_configuration",
+                        lambda kind, de, s, t, *args, **kwargs: build(kind, de, s, 0.5, *args, **kwargs))
+    _fails_at('assert rep.dense_ratio >= slack, ("dense", seed, rep.dense_ratio)',
+              test_acceptance_08_endpoints)
 
 
 def test_acceptance_10_control_point_mass_as_the_lift(monkeypatch):

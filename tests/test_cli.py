@@ -394,6 +394,46 @@ def test_gen_rejects_oversized_tree(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+class NoPermute:
+    """A random generator that draws integers but fails if asked to permute."""
+
+    def __init__(self, rng):
+        self.integers = rng.integers
+
+    def permuted(self, *args, **kwargs):
+        raise AssertionError("a tree level was permuted")
+
+
+@pytest.mark.parametrize("argv", [
+    # 4,096 squares over 1.97e7 rows: a prefix-count table of 8.1e10 entries
+    ["incidence", "--delta-exp", "24", "--T", "12", "--s", "0.25", "--t", "0.25"],
+    # 4,096 column trees at 2^-48: 9.8e9 child offsets permuted
+    ["furstenberg", "--delta-exp", "48", "--T", "12", "--s", "0.25", "--t", "0.25"],
+])
+def test_oversized_work_is_refused_before_it_starts(tmp_path, monkeypatch, capsys, argv):
+    # where a limit is missing, the guarded step fails the run at once
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("the prefix-count table was built")
+
+    monkeypatch.setattr(dyadic.SquareFamily, "prefix_counts", must_not_build)
+    if argv[0] == "furstenberg":  # only its column trees would permute
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoPermute(default_rng(seed)))
+    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("furst-lab: ") and "over the limit" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_identical_curves_in_a_run_exit_one_with_one_line(tmp_path, monkeypatch, capsys):
+    # a run that reaches t_const on coincident members
+    monkeypatch.setattr(cf, "furstenberg_experiment",
+                        lambda conf: conf.family.subfamily([0, 0]).t_const)
+    assert run(["furstenberg", "--delta-exp", "6", "--T", "2", "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "furst-lab: duplicate curves at indices 0 and 1\n"
+
+
 FOOTER = re.compile(r"# furst-lab \S+ config=[0-9a-f]{12} rows=(\d+)")
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import furstlab as fl
 from furstlab import config as cf
-from furstlab.dyadic import ParameterError, side_of, write_csv
+from furstlab.dyadic import side_of, write_csv
 from furstlab.family import DomainError
 from furstlab.famspace import family_cell_indices
 
@@ -59,16 +59,16 @@ def test_no_kind_builds_with_a_pairwise_pass(monkeypatch):
 
 
 def test_build_validates_parameters():
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         cf.build_nice_configuration("parabola", 8, 1.5, 1.0, 2, seed=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         cf.build_nice_configuration("parabola", 9, 0.5, 1.0, 2, seed=0)  # T does not divide
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         cf.build_nice_configuration("spline", 8, 0.5, 1.0, 2, seed=0)
 
 
 def test_unknown_audit_mode_is_refused():
-    with pytest.raises(ParameterError, match="audit mode"):
+    with pytest.raises(DomainError, match="audit mode"):
         cf.build_nice_configuration("parabola", 6, 0.5, 1.0, 3, seed=0, audit="bogus")
 
 
@@ -147,7 +147,7 @@ def test_correlated_mode_refuses_oversized_tiling_before_building(monkeypatch):
 
     monkeypatch.setattr(cf, "MAX_TREE_CELLS", 575)
     monkeypatch.setattr(cf.np, "tile", must_not_tile)
-    with pytest.raises(ParameterError, match="64 curves on 9 shared columns"):
+    with pytest.raises(DomainError, match="64 curves on 9 shared columns"):
         cf.build_nice_configuration("parabola", 6, 0.5, 1.0, 3, 0, correlated=True)
     monkeypatch.undo()
     monkeypatch.setattr(cf, "MAX_TREE_CELLS", 576)
@@ -325,9 +325,9 @@ def test_mainlem_counts_nonvacuous(line_evaluator):
 
 def test_mainlem_parameter_validation():
     fam = cf.build_uniform_line_family(6, 3, seed=0, branching=(2, 2, 1))
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         cf.MainlemEvaluator(fam, 6, 3, 0.3)   # not 1/N
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         cf.MainlemEvaluator(fam, 6, 3, 0.5)   # Delta_exp * eps not integral
 
 
@@ -335,7 +335,7 @@ def test_mainlem_parameter_validation():
 def test_mainlem_eps_outside_unit_interval(eps):
     # -0.25 passes the reciprocal and dyadic tests at Delta_exp 4
     fam = cf.build_uniform_line_family(6, 4, seed=0)
-    with pytest.raises(ParameterError, match=r"eps must be in \(0, 1\]"):
+    with pytest.raises(DomainError, match=r"eps must be in \(0, 1\]"):
         cf.MainlemEvaluator(fam, 6, 4, eps)
 
 
@@ -364,7 +364,7 @@ def test_mainlem_size_limit():
     assert cf.check_mainlem_size(11, 4)[3] <= cf.MAINLEM_MAX_BYTES
     assert cf.check_mainlem_size(12, 8)[3] <= cf.MAINLEM_MAX_BYTES
     for de, De in ((12, 4), (13, 8), (6, 0)):
-        with pytest.raises(ParameterError):
+        with pytest.raises(DomainError):
             cf.check_mainlem_size(de, De)
 
 
@@ -487,5 +487,5 @@ def test_mainlem_fold_counts_a_run_that_ends_at_the_last_square():
 
 @pytest.mark.parametrize("b", [0, 3, 6, 2.5, -2])
 def test_mainlem_report_refuses_a_b_that_is_not_a_power_of_two(line_evaluator, b):
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         line_evaluator.report(a=2, b=b)

@@ -11,7 +11,6 @@ from furstlab import dyadic as dy
 from furstlab.dyadic import (
     AtomicMeasure,
     DiscretePointSet,
-    ParameterError,
     SquareFamily,
 )
 from furstlab.family import DomainError
@@ -114,21 +113,24 @@ def test_cell_indices_match_floor_oracle(x, k):
 
 # -- covering numbers -------------------------------------------------------------
 
+def euclidean_matrix(pts):
+    return np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+
+
 def test_covering_grid_quarter_radius():
-    assert dy.covering_number(grid_1d(4), 0.25) == 2
+    assert dy.covering_number(euclidean_matrix(grid_1d(4).points), 0.25) == 2
 
 
 def test_covering_single_point():
-    ps = DiscretePointSet(np.array([0.3]), 4)
-    assert dy.covering_number(ps, 0.7) == 1
+    assert dy.covering_number(euclidean_matrix(np.array([[0.3]])), 0.7) == 1
 
 
 def test_covering_bracket_random_300():
     rng = np.random.default_rng(0)
-    ps = DiscretePointSet(rng.uniform(0, 1, (300, 2)), 8)
-    greedy = dy.covering_number(ps, 1 / 8, mode="greedy")
-    exact_r = dy.covering_number(ps, 1 / 8, mode="exact")
-    exact_half = dy.covering_number(ps, 1 / 16, mode="exact")
+    dmat = euclidean_matrix(rng.uniform(0, 1, (300, 2)))
+    greedy = dy.covering_number(dmat, 1 / 8, mode="greedy")
+    exact_r = dy.covering_number(dmat, 1 / 8, mode="exact")
+    exact_half = dy.covering_number(dmat, 1 / 16, mode="exact")
     assert exact_r <= greedy <= exact_half
 
 
@@ -136,41 +138,24 @@ def test_covering_bracket_many_small_instances():
     for seed in range(12):
         rng = np.random.default_rng(700 + seed)
         n = int(rng.integers(5, 80))
-        pts = rng.uniform(0, 1, (n, 2))
-        ps = DiscretePointSet(pts, 7)
+        dmat = euclidean_matrix(rng.uniform(0, 1, (n, 2)))
         r = float(rng.uniform(0.05, 0.4))
-        greedy = dy.covering_number(ps, r, mode="greedy")
-        assert dy.covering_number(ps, r, mode="exact") <= greedy
-        assert greedy <= dy.covering_number(ps, r / 2, mode="exact")
+        greedy = dy.covering_number(dmat, r, mode="greedy")
+        assert dy.covering_number(dmat, r, mode="exact") <= greedy
+        assert greedy <= dy.covering_number(dmat, r / 2, mode="exact")
 
 
 def test_covering_empty_set_error():
     with pytest.raises(DomainError):
-        dy.covering_number(np.zeros((0, 2)), 0.5)
+        dy.covering_number(euclidean_matrix(np.zeros((0, 2))), 0.5)
 
 
 def test_exact_mode_size_cap():
     rng = np.random.default_rng(1)
-    ps = DiscretePointSet(rng.uniform(0, 1, (600, 2)), 8)
-    with pytest.raises(ParameterError):
-        dy.covering_number(ps, 0.25, mode="exact")
-    assert dy.covering_number(ps, 0.25, mode="auto") >= 1  # falls back to greedy
-
-
-def euclidean_matrix(pts):
-    return np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
-
-
-def test_points_and_their_distance_matrix_agree():
-    # random points and radii: no distance falls on r, so sqrt cannot flip a comparison
-    for seed in range(10):
-        rng = np.random.default_rng(900 + seed)
-        pts = rng.uniform(0, 1, (int(rng.integers(5, 120)), 2))
-        dmat = euclidean_matrix(pts)
-        r = float(rng.uniform(0.05, 0.4))
-        np.testing.assert_array_equal(dy.greedy_separated(pts, r), dy.greedy_separated(dist=dmat, r=r))
-        for mode in ("exact", "greedy"):
-            assert dy.covering_number(pts, r, mode) == dy.covering_number(dist=dmat, r=r, mode=mode)
+    dmat = euclidean_matrix(rng.uniform(0, 1, (600, 2)))
+    with pytest.raises(DomainError):
+        dy.covering_number(dmat, 0.25, mode="exact")
+    assert dy.covering_number(dmat, 0.25, mode="auto") >= 1  # falls back to greedy
 
 
 def test_covering_bracket_on_distance_matrix():
@@ -188,12 +173,12 @@ def test_distance_matrix_checks():
     for r in (0.0, -0.5, math.nan):
         with pytest.raises(DomainError):
             dy.covering_number(dist=dmat[:10, :10], r=r)
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         dy.covering_number(dist=dmat, r=0.25, mode="exact")
     with pytest.raises(DomainError):
         dy.covering_number(dist=np.zeros((0, 0)), r=0.5)
-    with pytest.raises(DomainError):
-        dy.covering_number(dmat[:3], dist=dmat[:3, :3], r=0.5)
+    with pytest.raises(DomainError, match="square matrix"):
+        dy.covering_number(dmat[:3], r=0.5)
 
 
 # -- set-class checkers ---------------------------------------------------------
@@ -348,7 +333,7 @@ def test_empty_set_errors():
     with pytest.raises(DomainError):
         DiscretePointSet(np.zeros((2, 2)), 4)  # duplicate points
     ps = DiscretePointSet(np.array([0.5]), 4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         dy.delta_set_constant(ps, 1.5)  # s above dim
 
 
@@ -369,7 +354,7 @@ def test_generate_s_zero():
 
 
 def test_generate_wrong_period():
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         dy.generate_delta_set(9, 0.5, 2, seed=0)
 
 
@@ -406,10 +391,40 @@ def test_generate_rejects_oversized_tree_before_building(monkeypatch):
 
     rng = np.random.default_rng(0)
     monkeypatch.setattr(dy.np, "zeros", must_not_allocate)
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         dy.generate_delta_set_indices(40, 1.0, 2, rng)
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         dy.generate_delta_set_indices(10 ** 9, 1.0, 1, rng)
+
+
+class NoPermute:
+    """A random generator that draws integers but fails if asked to permute."""
+
+    def __init__(self, rng):
+        self.integers = rng.integers
+
+    def permuted(self, *args, **kwargs):
+        raise AssertionError("a tree level was permuted")
+
+
+def test_generate_refuses_an_oversized_permutation_before_it_starts():
+    # 4,096 trees of 8^4 cells at 2^-48 are 1.7e7 leaves, under MAX_TREE_CELLS,
+    # but permute 4,096 x 4,096 x (1 + 8 + 64 + 512) = 9.8e9 child offsets
+    with pytest.raises(DomainError, match="permute 9814671360 child offsets"):
+        dy.generate_delta_set_indices(48, 0.25, 12, NoPermute(np.random.default_rng(0)), batch=4096)
+
+
+@pytest.mark.parametrize("limit, accepted", [(5 * 4 * (1 + 4), True), (5 * 4 * (1 + 4) - 1, False)])
+def test_generate_permutation_limit_counts_every_level(monkeypatch, limit, accepted):
+    # 5 trees of 4^2 cells (delta 2^-4, s = 1, T = 2) permute a row of 4
+    # offsets at the root and at each of its 4 children
+    monkeypatch.setattr(dy, "MAX_PERMUTE_ENTRIES", limit)
+    rng = np.random.default_rng(0)
+    if accepted:
+        assert dy.generate_delta_set_indices(4, 1.0, 2, rng, batch=5).shape == (5, 16, 1)
+    else:
+        with pytest.raises(DomainError):
+            dy.generate_delta_set_indices(4, 1.0, 2, rng, batch=5)
 
 
 @pytest.mark.parametrize("limit, accepted", [(5 * 4 ** 3, True), (5 * 4 ** 3 - 1, False)])
@@ -420,7 +435,7 @@ def test_generate_tree_limit_counts_every_cell(monkeypatch, limit, accepted):
     if accepted:
         assert dy.generate_delta_set_indices(6, 1.0, 2, rng, batch=5).shape == (5, 64, 1)
     else:
-        with pytest.raises(ParameterError):
+        with pytest.raises(DomainError):
             dy.generate_delta_set_indices(6, 1.0, 2, rng, batch=5)
 
 

@@ -301,6 +301,21 @@ def test_nonfinite_parameters_rejected():
             TransversalFamily("affine", a, b, (-2.0, 2.0))
 
 
+def test_subfamily_takes_a_mask_as_its_selected_members():
+    fam = TransversalFamily("affine", [0.0, 1.0, 2.0], [3.0, 4.0, 5.0], (-2.0, 2.0))
+    for mask in (np.array([False, False, True]), np.array([True, False, True])):
+        sub, by_index = fam.subfamily(mask), fam.subfamily(np.flatnonzero(mask))
+        assert np.array_equal(sub.a, by_index.a) and np.array_equal(sub.b, by_index.b)
+    assert fam.subfamily(np.array([False, False, True])).a.tolist() == [2.0]
+
+
+def test_embedding_point_is_the_interval_midpoint_at_any_grid_n():
+    # the 2048-point grid of (-2, 2) has no element at 0; its middle one is -9.77e-4
+    for grid_n in (2048, 2049):
+        fam = TransversalFamily("affine", [1.0, -0.5], [0.25, 0.75], (-2.0, 2.0), grid_n=grid_n)
+        assert fam.embedding_images().tolist() == [[0.25, 1.0], [0.75, -0.5]]
+
+
 # -- the sorted window against the all-pairs pass ----------------------------
 
 def _all_pairs_min(fam):

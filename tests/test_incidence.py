@@ -230,7 +230,7 @@ def test_array_family_matches_closures(kind):
         fast = inc.incidences(fam, P, lam)
         assert fast.count > 0
         assert np.array_equal(fast.pairs, inc.incidences_bruteforce(fam, P, lam).pairs)
-    x0 = fam.midpoint_x()
+    x0 = 0.5 * (fam.x_lo + fam.x_hi)
     want = [[float(c.eval0(x0)), float(c.eval1(x0))] for c in curves]
     assert np.array_equal(fam.embedding_images(), want)
     # the pairwise pass (the affine shortcut for lines and parabola
@@ -437,6 +437,25 @@ def test_prefix_count_table_stays_within_its_budget():
         tracemalloc.stop()
     assert count == inc.incidences_bruteforce(fam, P, 8).count > 0
     assert peak <= 4 * inc.TABLE_BUDGET + 64 * len(P) + 64 * inc.STEP_BUDGET
+
+
+@pytest.mark.parametrize("rows, accepted", [(2 ** 20 - 1, True), (2 ** 20, False)])
+def test_kernel_refuses_an_oversized_table_before_building_it(monkeypatch, rows, accepted):
+    # two squares per column, in 2^10 columns, span 2^20 or 2^20 + 1 rows:
+    # a table of 2^30 entries is the limit
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("the prefix-count table was built")
+
+    monkeypatch.setattr(dy.SquareFamily, "prefix_counts", must_not_build)
+    cols = np.arange(2 ** 10)
+    P = dy.SquareFamily(24, np.r_[cols, cols], np.r_[0 * cols, 0 * cols + rows])
+    fam = fl.TransversalFamily("affine", [0.0], [0.5], (0.0, 1.0))
+    if accepted:
+        with pytest.raises(AssertionError, match="table was built"):
+            inc.incidences(fam, P, 2.0)
+    else:
+        with pytest.raises(DomainError, match="has 1073742848 entries"):
+            inc.incidences(fam, P, 2.0)
 
 
 def test_run_end_trimming_walks_any_distance():
