@@ -25,7 +25,7 @@ from .dyadic import (
     MAX_TREE_CELLS,
     DiscretePointSet,
     SquareFamily,
-    _sorted_square_keys,
+    _distinct_square_keys,
     cell_indices,
     centers_of,
     delta_set_constant,
@@ -100,8 +100,7 @@ class NiceConfiguration:
 
     def union_square_count(self) -> int:
         """|P| = number of distinct squares across all per-curve sets."""
-        _, first, _ = _sorted_square_keys(self.col_idx.ravel(), self.iy.ravel())
-        return int(np.count_nonzero(first))
+        return len(_distinct_square_keys(self.col_idx.ravel(), self.iy.ravel())[0])
 
     def union_squares(self) -> SquareFamily:
         return SquareFamily(self.delta_exp, self.col_idx.ravel(), self.iy.ravel())
@@ -210,8 +209,14 @@ def _attach_squares(
         col_idx = np.tile(cols_one, (n, 1))
     else:
         col_idx = generate_delta_set_indices(delta_exp, s, T, rng, dim=1, batch=n)[..., 0]
-    values = family.evaluate(centers_of(col_idx, delta_exp))
-    iy = cell_indices(values, delta_exp)
+    # a block of curves at a time, about STEP_BUDGET values each, so no
+    # (n, M) array of x or f(x) is made
+    iy = np.empty_like(col_idx)
+    rows = max(1, STEP_BUDGET // col_idx.shape[1])
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        values = family.subfamily(range(r0, r1)).evaluate(centers_of(col_idx[r0:r1], delta_exp))
+        iy[r0:r1] = cell_indices(values, delta_exp)
     return NiceConfiguration(
         family=family, kind=kind, delta_exp=delta_exp, s=s, t=t, T=T, seed=seed,
         col_idx=col_idx, iy=iy, audit=audit,

@@ -421,6 +421,13 @@ PERMUTE_BUDGET = 1 << 22
 #: build (T = 12, s = t = 0.25, 1.5e8 entries in 2 s on one core of a shared
 #: 2-core x86-64 host); its 2^-48 build's 4,096 column trees would permute 9.8e9
 MAX_PERMUTE_ENTRIES = 1 << 30
+#: most draws ``generate_delta_set_indices`` expects to make one at a time in
+#: Python, where a cell has more than 4,096 children, refused beyond: about
+#: 12 s at the 0.71 us per draw of 800 column trees at 2^-26 (T = 13, s = 0.5,
+#: 6.7e6 draws in 4.7 s on one core of a shared 2-core x86-64 host), and up to
+#: twice that where a cell keeps only 10 to 15 children, as the per-cell call
+#: then weighs more
+MAX_SAMPLED_DRAWS = 1 << 24
 
 
 def generate_delta_set_indices(
@@ -463,13 +470,24 @@ def generate_delta_set_indices(
             f"limit of {MAX_TREE_CELLS} cells"
         )
     n_children = 2 ** (dim * T)
-    # where it permutes, a level draws a full row of offsets per cell above it
-    n_permuted = int(batch) * n_children * sum(K ** j for j in range(m))
-    if n_children <= 4096 and n_permuted > MAX_PERMUTE_ENTRIES:
-        raise DomainError(
-            f"{batch} trees of {K}^{m} cells at delta=2^-{delta_exp} permute {n_permuted} "
-            f"child offsets, over the limit of {MAX_PERMUTE_ENTRIES}"
-        )
+    n_parents = int(batch) * sum(K ** j for j in range(m))  # cells that get children
+    if n_children <= 4096:
+        # where it permutes, a level draws a full row of offsets per cell above it
+        n_permuted = n_parents * n_children
+        if n_permuted > MAX_PERMUTE_ENTRIES:
+            raise DomainError(
+                f"{batch} trees of {K}^{m} cells at delta=2^-{delta_exp} permute {n_permuted} "
+                f"child offsets, over the limit of {MAX_PERMUTE_ENTRIES}"
+            )
+    elif K < n_children:
+        # elsewhere a cell's K distinct offsets take n ln(n / (n - K)) draws
+        # on average (K when K is small against the n children)
+        n_drawn = n_parents * -n_children * math.log1p(-K / n_children)
+        if n_drawn > MAX_SAMPLED_DRAWS:
+            raise DomainError(
+                f"{batch} trees of {K}^{m} cells at delta=2^-{delta_exp} draw about "
+                f"{n_drawn:.3g} child offsets one at a time, over the limit of {MAX_SAMPLED_DRAWS}"
+            )
     # a child offset's T-bit digits, most significant first, are its per-axis steps
     shifts = T * np.arange(dim - 1, -1, -1, dtype=np.int64)
     cells = np.zeros((batch, dim), dtype=np.int64)  # every tree's cells, tree by tree
@@ -522,67 +540,98 @@ def generate_delta_set(
 # Array-backed square collections (for the incidence kernels)
 # --------------------------------------------------------------------------
 
-def _square_keys(ix: np.ndarray, iy: np.ndarray):
-    """One int64 key per square of the nonempty index arrays (ix, iy), which
-    orders as (ix, iy) does, and the function that turns keys back into ix
-    and iy arrays; None where the index ranges would carry a key past 2^63.
-
-    A key is (ix - ix0) * span + (iy - iy0), which one sort orders far faster
-    than two columns.
-    """
+def _key_layout(ix: np.ndarray, iy: np.ndarray):
+    """``(ix0, iy0, span, size)`` of the one int64 key per square of the
+    nonempty index arrays (ix, iy), (ix - ix0) * span + (iy - iy0), which
+    orders as (ix, iy) does and lies in [0, size); None where size would pass
+    2^63.  One sort orders these keys far faster than two columns."""
     ix0, iy0 = int(ix.min()), int(iy.min())
     span = int(iy.max()) - iy0 + 1
-    if (int(ix.max()) - ix0 + 1) * span >= 2 ** 63:
-        return None
-    keys = ix - ix0
-    keys *= span
-    keys += iy - iy0
-    return keys, lambda keys: (keys // span + ix0, keys % span + iy0)
+    size = (int(ix.max()) - ix0 + 1) * span
+    return None if size >= 2 ** 63 else (ix0, iy0, span, size)
+
+
+def _keys_into(out: np.ndarray, ix: np.ndarray, iy: np.ndarray, layout) -> np.ndarray:
+    """Write the keys of ``layout`` of the squares (ix, iy) into the int64
+    array ``out`` of their length, and return it.  Adding iy before taking
+    iy0 off may wrap, but int64 wraps modulo 2^64 and the key is below 2^63."""
+    ix0, iy0, span, _ = layout
+    np.subtract(ix, ix0, out=out)
+    out *= span
+    out += iy
+    out -= iy0
+    return out
+
+
+def _split_keys(keys: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
+    """The ix and iy arrays of the squares whose keys of ``layout`` are ``keys``."""
+    ix0, iy0, span, _ = layout
+    return keys // span + ix0, keys % span + iy0
 
 
 def _lexsorted_rows(ix: np.ndarray, iy: np.ndarray):
     """``(order, rows, first)``: the order that sorts the squares by (ix, iy),
     their sorted (n, 2) index rows, and a mask of each distinct row's first;
-    the fallback of the two functions below where ``_square_keys`` is None."""
+    the fallback of the two functions below where ``_key_layout`` is None."""
     order = np.lexsort((iy, ix))
     rows = np.stack([ix[order], iy[order]], axis=1)
     return order, rows, np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
 
 
-def _sorted_square_keys(ix: np.ndarray, iy: np.ndarray):
-    """Sort the squares of the int64 index arrays (ix, iy) by (ix, iy).
+#: keys built at a time where ``_distinct_square_keys`` marks a table, 512 KiB
+#: of int64: the 5.3M keys of the 2^-12 Furstenberg cell (parabola, s = 0.9,
+#: t = 1, T = 3) mark in 36 ms, against 38 to 45 ms with blocks of 2^12, 2^14,
+#: 2^18 and 2^20 keys
+KEY_BLOCK = 1 << 16
 
-    Returns ``(keys, first, split)``: one sorted key per input square,
-    ``first`` marking each distinct square's first key, and ``split`` the
-    function that turns keys back into ix and iy arrays.  The keys are
-    ``_square_keys``'s or, where those would pass 2^63, the (ix, iy) rows
-    themselves, lexsorted.
+
+def _distinct_square_keys(ix: np.ndarray, iy: np.ndarray):
+    """The distinct squares of the int64 index arrays (ix, iy), sorted by (ix, iy).
+
+    Returns ``(keys, split)``: one key per distinct square, in order, and the
+    function that turns keys back into ix and iy arrays.  Where the key range
+    is at most 8 times the square count, so that a bool table over it holds
+    no more bytes than the int64 keys a sort would allocate, the table is
+    marked from keys built ``KEY_BLOCK`` at a time and its marked entries are
+    the keys; otherwise the keys are sorted.  Where keys would pass 2^63, the
+    (ix, iy) rows themselves are lexsorted and are the keys.
     """
     if len(ix) == 0:
-        return ix, np.zeros(0, dtype=bool), lambda keys: (keys, keys)
-    keyed = _square_keys(ix, iy)
-    if keyed is not None:
-        keys, split = keyed
+        return ix, lambda keys: (keys, keys)
+    layout = _key_layout(ix, iy)
+    if layout is None:
+        _, rows, first = _lexsorted_rows(ix, iy)
+        return rows[first], lambda rows: (rows[:, 0], rows[:, 1])
+    size = layout[3]
+    if size > 8 * len(ix):
+        keys = _keys_into(np.empty(len(ix), dtype=np.int64), ix, iy, layout)
         keys.sort()
-        return keys, np.r_[True, keys[1:] != keys[:-1]], split
-    _, rows, first = _lexsorted_rows(ix, iy)
-    return rows, first, lambda rows: (rows[:, 0], rows[:, 1])
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    else:
+        seen = np.zeros(size, dtype=bool)
+        buf = np.empty(min(len(ix), KEY_BLOCK), dtype=np.int64)
+        for b0 in range(0, len(ix), len(buf)):
+            b1 = min(b0 + len(buf), len(ix))
+            seen[_keys_into(buf[:b1 - b0], ix[b0:b1], iy[b0:b1], layout)] = True
+        keys = np.flatnonzero(seen)
+    return keys, lambda keys: _split_keys(keys, layout)
 
 
 def unique_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an (n, 2) int64 array of planar cell indices,
     sorted, and each input row's position among them: the result of
     ``np.unique(cells, axis=0, return_inverse=True)``, by a sort of one int64
-    key per row (``_square_keys``), or a lexsort where that key would pass 2^63.
+    key per row (``_key_layout``), or a lexsort where that key would pass 2^63.
     """
     if len(cells) == 0:
         return cells[:0], np.zeros(0, dtype=np.int64)
-    keyed = _square_keys(cells[:, 0], cells[:, 1])
-    if keyed is not None:
-        keys, split = keyed
+    ix, iy = cells[:, 0], cells[:, 1]
+    layout = _key_layout(ix, iy)
+    if layout is not None:
+        keys = _keys_into(np.empty(len(cells), dtype=np.int64), ix, iy, layout)
         distinct, inverse = np.unique(keys, return_inverse=True)
-        return np.stack(split(distinct), axis=1), inverse
-    order, rows, first = _lexsorted_rows(cells[:, 0], cells[:, 1])
+        return np.stack(_split_keys(distinct, layout), axis=1), inverse
+    order, rows, first = _lexsorted_rows(ix, iy)
     inverse = np.empty(len(cells), dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
     return rows[first], inverse
@@ -603,9 +652,9 @@ class SquareFamily:
         iy = np.asarray(iy, dtype=np.int64)
         if ix.shape != iy.shape or ix.ndim != 1:
             raise DomainError("ix, iy must be equal-length 1-d arrays")
-        keys, first, split = _sorted_square_keys(ix, iy)
+        keys, split = _distinct_square_keys(ix, iy)
         self.k = int(k)
-        self.ix, self.iy = split(keys[first])
+        self.ix, self.iy = split(keys)
 
     def __len__(self) -> int:
         return len(self.ix)

@@ -8,8 +8,14 @@ import pytest
 
 import furstlab as fl
 from furstlab import config as cf
-from furstlab.dyadic import side_of, write_csv
-from furstlab.family import DomainError
+from furstlab.dyadic import (
+    cell_indices,
+    centers_of,
+    generate_delta_set_indices,
+    side_of,
+    write_csv,
+)
+from furstlab.family import DomainError, EvaluationError
 from furstlab.famspace import family_cell_indices
 
 
@@ -153,6 +159,48 @@ def test_correlated_mode_refuses_oversized_tiling_before_building(monkeypatch):
     monkeypatch.setattr(cf, "MAX_TREE_CELLS", 576)
     conf = cf.build_nice_configuration("parabola", 6, 0.5, 1.0, 3, 0, correlated=True)
     assert conf.col_idx.shape == (64, 9)
+
+
+def _one_shot_iy(conf):
+    k = conf.delta_exp
+    return cell_indices(conf.family.evaluate(centers_of(conf.col_idx, k)), k)
+
+
+@pytest.mark.parametrize("kind, seed_curve, correlated", [
+    ("affine", None, False), ("parabola", None, False), ("convex", fl.exp_seed(), False),
+    ("parabola", None, True),
+])
+@pytest.mark.parametrize("budget", [None, 7 * 27, 26])
+def test_blocked_build_equals_the_one_shot_build(monkeypatch, kind, seed_curve, correlated, budget):
+    # 512 curves of 27 squares (delta 2^-9, s = 0.5, t = 1, T = 3): the full
+    # step budget, 7 rows a block (512 = 73 * 7 + 1), and a budget under M, one row
+    if budget is not None:
+        monkeypatch.setattr(cf, "STEP_BUDGET", budget)
+    conf = cf.build_nice_configuration(kind, 9, 0.5, 1.0, 3, seed=4, seed_curve=seed_curve,
+                                       correlated=correlated)
+    assert conf.col_idx.shape == (512, 27)
+    assert np.array_equal(conf.iy, _one_shot_iy(conf))
+
+
+def test_blocked_build_names_a_non_finite_value_of_a_later_block(monkeypatch):
+    # the last of 10 curves, in the last block of two, is nan wherever x - a >= 1;
+    # the blocked build refuses it as one evaluate over every curve does
+    def zero(x):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    nan_from_one = fl.ConvexSeed(
+        g0=lambda x: np.where(np.asarray(x) >= 1.0, np.nan, 0.25),
+        g1=zero, g2=zero, g3=zero, frak_G=1.0, frak_g=1.0, name="nan from 1",
+    )
+    fam = fl.TransversalFamily("convex", np.r_[np.full(9, 0.5), -0.5], np.arange(10) / 10,
+                               cf.WORK_INTERVAL, seed=nan_from_one)
+    col_idx = generate_delta_set_indices(4, 1.0, 4, np.random.default_rng(0), batch=10)[..., 0]
+    with pytest.raises(EvaluationError, match="x=") as one_shot:
+        fam.evaluate(centers_of(col_idx, 4))
+    monkeypatch.setattr(cf, "STEP_BUDGET", 2 * 16)
+    with pytest.raises(EvaluationError) as blocked:
+        cf._attach_squares(fam, "convex", 4, 1.0, 1.0, 4, 0, np.random.default_rng(0), "auto")
+    assert str(blocked.value) == str(one_shot.value)
 
 
 #: build_parallel_translate_configuration(8, 0.5, 2, seed): (seed, sha256

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,51 @@ def test_square_family_is_sorted_and_distinct():
     unit = SquareFamily.grid(5)  # every square of [0, 1)^2
     assert len(unit) == 4 ** 5
     assert set(unit.ix.tolist()) == set(unit.iy.tolist()) == set(range(2 ** 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), table=st.booleans())
+def test_distinct_square_keys_equal_numpy_unique_rows(data, table):
+    # squares in a cols x rows box anywhere in int64 (negative iy included),
+    # corners drawn so the key range is exactly cols * rows, then repeats: a
+    # range of at most 8 times the square count is marked in a table, a wider
+    # one sorted
+    n = data.draw(st.integers(2, 60))
+    repeats = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
+    total = n + len(repeats)
+    cols = data.draw(st.integers(1, 8 * total))
+    if table:
+        rows = data.draw(st.integers(1, 8 * total // cols))
+    else:
+        rows = data.draw(st.integers(8 * total // cols + 1, 8 * total // cols + 2 ** 40))
+    ix0 = data.draw(st.integers(-2 ** 63, 2 ** 63 - cols))
+    iy0 = data.draw(st.integers(-2 ** 63, 2 ** 63 - rows))
+    dx = data.draw(st.lists(st.integers(0, cols - 1), min_size=n - 2, max_size=n - 2))
+    dy_ = data.draw(st.lists(st.integers(0, rows - 1), min_size=n - 2, max_size=n - 2))
+    ix = np.array([ix0, ix0 + cols - 1] + [ix0 + d for d in dx], dtype=np.int64)
+    iy = np.array([iy0 + rows - 1, iy0] + [iy0 + d for d in dy_], dtype=np.int64)
+    ix, iy = np.r_[ix, ix[repeats]], np.r_[iy, iy[repeats]]
+    assert (cols * rows <= 8 * len(ix)) == table
+    keys, split = dy._distinct_square_keys(ix, iy)
+    got = np.stack(split(keys), axis=1)
+    assert np.array_equal(got, np.unique(np.stack([ix, iy], axis=1), axis=0))
+    assert got.dtype == np.int64
+
+
+def test_distinct_square_keys_mark_a_table_smaller_than_the_keys():
+    # 2^20 squares in a 256 x 512 box, a key range of 2^17: the 128 KiB
+    # table, one block of keys and the 1 MiB of distinct keys, where a sort
+    # would allocate 8 MiB of keys
+    rng = np.random.default_rng(5)
+    ix, iy = rng.integers(0, 256, 1 << 20), rng.integers(-256, 256, 1 << 20)
+    tracemalloc.start()
+    try:
+        keys, split = dy._distinct_square_keys(ix, iy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.stack(split(keys), axis=1), np.unique(np.stack([ix, iy], axis=1), axis=0))
+    assert peak < 3 << 20
 
 
 def test_unique_cells_equals_numpy_unique_rows():
@@ -425,6 +471,37 @@ def test_generate_permutation_limit_counts_every_level(monkeypatch, limit, accep
     else:
         with pytest.raises(DomainError):
             dy.generate_delta_set_indices(4, 1.0, 2, rng, batch=5)
+
+
+class NoDraw:
+    """A random generator that fails if asked to draw."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("a child offset was drawn")
+
+
+def test_generate_refuses_an_oversized_sample_before_it_starts():
+    # 4,096 column trees of 91^2 cells at 2^-26 (T = 13: 8,192 children per
+    # cell, so offsets are drawn one at a time) are 3.4e7 leaves, under
+    # MAX_TREE_CELLS, but draw 4,096 x 92 x 91.5 = 3.4e7 offsets, about 24 s
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="draw about 3.45e"):
+        dy.generate_delta_set_indices(26, 0.5, 13, NoDraw(), batch=4096)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("limit, accepted", [(85, True), (84, False)])
+def test_generate_sample_limit_counts_every_level(monkeypatch, limit, accepted):
+    # 2 trees of 6^2 cells (delta 2^-26, s = 0.2, T = 13) draw 6 of 8,192
+    # offsets at the root and at each of its 6 children: 14 cells of
+    # 8192 ln(8192 / 8186) = 6.002 expected draws, 84.03 in all
+    monkeypatch.setattr(dy, "MAX_SAMPLED_DRAWS", limit)
+    rng = np.random.default_rng(0)
+    if accepted:
+        assert dy.generate_delta_set_indices(26, 0.2, 13, rng, batch=2).shape == (2, 36, 1)
+    else:
+        with pytest.raises(DomainError):
+            dy.generate_delta_set_indices(26, 0.2, 13, NoDraw(), batch=2)
 
 
 @pytest.mark.parametrize("limit, accepted", [(5 * 4 ** 3, True), (5 * 4 ** 3 - 1, False)])
