@@ -25,7 +25,7 @@ from .dyadic import (
     MAX_TREE_CELLS,
     DiscretePointSet,
     SquareFamily,
-    _distinct_square_keys,
+    _distinct_square_count,
     cell_indices,
     centers_of,
     delta_set_constant,
@@ -100,7 +100,7 @@ class NiceConfiguration:
 
     def union_square_count(self) -> int:
         """|P| = number of distinct squares across all per-curve sets."""
-        return len(_distinct_square_keys(self.col_idx.ravel(), self.iy.ravel())[0])
+        return _distinct_square_count(self.col_idx.ravel(), self.iy.ravel())
 
     def union_squares(self) -> SquareFamily:
         return SquareFamily(self.delta_exp, self.col_idx.ravel(), self.iy.ravel())
@@ -215,7 +215,7 @@ def _attach_squares(
     rows = max(1, STEP_BUDGET // col_idx.shape[1])
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        values = family.subfamily(range(r0, r1)).evaluate(centers_of(col_idx[r0:r1], delta_exp))
+        values = family.subfamily(slice(r0, r1)).evaluate(centers_of(col_idx[r0:r1], delta_exp))
         iy[r0:r1] = cell_indices(values, delta_exp)
     return NiceConfiguration(
         family=family, kind=kind, delta_exp=delta_exp, s=s, t=t, T=T, seed=seed,
@@ -266,18 +266,32 @@ def verify_nice(conf: NiceConfiguration) -> NiceReport:
     failures: list[str] = []
     if conf.col_idx.shape != conf.iy.shape:
         failures.append("square index arrays are ragged")
-    cols_sorted = np.sort(conf.col_idx, axis=1)
-    dup = np.any(cols_sorted[:, 1:] == cols_sorted[:, :-1], axis=1)
-    if np.any(dup):
-        failures.append(f"curve {int(np.argmax(dup))}: |P(f)| != M (duplicate columns)")
     k = conf.delta_exp
     dl = side_of(k)
     offs = (np.arange(9) + 0.5) / 9 * dl
-    xs = (centers_of(conf.col_idx, k) - 0.5 * dl)[..., None] + offs
-    iy_hit = cell_indices(conf.family.evaluate(xs), k)
-    missed = ~np.any(iy_hit == conf.iy[..., None], axis=2)
-    if np.any(missed):
-        i, j = np.argwhere(missed)[0]
+    # a block of curves at a time, about STEP_BUDGET samples each; every
+    # block is evaluated, so a non-finite value anywhere is still refused
+    n, M = conf.col_idx.shape
+    rows = max(1, STEP_BUDGET // (9 * M))
+    dup_at = miss_at = None
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        cols = conf.col_idx[r0:r1]
+        if dup_at is None:
+            cols_sorted = np.sort(cols, axis=1)
+            dup = np.any(cols_sorted[:, 1:] == cols_sorted[:, :-1], axis=1)
+            if np.any(dup):
+                dup_at = r0 + int(np.argmax(dup))
+        xs = (centers_of(cols, k) - 0.5 * dl)[..., None] + offs
+        iy_hit = cell_indices(conf.family.subfamily(slice(r0, r1)).evaluate(xs), k)
+        missed = ~np.any(iy_hit == conf.iy[r0:r1, :, None], axis=2)
+        if miss_at is None and np.any(missed):
+            i, j = np.argwhere(missed)[0]
+            miss_at = r0 + i, j
+    if dup_at is not None:
+        failures.append(f"curve {dup_at}: |P(f)| != M (duplicate columns)")
+    if miss_at is not None:
+        i, j = miss_at
         failures.append(
             f"square (ix={conf.col_idx[i][j]}, iy={conf.iy[i][j]}) misses the graph of curve {i}"
         )
@@ -552,13 +566,16 @@ class MainlemEvaluator:
         ends = np.cumsum(np.bincount(cube_of, minlength=len(self.cube_ids)))
         for members in np.split(order, ends[:-1]):
             counts, _ = cube_incidence_counts(family.subfamily(members), self.squares, Delta_exp, lam)
-            top = int(counts.max())
+            # only the squares the cube's curves touched change a level
+            hit = np.flatnonzero(counts[:, 0])
+            c = counts[hit, 0]
+            del counts  # not held through the next cube's kernel call
+            top = int(c.max()) if len(c) else 0
             for j in range(top.bit_length()):
                 if j == len(self.n_big):
-                    self.n_big.append(np.zeros(len(counts), dtype=np.int32))
-                self.n_big[j] += counts[:, 0] >= 1 << j
+                    self.n_big.append(np.zeros(len(self.squares), dtype=np.int32))
+                self.n_big[j][hit] += c >= 1 << j
             self.max_b = max(self.max_b, top)
-            del counts  # not held through the next cube's kernel call
         self.hyp_i_mask = self._hypothesis_i_mask()
         self.cube_separated = self._cube_separation()
 

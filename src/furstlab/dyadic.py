@@ -585,7 +585,7 @@ def _lexsorted_rows(ix: np.ndarray, iy: np.ndarray):
 KEY_BLOCK = 1 << 16
 
 
-def _distinct_square_keys(ix: np.ndarray, iy: np.ndarray):
+def _distinct_square_keys(ix: np.ndarray, iy: np.ndarray, marks=None):
     """The distinct squares of the int64 index arrays (ix, iy), sorted by (ix, iy).
 
     Returns ``(keys, split)``: one key per distinct square, in order, and the
@@ -594,27 +594,50 @@ def _distinct_square_keys(ix: np.ndarray, iy: np.ndarray):
     no more bytes than the int64 keys a sort would allocate, the table is
     marked from keys built ``KEY_BLOCK`` at a time and its marked entries are
     the keys; otherwise the keys are sorted.  Where keys would pass 2^63, the
-    (ix, iy) rows themselves are lexsorted and are the keys.
+    (ix, iy) rows themselves are lexsorted and are the keys.  ``marks`` is
+    ``_square_marks(ix, iy)`` where the caller has it already.
     """
     if len(ix) == 0:
         return ix, lambda keys: (keys, keys)
-    layout = _key_layout(ix, iy)
+    layout, seen = _square_marks(ix, iy) if marks is None else marks
     if layout is None:
         _, rows, first = _lexsorted_rows(ix, iy)
         return rows[first], lambda rows: (rows[:, 0], rows[:, 1])
-    size = layout[3]
-    if size > 8 * len(ix):
+    if seen is None:
         keys = _keys_into(np.empty(len(ix), dtype=np.int64), ix, iy, layout)
         keys.sort()
         keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
     else:
-        seen = np.zeros(size, dtype=bool)
-        buf = np.empty(min(len(ix), KEY_BLOCK), dtype=np.int64)
-        for b0 in range(0, len(ix), len(buf)):
-            b1 = min(b0 + len(buf), len(ix))
-            seen[_keys_into(buf[:b1 - b0], ix[b0:b1], iy[b0:b1], layout)] = True
         keys = np.flatnonzero(seen)
     return keys, lambda keys: _split_keys(keys, layout)
+
+
+def _square_marks(ix: np.ndarray, iy: np.ndarray):
+    """``(layout, seen)`` of the nonempty index arrays (ix, iy): their
+    ``_key_layout``, and the bool table over its key range that marks the
+    squares, from keys built ``KEY_BLOCK`` at a time; seen is None where
+    layout is, or where the range is over 8 times the square count, and a
+    sort of the keys costs less."""
+    layout = _key_layout(ix, iy)
+    if layout is None or layout[3] > 8 * len(ix):
+        return layout, None
+    seen = np.zeros(layout[3], dtype=bool)
+    buf = np.empty(min(len(ix), KEY_BLOCK), dtype=np.int64)
+    for b0 in range(0, len(ix), len(buf)):
+        b1 = min(b0 + len(buf), len(ix))
+        seen[_keys_into(buf[:b1 - b0], ix[b0:b1], iy[b0:b1], layout)] = True
+    return layout, seen
+
+
+def _distinct_square_count(ix: np.ndarray, iy: np.ndarray) -> int:
+    """``len(_distinct_square_keys(ix, iy)[0])``; where a table is marked, its
+    marks are counted and no key is listed."""
+    if len(ix) == 0:
+        return 0
+    marks = _square_marks(ix, iy)
+    if marks[1] is None:
+        return len(_distinct_square_keys(ix, iy, marks)[0])
+    return int(np.count_nonzero(marks[1]))
 
 
 def unique_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

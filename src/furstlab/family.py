@@ -405,8 +405,8 @@ class TransversalFamily:
         return self._grid_cache
 
     def subfamily(self, indices) -> "TransversalFamily":
-        """The members that ``indices`` (any numpy index: a boolean mask, an
-        index array, a list or a range) selects from ``a`` and ``b``."""
+        """The members that ``indices`` (any numpy index: a slice, a boolean
+        mask, an index array, a list or a range) selects from ``a`` and ``b``."""
         return TransversalFamily(
             self.kind, self.a[indices], self.b[indices], self.interval, self.lead, self.seed, self.grid_n
         )

@@ -38,6 +38,35 @@ kept, the rest of the step runs on those alone, as one flat array, and each
 run maps back to its curve; otherwise it runs on the whole (curve, column)
 array, as gathering the values would cost more than it saves.
 
+Most values need not be computed at all.  Per chunk of columns, each line
+and parabola translate gets the columns [start, stop) outside which none of
+its computed values lies in (lo_edge, hi_edge), and a step evaluates its
+block of curves only on the columns from their least start to their last
+stop; a block with none is skipped before any evaluation.  The computed
+f(x) is monotone in x on each piece: a line's a*x + b is one piece, whose
+rounded product and sum are each monotone, and a parabola translate's
+lead*(x - a)^2 + b has one piece on each side of a, where the rounded
+x - a, its square, the product and the sum are each monotone.  On a piece
+one edge test holds on a prefix of its columns and the other on a suffix,
+so the kept columns of a piece form one interval, and a range is the hull
+of its pieces' intervals.  Each interval's ends are estimated in closed
+form, by inverting f at the two edges and a binary search over the column
+centers, then settled outwards: a start steps down while the column below
+it passes the edge test that holds on a suffix, and a stop steps up while
+its own column passes the other.  Whatever the estimate, every column
+beyond a settled end then fails a test, by monotonicity, so the range
+holds every kept column; rounding, or an overflow of the inversion at a
+subnormal slope, only moves the estimate, and with it the settle's length.
+Before any estimate, the same monotonicity bounds each curve's values by
+those at the chunk's two end columns and, where a parabola translate's
+vertex lies among the columns, by its value b there: a curve whose bounds
+lie inside the interval keeps every column, one whose bounds lie on one
+side of it keeps none, and only the rest are estimated and settled.  A
+curve with a non-finite value at an end column keeps every column, so
+that ``evaluate`` refuses it as it would without ranges (finite values at
+both ends bound every value between, piece by piece).  Convex
+translates, and infinite edges, keep every column.
+
 A prefix-count table over the sorted squares' keys then gives the run's
 first square and length by two direct lookups, with the ends cast to int64
 only for them.  The table and the column layout depend only on the
@@ -63,7 +92,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import SquareFamily, centers_of, side_of, unique_cells
-from .family import DomainError, TransversalFamily, _eval_checked
+from .family import DomainError, TransversalFamily, _eval_checked, _kind_values
 from .famspace import family_cell_indices
 
 
@@ -121,6 +150,85 @@ def _settle(end, other, fx, dl, threshold, step, scratch):
     return end
 
 
+def _filter_edges(squares: SquareFamily, threshold: float) -> tuple[float, float]:
+    """(lo_edge, hi_edge): a value outside this open interval hits no row of
+    the squares at ``threshold`` (see the module docstring, whose bound on
+    the edges' rounding needs a threshold below 2^51 rows); from 2^51 rows
+    on, every value is kept."""
+    iy_min, iy_max = squares.row_range
+    dl = squares.delta
+    if max(threshold, 0.0) / dl >= 2.0 ** 51:
+        return -math.inf, math.inf
+    return iy_min * dl - threshold, (iy_max + 1) * dl + threshold
+
+
+def _candidate_columns(family: TransversalFamily, xs: np.ndarray, lo_edge: float, hi_edge: float):
+    """Per curve, the columns [start, stop) of the sorted centers ``xs``
+    outside which no computed f(x) lies in (lo_edge, hi_edge), as two int
+    arrays; None where every column is a candidate (the convex kind, or an
+    infinite edge).  See the module docstring for the rule and its proof."""
+    if family.kind == "convex" or not (math.isfinite(lo_edge) and math.isfinite(hi_edge)):
+        return None
+    kind, lead, m = family.kind, family.lead, len(xs)
+    a, b = family.a, family.b
+    # huge parameters overflow, and so does inverting f at a subnormal
+    # slope: an estimate is only where the settle starts
+    with np.errstate(all="ignore"):
+        # every value lies between those at the end columns and, where a
+        # parabola translate's vertex lies among the columns, f(a) = b
+        e0, e1 = (_kind_values(kind, a, b, lead, None, x, 0) for x in (xs[0], xs[-1]))
+        low, high = np.minimum(e0, e1), np.maximum(e0, e1)
+        if kind == "parabola":
+            vertex = (xs[0] < a) & (a < xs[-1])
+            np.minimum(low, b, out=low, where=vertex)
+            np.maximum(high, b, out=high, where=vertex)
+        # a curve keeps every column where every value is kept, or where one
+        # is not finite, so that ``evaluate`` refuses it as without ranges;
+        # no column where none is kept; the rest cross an edge
+        every = ((lo_edge < low) & (high < hi_edge)) | ~(np.isfinite(e0) & np.isfinite(e1))
+        start, stop = np.where(every, 0, m), np.where(every, m, 0)
+        cross = np.flatnonzero(~every & (high > lo_edge) & (low < hi_edge))
+        ac, bc, n = a[cross], b[cross], len(cross)
+
+        def widen(end, bound, step, use_lo):
+            """Step each crossing curve's end by ``step`` columns (-1 for a
+            start, +1 for a stop) towards ``bound`` while the column just
+            outside it passes one edge test: f(x) > lo_edge where
+            ``use_lo``, f(x) < hi_edge elsewhere."""
+            outside = (step - 1) // 2  # a start probes the column below it, a stop its own
+            left = np.flatnonzero(end != bound)
+            while len(left):
+                f = _kind_values(kind, ac[left], bc[left], lead, None, xs[end[left] + outside], 0)
+                left = left[np.where(use_lo[left], f > lo_edge, f < hi_edge)]
+                end[left] += step
+                left = left[end[left] != bound[left]]
+
+        # per monotone piece: the estimated x interval, the piece's columns
+        # [p0, p1) and whether f rises on it
+        if kind == "affine":
+            x1, x2 = (lo_edge - bc) / ac, (hi_edge - bc) / ac
+            pieces = [(np.fmin(x1, x2), np.fmax(x1, x2), 0, m, ac >= 0)]
+        else:
+            q1, q2 = (lo_edge - bc) / lead, (hi_edge - bc) / lead
+            inner = np.sqrt(np.maximum(np.fmin(q1, q2), 0.0))
+            outer = np.sqrt(np.maximum(np.fmax(q1, q2), 0.0))
+            v = np.searchsorted(xs, ac, side="right")  # the columns x <= a
+            pieces = [(ac - outer, ac - inner, 0, v, np.full(n, lead < 0)),
+                      (ac + inner, ac + outer, v, m, np.full(n, lead > 0))]
+        first, last = np.full(n, m), np.zeros(n, dtype=np.int64)
+        for x_lo, x_hi, p0, p1, rising in pieces:
+            p0, p1 = np.broadcast_to(p0, n), np.broadcast_to(p1, n)
+            s = np.clip(np.searchsorted(xs, x_lo, side="right"), p0, p1)
+            e = np.clip(np.searchsorted(xs, x_hi, side="left"), p0, p1)
+            widen(s, p0, -1, rising)  # a rising f passes the lower edge on a suffix
+            widen(e, p1, 1, ~rising)
+            some = s < e
+            first[some] = np.minimum(first[some], s[some])
+            last[some] = np.maximum(last[some], e[some])
+    start[cross], stop[cross] = first, last
+    return start, stop
+
+
 def _count_against_threshold(
     family: TransversalFamily,
     squares: SquareFamily,
@@ -152,13 +260,7 @@ def _count_against_threshold(
     run_chunks: list[np.ndarray] = []
     # the threshold in rows; below 0 no row hits, and t = 0 keeps lo <= hi + 1
     t = max(threshold, 0.0) / dl
-    # a value outside (lo_edge, hi_edge) hits no row (see the module
-    # docstring, whose bound on the edges' rounding needs t < 2^51); from
-    # 2^51 rows on, every value is kept
-    lo_edge, hi_edge = (
-        (iy_min * dl - threshold, (iy_max + 1) * dl + threshold) if t < 2.0 ** 51
-        else (-math.inf, math.inf)
-    )
+    lo_edge, hi_edge = _filter_edges(squares, threshold)
     fit = min(STEP_BUDGET, TABLE_BUDGET // (span + 1))  # columns per table
     col_chunk = max(1, min(len(xc), fit))
     rows = max(1, min(len(family), STEP_BUDGET // col_chunk))
@@ -171,12 +273,21 @@ def _count_against_threshold(
     for c0 in range(0, len(xc), col_chunk):
         c1 = min(c0 + col_chunk, len(xc))
         xs = xc[c0:c1]
+        # built before the blocks, whichever of them are then skipped
         first = squares.prefix_table if buffer is None else squares.prefix_counts(c0, c1, buffer)
         base = int(col_start[c0])
         # a row's table key, less the row: float, as the run ends are, and exact
         col_keys = np.arange(c1 - c0, dtype=float) * span - iy_min
+        ranges = _candidate_columns(family, xs, lo_edge, hi_edge)
         for r0 in range(0, len(family), rows):
-            fx = family.subfamily(range(r0, min(r0 + rows, len(family)))).evaluate(xs[None])
+            r1 = min(r0 + rows, len(family))
+            # the block's columns: from its curves' least start to their last stop
+            j0, j1 = (0, c1 - c0) if ranges is None else (
+                int(ranges[0][r0:r1].min()), int(ranges[1][r0:r1].max()))
+            if j0 >= j1:
+                continue
+            width = j1 - j0
+            fx = family.subfamily(slice(r0, r1)).evaluate(xs[None, j0:j1])
             live = fx > lo_edge
             live &= fx < hi_edge
             n_live = int(np.count_nonzero(live))
@@ -186,10 +297,10 @@ def _count_against_threshold(
             # alone, flat; otherwise on the whole (curve, column) array
             if 2 * n_live < fx.size:
                 at = np.flatnonzero(live)
-                keys = col_keys[at % (c1 - c0)]
+                keys = col_keys[j0 + at % width]
                 fx = fx.ravel()[at]
             else:
-                at, keys = None, col_keys
+                at, keys = None, col_keys[j0:j1]
             lo, hi, scratch = (w[:fx.size].reshape(fx.shape) for w in work)
             # run-end estimates in rows, clamped to the rows the table holds:
             # lo in [iy_min, iy_max + 1], hi in [iy_min - 1, iy_max], lo <= hi + 1
@@ -217,7 +328,7 @@ def _count_against_threshold(
             if collect and found:
                 run = np.flatnonzero(n)
                 value = run if at is None else at[run]  # the run's (curve, column) value
-                curve = value // (c1 - c0) + r0
+                curve = value // width + r0
                 run_chunks.append(np.stack(
                     [curve, pos_lo.ravel()[run] + np.int64(base), n.ravel()[run]], axis=1))
     if not collect:

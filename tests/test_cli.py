@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -142,6 +143,20 @@ def test_mainlem_subcommand(tmp_path):
         "mainlem", "--delta-exp", "6", "--Delta-exp", "3",
         "--eps", str(1 / 3), "--out", str(out),
     ]) == 0
+
+
+#: sha256 prefixes of the CSV rows, without the provenance line, of two runs
+#: through the incidence kernel: mainlem folds runs into cube counts, and
+#: highlow counts at both thresholds
+@pytest.mark.parametrize("argv, digest", [
+    (["mainlem", "--delta-exp", "8", "--Delta-exp", "3", "--eps", str(1 / 3)], "0229ac0857308597"),
+    (["highlow", "--delta-exp", "6,7"], "1e54254dfb9fa7d0"),
+])
+def test_kernel_runs_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    rows = [line for line in out.read_text().splitlines(keepends=True) if not line.startswith("#")]
+    assert hashlib.sha256("".join(rows).encode()).hexdigest()[:16] == digest
 
 
 def test_repeat_runs_byte_identical(tmp_path):

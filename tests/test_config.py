@@ -259,6 +259,66 @@ def test_verify_catches_m_mismatch():
     assert any("M" in f for f in rep.failures)
 
 
+def _one_shot_failures(conf):
+    """verify_nice's square checks on the whole (n, M) and (n, M, 9) arrays at once."""
+    failures = []
+    cols_sorted = np.sort(conf.col_idx, axis=1)
+    dup = np.any(cols_sorted[:, 1:] == cols_sorted[:, :-1], axis=1)
+    if np.any(dup):
+        failures.append(f"curve {int(np.argmax(dup))}: |P(f)| != M (duplicate columns)")
+    k, dl = conf.delta_exp, side_of(conf.delta_exp)
+    xs = (centers_of(conf.col_idx, k) - 0.5 * dl)[..., None] + (np.arange(9) + 0.5) / 9 * dl
+    missed = ~np.any(cell_indices(conf.family.evaluate(xs), k) == conf.iy[..., None], axis=2)
+    if np.any(missed):
+        i, j = np.argwhere(missed)[0]
+        failures.append(f"square (ix={conf.col_idx[i][j]}, iy={conf.iy[i][j]}) misses the graph of curve {i}")
+    return failures
+
+
+@pytest.mark.parametrize("budget", [None, 9 * 16 * 10, 1])
+def test_verify_names_the_first_failure_of_the_one_shot_check(monkeypatch, budget):
+    # blocks of one curve, of ten curves and of all of them name the
+    # same first duplicate and the same first square off the graph
+    if budget is not None:
+        monkeypatch.setattr(cf, "STEP_BUDGET", budget)
+    conf = cf.build_nice_configuration("parabola", 8, 0.5, 1.0, 2, seed=2)
+    assert conf.n_curves > 40 and conf.M == 16
+    assert cf.verify_nice(conf).passed and _one_shot_failures(conf) == []
+    conf.iy[37, 2] += 10
+    conf.iy[38, 0] -= 7
+    conf.col_idx[23, 3] = conf.col_idx[23, 1]
+    conf.col_idx[41, 0] = conf.col_idx[41, 2]
+    rep = cf.verify_nice(conf)
+    assert not rep.passed
+    assert list(rep.failures[:2]) == _one_shot_failures(conf)
+    assert rep.failures[0].startswith("curve 23:") and "curve 23" in rep.failures[1]
+
+
+def test_verify_refuses_a_non_finite_value_in_a_later_block(monkeypatch):
+    # the first block already fails, yet every block is evaluated
+    monkeypatch.setattr(cf, "STEP_BUDGET", 9 * 16)
+    conf = cf.build_nice_configuration("parabola", 8, 0.5, 1.0, 2, seed=2)
+    conf.iy[0, 0] += 10
+    conf.family.a[30] = 1e200  # (x - a)^2 overflows
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="x="):
+        cf.verify_nice(conf)
+
+
+def test_verify_holds_its_samples_a_block_at_a_time():
+    # 12,167 curves by 216 squares: the one-shot (n, M, 9) check peaked at 778 MB
+    conf = cf.build_nice_configuration("parabola", 9, 0.9, 1.5, 3, 0)
+    assert (conf.n_curves, conf.M) == (12167, 216)
+    conf.family.min_pair_distance()  # the separation check's pass is not the square check's
+    tracemalloc.start()
+    try:
+        rep = cf.verify_nice(conf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 64 * cf.STEP_BUDGET  # 2.6 MB, 40 bytes per sample of a block
+
+
 # -- furstenberg experiment -------------------------------------------------------------
 
 def test_disjoint_square_sets_cross_curves():
@@ -515,6 +575,23 @@ def test_mainlem_counts_with_empty_cubes_equal_an_oracle_recount(seed):
     assert len(ev.n_big) == int(table.max()).bit_length()
     for j, column in enumerate(ev.n_big):
         np.testing.assert_array_equal(column, np.sum(table >= 2 ** j, axis=1))
+
+
+def test_mainlem_touched_square_fold_equals_a_full_grid_recount():
+    # each cube's counts are folded only where they are nonzero; folding
+    # every square of every cube's column gives the same levels
+    k, Delta_exp = 6, 3
+    fam = cf.build_uniform_line_family(k, Delta_exp, 1)
+    ev = cf.MainlemEvaluator(fam, k, Delta_exp, 1 / 3)
+    dense, _ = cf.cube_incidence_counts(fam, ev.squares, Delta_exp)
+    assert 0 < (dense > 0).any(axis=1).mean() < 1 and not dense.all(axis=0).any()
+    full = [np.zeros(len(ev.squares), dtype=np.int32) for _ in range(int(dense.max()).bit_length())]
+    for column in dense.T:
+        for j, level in enumerate(full):
+            level += column >= 1 << j
+    assert len(ev.n_big) == len(full)
+    for got, want in zip(ev.n_big, full):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_mainlem_fold_counts_a_run_that_ends_at_the_last_square():

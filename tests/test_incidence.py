@@ -548,3 +548,107 @@ def test_cube_counts_of_a_family_with_no_run_are_the_zero_table():
     counts, cube_ids = inc.cube_incidence_counts(fam, P, 2)
     assert counts.shape == (len(P), len(cube_ids)) == (len(P), 3)
     assert counts.dtype == np.int64 and not counts.any()
+
+
+# -- candidate column ranges ---------------------------------------------------------
+
+#: curve parameters: moderate ones, subnormal and tiny ones, and any finite float
+_PARAMS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(-1e-300, 1e-300),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["affine", "parabola"]), k=st.integers(1, dy.MAX_DELTA_EXP), data=st.data())
+def test_candidate_columns_hold_every_kept_column(kind, k, data):
+    # columns anywhere, or a run of neighbours; rows, and a threshold in rows
+    lim = 2 ** (k + 1)
+    ix = np.unique(data.draw(st.one_of(
+        st.lists(st.integers(-lim, lim - 1), min_size=1, max_size=60),
+        st.tuples(st.integers(-lim, lim - 1), st.integers(1, 60)).map(
+            lambda c: list(range(c[0], min(c[0] + c[1], lim)))),
+    )))
+    iy = sorted(data.draw(st.lists(st.integers(-lim, lim), min_size=2, max_size=2)))
+    P = dy.SquareFamily(k, np.r_[ix, ix[0]], np.r_[np.full(len(ix), iy[0]), iy[1]])
+    rows = data.draw(st.one_of(
+        st.floats(0.0, 4.0), st.floats(0.0, 2.0 ** 60),
+        st.sampled_from([2.0 ** 51 - 1, 2.0 ** 51, 2.0 ** 53]),
+    ))
+    lo_edge, hi_edge = inc._filter_edges(P, rows * P.delta)
+    xs = dy.centers_of(ix, k)
+    n = data.draw(st.integers(1, 8))
+    a = np.array(data.draw(st.lists(_PARAMS, min_size=n, max_size=n)))
+    b = np.array(data.draw(st.lists(_PARAMS, min_size=n, max_size=n)))
+    lead = data.draw(st.one_of(st.sampled_from([0.5, -0.5, 0.0, -0.0]), _PARAMS))
+    # some curves cross an edge at a column, where rounding decides
+    on_edge = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    at = xs[np.array(data.draw(st.lists(st.integers(0, len(xs) - 1), min_size=n, max_size=n)))]
+    edge = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))), lo_edge, hi_edge)
+    with np.errstate(all="ignore"):
+        crossing = edge - (a * at if kind == "affine" else lead * (at - a) ** 2)
+    b = np.where(on_edge & np.isfinite(crossing), crossing, b)
+    fam = fl.TransversalFamily(kind, a, b, (-2.0, 2.0), lead=lead)
+    ranges = inc._candidate_columns(fam, xs, lo_edge, hi_edge)
+    if ranges is None:  # every column is a candidate
+        assert rows >= 2.0 ** 51
+        return
+    start, stop = ranges
+    with np.errstate(all="ignore"):  # huge parameters overflow
+        fx = fl.family._kind_values(kind, a[:, None], b[:, None], lead, None, xs[None], 0)
+    kept = (fx > lo_edge) & (fx < hi_edge)
+    cols = np.arange(len(xs))
+    assert not np.any(kept & ((cols < start[:, None]) | (cols >= stop[:, None])))
+    # a curve with a non-finite value keeps every column, so evaluate still refuses it
+    bad = ~np.isfinite(fx).all(axis=1)
+    assert np.all(start[bad] == 0) and np.all(stop[bad] == len(xs))
+
+
+def _counting_evaluate(monkeypatch):
+    """Patch ``TransversalFamily.evaluate`` to log each call's value count."""
+    calls = []
+    real = fl.TransversalFamily.evaluate
+
+    def evaluate(self, x, order=0):
+        out = real(self, x, order)
+        calls.append(out.size)
+        return out
+
+    monkeypatch.setattr(fl.TransversalFamily, "evaluate", evaluate)
+    return calls
+
+
+def test_a_block_whose_ranges_are_empty_makes_no_evaluate_call(monkeypatch):
+    # four curves per block: lines through the grid, lines above it, lines
+    # below it and parabola translates far off it
+    k = 5
+    P = dy.SquareFamily.grid(k)
+    through = fl.TransversalFamily("affine", [0.0, 0.5, -0.5, 2.0], [0.5, 0.2, 0.9, -0.5], (0.0, 1.0))
+    off = [fl.TransversalFamily("affine", [0.0, 0.5, -0.5, 1.0], [3.0, 2.0, 4.0, 1.5], (0.0, 1.0)),
+           fl.TransversalFamily("affine", [0.0, 0.5, -0.5, 1.0], [-3.0, -2.0, -0.6, -2.5], (0.0, 1.0)),
+           fl.TransversalFamily("parabola", [0.5, 0.2, 0.9, 0.0], [1.5, 2.0, -9.0, -3.0], (0.0, 1.0),
+                                lead=0.5)]
+    monkeypatch.setattr(inc, "STEP_BUDGET", 4 * 2 ** k)
+    calls = _counting_evaluate(monkeypatch)
+    for rows in (0.3, 2.0, 16.0):
+        for fam in off:
+            assert _assert_kernel_matches_oracle(fam, P, rows) == 0
+        assert calls == []
+        both = fl.TransversalFamily("affine", np.r_[off[0].a, through.a], np.r_[off[0].b, through.b], (0.0, 1.0))
+        assert _assert_kernel_matches_oracle(both, P, rows) > 0
+        assert len(calls) == 2 and max(calls) <= 4 * 2 ** k  # the second block, collected and counted
+        calls.clear()
+
+
+def test_blocks_evaluate_only_the_columns_their_curves_can_reach(monkeypatch):
+    # the uniform line family's lines leave the 2^-7 grid through its top or
+    # enter it late, so its blocks of 512 curves evaluate 54% of its
+    # (curve, column) values, where every value would be evaluated unranged
+    k = 7
+    fam = cf.build_uniform_line_family(k, 4, 0)
+    P = dy.SquareFamily.grid(k)
+    calls = _counting_evaluate(monkeypatch)
+    count = _assert_kernel_matches_oracle(fam, P, 2.0)
+    assert count > 0
+    assert sum(calls) <= 2 * 0.6 * len(fam) * 2 ** k  # both kernel calls
