@@ -424,7 +424,8 @@ def _validate(config: RunConfig) -> None:
 
 def _check_run(config: RunConfig) -> None:
     """Refuse, before any run starts, a kind or a value that a library call of
-    this run would refuse: lambda, then S, the main lemma's scales and eps, p and R."""
+    this run would refuse: lambda, then S, the main lemma's scales and eps, p
+    and R, and a Fourier transform too large to allocate."""
     sub = config.subcommand
     if sub in KINDS and config.kind not in KINDS[sub]:
         raise DomainError(
@@ -441,7 +442,11 @@ def _check_run(config: RunConfig) -> None:
         cf.check_mainlem_size(config.delta_exp[0], config.Delta_exp)
         cf.check_mainlem_eps(config.Delta_exp, config.eps)
     elif sub == "fourier":
-        fo.check_decay(config.p, config.R)
+        # the point mass is one atom; a lift has the 2^(de+1) + 1 points of the delta-grid
+        de = config.delta_exp[0]
+        point = config.kind == "point"
+        fo.check_decay(config.p, config.R, atoms=1 if point else 2 ** (de + 1) + 1,
+                       x_step=0.0 if point else side_of(de))
 
 
 def run(config: RunConfig) -> int:

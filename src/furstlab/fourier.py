@@ -8,13 +8,18 @@ x-coordinates lie on an arithmetic grid x0 + m/(hN) with N a power of two
 (every lift of a dyadic base set does), the x-factor is periodic in k and
 each frequency column l is one length-N DFT, computed by FFT; otherwise
 the whole grid is one complex matrix product.  Both are exact
-rearrangements of the direct sum, not approximations.
+rearrangements of the direct sum, not approximations.  The FFT path runs
+its columns in chunks through one reused buffer and writes each column l
+as one contiguous row of an (l, k) array.
 
 Every measure here is a planar `dyadic.AtomicMeasure`; `CurveMeasure`, the
 lift of a base set onto a curve, also measures its Frostman constant when
 read.  `lp_norm_ball` and `decay_slope` share one ball-integral routine,
 which checks p, R (`check_lp`) and h once and runs one grid transform at
-the largest R.
+the largest R; `check_transform_size` refuses a transform that would need
+more than MAX_TRANSFORM_BYTES before it allocates.  Each ball sums only the
+rows and columns it reaches, and gets the same bits as a boolean mask of
+the whole grid would.
 """
 
 from __future__ import annotations
@@ -115,6 +120,31 @@ MAX_GRID_STEP = 0.125
 MAX_FFT_EXP = 24
 #: complex entries per column chunk of the FFT path (2 MiB)
 FFT_CHUNK = 1 << 17
+#: the most bytes `check_transform_size` lets one grid transform need (2.5 GiB)
+MAX_TRANSFORM_BYTES = 5 << 29
+
+
+def _half_width(R: float, h: float) -> int:
+    """n of the grid h*[-n..n]^2 that holds the ball B(R)."""
+    return int(math.floor(R / h + 1e-9))
+
+
+def check_transform_size(R: float, h: float, atoms: int, fft: bool) -> None:
+    """The size rule of a grid transform at radius R and step h over `atoms` atoms.
+
+    Its (2n+1)^2 grid needs 16 bytes a point (|sigma-hat|^2 and the ball
+    values raised to p/2), and off the FFT path (`fft` false) the GEMM
+    factors need 48 bytes per atom and grid column.  A transform that needs
+    more than MAX_TRANSFORM_BYTES is refused before anything is allocated.
+    """
+    side = 2 * _half_width(R, h) + 1
+    need = 16 * side * side + (0 if fft else 48 * atoms * side)
+    if need > MAX_TRANSFORM_BYTES:
+        gemm = "" if fft else f" and GEMM factors for {atoms} atoms off every FFT x-grid"
+        raise DomainError(
+            f"the grid transform at R={R}, h={h} needs {need / 2 ** 30:.1f} GiB for a "
+            f"{side}x{side} grid{gemm}, over the limit of {MAX_TRANSFORM_BYTES / 2 ** 30:g} GiB"
+        )
 
 
 def _grid_transform_sq(sigma, R: float, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,12 +155,13 @@ def _grid_transform_sq(sigma, R: float, h: float) -> tuple[np.ndarray, np.ndarra
     transform is Z = (w * U)^T V.  Atoms on an x-grid (see `_x_grid`) take
     the FFT path of `_fft_transform_sq`, which makes no BLAS call, so its
     sums do not depend on the BLAS thread count; any other measure is one
-    complex GEMM.
+    complex GEMM.  Both paths first pass `check_transform_size`.
     """
     pts, ws = _atoms_of(sigma)
-    n = int(math.floor(R / h + 1e-9))
+    n = _half_width(R, h)
     krange = np.arange(-n, n + 1, dtype=float)
     grid = _x_grid(pts[:, 0], h) if len(pts) else None
+    check_transform_size(R, h, len(pts), grid is not None)
     if grid is not None:
         return _fft_transform_sq(pts[:, 1], ws, n, h, *grid), krange
     U = np.exp(-2j * np.pi * h * np.outer(pts[:, 0], krange))
@@ -162,14 +193,24 @@ def _fft_transform_sq(ys, ws, n: int, h: float, m: np.ndarray, N: int) -> np.nda
     Column l of Z is the length-N DFT of a_j = w_j exp(-2 pi i h l y_j)
     placed at index m_j, read at k mod N; the common phase of x0 drops out
     of |Z|^2.  The DFT is split by residue: index i = q*D + r with
-    D = N/L, L the smallest power of two >= 2n+1 (or N, if smaller), gives
+    D = N/L, L the smallest power of two P >= 2n+1 (or N, if smaller), gives
     Z[k] = sum_r exp(-2 pi i k r / N) FFT_L(a_{qD+r})[k mod L], taken over the
     residues that hold an atom.  Atoms sharing an index are summed.  Only
     columns l >= 0 are computed: the weights are real, so
     |sigma-hat(-xi)| = |sigma-hat(xi)| fills l < 0.
+
+    The columns go in chunks through one (chunk, residue, L) buffer, zeroed
+    once: every chunk writes the same atom slots, so the empty ones stay
+    zero.  A transform of length L < P is tiled to P, after which k mod P
+    is two slices, [P-n, P) for k < 0 and [0, n] for k >= 0; each slice is
+    multiplied by its twiddles and summed over the residues in order
+    r = 0, 1, ..., so each Z[k] is the sum above, term for term and in
+    order, whatever the chunking.  Column l is written contiguously, as
+    row n + l of an (l, k) array, whose transpose is returned (a view).
     """
     K = 2 * n + 1
-    L = min(N, 1 << (K - 1).bit_length())
+    P = 1 << (K - 1).bit_length()
+    L = min(N, P)
     D = N // L
     residues, r_pos = np.unique(m % D, return_inverse=True)
     nres = len(residues)
@@ -177,21 +218,31 @@ def _fft_transform_sq(ys, ws, n: int, h: float, m: np.ndarray, N: int) -> np.nda
     order = np.argsort(slot, kind="stable")
     slot, ys, ws = slot[order], ys[order], ws[order]
     starts = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+    shared = len(starts) < len(slot)
     k = np.arange(-n, n + 1)
     twiddle = np.exp(-2j * np.pi * (np.outer(residues, k) % N) / N)  # (nres, K)
     width = min(n + 1, max(1, FFT_CHUNK // (nres * max(L, K))))
     steps = np.exp(-2j * np.pi * h * np.outer(np.arange(width), ys))
-    mag2 = np.empty((K, K))
+    buf = np.zeros((width, nres * L), dtype=complex)
+    flat = (np.arange(width)[:, None] * (nres * L) + slot[starts]).ravel()  # buf's atom slots
+    prod = np.empty((width, nres, n + 1), dtype=complex)
+    Z = np.empty((width, K), dtype=complex)
+    rows = np.empty((K, K))  # row n + l holds |Z|^2 of column l
     for l0 in range(0, n + 1, width):
         c = min(width, n + 1 - l0)
         a = steps[:c] * (ws * np.exp(-2j * np.pi * h * l0 * ys))
-        buf = np.zeros((c, nres * L), dtype=complex)
-        buf[:, slot[starts]] = np.add.reduceat(a, starts, axis=1)
-        F = np.fft.fft(buf.reshape(c, nres, L), axis=-1)[:, :, k % L]
-        Z = (F * twiddle).sum(axis=1)
-        mag2[:, n + l0:n + l0 + c] = (Z.real ** 2 + Z.imag ** 2).T
-    mag2[:, :n] = mag2[::-1, :n:-1]  # (k, l) for l < 0 from (-k, -l)
-    return mag2
+        buf.reshape(-1)[flat[:c * len(starts)]] = (
+            np.add.reduceat(a, starts, axis=1) if shared else a).ravel()
+        F = np.fft.fft(buf[:c].reshape(c, nres, L), axis=-1)
+        if L < P:
+            F = np.tile(F, P // L)
+        np.multiply(F[:, :, P - n:], twiddle[:, :n], out=prod[:c, :, :n])
+        np.sum(prod[:c, :, :n], axis=1, out=Z[:c, :n])
+        np.multiply(F[:, :, :n + 1], twiddle[:, n:], out=prod[:c])
+        np.sum(prod[:c], axis=1, out=Z[:c, n:])
+        np.add(Z[:c].real ** 2, Z[:c].imag ** 2, out=rows[n + l0:n + l0 + c])
+    rows[:n] = rows[:n:-1, ::-1]  # (l, k) for l < 0 from (-l, -k)
+    return rows.T
 
 
 def check_lp(p: float, R_list) -> None:
@@ -203,9 +254,11 @@ def check_lp(p: float, R_list) -> None:
             raise DomainError(f"R must be finite and >= 1, got {R}")
 
 
-def check_decay(p: float, R_list) -> tuple[float, ...]:
-    """The rule on `decay_slope`'s p and radii: those of `check_lp`, and at
-    least three strictly increasing dyadic radii; returns them as floats."""
+def check_decay(p: float, R_list, atoms: int = 1, x_step: float = 0.0) -> tuple[float, ...]:
+    """The rule on `decay_slope`'s p and radii: those of `check_lp`, at least
+    three strictly increasing dyadic radii, and `check_transform_size` at
+    the largest radius and step MAX_GRID_STEP over `atoms` atoms whose
+    x-offsets are multiples of x_step; returns the radii as floats."""
     R_list = tuple(float(R) for R in R_list)
     if len(R_list) < 3:
         raise DomainError("need at least three R values")
@@ -216,22 +269,62 @@ def check_decay(p: float, R_list) -> tuple[float, ...]:
             raise DomainError(f"R values must be dyadic, got {R}")
     if any(r >= R for r, R in zip(R_list, R_list[1:])):
         raise DomainError(f"R values must be strictly increasing, got {R_list}")
+    fft = _x_grid(np.array([0.0, x_step]), MAX_GRID_STEP) is not None
+    check_transform_size(R_list[-1], MAX_GRID_STEP, atoms, fft)
     return R_list
+
+
+def _ball_reach(R: float, h: float, n: int) -> np.ndarray:
+    """Per row k = -m..m of the ball B(R) on the grid h*[-n..n]^2, the
+    largest |l| with (k^2 + l^2) h h <= R^2 (1 + 1e-12), the ball's test.
+
+    The test's left side is monotone in the integer q = k^2 + l^2, so it
+    holds exactly when q <= Q, the largest q that passes it, settled from
+    R^2 / h^2 in integers; each row's reach is then isqrt(Q - k^2), which
+    float sqrt gives exactly below 2^52.  Rows past isqrt(Q) hold no point.
+    """
+    thr = R * R * (1 + 1e-12)
+    Q = math.floor(thr / h / h)
+    while (Q + 1) * h * h <= thr:
+        Q += 1
+    while Q * h * h > thr:
+        Q -= 1
+    m = min(n, math.isqrt(Q))
+    r = np.minimum(n, np.floor(np.sqrt(Q - np.arange(m + 1) ** 2))).astype(np.int64)
+    return np.r_[r[:0:-1], r]
 
 
 def _ball_integrals(sigma, p: float, R_list: tuple[float, ...], h: float) -> list[float]:
     """Riemann sums of |sigma-hat|^p over the grid points of each closed ball B(R).
 
-    One grid transform at the largest R; each smaller ball sums its sub-grid,
-    so the integrals are mutually consistent.
+    One grid transform at the largest R.  Each ball reads only its rows
+    |k| <= m, each row l = -r_k..r_k (`_ball_reach`): the largest ball's
+    values are gathered once, in row-major (k, l) order, and raised to p/2
+    in place; a smaller ball's values are slices of those, row by row.
+    Each ball's values are thus the row-major sequence that a boolean mask
+    of the whole grid would pick, and one `np.sum` sums that sequence
+    pairwise, so each integral has the bits of the masked sum (the tests'
+    oracle); the integrals are mutually consistent.
     """
     check_lp(p, R_list)
     if not (0 < h <= MAX_GRID_STEP + 1e-15):
         raise DomainError(f"grid step h={h} must be positive and <= {MAX_GRID_STEP}")
-    mag2, krange = _grid_transform_sq(sigma, max(R_list), h)
-    k2 = (krange[:, None] ** 2 + krange[None, :] ** 2) * h * h
-    magp = mag2 ** (p / 2.0)
-    return [float(np.sum(magp[k2 <= R * R * (1 + 1e-12)]) * h * h) for R in R_list]
+    R_max = max(R_list)
+    mag2, krange = _grid_transform_sq(sigma, R_max, h)
+    n = (len(krange) - 1) // 2
+    big = _ball_reach(R_max, h, n)
+    M = (len(big) - 1) // 2
+    magp = np.concatenate([mag2[n + k, n - r:n + r + 1] for k, r in zip(range(-M, M + 1), big)])
+    magp **= p / 2.0
+    centre = np.cumsum(2 * big + 1) - big - 1  # place of (k, 0) in magp
+    out = []
+    for R in R_list:
+        r = _ball_reach(R, h, n)
+        m = (len(r) - 1) // 2
+        vals = magp if R == R_max else np.concatenate(
+            [magp[c - s:c + s + 1] for c, s in zip(centre[M - m:M + m + 1], r)])
+        out.append(float(np.sum(vals) * h * h))
+    return out
 
 
 def lp_norm_ball(sigma, p: float, R: float, h: float = MAX_GRID_STEP) -> float:

@@ -146,11 +146,16 @@ def test_mainlem_subcommand(tmp_path):
 
 
 #: sha256 prefixes of the CSV rows, without the provenance line, of two runs
-#: through the incidence kernel: mainlem folds runs into cube counts, and
-#: highlow counts at both thresholds
+#: through the incidence kernel (mainlem folds runs into cube counts, and
+#: highlow counts at both thresholds) and of the two runs of perfbench's
+#: fourier-decay workload (the FFT path, and the point mass)
 @pytest.mark.parametrize("argv, digest", [
     (["mainlem", "--delta-exp", "8", "--Delta-exp", "3", "--eps", str(1 / 3)], "0229ac0857308597"),
     (["highlow", "--delta-exp", "6,7"], "1e54254dfb9fa7d0"),
+    (["fourier", "--kind", "parabola", "--p", "8", "--R", "4,8,16,32,64,128", "--delta-exp", "11"],
+     "45faa976650fcafc"),
+    (["fourier", "--kind", "point", "--p", "8", "--R", "4,8,16,32,64,128", "--delta-exp", "11",
+      "--slope-max", "2.05"], "b7a570c9718cf01d"),
 ])
 def test_kernel_runs_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
@@ -284,6 +289,10 @@ ABBREVIATED = {"--seed", "--mast", "--sl"}
     (["suite", "--R", "0.5,1,2"], None),
     (["suite", "--R", "4,8"], None),
     (["suite", "--Delta-exp", "9"], None),
+    # a Fourier transform too large to allocate: a 65537^2 grid, and 2^23 + 1
+    # atoms off every FFT x-grid
+    (["fourier", "--kind", "point", "--R", "4,8,4096"], None),
+    (["fourier", "--kind", "parabola", "--R", "4,8,16", "--delta-exp", "22"], None),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, monkeypatch, capsys, argv, env_threads):
     monkeypatch.chdir(tmp_path)

@@ -1,8 +1,10 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from furstlab import dyadic as dy
@@ -192,6 +194,87 @@ def test_grid_fourth_moment_equals_the_additive_energy_sum(fft_path):
         dirichlet.append(_dirichlet(t, n)[inverse.ravel()])
     energy = float(np.sum(weight * dirichlet[0] * dirichlet[1]))
     assert float(np.sum(mag2 ** 2)) == pytest.approx(energy, rel=1e-12)
+
+
+def _tree_set_lift(k=8):
+    base = dy.generate_delta_set(k, 0.5, 2, seed=0)
+    xs = 2.0 * base.points[:, 0] - 1.0
+    return fo.lift_measure(lambda x: np.asarray(x) ** 2, xs, np.full(len(xs), 2.0 ** (-k / 2)), 0.5, k)
+
+
+#: measures that reach each branch of the grid transform at h = 1/8 (at
+#: h = 0.1 only the point mass stays on an x-grid)
+BRANCH_MEASURES = {
+    # two atoms share an x-grid slot: the summed scatter
+    "shared slot": lambda: AtomicMeasure(np.array([[0.25, 0.5], [0.25, -0.75], [0.5, 0.1]]),
+                                         np.array([0.3, 0.5, 0.2])),
+    # N = 1, so the length-L transforms are tiled to 2n+1 and more
+    "point mass": point_mass,
+    # a gapped subset of the x-grid
+    "tree-set lift": _tree_set_lift,
+    # off every x-grid: the GEMM path
+    "off grid": lambda: AtomicMeasure(np.random.default_rng(3).uniform(-1, 1, (7, 2)), np.full(7, 1 / 7)),
+}
+
+
+#: sha256 prefixes of the float64 bits of `_ball_integrals` over R = 2, 4, 8, 16,
+#: for p in (1, 3, 8) and h in (1/8, 0.1)
+@pytest.mark.parametrize("name, digest", [
+    ("shared slot", "91c4909f01c6dc7f"),
+    ("point mass", "c37741bc1baedb14"),
+    ("tree-set lift", "7d9224b000aac82b"),
+    ("off grid", "3ea7a1fdc0756d30"),
+])
+def test_ball_integrals_are_pinned(name, digest):
+    mu = BRANCH_MEASURES[name]()
+    vals = [v for p in (1.0, 3.0, 8.0) for h in (1 / 8, 0.1)
+            for v in fo._ball_integrals(mu, p, (2.0, 4.0, 8.0, 16.0), h)]
+    assert hashlib.sha256(b"".join(np.float64(v).tobytes() for v in vals)).hexdigest()[:16] == digest
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BRANCH_MEASURES)),
+    h=st.sampled_from([1 / 8, 1 / 16, 1 / 32, 0.1]),
+    p=st.floats(1, 10),
+    radii=st.lists(st.one_of(st.floats(1, 12), st.integers(8, 120)), min_size=1, max_size=3),
+)
+# at h = 0.1, floor(R^2 (1 + 1e-12) / h / h) is 323 where the ball test passes
+# 324 = 18^2, and 178 = 13^2 + 3^2 where it passes only 177
+@example(name="point mass", h=0.1, p=3.0, radii=[1.7999999999991])
+@example(name="point mass", h=0.1, p=3.0, radii=[1.3341664064119663])
+def test_ball_sums_equal_the_full_grid_masks(name, h, p, radii):
+    # an integer j stands for R = j*h, whose circle passes through grid points
+    R_list = tuple(j * h if isinstance(j, int) else j for j in radii)
+    R_list = tuple(R for R in R_list if R >= 1) or (1.0,)
+    mu = BRANCH_MEASURES[name]()
+    mag2, kr = fo._grid_transform_sq(mu, max(R_list), h)
+    k2 = (kr[:, None] ** 2 + kr[None, :] ** 2) * h * h
+    oracle = [float(np.sum((mag2 ** (p / 2))[k2 <= R * R * (1 + 1e-12)]) * h * h) for R in R_list]
+    assert fo._ball_integrals(mu, p, R_list, h) == oracle
+
+
+def test_transform_size_is_refused_before_allocating():
+    many = AtomicMeasure(np.random.default_rng(0).uniform(-1, 1, (7000, 2)), np.full(7000, 1 / 7000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="65537x65537 grid"):
+            fo.lp_norm_ball(point_mass(), 2.0, 4096.0)
+        with pytest.raises(DomainError, match="GEMM factors for 7000 atoms"):
+            fo.lp_norm_ball(many, 2.0, 512.0)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    fo.check_transform_size(512.0, 1 / 8, 7000, fft=True)  # the FFT path needs no factors
+
+
+def test_check_decay_applies_the_size_rule_to_a_described_measure():
+    # 2^23 + 1 atoms 2^-22 apart need N = 2^25 > 2^MAX_FFT_EXP: off the FFT path
+    with pytest.raises(DomainError, match="GEMM"):
+        fo.check_decay(8.0, [4, 8, 16], atoms=2 ** 23 + 1, x_step=2.0 ** -22)
+    assert fo.check_decay(8.0, [4, 8, 16], atoms=2 ** 22 + 1, x_step=2.0 ** -21) == (4.0, 8.0, 16.0)
+    with pytest.raises(DomainError, match="grid"):
+        fo.check_decay(8.0, [4, 8, 4096])
 
 
 # -- L^p norms ------------------------------------------------------------------------
