@@ -24,7 +24,6 @@ from .family import (
     intersection_components,
     quadratic_seed,
     quadratic_translate_curve,
-    transversality_defect,
 )
 from .dyadic import (
     AtomicMeasure,
@@ -50,7 +49,6 @@ from .config import (
     build_nice_configuration,
     endpoint_checks,
     furstenberg_experiment,
-    verify_nice,
 )
 from .fourier import (
     CurveMeasure,

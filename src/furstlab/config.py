@@ -165,7 +165,7 @@ def build_nice_configuration(
     of x-columns (``correlated=True`` shares one column set across curves,
     a stress mode that shrinks |P|).  No kind's build compares members:
     coincident ones are refused where a pairwise quantity reads them
-    (``t_const``, ``verify_nice``, ``high_low_report``).  ``audit`` (one of
+    (``t_const``, ``high_low_report``).  ``audit`` (one of
     AUDIT_MODES) is how ``measured`` audits the result on its first read.
     """
     if not (0 <= s <= 1):
@@ -242,63 +242,6 @@ def build_parallel_translate_configuration(
     a = np.full(count, 0.5)
     family = _make_family("parabola", a, b)
     return _attach_squares(family, "parabola", delta_exp, s=s, t=s, T=T, seed=seed, rng=rng, audit="auto")
-
-
-# --------------------------------------------------------------------------
-# Verification
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NiceReport:
-    passed: bool
-    failures: tuple[str, ...]
-    min_separation: float
-
-
-def verify_nice(conf: NiceConfiguration) -> NiceReport:
-    """Re-check all nice-configuration invariants, without auditing.
-
-    Graph intersection is tested by sampling every curve at 9 points
-    across each of its squares' x-range and requiring some sample to land
-    in the square's half-open y-interval.  Delta-separation is the least
-    C2 distance between members, so coincident members fail it.
-    """
-    failures: list[str] = []
-    if conf.col_idx.shape != conf.iy.shape:
-        failures.append("square index arrays are ragged")
-    k = conf.delta_exp
-    dl = side_of(k)
-    offs = (np.arange(9) + 0.5) / 9 * dl
-    # a block of curves at a time, about STEP_BUDGET samples each; every
-    # block is evaluated, so a non-finite value anywhere is still refused
-    n, M = conf.col_idx.shape
-    rows = max(1, STEP_BUDGET // (9 * M))
-    dup_at = miss_at = None
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        cols = conf.col_idx[r0:r1]
-        if dup_at is None:
-            cols_sorted = np.sort(cols, axis=1)
-            dup = np.any(cols_sorted[:, 1:] == cols_sorted[:, :-1], axis=1)
-            if np.any(dup):
-                dup_at = r0 + int(np.argmax(dup))
-        xs = (centers_of(cols, k) - 0.5 * dl)[..., None] + offs
-        iy_hit = cell_indices(conf.family.subfamily(slice(r0, r1)).evaluate(xs), k)
-        missed = ~np.any(iy_hit == conf.iy[r0:r1, :, None], axis=2)
-        if miss_at is None and np.any(missed):
-            i, j = np.argwhere(missed)[0]
-            miss_at = r0 + i, j
-    if dup_at is not None:
-        failures.append(f"curve {dup_at}: |P(f)| != M (duplicate columns)")
-    if miss_at is not None:
-        i, j = miss_at
-        failures.append(
-            f"square (ix={conf.col_idx[i][j]}, iy={conf.iy[i][j]}) misses the graph of curve {i}"
-        )
-    min_sep = conf.family.min_pair_distance() if conf.n_curves >= 2 else math.inf
-    if min_sep < dl:
-        failures.append(f"family not delta-separated: min distance {min_sep} < {dl}")
-    return NiceReport(passed=not failures, failures=tuple(failures), min_separation=min_sep)
 
 
 # --------------------------------------------------------------------------

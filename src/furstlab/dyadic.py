@@ -169,12 +169,6 @@ class SetClassReport:
     witness_radius: float
     kind: str = ""
 
-    def __repr__(self):
-        return (
-            f"SetClassReport({self.kind}: C={self.best_constant:.6g}, "
-            f"witness center={self.witness_center}, r={self.witness_radius})"
-        )
-
 
 # --------------------------------------------------------------------------
 # Covers and covering numbers
@@ -193,41 +187,30 @@ def _as_points(pset) -> np.ndarray:
 
 
 def _distance_matrix(dist) -> np.ndarray:
+    """``dist`` as a float array, refused unless it is a square matrix that
+    is finite, non-negative, zero on the diagonal and exactly symmetric."""
     dmat = np.asarray(dist, dtype=float)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise DomainError(f"dist must be a square matrix, got shape {dmat.shape}")
+    if not np.all(np.isfinite(dmat)) or np.any(dmat < 0):
+        raise DomainError("dist must be finite and non-negative")
+    if np.any(np.diagonal(dmat) != 0) or not np.array_equal(dmat, dmat.T):
+        raise DomainError("dist must be exactly symmetric with a zero diagonal")
     return dmat
-
-
-def greedy_separated(dist, r: float) -> np.ndarray:
-    """Indices of a maximal r-separated subset of the points of ``dist``, a
-    full pairwise distance matrix in any metric, scanned in input order.
-
-    A point is kept when its distance to every kept point exceeds r
-    (packing convention: the count brackets the covering number,
-    N(P,r) <= count <= N(P,r/2)).  Each kept point blocks the later points
-    within r of it; a point is kept if still unblocked.
-    """
-    dmat = _distance_matrix(dist)
-    blocked = np.zeros(len(dmat), dtype=bool)
-    for k in range(len(dmat)):
-        if not blocked[k]:
-            blocked[k + 1:] |= dmat[k + 1:, k] <= r
-    return np.flatnonzero(~blocked)
 
 
 EXACT_COVER_LIMIT = 512
 
 
-def covering_number(dist, r: float, mode: str = "auto") -> int:
-    """Covering-number estimate at radius r of the points of ``dist``, a full
-    pairwise distance matrix in any metric (curve families in the C2 metric).
+def covering_number(dist, r: float) -> int:
+    """N(P, r): the fewest closed r-balls centered in P that cover P, for
+    the points of ``dist``, a full pairwise distance matrix in any metric
+    (curve families in the C2 metric).
 
-    mode="exact": minimum closed-r-ball cover with centers in P, solved as
-    the integer program min 1'x s.t. cover @ x >= 1, x binary, by scipy's
-    HiGHS MILP; |P| <= 512.  mode="greedy": size of a maximal strictly
-    r-separated subset, which satisfies N(P, r) <= greedy <= N(P, r/2), so
-    the two modes cross-check.  mode="auto" picks exact when |P| <= 512.
+    Solved exactly as the integer program min 1'x s.t. cover @ x >= 1, x
+    binary, by scipy's HiGHS MILP; |P| is refused above EXACT_COVER_LIMIT.
+    With a zero diagonal each point covers itself, so the program is always
+    feasible, and a RuntimeError means the solver failed.
     """
     dmat = _distance_matrix(dist)
     n = len(dmat)
@@ -235,14 +218,8 @@ def covering_number(dist, r: float, mode: str = "auto") -> int:
         raise DomainError("covering_number of an empty set")
     if not (r > 0):
         raise DomainError(f"radius must be positive, got {r}")
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_COVER_LIMIT else "greedy"
-    if mode == "greedy":
-        return len(greedy_separated(dmat, r))
-    if mode != "exact":
-        raise DomainError(f"unknown covering mode {mode!r}")
     if n > EXACT_COVER_LIMIT:
-        raise DomainError(f"exact mode supports |P| <= {EXACT_COVER_LIMIT}")
+        raise DomainError(f"the exact cover supports |P| <= {EXACT_COVER_LIMIT}, got {n}")
     from scipy import optimize, sparse
 
     cover = dmat <= r  # ball j covers the points cover[:, j]
@@ -367,23 +344,6 @@ def frostman_constant(
     r_t = np.array([r ** t for r in radii])
     return _best_ratio(mu.points, _probe_centers(mu.points, max_centers), radii, r_t,
                        f"frostman(t={t})", mu.weights)
-
-
-def reevaluate_report(pset_or_mu, report: SetClassReport, s_or_t: float) -> float:
-    """Recompute the ratio at a report's witness (used by reproducibility tests)."""
-    center = np.asarray(report.witness_center, dtype=float)
-    r = float(report.witness_radius)
-    if report.kind.startswith("frostman"):
-        mu: AtomicMeasure = pset_or_mu
-        d2 = np.sum((mu.points - center) ** 2, axis=1)
-        return float(np.sum(mu.weights[d2 <= r * r]) / r ** s_or_t)
-    pset: DiscretePointSet = pset_or_mu
-    reps = _cell_representatives(pset.points, pset.delta_exp)
-    d2 = np.sum((reps - center) ** 2, axis=1)
-    cnt = int(np.sum(d2 <= r * r))
-    if report.kind.startswith("katz-tao"):
-        return float(cnt / (r / pset.delta) ** s_or_t)
-    return float(cnt / (r ** s_or_t * len(reps)))
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ A family stores the members of one kind (lines, translates of a parabola,
 translates of a convex seed) as two parameter arrays; ``_kind_values`` is
 the one place that evaluates a kind.  A member is a CurveFunction only
 where a single curve is needed: the per-pair oracles (``c2_dist``,
-``transversality_defect``, ``intersection_components``) take those.
+``intersection_components``) take those.
 Lines and parabola translates get a fast pairwise path: the difference of
 any two members is an affine function of x, so pairwise grid quantities
 reduce to a handful of candidate grid points per pair, and the closest pair
@@ -218,19 +218,6 @@ def c2_dist(f: CurveFunction, g: CurveFunction, grid_n: int = DEFAULT_GRID_N) ->
     return float(np.max(d0 + d1 + d2))
 
 
-def transversality_defect(f: CurveFunction, g: CurveFunction, grid_n: int = DEFAULT_GRID_N) -> float:
-    """min_grid(|f-g| + |f'-g'|) / ||f-g||_C2,grid.
-
-    A family is T-transversal (at grid resolution) iff every pairwise defect
-    is >= 1/T.  Raises IdenticalCurvesError when ||f-g|| vanishes.
-    """
-    _, d0, d1, d2 = _grid_gaps(f, g, grid_n)
-    denom = float(np.max(d0 + d1 + d2))
-    if denom <= DUPLICATE_TOL:
-        raise IdenticalCurvesError("curves are identical (C2 distance at most 1e-12)")
-    return float(np.min(d0 + d1)) / denom
-
-
 def _ragged_pairs(start: np.ndarray, width: np.ndarray, chunk: int):
     """Yield (i, j) index arrays of at most ``chunk`` pairs each that list,
     row by row, i with j = start[i], ..., start[i] + width[i] - 1.
@@ -339,9 +326,9 @@ class TransversalFamily:
     Construction does not compare members: coincident ones (C2 distance
     at most DUPLICATE_TOL) are refused where a pairwise quantity needs
     them distinct.  ``t_const`` raises IdenticalCurvesError naming the
-    first such pair, as do ``transversality_defect`` and
-    ``intersection_components`` on the members, and ``min_pair_distance()``
-    returns the tiny distance for a separation check against delta.
+    first such pair, as does ``intersection_components`` on the members,
+    and ``min_pair_distance()`` returns the tiny distance for a separation
+    check against delta.
     """
 
     #: floats one chunk of the pairwise pass holds: grid values per pair on

@@ -22,21 +22,21 @@ inequality, |(row + 1/2) * delta - f(x)| < threshold: for an integer row
 below 2^52 in size, row + 1/2 and its product with the power of two delta
 are exact, the same float as the oracle's ``centers_of``.
 
-Before any of this, a step keeps only the values that some row of the
-squares can hit: iy_min * delta - threshold < f(x) < (iy_max + 1) * delta +
-threshold, half a row wider on each side than the rows' centers need.
-Dropping a value outside it is exact.  The lower edge rounds from
+A value no row can reach needs no step of its own: its estimates clamp to
+an empty run, as do those of a u that overflows to +-inf.  The edges
+lo_edge = iy_min * delta - threshold and hi_edge = (iy_max + 1) * delta +
+threshold, half a row wider on each side than the rows' centers need,
+instead bound the columns a curve is evaluated at: a value at or outside
+them hits no row, so a column where every value of a block lies outside
+is dropped exactly.  The lower edge rounds from
 iy_min * delta - threshold (the product is exact) by at most half an ulp,
 and that is at most delta/2 while |iy_min| < 2^52 and t < 2^51, as the
 edge is then below 2^53 * delta in size; so for f(x) at or below the edge
 and any row n >= iy_min, (n + 1/2) * delta - f(x) >= threshold exactly,
 and rounding, which is monotone, keeps the oracle's difference >= the
 float threshold: the row misses.  The upper edge is the mirror image, and
-at a threshold <= 0 no row hits at all.  From t = 2^51 on, every value is
-kept.  A step with no kept value is skipped.  Where fewer than half are
-kept, the rest of the step runs on those alone, as one flat array, and each
-run maps back to its curve; otherwise it runs on the whole (curve, column)
-array, as gathering the values would cost more than it saves.
+at a threshold <= 0 no row hits at all.  From t = 2^51 on, the edges are
+infinite and every column is kept.
 
 Most values need not be computed at all.  Per chunk of columns, each line
 and parabola translate gets the columns [start, stop) outside which none of
@@ -151,10 +151,11 @@ def _settle(end, other, fx, dl, threshold, step, scratch):
 
 
 def _filter_edges(squares: SquareFamily, threshold: float) -> tuple[float, float]:
-    """(lo_edge, hi_edge): a value outside this open interval hits no row of
-    the squares at ``threshold`` (see the module docstring, whose bound on
-    the edges' rounding needs a threshold below 2^51 rows); from 2^51 rows
-    on, every value is kept."""
+    """(lo_edge, hi_edge): a value at or outside this open interval hits no
+    row of the squares at ``threshold``, so a column where every value lies
+    outside may be dropped (see the module docstring, whose bound on the
+    edges' rounding needs a threshold below 2^51 rows); from 2^51 rows on,
+    the edges are infinite and every column is kept."""
     iy_min, iy_max = squares.row_range
     dl = squares.delta
     if max(threshold, 0.0) / dl >= 2.0 ** 51:
@@ -288,23 +289,13 @@ def _count_against_threshold(
                 continue
             width = j1 - j0
             fx = family.subfamily(slice(r0, r1)).evaluate(xs[None, j0:j1])
-            live = fx > lo_edge
-            live &= fx < hi_edge
-            n_live = int(np.count_nonzero(live))
-            if not n_live:
-                continue
-            # where fewer than half the values can hit, the step runs on those
-            # alone, flat; otherwise on the whole (curve, column) array
-            if 2 * n_live < fx.size:
-                at = np.flatnonzero(live)
-                keys = col_keys[j0 + at % width]
-                fx = fx.ravel()[at]
-            else:
-                at, keys = None, col_keys[j0:j1]
+            keys = col_keys[j0:j1]
             lo, hi, scratch = (w[:fx.size].reshape(fx.shape) for w in work)
             # run-end estimates in rows, clamped to the rows the table holds:
-            # lo in [iy_min, iy_max + 1], hi in [iy_min - 1, iy_max], lo <= hi + 1
-            np.multiply(fx, 1.0 / dl, out=hi)  # u = f(x)/delta, exact
+            # lo in [iy_min, iy_max + 1], hi in [iy_min - 1, iy_max], lo <= hi + 1;
+            # a u that overflows to +-inf is clamped to an empty run
+            with np.errstate(over="ignore"):
+                np.multiply(fx, 1.0 / dl, out=hi)  # u = f(x)/delta, exact
             np.subtract(hi, t, out=lo)
             hi += t
             lo -= 0.5
@@ -327,8 +318,7 @@ def _count_against_threshold(
             count += found
             if collect and found:
                 run = np.flatnonzero(n)
-                value = run if at is None else at[run]  # the run's (curve, column) value
-                curve = value // width + r0
+                curve = run // width + r0
                 run_chunks.append(np.stack(
                     [curve, pos_lo.ravel()[run] + np.int64(base), n.ravel()[run]], axis=1))
     if not collect:

@@ -17,6 +17,7 @@ from furstlab.dyadic import (
 )
 from furstlab.family import DomainError, EvaluationError
 from furstlab.famspace import family_cell_indices
+from oracles import verify_nice
 
 
 # -- builder ------------------------------------------------------------------------
@@ -44,7 +45,7 @@ def test_build_convex_kind_with_seed_curve():
     conf = cf.build_nice_configuration(
         "convex", 6, 0.5, 1.0, 3, seed=0, seed_curve=fl.exp_seed()
     )
-    assert cf.verify_nice(conf).passed
+    assert verify_nice(conf).passed
 
 
 def test_no_kind_builds_with_a_pairwise_pass(monkeypatch):
@@ -61,7 +62,7 @@ def test_no_kind_builds_with_a_pairwise_pass(monkeypatch):
                 confs.append(cf.build_nice_configuration(kind, k, 0.5, 1.0, 2, seed=0,
                                                          seed_curve=seed_curve))
     assert [c.n_curves for c in confs] == [64, 256] * 3
-    assert all(cf.verify_nice(c).passed for c in confs[::2])
+    assert all(verify_nice(c).passed for c in confs[::2])
 
 
 def test_build_validates_parameters():
@@ -231,7 +232,7 @@ def test_verify_positive(monkeypatch):
 
     monkeypatch.setattr(cf, "_audit_constants", must_not_audit)  # verifying reads no audit
     conf = cf.build_nice_configuration("parabola", 8, 0.5, 1.0, 2, seed=1)
-    rep = cf.verify_nice(conf)
+    rep = verify_nice(conf)
     assert rep.passed
     assert rep.min_separation >= side_of(conf.delta_exp)
 
@@ -240,13 +241,13 @@ def test_verify_positive(monkeypatch):
 @pytest.mark.parametrize("s,t", [(0.5, 0.5), (0.5, 1.0), (0.9, 1.5), (1.0, 2.0)])
 def test_verify_passes_across_matrix(kind, s, t):
     conf = cf.build_nice_configuration(kind, 6, s, t, 3, seed=4, audit="probe")
-    assert cf.verify_nice(conf).passed
+    assert verify_nice(conf).passed
 
 
 def test_verify_catches_off_graph_square():
     conf = cf.build_nice_configuration("parabola", 8, 0.5, 1.0, 2, seed=2)
     conf.iy[0, 0] += 10  # push one square far off the graph
-    rep = cf.verify_nice(conf)
+    rep = verify_nice(conf)
     assert not rep.passed
     assert any("misses the graph" in f for f in rep.failures)
 
@@ -254,7 +255,7 @@ def test_verify_catches_off_graph_square():
 def test_verify_catches_m_mismatch():
     conf = cf.build_nice_configuration("parabola", 8, 0.5, 1.0, 2, seed=2)
     conf.col_idx[0, 1] = conf.col_idx[0, 0]  # duplicate column: |P(f)| < M
-    rep = cf.verify_nice(conf)
+    rep = verify_nice(conf)
     assert not rep.passed
     assert any("M" in f for f in rep.failures)
 
@@ -283,12 +284,12 @@ def test_verify_names_the_first_failure_of_the_one_shot_check(monkeypatch, budge
         monkeypatch.setattr(cf, "STEP_BUDGET", budget)
     conf = cf.build_nice_configuration("parabola", 8, 0.5, 1.0, 2, seed=2)
     assert conf.n_curves > 40 and conf.M == 16
-    assert cf.verify_nice(conf).passed and _one_shot_failures(conf) == []
+    assert verify_nice(conf).passed and _one_shot_failures(conf) == []
     conf.iy[37, 2] += 10
     conf.iy[38, 0] -= 7
     conf.col_idx[23, 3] = conf.col_idx[23, 1]
     conf.col_idx[41, 0] = conf.col_idx[41, 2]
-    rep = cf.verify_nice(conf)
+    rep = verify_nice(conf)
     assert not rep.passed
     assert list(rep.failures[:2]) == _one_shot_failures(conf)
     assert rep.failures[0].startswith("curve 23:") and "curve 23" in rep.failures[1]
@@ -301,7 +302,7 @@ def test_verify_refuses_a_non_finite_value_in_a_later_block(monkeypatch):
     conf.iy[0, 0] += 10
     conf.family.a[30] = 1e200  # (x - a)^2 overflows
     with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="x="):
-        cf.verify_nice(conf)
+        verify_nice(conf)
 
 
 def test_verify_holds_its_samples_a_block_at_a_time():
@@ -311,7 +312,7 @@ def test_verify_holds_its_samples_a_block_at_a_time():
     conf.family.min_pair_distance()  # the separation check's pass is not the square check's
     tracemalloc.start()
     try:
-        rep = cf.verify_nice(conf)
+        rep = verify_nice(conf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

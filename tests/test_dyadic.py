@@ -15,6 +15,7 @@ from furstlab.dyadic import (
     SquareFamily,
 )
 from furstlab.family import DomainError
+from oracles import greedy_separated, reevaluate_report
 
 
 def grid_1d(k):
@@ -174,9 +175,9 @@ def test_covering_single_point():
 def test_covering_bracket_random_300():
     rng = np.random.default_rng(0)
     dmat = euclidean_matrix(rng.uniform(0, 1, (300, 2)))
-    greedy = dy.covering_number(dmat, 1 / 8, mode="greedy")
-    exact_r = dy.covering_number(dmat, 1 / 8, mode="exact")
-    exact_half = dy.covering_number(dmat, 1 / 16, mode="exact")
+    greedy = len(greedy_separated(dmat, 1 / 8))
+    exact_r = dy.covering_number(dmat, 1 / 8)
+    exact_half = dy.covering_number(dmat, 1 / 16)
     assert exact_r <= greedy <= exact_half
 
 
@@ -186,9 +187,9 @@ def test_covering_bracket_many_small_instances():
         n = int(rng.integers(5, 80))
         dmat = euclidean_matrix(rng.uniform(0, 1, (n, 2)))
         r = float(rng.uniform(0.05, 0.4))
-        greedy = dy.covering_number(dmat, r, mode="greedy")
-        assert dy.covering_number(dmat, r, mode="exact") <= greedy
-        assert greedy <= dy.covering_number(dmat, r / 2, mode="exact")
+        greedy = len(greedy_separated(dmat, r))
+        assert dy.covering_number(dmat, r) <= greedy
+        assert greedy <= dy.covering_number(dmat, r / 2)
 
 
 def test_covering_empty_set_error():
@@ -199,9 +200,8 @@ def test_covering_empty_set_error():
 def test_exact_mode_size_cap():
     rng = np.random.default_rng(1)
     dmat = euclidean_matrix(rng.uniform(0, 1, (600, 2)))
-    with pytest.raises(DomainError):
-        dy.covering_number(dmat, 0.25, mode="exact")
-    assert dy.covering_number(dmat, 0.25, mode="auto") >= 1  # falls back to greedy
+    with pytest.raises(DomainError, match=f"<= {dy.EXACT_COVER_LIMIT}, got 600"):
+        dy.covering_number(dmat, 0.25)
 
 
 def test_covering_bracket_on_distance_matrix():
@@ -209,9 +209,9 @@ def test_covering_bracket_on_distance_matrix():
         rng = np.random.default_rng(950 + seed)
         dmat = euclidean_matrix(rng.uniform(0, 1, (int(rng.integers(5, 80)), 2)))
         r = float(rng.uniform(0.05, 0.4))
-        greedy = dy.covering_number(dist=dmat, r=r, mode="greedy")
-        assert dy.covering_number(dist=dmat, r=r, mode="exact") <= greedy
-        assert greedy <= dy.covering_number(dist=dmat, r=r / 2, mode="exact")
+        greedy = len(greedy_separated(dist=dmat, r=r))
+        assert dy.covering_number(dist=dmat, r=r) <= greedy
+        assert greedy <= dy.covering_number(dist=dmat, r=r / 2)
 
 
 def test_distance_matrix_checks():
@@ -220,11 +220,25 @@ def test_distance_matrix_checks():
         with pytest.raises(DomainError):
             dy.covering_number(dist=dmat[:10, :10], r=r)
     with pytest.raises(DomainError):
-        dy.covering_number(dist=dmat, r=0.25, mode="exact")
+        dy.covering_number(dist=dmat, r=0.25)
     with pytest.raises(DomainError):
         dy.covering_number(dist=np.zeros((0, 0)), r=0.5)
     with pytest.raises(DomainError, match="square matrix"):
         dy.covering_number(dmat[:3], r=0.5)
+
+
+@pytest.mark.parametrize("dist", [
+    [[math.nan, 0.1], [0.1, 0.0]],
+    [[0.0, math.inf], [math.inf, 0.0]],
+    [[0.0, -1.0], [-1.0, 0.0]],
+    [[0.5, 0.1], [0.1, 0.5]],
+    [[0.0, 0.1], [0.1, 0.0]] + np.diag([0.0, 1e-300]),
+    [[0.0, 0.1], [np.nextafter(0.1, 1.0), 0.0]],
+], ids=["nan", "inf", "negative", "diagonal", "tiny-diagonal", "asymmetric"])
+def test_covering_refuses_a_matrix_that_is_not_a_distance_matrix(dist):
+    # a nan or a diagonal of 0.5 made the MILP infeasible; the rest were counted
+    with pytest.raises(DomainError, match="dist must"):
+        dy.covering_number(dist, 0.05)
 
 
 # -- set-class checkers ---------------------------------------------------------
@@ -291,10 +305,10 @@ def test_reports_reproducible_at_witness():
         (dy.katz_tao_constant, 0.8),
     ]:
         rep = fn(ps, s)
-        assert dy.reevaluate_report(ps, rep, s) == pytest.approx(rep.best_constant, abs=1e-9)
+        assert reevaluate_report(ps, rep, s) == pytest.approx(rep.best_constant, abs=1e-9)
     mu = AtomicMeasure(ps.points, np.full(len(ps), 1.0 / len(ps)))
     rep = dy.frostman_constant(mu, 1.2, 6)
-    assert dy.reevaluate_report(mu, rep, 1.2) == pytest.approx(rep.best_constant, abs=1e-9)
+    assert reevaluate_report(mu, rep, 1.2) == pytest.approx(rep.best_constant, abs=1e-9)
 
 
 def _delta_set_oracle(ps, s):

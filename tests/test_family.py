@@ -15,6 +15,7 @@ from furstlab.family import (
     TransversalFamily,
     c2_dist,
 )
+from oracles import transversality_defect
 
 
 def parabola(a, b, interval=(-2.0, 2.0)):
@@ -61,28 +62,28 @@ def test_c2_norm_rejects_nonfinite():
 def test_defect_constant_difference():
     f = fl.affine_curve(0.0, 0.0, (0.0, 1.0))
     g = fl.affine_curve(0.0, 1.0, (0.0, 1.0))
-    assert fl.transversality_defect(f, g) == 1.0
+    assert transversality_defect(f, g) == 1.0
 
 
 def test_defect_line_vs_constant():
     # min of |x-1/2|+1 is 1 at x=1/2, norm is 3/2
     f = fl.affine_curve(1.0, 0.0, (0.0, 1.0))
     g = fl.affine_curve(0.0, 0.5, (0.0, 1.0))
-    assert fl.transversality_defect(f, g) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert transversality_defect(f, g) == pytest.approx(2.0 / 3.0, abs=1e-12)
     # dense-grid oracle
-    assert fl.transversality_defect(f, g, grid_n=40001) == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert transversality_defect(f, g, grid_n=40001) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 def test_defect_vertical_parabola_translates():
     f = parabola(0.3, 0.0)
     g = parabola(0.3, 0.7)
-    assert fl.transversality_defect(f, g) == pytest.approx(1.0, abs=1e-12)
+    assert transversality_defect(f, g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_defect_identical_curves_error():
     f = parabola(0.3, 0.1)
     with pytest.raises(IdenticalCurvesError):
-        fl.transversality_defect(f, parabola(0.3, 0.1))
+        transversality_defect(f, parabola(0.3, 0.1))
 
 
 def test_fast_path_matches_generic_grid():
@@ -125,7 +126,7 @@ def test_estimate_affine_family_oracle():
     worst = math.inf
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
-            worst = min(worst, fl.transversality_defect(curves[i], curves[j]))
+            worst = min(worst, transversality_defect(curves[i], curves[j]))
     assert fl.estimate_transversality_constant(fam) == pytest.approx(1.0 / worst, rel=1e-12)
 
 
@@ -158,7 +159,7 @@ def test_affine_pair_certified_floor():
         b1, b2 = rng.uniform(-1, 1, 2)
         if abs(a1 - a2) < 1e-9 and abs(b1 - b2) < 1e-9:
             continue
-        d = fl.transversality_defect(
+        d = transversality_defect(
             fl.affine_curve(a1, b1), fl.affine_curve(a2, b2)
         )
         assert d >= 1.0 / 5.0 - 1e-12
@@ -169,7 +170,7 @@ def test_affine_pair_certified_floor():
 def test_convex_translates_vertical_pair():
     fam = TransversalFamily("convex", [0.0, 0.0], [0.0, 1.0], (-5.0, 5.0),
                             seed=fl.quadratic_seed())
-    assert fl.transversality_defect(fam.curves[0], fam.curves[1]) == 1.0
+    assert transversality_defect(fam.curves[0], fam.curves[1]) == 1.0
 
 
 def test_convex_translates_form28_comparability():
@@ -256,7 +257,7 @@ def test_min_defect_times_t_is_at_least_one():
     fam = _random_parabola_family(7)
     t = fam.t_const
     worst = min(
-        fl.transversality_defect(fam.curves[i], fam.curves[j])
+        transversality_defect(fam.curves[i], fam.curves[j])
         for i in range(len(fam))
         for j in range(i + 1, len(fam))
     )
@@ -452,7 +453,7 @@ def test_grid_pass_memory_is_bounded_by_the_chunk(monkeypatch):
 
 def test_mismatched_intervals_rejected():
     f, g = fl.affine_curve(0.0, 0.0, (0.0, 1.0)), fl.affine_curve(1.0, 0.0, (0.0, 2.0))
-    for pair_oracle in (c2_dist, fl.transversality_defect):
+    for pair_oracle in (c2_dist, transversality_defect):
         with pytest.raises(DomainError, match="interval"):
             pair_oracle(f, g)
 
@@ -484,4 +485,4 @@ def test_defect_is_at_most_one(a1, b1, a2, b2):
     g = fl.affine_curve(a2, b2)
     if c2_dist(f, g) < 1e-9:
         return
-    assert fl.transversality_defect(f, g) <= 1.0 + 1e-12
+    assert transversality_defect(f, g) <= 1.0 + 1e-12

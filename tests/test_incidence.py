@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import furstlab as fl
@@ -12,6 +12,7 @@ from furstlab import dyadic as dy
 from furstlab import incidence as inc
 from furstlab.family import DomainError, EvaluationError
 from furstlab.famspace import family_cell_indices
+from oracles import transversality_defect
 
 
 def zero_line():
@@ -236,7 +237,7 @@ def test_array_family_matches_closures(kind):
     # the pairwise pass (the affine shortcut for lines and parabola
     # translates) agrees with the per-pair oracles on every pair
     pairs = [(curves[i], curves[j]) for i in range(n) for j in range(i + 1, n)]
-    worst = min(fl.transversality_defect(f, g) for f, g in pairs)
+    worst = min(transversality_defect(f, g) for f, g in pairs)
     assert fam.t_const == pytest.approx(max(1.0, 1.0 / worst), rel=1e-9)
     assert fam.min_pair_distance() == pytest.approx(min(fl.c2_dist(f, g) for f, g in pairs), rel=1e-9)
 
@@ -267,6 +268,26 @@ def _dyadic_or_float(k):
     )
 
 
+class _Draws:
+    """Stands in for ``st.data()`` in an ``@example``: each draw returns the next value."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
+# convex members keep every column, so a step whose values all miss the rows
+# runs in full: every square far above the curves, and every square far
+# below them at a threshold under half a row; a line so steep that f(x)/delta
+# overflows shares a step with one through the squares
+@example(kind="affine", k=7, data=_Draws(
+    2, [0.5, 3e306], [0.25, 0.0], 4, [250, 251, 254, 255], [157, 157, 159, 160], 2.0))
+@example(kind="convex", k=4, data=_Draws(
+    2, [0.5, -1.0], [-1.0, 0.25], 5, [-32, -7, 0, 12, 31], [128] * 5, 2.0))
+@example(kind="convex", k=4, data=_Draws(
+    3, [0.0, 0.75, -0.5], [1.0, 0.0, -1.0], 6, [-20, -3, 0, 1, 8, 30], [-128] * 6, 0.25))
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(["affine", "parabola", "convex"]), k=st.integers(2, 7), data=st.data())
 def test_kernel_matches_oracle_at_any_threshold(kind, k, data):
@@ -506,7 +527,7 @@ def test_kernel_matches_oracle_where_most_values_miss_the_rows(monkeypatch):
         share = _kept_share(fam, P, rows, 4)
         assert min(share[:2]) >= 0.5 and all(0 < s < 0.5 for s in share[2:4]) and max(share[4:]) == 0
         assert _assert_kernel_matches_oracle(fam, P, rows) > 0
-    # in one step the few kept values of all 24 curves run flat
+    # in one step the few kept values of all 24 curves run with the rest
     monkeypatch.undo()
     for rows in (0.3, 2.0, 16.0):
         assert _kept_share(fam, P, rows, len(fam))[0] < 0.5
