@@ -32,7 +32,6 @@ from .dyadic import (
     covering_number,
     delta_set_constant,
     dyadic_cover,
-    frostman_constant,
     generate_delta_set,
     katz_tao_constant,
 )
@@ -51,7 +50,6 @@ from .config import (
     furstenberg_experiment,
 )
 from .fourier import (
-    CurveMeasure,
     decay_slope,
     fourier_transform,
     lift_measure,

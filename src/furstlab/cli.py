@@ -292,8 +292,8 @@ KINDS = {
     "highlow": ("affine", "parabola"),
     "furstenberg": ("affine", "parabola"),
     "fourier": {
-        "parabola": lambda de: fo.uniform_grid_lift(quadratic_seed(1.0).g0, de, s=1.0),
-        "exp": lambda de: fo.uniform_grid_lift(exp_seed().g0, de, s=1.0),
+        "parabola": lambda de: fo.uniform_grid_lift(quadratic_seed(1.0).g0, de),
+        "exp": lambda de: fo.uniform_grid_lift(exp_seed().g0, de),
         "point": lambda de: AtomicMeasure(np.array([[0.0, 0.0]]), np.array([1.0])),
     },
 }

@@ -6,13 +6,12 @@ exponent, so cell membership floor(x * 2^k) is computed without rounding
 drift, and every point lies in exactly one half-open cell
 [i 2^-k, (i+1) 2^-k) per level.
 
-The set-class checkers (delta-set, Katz-Tao, Frostman) are
-brute-force maximisations of the defining ratio over centers in P and
-dyadic radii in [delta, 1].  Restricting centers and radii this way loses
-at most a factor 2^s <= 2 against arbitrary centers/radii.  Covering
-numbers at scale delta inside the checkers are dyadic-cell counts of the
-point set (one representative per delta-cell), which is exact for
-delta-separated sets.
+The set-class checkers (delta-set, Katz-Tao) are brute-force
+maximisations of the defining ratio over centers in P and dyadic radii in
+[delta, 1].  Restricting centers and radii this way loses at most a factor
+2^s <= 2 against arbitrary centers/radii.  Covering numbers at scale delta
+inside the checkers are dyadic-cell counts of the point set (one
+representative per delta-cell), which is exact for delta-separated sets.
 """
 
 from __future__ import annotations
@@ -255,43 +254,37 @@ def _probe_centers(reps: np.ndarray, max_centers: int | None) -> np.ndarray:
     return reps[order[stride_idx]]
 
 
-def _ball_counts(reps: np.ndarray, centers: np.ndarray, radii: np.ndarray,
-                 weights: np.ndarray | None = None) -> np.ndarray:
-    """counts[c, r] = #representatives within closed radius radii[r] of centers[c],
-    or with ``weights`` (one per representative) the weight inside that ball."""
-    counts = np.empty((len(centers), len(radii)), dtype=np.int64 if weights is None else float)
+def _ball_counts(reps: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """counts[c, r] = #representatives within closed radius radii[r] of centers[c]."""
+    counts = np.empty((len(centers), len(radii)), dtype=np.int64)
     chunk = max(1, (1 << 22) // max(1, len(reps)))
     for start in range(0, len(centers), chunk):
         block = centers[start:start + chunk]
         d2 = np.sum((block[:, None, :] - reps[None, :, :]) ** 2, axis=-1)
         for rj, r in enumerate(radii):
-            inside = d2 <= r * r
-            if weights is not None:
-                inside = np.where(inside, weights[None, :], 0.0)
-            counts[start:start + len(block), rj] = np.sum(inside, axis=1)
+            counts[start:start + len(block), rj] = np.sum(d2 <= r * r, axis=1)
     return counts
-
-
-def _best_ratio(points, centers, radii, denominator, kind, weights=None) -> SetClassReport:
-    """The largest ball count (or mass) over denominator[r], with its witness."""
-    ratios = _ball_counts(points, centers, radii, weights) / denominator[None, :]
-    ci, rj = np.unravel_index(np.argmax(ratios), ratios.shape)
-    return SetClassReport(best_constant=float(ratios[ci, rj]), witness_center=tuple(float(v) for v in centers[ci]),
-                          witness_radius=float(radii[rj]), kind=kind)
 
 
 def _max_ball_ratio(pset: DiscretePointSet, s: float, max_centers: int | None,
                     denominator, kind: str) -> SetClassReport:
     """Maximise |P n B(x,r)|_delta / denominator(r, |P|_delta) over centers x
-    in P (or a probe of them) and dyadic r in [delta, 1]."""
+    in P (or a probe of ``max_centers`` of them, at least 1) and dyadic r in
+    [delta, 1], with the witness (x, r)."""
     if len(pset) == 0:
         raise DomainError("empty point set")
     if not (0 <= s <= pset.dim):
         raise DomainError(f"s must lie in [0, {pset.dim}], got {s}")
+    if max_centers is not None and max_centers < 1:
+        raise DomainError(f"max_centers must be at least 1, got {max_centers}")
     reps = _cell_representatives(pset.points, pset.delta_exp)
     radii = _dyadic_radii(pset.delta_exp)
-    return _best_ratio(reps, _probe_centers(reps, max_centers), radii,
-                       denominator(radii, len(reps)), kind)
+    centers = _probe_centers(reps, max_centers)
+    ratios = _ball_counts(reps, centers, radii) / denominator(radii, len(reps))[None, :]
+    ci, rj = np.unravel_index(np.argmax(ratios), ratios.shape)
+    return SetClassReport(best_constant=float(ratios[ci, rj]),
+                          witness_center=tuple(float(v) for v in centers[ci]),
+                          witness_radius=float(radii[rj]), kind=kind)
 
 
 def delta_set_constant(
@@ -323,27 +316,6 @@ def katz_tao_constant(
     return _max_ball_ratio(pset, s, max_centers,
                            lambda radii, n: (radii / pset.delta) ** s,
                            f"katz-tao(s={s})")
-
-
-def frostman_constant(
-    mu: AtomicMeasure,
-    t: float,
-    delta_exp: int,
-    max_centers: int | None = None,
-) -> SetClassReport:
-    """Measured (delta, t, C)-Frostman constant of an atomic measure.
-
-    C = max over atoms x and dyadic r >= delta of mu(B(x,r)) / r^t.
-    Large constants (e.g. t above the measure's actual dimension) are
-    reported, not raised.
-    """
-    if len(mu) == 0:
-        raise DomainError("empty measure")
-    radii = _dyadic_radii(delta_exp)
-    # scalar powers: numpy's vectorised pow can differ from them in the last bit
-    r_t = np.array([r ** t for r in radii])
-    return _best_ratio(mu.points, _probe_centers(mu.points, max_centers), radii, r_t,
-                       f"frostman(t={t})", mu.weights)
 
 
 # --------------------------------------------------------------------------

@@ -12,65 +12,45 @@ rearrangements of the direct sum, not approximations.  The FFT path runs
 its columns in chunks through one reused buffer and writes each column l
 as one contiguous row of an (l, k) array.
 
-Every measure here is a planar `dyadic.AtomicMeasure`; `CurveMeasure`, the
-lift of a base set onto a curve, also measures its Frostman constant when
-read.  `lp_norm_ball` and `decay_slope` share one ball-integral routine,
-which checks p, R (`check_lp`) and h once and runs one grid transform at
-the largest R; `check_transform_size` refuses a transform that would need
-more than MAX_TRANSFORM_BYTES before it allocates.  Each ball sums only the
-rows and columns it reaches, and gets the same bits as a boolean mask of
-the whole grid would.
+Every measure here, a lift onto a curve included, is a planar
+`dyadic.AtomicMeasure`.  `lp_norm_ball` and `decay_slope` share one
+ball-integral routine, which checks p, R (`check_lp`) and h once and runs
+one grid transform at the largest R; `check_transform_size` refuses a
+transform that would need more than MAX_TRANSFORM_BYTES before it
+allocates.  Each ball sums only the rows and columns it reaches, and gets
+the same bits as a boolean mask of the whole grid would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .dyadic import MAX_TREE_CELLS, AtomicMeasure, frostman_constant, side_of
-from .family import DomainError
+from .dyadic import MAX_TREE_CELLS, AtomicMeasure, side_of
+from .family import DomainError, _eval_checked
 
 
 # --------------------------------------------------------------------------
 # Curve measures
 # --------------------------------------------------------------------------
 
-class CurveMeasure(AtomicMeasure):
-    """An atomic measure supported on the graph {(x, g(x)) : x in [-1, 1]}.
-
-    Carries the exponent s and scale 2^-delta_exp of its planar Frostman
-    constant ``frostman_c``, which is measured on its first read.
-    """
-
-    def __init__(self, points: np.ndarray, weights: np.ndarray, s: float, delta_exp: int):
-        super().__init__(points, weights)
-        self.s = s
-        self.delta_exp = delta_exp
-
-    @cached_property
-    def frostman_c(self) -> float:
-        """The Frostman constant at exponent s down to 2^-delta_exp, over 256 probe centers."""
-        return frostman_constant(self, self.s, self.delta_exp, max_centers=256).best_constant
-
-
-def lift_measure(g0, base_points: np.ndarray, base_weights: np.ndarray, s: float,
-                 delta_exp: int) -> CurveMeasure:
+def lift_measure(g0, base_points: np.ndarray, base_weights: np.ndarray) -> AtomicMeasure:
     """Lift a weighted base set on [-1, 1] to the graph of g.
 
-    Atoms become (x, g(x)) with the base weights.  Total mass above 1 is an
+    Atoms become (x, g(x)) with the base weights; g may return a scalar,
+    which is broadcast.  A non-finite g(x) or total mass above 1 is an
     error.
     """
     xs = np.asarray(base_points, dtype=float).reshape(-1)
     ws = np.asarray(base_weights, dtype=float).reshape(-1)
     if np.any(xs < -1.0) or np.any(xs > 1.0):
         raise DomainError("base points must lie in [-1, 1]")
-    return CurveMeasure(np.stack([xs, np.asarray(g0(xs), dtype=float)], axis=1), ws, s, delta_exp)
+    return AtomicMeasure(np.stack([xs, _eval_checked(g0, xs, "g")], axis=1), ws)
 
 
-def uniform_grid_lift(g0, delta_exp: int, s: float = 1.0) -> CurveMeasure:
+def uniform_grid_lift(g0, delta_exp: int) -> AtomicMeasure:
     """Equal weights on the delta-grid of [-1, 1], lifted to the graph of g.
 
     Refuses more than MAX_TREE_CELLS atoms before allocating any.
@@ -83,7 +63,7 @@ def uniform_grid_lift(g0, delta_exp: int, s: float = 1.0) -> CurveMeasure:
         )
     xs = -1.0 + side_of(delta_exp) * np.arange(n)
     ws = np.full(n, 1.0 / n)
-    return lift_measure(g0, xs, ws, s, delta_exp)
+    return lift_measure(g0, xs, ws)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 
 from furstlab import config
 from furstlab.dyadic import (
-    AtomicMeasure,
     DiscretePointSet,
     SetClassReport,
     _cell_representatives,
@@ -103,21 +102,16 @@ def verify_nice(conf: config.NiceConfiguration) -> NiceReport:
     return NiceReport(passed=not failures, failures=tuple(failures), min_separation=min_sep)
 
 
-def reevaluate_report(pset_or_mu, report: SetClassReport, s_or_t: float) -> float:
+def reevaluate_report(pset: DiscretePointSet, report: SetClassReport, s: float) -> float:
     """Recompute the ratio at a report's witness."""
     center = np.asarray(report.witness_center, dtype=float)
     r = float(report.witness_radius)
-    if report.kind.startswith("frostman"):
-        mu: AtomicMeasure = pset_or_mu
-        d2 = np.sum((mu.points - center) ** 2, axis=1)
-        return float(np.sum(mu.weights[d2 <= r * r]) / r ** s_or_t)
-    pset: DiscretePointSet = pset_or_mu
     reps = _cell_representatives(pset.points, pset.delta_exp)
     d2 = np.sum((reps - center) ** 2, axis=1)
     cnt = int(np.sum(d2 <= r * r))
     if report.kind.startswith("katz-tao"):
-        return float(cnt / (r / pset.delta) ** s_or_t)
-    return float(cnt / (r ** s_or_t * len(reps)))
+        return float(cnt / (r / pset.delta) ** s)
+    return float(cnt / (r ** s * len(reps)))
 
 
 def transversality_defect(f: CurveFunction, g: CurveFunction, grid_n: int = DEFAULT_GRID_N) -> float:

@@ -237,7 +237,7 @@ def test_acceptance_10_fourier_decay():
     pm = dy.AtomicMeasure(np.array([[0.0, 0.0]]), np.array([1.0]))
     slope_pm = fo.decay_slope(pm, 4.0, [4, 8, 16, 32, 64]).slope
     assert abs(slope_pm - 2.0) <= 0.05
-    lift = fo.uniform_grid_lift(lambda x: np.asarray(x, dtype=float) ** 2, 8, s=1.0)
+    lift = fo.uniform_grid_lift(lambda x: np.asarray(x, dtype=float) ** 2, 8)
     rep = fo.decay_slope(lift, 8.0, [4, 8, 16, 32, 64])
     assert rep.slope <= 0.3
     for R in (4.0, 16.0, 64.0):

@@ -122,13 +122,11 @@ def test_highlow_subcommand(tmp_path):
     ["fourier", "--kind", "parabola", "--delta-exp", "6", "--R", "4,8,16"],
 ])
 def test_cli_builds_run_no_audit(tmp_path, monkeypatch, argv):
-    # no CLI output reads NiceConfiguration.measured or CurveMeasure.frostman_c,
-    # so no run audits
+    # no CLI output reads NiceConfiguration.measured, so no run audits
     def must_not_audit(*args, **kwargs):
         raise AssertionError("audit constants were computed")
 
     monkeypatch.setattr(cf, "_audit_constants", must_not_audit)
-    monkeypatch.setattr(fourier, "frostman_constant", must_not_audit)
     assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
 
 

@@ -18,57 +18,43 @@ def point_mass():
 
 
 def parabola_lift(delta_exp=8):
-    return fo.uniform_grid_lift(lambda x: np.asarray(x, dtype=float) ** 2, delta_exp, s=1.0)
+    return fo.uniform_grid_lift(lambda x: np.asarray(x, dtype=float) ** 2, delta_exp)
 
 
 # -- lifts --------------------------------------------------------------------------
 
 def test_lift_single_atom():
-    cm = fo.lift_measure(lambda x: np.asarray(x) ** 2, np.array([0.5]), np.array([1.0]), 0.0, 6)
-    assert isinstance(cm, AtomicMeasure)
-    assert (cm.s, cm.delta_exp) == (0.0, 6)
+    cm = fo.lift_measure(lambda x: np.asarray(x) ** 2, np.array([0.5]), np.array([1.0]))
+    assert type(cm) is AtomicMeasure
     assert len(cm) == 1
-    assert cm.frostman_c == 1.0
     assert cm.points[0, 1] == 0.25
 
 
-def test_lift_uniform_grid_frostman():
+def test_lift_uniform_grid():
     cm = parabola_lift()
     assert cm.total_mass == pytest.approx(1.0, abs=1e-12)
-    assert cm.frostman_c <= 8.0
     # atoms on the graph exactly
     np.testing.assert_allclose(cm.points[:, 1], cm.points[:, 0] ** 2, atol=1e-12)
 
 
-def test_lift_measures_its_frostman_constant_once_on_first_read(monkeypatch):
-    calls = []
-    measure = fo.frostman_constant
-    monkeypatch.setattr(fo, "frostman_constant",
-                        lambda *args, **kwargs: calls.append(args[1:]) or measure(*args, **kwargs))
-    cm = parabola_lift(6)
-    assert calls == []
-    first = cm.frostman_c
-    assert cm.frostman_c == first <= 8.0
-    assert calls == [(1.0, 6)]
+def test_lift_broadcasts_a_scalar_g():
+    cm = fo.lift_measure(lambda x: 1.0, [0.0, 0.5], [0.5, 0.5])
+    np.testing.assert_array_equal(cm.points, [[0.0, 1.0], [0.5, 1.0]])
 
 
-def test_lift_half_dim_set():
-    k = 8
-    base = dy.generate_delta_set(k, 0.5, 2, seed=0)
-    xs = 2.0 * base.points[:, 0] - 1.0  # map [0,1) onto [-1,1)
-    ws = np.full(len(xs), 2.0 ** (-k / 2))
-    cm = fo.lift_measure(lambda x: np.asarray(x) ** 2, xs, ws, 0.5, k)
-    assert cm.frostman_c <= 64.0
+def test_lift_rejects_a_non_finite_g():
+    with pytest.raises(DomainError, match=r"g returned a non-finite value at x=0\.5"):
+        fo.lift_measure(lambda x: np.where(x > 0.25, np.inf, x), [0.0, 0.5], [0.5, 0.5])
 
 
 def test_lift_rejects_mass_above_one():
     with pytest.raises(DomainError):
-        fo.lift_measure(np.abs, np.array([0.0, 0.5]), np.array([0.7, 0.7]), 1.0, 4)
+        fo.lift_measure(np.abs, np.array([0.0, 0.5]), np.array([0.7, 0.7]))
 
 
 def test_lift_rejects_points_outside_base_interval():
     with pytest.raises(DomainError):
-        fo.lift_measure(np.abs, np.array([1.5]), np.array([0.5]), 1.0, 4)
+        fo.lift_measure(np.abs, np.array([1.5]), np.array([0.5]))
 
 
 # -- transform ----------------------------------------------------------------------
@@ -139,7 +125,7 @@ def test_fft_path_tree_set_lift():
     k = 8
     base = dy.generate_delta_set(k, 0.5, 2, seed=0)
     xs = 2.0 * base.points[:, 0] - 1.0
-    cm = fo.lift_measure(lambda x: np.asarray(x) ** 2, xs, np.full(len(xs), 2.0 ** (-k / 2)), 0.5, k)
+    cm = fo.lift_measure(lambda x: np.asarray(x) ** 2, xs, np.full(len(xs), 2.0 ** (-k / 2)))
     assert len(cm) < 2 ** k  # a gapped subset of the grid
     _assert_fft_path_matches_direct_sum(cm, 8.0, 1 / 8)
 
@@ -199,7 +185,7 @@ def test_grid_fourth_moment_equals_the_additive_energy_sum(fft_path):
 def _tree_set_lift(k=8):
     base = dy.generate_delta_set(k, 0.5, 2, seed=0)
     xs = 2.0 * base.points[:, 0] - 1.0
-    return fo.lift_measure(lambda x: np.asarray(x) ** 2, xs, np.full(len(xs), 2.0 ** (-k / 2)), 0.5, k)
+    return fo.lift_measure(lambda x: np.asarray(x) ** 2, xs, np.full(len(xs), 2.0 ** (-k / 2)))
 
 
 #: measures that reach each branch of the grid transform at h = 1/8 (at
