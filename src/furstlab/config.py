@@ -387,6 +387,12 @@ def _default_branching(Delta_exp: int) -> tuple[int, ...]:
     return tuple([4] * wide + [1] * (Delta_exp - 1 - wide) + [1])
 
 
+def check_mainlem_scales(delta_exp: int, Delta_exp: int) -> None:
+    """The rule on the main lemma's scales: 1 <= Delta_exp <= delta_exp."""
+    if not 1 <= Delta_exp <= delta_exp:
+        raise DomainError(f"need 1 <= Delta_exp <= delta_exp, got {Delta_exp} and {delta_exp}")
+
+
 def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int, int]:
     """(|F|, grid squares, family cubes, estimated peak bytes) of a default
     mainlem run, checked against MAINLEM_MAX_BYTES before anything is allocated.
@@ -395,8 +401,7 @@ def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int, i
     cube's runs, then those of the hypothesis-(i) pass over 2^Delta_exp
     columns with its (square, cube) table, come and go in turn.
     """
-    if not 1 <= Delta_exp <= delta_exp:
-        raise DomainError(f"need 1 <= Delta_exp <= delta_exp, got {Delta_exp} and {delta_exp}")
+    check_mainlem_scales(delta_exp, Delta_exp)
     n_cubes = math.prod(_default_branching(Delta_exp))
     cube_curves = 1 << 2 * (delta_exp - Delta_exp)
     n_curves = n_cubes * cube_curves
@@ -428,6 +433,7 @@ def build_uniform_line_family(
     gap of at least Delta between distinct Delta-cells.  Each chosen
     Delta-cell is filled with the full delta-grid of parameters.
     """
+    check_mainlem_scales(delta_exp, Delta_exp)
     if branching is None:
         branching = _default_branching(Delta_exp)
     if len(branching) != Delta_exp:
@@ -493,6 +499,7 @@ class MainlemEvaluator:
         eps: float,
         lam: float = 2.0,
     ):
+        check_mainlem_scales(delta_exp, Delta_exp)
         self.n_levels, self.level_step = check_mainlem_eps(Delta_exp, eps)
         check_lambda_delta(lam, side_of(delta_exp))
         self.family = family
@@ -551,9 +558,9 @@ class MainlemEvaluator:
         return ok
 
     def report(self, a: int, b: int) -> MainlemReport:
-        """The (a, b) cell; b must be a power of two, the only b that n_big keeps."""
-        if not (b >= 1 and math.log2(b).is_integer()):
-            raise DomainError(f"b must be a power of two, got {b}")
+        """The (a, b) cell: a an integer >= 1, b a power of two (the only b n_big keeps)."""
+        if not (hasattr(a, "__index__") and a >= 1 and b >= 1 and math.log2(b).is_integer()):
+            raise DomainError(f"need an integer a >= 1 and a power of two b, got a={a!r}, b={b!r}")
         j = int(math.log2(b))
         pre = self.n_big[j] >= a if j < len(self.n_big) else np.zeros(len(self.squares), bool)
         mask = pre & self.hyp_i_mask

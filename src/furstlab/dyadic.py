@@ -269,14 +269,14 @@ def _ball_counts(reps: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np
 def _max_ball_ratio(pset: DiscretePointSet, s: float, max_centers: int | None,
                     denominator, kind: str) -> SetClassReport:
     """Maximise |P n B(x,r)|_delta / denominator(r, |P|_delta) over centers x
-    in P (or a probe of ``max_centers`` of them, at least 1) and dyadic r in
-    [delta, 1], with the witness (x, r)."""
+    in P (or a probe of ``max_centers``, an integer of at least 1 that
+    ``operator.index`` takes) and dyadic r in [delta, 1], with the witness (x, r)."""
     if len(pset) == 0:
         raise DomainError("empty point set")
     if not (0 <= s <= pset.dim):
         raise DomainError(f"s must lie in [0, {pset.dim}], got {s}")
-    if max_centers is not None and max_centers < 1:
-        raise DomainError(f"max_centers must be at least 1, got {max_centers}")
+    if max_centers is not None and not (hasattr(max_centers, "__index__") and max_centers >= 1):
+        raise DomainError(f"max_centers must be at least 1 and an integer, got {max_centers!r}")
     reps = _cell_representatives(pset.points, pset.delta_exp)
     radii = _dyadic_radii(pset.delta_exp)
     centers = _probe_centers(reps, max_centers)

@@ -39,33 +39,27 @@ at a threshold <= 0 no row hits at all.  From t = 2^51 on, the edges are
 infinite and every column is kept.
 
 Most values need not be computed at all.  Per chunk of columns, each line
-and parabola translate gets the columns [start, stop) outside which none of
-its computed values lies in (lo_edge, hi_edge), and a step evaluates its
-block of curves only on the columns from their least start to their last
-stop; a block with none is skipped before any evaluation.  The computed
-f(x) is monotone in x on each piece: a line's a*x + b is one piece, whose
-rounded product and sum are each monotone, and a parabola translate's
-lead*(x - a)^2 + b has one piece on each side of a, where the rounded
-x - a, its square, the product and the sum are each monotone.  On a piece
-one edge test holds on a prefix of its columns and the other on a suffix,
-so the kept columns of a piece form one interval, and a range is the hull
-of its pieces' intervals.  Each interval's ends are estimated in closed
-form, by inverting f at the two edges and a binary search over the column
-centers, then settled outwards: a start steps down while the column below
-it passes the edge test that holds on a suffix, and a stop steps up while
-its own column passes the other.  Whatever the estimate, every column
-beyond a settled end then fails a test, by monotonicity, so the range
-holds every kept column; rounding, or an overflow of the inversion at a
-subnormal slope, only moves the estimate, and with it the settle's length.
-Before any estimate, the same monotonicity bounds each curve's values by
-those at the chunk's two end columns and, where a parabola translate's
-vertex lies among the columns, by its value b there: a curve whose bounds
-lie inside the interval keeps every column, one whose bounds lie on one
-side of it keeps none, and only the rest are estimated and settled.  A
-curve with a non-finite value at an end column keeps every column, so
-that ``evaluate`` refuses it as it would without ranges (finite values at
-both ends bound every value between, piece by piece).  Convex
-translates, and infinite edges, keep every column.
+gets the columns [start, stop) outside which none of its computed values
+lies in (lo_edge, hi_edge), and a step evaluates its block of curves only on
+the columns from their least start to their last stop; a block with none is
+skipped before any evaluation.  A line's computed a*x + b is monotone in x,
+as the rounded product and sum each are, so one edge test holds on a prefix
+of its columns and the other on a suffix, and its kept columns form one
+interval.  The interval's ends are estimated in closed form, by inverting
+the line at the two edges and a binary search over the column centers, then
+settled outwards: a start steps down while the column below it passes the
+edge test that holds on a suffix, and a stop steps up while its own column
+passes the other.  Whatever the estimate, every column beyond a settled end
+then fails a test, by monotonicity, so the range holds every kept column;
+rounding, or an overflow of the inversion at a subnormal slope, only moves
+the estimate, and with it the settle's length.  Before any estimate, the
+same monotonicity bounds each line's values by those at the chunk's two end
+columns: a line whose bounds lie inside the interval keeps every column,
+one whose bounds lie on one side of it keeps none, and only the rest are
+estimated and settled.  A line with a non-finite value at an end column
+keeps every column, so that ``evaluate`` refuses it as it would without
+ranges (finite values at both ends bound every value between).  Parabola
+and convex translates, and infinite edges, keep every column.
 
 A prefix-count table over the sorted squares' keys then gives the run's
 first square and length by two direct lookups, with the ends cast to int64
@@ -92,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import SquareFamily, centers_of, side_of, unique_cells
-from .family import DomainError, TransversalFamily, _eval_checked, _kind_values
+from .family import DomainError, TransversalFamily, _eval_checked
 from .famspace import family_cell_indices
 
 
@@ -164,69 +158,48 @@ def _filter_edges(squares: SquareFamily, threshold: float) -> tuple[float, float
 
 
 def _candidate_columns(family: TransversalFamily, xs: np.ndarray, lo_edge: float, hi_edge: float):
-    """Per curve, the columns [start, stop) of the sorted centers ``xs``
-    outside which no computed f(x) lies in (lo_edge, hi_edge), as two int
-    arrays; None where every column is a candidate (the convex kind, or an
-    infinite edge).  See the module docstring for the rule and its proof."""
-    if family.kind == "convex" or not (math.isfinite(lo_edge) and math.isfinite(hi_edge)):
+    """Per line, the columns [start, stop) of the sorted centers ``xs``
+    outside which no computed a*x + b lies in (lo_edge, hi_edge), as two int
+    arrays; None where every column is a candidate (every kind but lines, or
+    an infinite edge).  See the module docstring for the rule and its proof."""
+    if family.kind != "affine" or not (math.isfinite(lo_edge) and math.isfinite(hi_edge)):
         return None
-    kind, lead, m = family.kind, family.lead, len(xs)
-    a, b = family.a, family.b
-    # huge parameters overflow, and so does inverting f at a subnormal
+    a, b, m = family.a, family.b, len(xs)
+    # huge parameters overflow, and so does inverting a line of subnormal
     # slope: an estimate is only where the settle starts
     with np.errstate(all="ignore"):
-        # every value lies between those at the end columns and, where a
-        # parabola translate's vertex lies among the columns, f(a) = b
-        e0, e1 = (_kind_values(kind, a, b, lead, None, x, 0) for x in (xs[0], xs[-1]))
+        # every value lies between those at the end columns
+        e0, e1 = a * xs[0] + b, a * xs[-1] + b
         low, high = np.minimum(e0, e1), np.maximum(e0, e1)
-        if kind == "parabola":
-            vertex = (xs[0] < a) & (a < xs[-1])
-            np.minimum(low, b, out=low, where=vertex)
-            np.maximum(high, b, out=high, where=vertex)
-        # a curve keeps every column where every value is kept, or where one
+        # a line keeps every column where every value is kept, or where one
         # is not finite, so that ``evaluate`` refuses it as without ranges;
         # no column where none is kept; the rest cross an edge
         every = ((lo_edge < low) & (high < hi_edge)) | ~(np.isfinite(e0) & np.isfinite(e1))
         start, stop = np.where(every, 0, m), np.where(every, m, 0)
         cross = np.flatnonzero(~every & (high > lo_edge) & (low < hi_edge))
-        ac, bc, n = a[cross], b[cross], len(cross)
+        ac, bc = a[cross], b[cross]
 
         def widen(end, bound, step, use_lo):
-            """Step each crossing curve's end by ``step`` columns (-1 for a
+            """Step each crossing line's end by ``step`` columns (-1 for a
             start, +1 for a stop) towards ``bound`` while the column just
-            outside it passes one edge test: f(x) > lo_edge where
-            ``use_lo``, f(x) < hi_edge elsewhere."""
+            outside it passes one edge test: a*x + b > lo_edge where
+            ``use_lo``, a*x + b < hi_edge elsewhere."""
             outside = (step - 1) // 2  # a start probes the column below it, a stop its own
             left = np.flatnonzero(end != bound)
             while len(left):
-                f = _kind_values(kind, ac[left], bc[left], lead, None, xs[end[left] + outside], 0)
+                f = ac[left] * xs[end[left] + outside] + bc[left]
                 left = left[np.where(use_lo[left], f > lo_edge, f < hi_edge)]
                 end[left] += step
-                left = left[end[left] != bound[left]]
+                left = left[end[left] != bound]
 
-        # per monotone piece: the estimated x interval, the piece's columns
-        # [p0, p1) and whether f rises on it
-        if kind == "affine":
-            x1, x2 = (lo_edge - bc) / ac, (hi_edge - bc) / ac
-            pieces = [(np.fmin(x1, x2), np.fmax(x1, x2), 0, m, ac >= 0)]
-        else:
-            q1, q2 = (lo_edge - bc) / lead, (hi_edge - bc) / lead
-            inner = np.sqrt(np.maximum(np.fmin(q1, q2), 0.0))
-            outer = np.sqrt(np.maximum(np.fmax(q1, q2), 0.0))
-            v = np.searchsorted(xs, ac, side="right")  # the columns x <= a
-            pieces = [(ac - outer, ac - inner, 0, v, np.full(n, lead < 0)),
-                      (ac + inner, ac + outer, v, m, np.full(n, lead > 0))]
-        first, last = np.full(n, m), np.zeros(n, dtype=np.int64)
-        for x_lo, x_hi, p0, p1, rising in pieces:
-            p0, p1 = np.broadcast_to(p0, n), np.broadcast_to(p1, n)
-            s = np.clip(np.searchsorted(xs, x_lo, side="right"), p0, p1)
-            e = np.clip(np.searchsorted(xs, x_hi, side="left"), p0, p1)
-            widen(s, p0, -1, rising)  # a rising f passes the lower edge on a suffix
-            widen(e, p1, 1, ~rising)
-            some = s < e
-            first[some] = np.minimum(first[some], s[some])
-            last[some] = np.maximum(last[some], e[some])
-    start[cross], stop[cross] = first, last
+        x1, x2 = (lo_edge - bc) / ac, (hi_edge - bc) / ac
+        s = np.searchsorted(xs, np.fmin(x1, x2), side="right")
+        e = np.searchsorted(xs, np.fmax(x1, x2), side="left")
+        widen(s, 0, -1, ac >= 0)  # a rising line passes the lower edge on a suffix
+        widen(e, m, 1, ac < 0)
+    # an empty interval is [m, 0), which widens no block's columns
+    some = s < e
+    start[cross], stop[cross] = np.where(some, s, m), np.where(some, e, 0)
     return start, stop
 
 

@@ -438,6 +438,11 @@ def test_mainlem_parameter_validation():
         cf.MainlemEvaluator(fam, 6, 3, 0.3)   # not 1/N
     with pytest.raises(DomainError):
         cf.MainlemEvaluator(fam, 6, 3, 0.5)   # Delta_exp * eps not integral
+    # Delta_exp above delta_exp, for the builder and the evaluator alike
+    with pytest.raises(DomainError, match="need 1 <= Delta_exp <= delta_exp"):
+        cf.build_uniform_line_family(6, 7, 0)
+    with pytest.raises(DomainError, match="need 1 <= Delta_exp <= delta_exp"):
+        cf.MainlemEvaluator(fam, 4, 5, 0.2)
 
 
 @pytest.mark.parametrize("eps", [0.0, math.nan, math.inf, -0.25])
@@ -615,3 +620,10 @@ def test_mainlem_fold_counts_a_run_that_ends_at_the_last_square():
 def test_mainlem_report_refuses_a_b_that_is_not_a_power_of_two(line_evaluator, b):
     with pytest.raises(DomainError):
         line_evaluator.report(a=2, b=b)
+
+
+@pytest.mark.parametrize("a", [0, -2, 2.5])
+def test_mainlem_report_refuses_an_a_that_is_not_an_integer_of_at_least_one(line_evaluator, a):
+    # 0 would divide the bound by zero, -2 make it negative, 2.5 name no cell
+    with pytest.raises(DomainError, match="need an integer a >= 1"):
+        line_evaluator.report(a=a, b=1)

@@ -278,7 +278,7 @@ def test_katz_tao_sqrt_spaced():
     assert rep.best_constant <= 4.0
 
 
-@pytest.mark.parametrize("max_centers", [0, -3])
+@pytest.mark.parametrize("max_centers", [0, -3, 2.5, np.inf, "3"])
 @pytest.mark.parametrize("checker", [dy.delta_set_constant, dy.katz_tao_constant])
 def test_checkers_refuse_max_centers_below_one(checker, max_centers):
     with pytest.raises(DomainError, match="max_centers must be at least 1"):

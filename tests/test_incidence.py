@@ -582,8 +582,8 @@ _PARAMS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(["affine", "parabola"]), k=st.integers(1, dy.MAX_DELTA_EXP), data=st.data())
-def test_candidate_columns_hold_every_kept_column(kind, k, data):
+@given(k=st.integers(1, dy.MAX_DELTA_EXP), data=st.data())
+def test_candidate_columns_hold_every_kept_column(k, data):
     # columns anywhere, or a run of neighbours; rows, and a threshold in rows
     lim = 2 ** (k + 1)
     ix = np.unique(data.draw(st.one_of(
@@ -602,26 +602,29 @@ def test_candidate_columns_hold_every_kept_column(kind, k, data):
     n = data.draw(st.integers(1, 8))
     a = np.array(data.draw(st.lists(_PARAMS, min_size=n, max_size=n)))
     b = np.array(data.draw(st.lists(_PARAMS, min_size=n, max_size=n)))
-    lead = data.draw(st.one_of(st.sampled_from([0.5, -0.5, 0.0, -0.0]), _PARAMS))
-    # some curves cross an edge at a column, where rounding decides
+    # some lines cross an edge at a column, where rounding decides
     on_edge = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     at = xs[np.array(data.draw(st.lists(st.integers(0, len(xs) - 1), min_size=n, max_size=n)))]
     edge = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))), lo_edge, hi_edge)
     with np.errstate(all="ignore"):
-        crossing = edge - (a * at if kind == "affine" else lead * (at - a) ** 2)
+        crossing = edge - a * at
     b = np.where(on_edge & np.isfinite(crossing), crossing, b)
-    fam = fl.TransversalFamily(kind, a, b, (-2.0, 2.0), lead=lead)
+    fam = fl.TransversalFamily("affine", a, b, (-2.0, 2.0))
+    # translates of every other kind keep every column
+    for other in (fl.TransversalFamily("parabola", a, b, (-2.0, 2.0), lead=0.5),
+                  fl.TransversalFamily("convex", a, b, (-2.0, 2.0), seed=fl.quadratic_seed(0.5))):
+        assert inc._candidate_columns(other, xs, lo_edge, hi_edge) is None
     ranges = inc._candidate_columns(fam, xs, lo_edge, hi_edge)
     if ranges is None:  # every column is a candidate
         assert rows >= 2.0 ** 51
         return
     start, stop = ranges
     with np.errstate(all="ignore"):  # huge parameters overflow
-        fx = fl.family._kind_values(kind, a[:, None], b[:, None], lead, None, xs[None], 0)
+        fx = a[:, None] * xs[None] + b[:, None]
     kept = (fx > lo_edge) & (fx < hi_edge)
     cols = np.arange(len(xs))
     assert not np.any(kept & ((cols < start[:, None]) | (cols >= stop[:, None])))
-    # a curve with a non-finite value keeps every column, so evaluate still refuses it
+    # a line with a non-finite value keeps every column, so evaluate still refuses it
     bad = ~np.isfinite(fx).all(axis=1)
     assert np.all(start[bad] == 0) and np.all(stop[bad] == len(xs))
 
@@ -641,15 +644,15 @@ def _counting_evaluate(monkeypatch):
 
 
 def test_a_block_whose_ranges_are_empty_makes_no_evaluate_call(monkeypatch):
-    # four curves per block: lines through the grid, lines above it, lines
-    # below it and parabola translates far off it
+    # four curves per block: lines through the grid, lines above it and
+    # lines below it; parabola translates far off it keep every column, so
+    # they are evaluated, and still match the oracle
     k = 5
     P = dy.SquareFamily.grid(k)
     through = fl.TransversalFamily("affine", [0.0, 0.5, -0.5, 2.0], [0.5, 0.2, 0.9, -0.5], (0.0, 1.0))
     off = [fl.TransversalFamily("affine", [0.0, 0.5, -0.5, 1.0], [3.0, 2.0, 4.0, 1.5], (0.0, 1.0)),
-           fl.TransversalFamily("affine", [0.0, 0.5, -0.5, 1.0], [-3.0, -2.0, -0.6, -2.5], (0.0, 1.0)),
-           fl.TransversalFamily("parabola", [0.5, 0.2, 0.9, 0.0], [1.5, 2.0, -9.0, -3.0], (0.0, 1.0),
-                                lead=0.5)]
+           fl.TransversalFamily("affine", [0.0, 0.5, -0.5, 1.0], [-3.0, -2.0, -0.6, -2.5], (0.0, 1.0))]
+    far = fl.TransversalFamily("parabola", [0.5, 0.2, 0.9, 0.0], [1.5, 2.0, -9.0, -3.0], (0.0, 1.0), lead=0.5)
     monkeypatch.setattr(inc, "STEP_BUDGET", 4 * 2 ** k)
     calls = _counting_evaluate(monkeypatch)
     for rows in (0.3, 2.0, 16.0):
@@ -659,6 +662,7 @@ def test_a_block_whose_ranges_are_empty_makes_no_evaluate_call(monkeypatch):
         both = fl.TransversalFamily("affine", np.r_[off[0].a, through.a], np.r_[off[0].b, through.b], (0.0, 1.0))
         assert _assert_kernel_matches_oracle(both, P, rows) > 0
         assert len(calls) == 2 and max(calls) <= 4 * 2 ** k  # the second block, collected and counted
+        assert _assert_kernel_matches_oracle(far, P, rows) == 0
         calls.clear()
 
 
