@@ -38,7 +38,7 @@ from .dyadic import (
 from .famspace import extract_uniform_subset
 from .incidence import (
     HighLowReport,
-    high_low_report,
+    high_low_reports,
     incidences,
     incidences_bruteforce,
 )

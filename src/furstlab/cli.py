@@ -205,9 +205,7 @@ def cmd_highlow(config: RunConfig) -> int:
         conf = cf.build_nice_configuration(
             config.kind, de, config.s, config.t, config.period_for(de), config.master_seed
         )
-        P = conf.union_squares()
-        lhs = inc.incidences(conf.family, P, config.lam, collect=False).count
-        return [inc.high_low_report(conf.family, P, config.lam, S, lhs) for S in config.S_values]
+        return inc.high_low_reports(conf.family, conf.union_squares(), config.lam, config.S_values)
 
     reports = dict(zip(exps, _run_trials(exps, run_one, config.threads)))
     calib = exps[0]

@@ -165,7 +165,7 @@ def build_nice_configuration(
     of x-columns (``correlated=True`` shares one column set across curves,
     a stress mode that shrinks |P|).  No kind's build compares members:
     coincident ones are refused where a pairwise quantity reads them
-    (``t_const``, ``high_low_report``).  ``audit`` (one of
+    (``t_const``, ``high_low_reports``).  ``audit`` (one of
     AUDIT_MODES) is how ``measured`` audits the result on its first read.
     """
     if not (0 <= s <= 1):
@@ -388,9 +388,12 @@ def _default_branching(Delta_exp: int) -> tuple[int, ...]:
 
 
 def check_mainlem_scales(delta_exp: int, Delta_exp: int) -> None:
-    """The rule on the main lemma's scales: 1 <= Delta_exp <= delta_exp."""
-    if not 1 <= Delta_exp <= delta_exp:
-        raise DomainError(f"need 1 <= Delta_exp <= delta_exp, got {Delta_exp} and {delta_exp}")
+    """The rule on the main lemma's scales: integers 1 <= Delta_exp <= delta_exp."""
+    if not (hasattr(delta_exp, "__index__") and hasattr(Delta_exp, "__index__")
+            and 1 <= Delta_exp <= delta_exp):
+        raise DomainError(
+            f"need 1 <= Delta_exp <= delta_exp, both integers, got {Delta_exp!r} and {delta_exp!r}"
+        )
 
 
 def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int, int]:

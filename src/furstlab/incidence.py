@@ -66,16 +66,26 @@ first square and length by two direct lookups, with the ends cast to int64
 only for them.  The table and the column layout depend only on the
 squares, so a SquareFamily builds them once and keeps them (a table larger
 than ``TABLE_BUDGET`` is built a chunk of columns at a time, each call,
-into one buffer).  The cost does not depend on the threshold, and the
-counter agrees *exactly* with the brute-force oracle, which evaluates
-every (curve, square) pair directly, one curve closure at a time.
+into one buffer).
+
+One call counts at several thresholds in one pass, as the high-low split
+needs lambda*delta and every 2S*delta.  Each chunk's table is fetched or
+built once, and the lines' candidate columns are taken at the widest
+threshold's edges: a narrower threshold's edges lie inside them, so no
+column it needs is dropped.  Each block's f(x) and u are computed once;
+the estimate, clamp, settle and the two lookups then run per threshold.
+So the evaluation and the table builds are paid once per call, and only
+the settles and lookups grow with the number of thresholds.  Every count
+agrees *exactly* with the brute-force oracle, which evaluates every
+(curve, square) pair directly, one curve closure at a time.
 
 A run's squares are contiguous in the sorted squares, so the kernel
-collects each run as one row (curve, first square, length) rather than as
-its pairs.  ``incidences`` expands the runs into the sorted pair list;
-``cube_incidence_counts`` never expands them: it adds +1 at each run's
-first square and -1 one past its last in a difference array per cube, and
-a cumulative sum over the square axis turns that into the counts.
+collects each run, in a call at one threshold, as one row (curve, first
+square, length) rather than as its pairs.  ``incidences`` expands the
+runs into the sorted pair list; ``cube_incidence_counts`` never expands
+them: it adds +1 at each run's first square and -1 one past its last in a
+difference array per cube, and a cumulative sum over the square axis turns
+that into the counts.
 """
 
 from __future__ import annotations
@@ -206,17 +216,23 @@ def _candidate_columns(family: TransversalFamily, xs: np.ndarray, lo_edge: float
 def _count_against_threshold(
     family: TransversalFamily,
     squares: SquareFamily,
-    threshold: float,
+    thresholds: tuple[float, ...],
     collect: bool,
-) -> tuple[int, np.ndarray | None]:
-    """Exact count of pairs with |y_p - f(x_p)| < threshold, one row run per (curve, column).
+) -> tuple[list[int], np.ndarray | None]:
+    """Exact counts of pairs with |y_p - f(x_p)| < threshold, one for each of
+    ``thresholds`` in their order, from one pass: one row run per (curve,
+    column, threshold).
 
-    Returns (count, runs): with ``collect``, runs is an (r, 3) int64 array of
-    (curve, first square, length) rows, one per nonempty run, in no
-    particular order; without it, None.
+    Returns (counts, runs): with ``collect``, which takes one threshold only,
+    runs is an (r, 3) int64 array of (curve, first square, length) rows, one
+    per nonempty run, in no particular order; without it, None.
     """
-    if math.isnan(threshold):
-        raise DomainError("the incidence threshold is nan")
+    if not thresholds:
+        raise DomainError("no incidence threshold given")
+    if any(math.isnan(threshold) for threshold in thresholds):
+        raise DomainError(f"an incidence threshold is nan: {tuple(thresholds)}")
+    if collect and len(thresholds) != 1:
+        raise DomainError(f"runs are collected at one threshold, got {len(thresholds)}")
     k = squares.k
     dl = side_of(k)
     # a SquareFamily is sorted by (ix, iy): each column is one block of squares
@@ -230,20 +246,21 @@ def _count_against_threshold(
             f"has {len(xc) * span} entries, over the limit of {MAX_TABLE_ENTRIES}"
         )
 
-    count = 0
+    counts = [0] * len(thresholds)
     run_chunks: list[np.ndarray] = []
-    # the threshold in rows; below 0 no row hits, and t = 0 keeps lo <= hi + 1
-    t = max(threshold, 0.0) / dl
-    lo_edge, hi_edge = _filter_edges(squares, threshold)
+    # each threshold in rows; below 0 no row hits, and t = 0 keeps lo <= hi + 1
+    in_rows = [max(threshold, 0.0) / dl for threshold in thresholds]
+    # a narrower threshold's edges lie inside the widest one's
+    lo_edge, hi_edge = _filter_edges(squares, max(thresholds))
     fit = min(STEP_BUDGET, TABLE_BUDGET // (span + 1))  # columns per table
     col_chunk = max(1, min(len(xc), fit))
     rows = max(1, min(len(family), STEP_BUDGET // col_chunk))
     # a table that fits the budget is the square set's kept one; chunks of a
     # larger one are built in turn into one buffer
     buffer = None if len(xc) <= fit else np.empty(col_chunk * span + 1, dtype=np.int32)
-    # a step's run ends and scratch, in buffers that every step reuses; the
-    # scratch row, read as int64, then holds the table keys
-    work = np.empty((3, rows * col_chunk))
+    # a step's u, run ends and scratch, in buffers that every step reuses;
+    # the scratch row, read as int64, then holds the table keys
+    work = np.empty((4, rows * col_chunk))
     for c0 in range(0, len(xc), col_chunk):
         c1 = min(c0 + col_chunk, len(xc))
         xs = xc[c0:c1]
@@ -263,40 +280,46 @@ def _count_against_threshold(
             width = j1 - j0
             fx = family.subfamily(slice(r0, r1)).evaluate(xs[None, j0:j1])
             keys = col_keys[j0:j1]
-            lo, hi, scratch = (w[:fx.size].reshape(fx.shape) for w in work)
-            # run-end estimates in rows, clamped to the rows the table holds:
-            # lo in [iy_min, iy_max + 1], hi in [iy_min - 1, iy_max], lo <= hi + 1;
+            u, lo, hi, scratch = (w[:fx.size].reshape(fx.shape) for w in work)
             # a u that overflows to +-inf is clamped to an empty run
             with np.errstate(over="ignore"):
-                np.multiply(fx, 1.0 / dl, out=hi)  # u = f(x)/delta, exact
-            np.subtract(hi, t, out=lo)
-            hi += t
-            lo -= 0.5
-            hi -= 0.5
-            np.clip(np.ceil(lo, out=lo), iy_min, iy_max + 1, out=lo)
-            np.clip(np.floor(hi, out=hi), iy_min - 1, iy_max, out=hi)
-            _settle(lo, hi, fx, dl, threshold, 1, scratch)
-            _settle(hi, lo, fx, dl, threshold, -1, scratch)
-            # an empty run is lo = hi + 1, whose two reads agree
-            key = scratch.view(np.int64)
-            lo += keys
-            np.copyto(key, lo, casting="unsafe")
-            pos_lo = first[key]
-            hi += keys
-            hi += 1
-            np.copyto(key, hi, casting="unsafe")
-            n = first[key]
-            n -= pos_lo
-            found = int(n.sum())
-            count += found
-            if collect and found:
-                run = np.flatnonzero(n)
-                curve = run // width + r0
-                run_chunks.append(np.stack(
-                    [curve, pos_lo.ravel()[run] + np.int64(base), n.ravel()[run]], axis=1))
+                np.multiply(fx, 1.0 / dl, out=u)  # u = f(x)/delta, exact
+            for i, (threshold, t) in enumerate(zip(thresholds, in_rows)):
+                # run-end estimates in rows, clamped to the rows the table holds:
+                # lo in [iy_min, iy_max + 1], hi in [iy_min - 1, iy_max], lo <= hi + 1
+                np.subtract(u, t, out=lo)
+                np.add(u, t, out=hi)
+                lo -= 0.5
+                hi -= 0.5
+                np.clip(np.ceil(lo, out=lo), iy_min, iy_max + 1, out=lo)
+                np.clip(np.floor(hi, out=hi), iy_min - 1, iy_max, out=hi)
+                _settle(lo, hi, fx, dl, threshold, 1, scratch)
+                _settle(hi, lo, fx, dl, threshold, -1, scratch)
+                # an empty run is lo = hi + 1, whose two reads agree
+                key = scratch.view(np.int64)
+                lo += keys
+                np.copyto(key, lo, casting="unsafe")
+                pos_lo = first[key]
+                hi += keys
+                hi += 1
+                np.copyto(key, hi, casting="unsafe")
+                n = first[key]
+                n -= pos_lo
+                found = int(n.sum())
+                counts[i] += found
+                if collect and found:
+                    run = np.flatnonzero(n)
+                    # column-major, so that each column is written contiguously
+                    chunk = np.empty((len(run), 3), dtype=np.int64, order="F")
+                    np.floor_divide(run, width, out=chunk[:, 0])
+                    chunk[:, 0] += r0
+                    chunk[:, 1] = pos_lo.ravel()[run]
+                    chunk[:, 1] += base
+                    chunk[:, 2] = n.ravel()[run]
+                    run_chunks.append(chunk)
     if not collect:
-        return count, None
-    return count, np.concatenate(run_chunks) if run_chunks else np.zeros((0, 3), dtype=np.int64)
+        return counts, None
+    return counts, np.concatenate(run_chunks) if run_chunks else np.zeros((0, 3), dtype=np.int64)
 
 
 def _expand_runs(runs: np.ndarray) -> np.ndarray:
@@ -334,7 +357,7 @@ def incidences(
     lambda >= 2.
     """
     check_lambda_delta(lam, squares.delta)
-    count, runs = _count_against_threshold(family, squares, lam * squares.delta, collect)
+    (count,), runs = _count_against_threshold(family, squares, (lam * squares.delta,), collect)
     if not collect:
         return IncidenceResult(count, None)
     # one curve's runs are disjoint, so runs sorted by (curve, first) expand to sorted pairs
@@ -398,39 +421,52 @@ class HighLowReport:
         return self.lhs <= C0 * self.delta_exp * self.high_term + self.low_term + 1e-9
 
 
+def high_low_reports(
+    family: TransversalFamily,
+    squares: SquareFamily,
+    lam: float,
+    S_values: tuple[float, ...],
+) -> list[HighLowReport]:
+    """Evaluate both sides of the high-low estimate for lambda and each S of
+    ``S_values``, in their order.
+
+    One kernel pass counts lhs = I^lambda(F, P) at lambda*delta and each
+    coarse count at 2S*delta.  As S >= 2 lambda, the thresholds nest, and
+    lhs is at most every coarse count.
+    """
+    dl = side_of(squares.k)
+    check_lambda_delta(lam, dl)
+    for S in S_values:
+        check_high_low_S(lam, S, dl)
+    sep = family.min_pair_distance()
+    if sep < dl:
+        raise DomainError(
+            f"family is not delta-separated: min pair distance {sep} < delta {dl}"
+        )
+    thresholds = (lam * dl, *(2.0 * S * dl for S in S_values))
+    (lhs, *coarse), _ = _count_against_threshold(family, squares, thresholds, collect=False)
+    return [high_low_report(family, squares, lam, S, lhs, count)
+            for S, count in zip(S_values, coarse)]
+
+
 def high_low_report(
     family: TransversalFamily,
     squares: SquareFamily,
     lam: float,
     S: float,
     lhs: int,
+    coarse: int,
 ) -> HighLowReport:
-    """Evaluate both sides of the high-low estimate for one (lambda, S).
-
-    ``lhs`` is I^lambda(F, P), the count of ``incidences(family, squares,
-    lam)``: it does not depend on S, so a caller counts it once for all S.
-    Since S >= 2 lambda, every such pair is also a 2S*delta pair, so an lhs
-    above the 2S*delta count was not counted on this family and these
-    squares, and is refused.
-    """
-    delta_exp = squares.k
-    dl = side_of(delta_exp)
-    check_high_low_S(lam, S, dl)
-    sep = family.min_pair_distance()
-    if sep < dl:
-        raise DomainError(
-            f"family is not delta-separated: min pair distance {sep} < delta {dl}"
-        )
-    coarse, _ = _count_against_threshold(family, squares, 2.0 * S * dl, collect=False)
-    if not 0 <= lhs <= coarse:
-        raise DomainError(f"lhs={lhs} is outside [0, {coarse}], the 2S*delta count at S={S}")
-    high = math.sqrt(S ** 3 * (1.0 / dl) * len(family) * len(squares))
+    """Both sides of the high-low estimate at one S, from the counts that
+    ``high_low_reports`` takes: lhs at lambda*delta, coarse at 2S*delta.
+    The benchmark's layer spans read each report's coarse count here."""
+    dl = side_of(squares.k)
     return HighLowReport(
-        delta_exp=delta_exp,
+        delta_exp=squares.k,
         lam=lam,
         S=S,
         lhs=lhs,
-        high_term=high,
+        high_term=math.sqrt(S ** 3 * (1.0 / dl) * len(family) * len(squares)),
         low_term=coarse / S,
         coarse_count=coarse,
     )
@@ -458,7 +494,7 @@ def cube_incidence_counts(
     finds no run, the zero table is returned as it is.
     """
     cube_ids, inverse = unique_cells(family_cell_indices(family, Delta_exp))
-    _, runs = _count_against_threshold(family, squares, lam * squares.delta, collect=True)
+    _, runs = _count_against_threshold(family, squares, (lam * squares.delta,), collect=True)
     n_cubes = len(cube_ids)
     if not len(runs):
         return np.zeros((len(squares), n_cubes), dtype=np.int64), cube_ids

@@ -143,10 +143,11 @@ def test_mainlem_subcommand(tmp_path):
     ]) == 0
 
 
-#: sha256 prefixes of the CSV rows, without the provenance line, of two runs
+#: sha256 prefixes of the CSV rows, without the provenance line, of runs
 #: through the incidence kernel (mainlem folds runs into cube counts, and
-#: highlow counts at both thresholds) and of the two runs of perfbench's
-#: fourier-decay workload (the FFT path, and the point mass)
+#: highlow counts at both thresholds, on perfbench's highlow-ladder argv and
+#: its line twin too) and of the two runs of perfbench's fourier-decay
+#: workload (the FFT path, and the point mass)
 @pytest.mark.parametrize("argv, digest", [
     (["mainlem", "--delta-exp", "8", "--Delta-exp", "3", "--eps", str(1 / 3)], "0229ac0857308597"),
     (["highlow", "--delta-exp", "6,7"], "1e54254dfb9fa7d0"),
@@ -154,6 +155,10 @@ def test_mainlem_subcommand(tmp_path):
      "45faa976650fcafc"),
     (["fourier", "--kind", "point", "--p", "8", "--R", "4,8,16,32,64,128", "--delta-exp", "11",
       "--slope-max", "2.05"], "b7a570c9718cf01d"),
+    (["highlow", "--delta-exp", "6,7,8,9,10", "--kind", "parabola", "--s", "0.5", "--t", "1.0",
+      "--c0-margin", "2"], "92f916a53f7d00f2"),
+    (["highlow", "--delta-exp", "6,7,8,9,10", "--kind", "affine", "--s", "0.5", "--t", "1.0",
+      "--c0-margin", "2"], "ac9c5a3b105809f0"),
 ])
 def test_kernel_runs_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "out.csv"

@@ -438,11 +438,16 @@ def test_mainlem_parameter_validation():
         cf.MainlemEvaluator(fam, 6, 3, 0.3)   # not 1/N
     with pytest.raises(DomainError):
         cf.MainlemEvaluator(fam, 6, 3, 0.5)   # Delta_exp * eps not integral
-    # Delta_exp above delta_exp, for the builder and the evaluator alike
+    # Delta_exp above delta_exp, or a scale that is not an integer, for the
+    # builder, the evaluator and the size check alike
+    for scales in ((6, 7), (6, 2.5), (6.5, 3)):
+        with pytest.raises(DomainError, match="need 1 <= Delta_exp <= delta_exp"):
+            cf.build_uniform_line_family(*scales, 0)
+    for scales, eps in (((4, 5), 0.2), ((6.5, 3), 1 / 3)):
+        with pytest.raises(DomainError, match="need 1 <= Delta_exp <= delta_exp"):
+            cf.MainlemEvaluator(fam, *scales, eps)
     with pytest.raises(DomainError, match="need 1 <= Delta_exp <= delta_exp"):
-        cf.build_uniform_line_family(6, 7, 0)
-    with pytest.raises(DomainError, match="need 1 <= Delta_exp <= delta_exp"):
-        cf.MainlemEvaluator(fam, 4, 5, 0.2)
+        cf.check_mainlem_size(6, 2.5)
 
 
 @pytest.mark.parametrize("eps", [0.0, math.nan, math.inf, -0.25])

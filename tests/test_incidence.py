@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def test_nan_threshold_raises_at_once():
     fam = random_line_family(3, n=4)
     P = dy.SquareFamily.grid(4)
     with pytest.raises(DomainError):
-        inc._count_against_threshold(fam, P, math.nan, collect=False)
+        inc._count_against_threshold(fam, P, (math.nan,), collect=False)
     for lam in (math.nan, -1.0, 16.0):  # 16 * 2^-4 = 1 > 1/2
         with pytest.raises(DomainError):
             cf.MainlemEvaluator(fam, 4, 2, 0.5, lam)
@@ -111,51 +112,48 @@ def test_pairs_csv(tmp_path):
 def test_high_low_single_curve_sane():
     fam = zero_line()
     P = dy.SquareFamily.grid(5)
-    rep = inc.high_low_report(fam, P, 2.0, 8.0, inc.incidences(fam, P, 2.0, collect=False).count)
+    (rep,) = inc.high_low_reports(fam, P, 2.0, (8.0,))
     assert rep.lhs <= len(P)
     assert rep.fitted_C >= 0.0
     assert math.isfinite(rep.fitted_C)
 
 
-def test_high_low_range_validation():
+def test_high_low_range_validation(monkeypatch):
+    def must_not_count(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(inc, "_count_against_threshold", must_not_count)
     fam = random_line_family(7, 8)
     P = dy.SquareFamily.grid(5)
+    for lam in (math.nan, -1.0, 32.0):  # 32 * 2^-5 = 1 > 1/2
+        with pytest.raises(DomainError, match="lambda"):
+            inc.high_low_reports(fam, P, lam, (64.0,))
     with pytest.raises(DomainError, match="S="):
-        inc.high_low_report(fam, P, 2.0, 2.0, 0)    # S < 2 lambda
+        inc.high_low_reports(fam, P, 2.0, (8.0, 2.0))    # S < 2 lambda
     with pytest.raises(DomainError, match="S="):
-        inc.high_low_report(fam, P, 2.0, 100.0, 0)  # S > delta^-1
+        inc.high_low_reports(fam, P, 2.0, (100.0, 8.0))  # S > delta^-1
 
 
 def test_high_low_separation_check():
     close = fl.TransversalFamily("affine", [0.0, 0.0], [0.0, 1e-6], (0.0, 1.0))
     P = dy.SquareFamily.grid(5)
     with pytest.raises(DomainError, match="separated"):
-        inc.high_low_report(close, P, 2.0, 8.0, 0)
+        inc.high_low_reports(close, P, 2.0, (8.0,))
 
 
 def test_high_low_identity_decomposition():
-    # lhs and coarse count agree with independent brute-force counts
+    # lhs and every coarse count agree with independent brute-force counts
     fam = random_line_family(8, 24)
     P = dy.SquareFamily.grid(6)
-    rep = inc.high_low_report(fam, P, 2.0, 8.0, inc.incidences(fam, P, 2.0, collect=False).count)
-    assert rep.lhs == inc.incidences_bruteforce(fam, P, 2.0).count
-    coarse = inc.incidences_bruteforce(fam, P, 2 * 8.0).count
-    assert rep.coarse_count == coarse
-    assert rep.low_term == pytest.approx(coarse / 8.0, rel=1e-12)
-
-
-def test_high_low_refuses_an_lhs_above_the_coarse_count():
-    # an lhs counted on other squares (here the full grid for a subset) can
-    # exceed the 2S*delta count of the squares given, which no true lhs does
-    fam = random_line_family(8, 24)
-    P = dy.SquareFamily.grid(6)
-    few = dy.SquareFamily(P.k, P.ix[::64], P.iy[::64])
-    coarse = inc.high_low_report(fam, few, 2.0, 8.0, 0).coarse_count
-    assert inc.incidences(fam, P, 2.0, collect=False).count > coarse
-    for lhs in (inc.incidences(fam, P, 2.0, collect=False).count, coarse + 1, -1):
-        with pytest.raises(DomainError, match="lhs="):
-            inc.high_low_report(fam, few, 2.0, 8.0, lhs)
-    assert inc.high_low_report(fam, few, 2.0, 8.0, coarse).lhs == coarse
+    S_values = (4.0, 8.0, 16.0)
+    reps = inc.high_low_reports(fam, P, 2.0, S_values)
+    lhs = inc.incidences_bruteforce(fam, P, 2.0).count
+    assert [rep.S for rep in reps] == list(S_values)
+    for rep, S in zip(reps, S_values):
+        assert rep.lhs == lhs
+        coarse = inc.incidences_bruteforce(fam, P, 2 * S).count
+        assert rep.coarse_count == coarse
+        assert rep.low_term == pytest.approx(coarse / S, rel=1e-12)
 
 
 # -- N_{Delta,b} ------------------------------------------------------------------------
@@ -317,12 +315,64 @@ def _assert_kernel_matches_oracle(fam, P, rows):
     count-only, equal the oracle's pairs; returns the count."""
     thr = rows * P.delta
     brute = inc.incidences_bruteforce(fam, P, rows)
-    count, runs = inc._count_against_threshold(fam, P, thr, collect=True)
+    (count,), runs = inc._count_against_threshold(fam, P, (thr,), collect=True)
     pairs = inc._expand_runs(runs)
     assert count == brute.count == len(pairs)
     assert np.array_equal(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], brute.pairs)
-    assert inc._count_against_threshold(fam, P, thr, collect=False)[0] == brute.count
+    assert inc._count_against_threshold(fam, P, (thr,), collect=False)[0] == [brute.count]
     return count
+
+
+def _rows_with_zero_and_negative(k):
+    """A threshold in rows as ``test_kernel_matches_oracle_at_any_threshold``
+    draws one, or 0, or a negative value, at which no row hits."""
+    return st.one_of(
+        st.floats(0.0, 0.5),
+        st.integers(1, 2 ** (k + 2)).map(lambda i: i / 2),
+        st.floats(0.5, 2.0 ** (k + 1)),
+        st.integers(0, k).map(lambda j: 2.0 ** (j + 1)),
+        st.just(0.0),
+        st.floats(-(2.0 ** (k + 1)), -(2.0 ** -10)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["affine", "parabola", "convex"]), k=st.integers(2, 7), data=st.data())
+def test_kernel_counts_each_of_several_thresholds_as_the_oracle(kind, k, data):
+    n = data.draw(st.integers(1, 10))
+    a = np.array(data.draw(st.lists(_dyadic_or_float(k), min_size=n, max_size=n)))
+    b = np.array(data.draw(st.lists(_dyadic_or_float(k), min_size=n, max_size=n)))
+    fam = fl.TransversalFamily(kind, a, b, (-2.0, 2.0), lead=0.5, seed=fl.quadratic_seed(0.5))
+    # rows within the lines' range of values, so that a line crosses the
+    # filter edges and the widest threshold's candidate columns matter
+    m = data.draw(st.integers(1, 300))
+    ix = data.draw(st.lists(st.integers(-(2 ** (k + 1)), 2 ** (k + 1) - 1), min_size=m, max_size=m))
+    iy = data.draw(st.lists(st.integers(-(2 ** (k + 1)), 2 ** (k + 1)), min_size=m, max_size=m))
+    P = dy.SquareFamily(k, np.array(ix), np.array(iy))
+    # 1 to 5 thresholds in any order, one of them repeated when drawn so
+    rows = data.draw(st.lists(_rows_with_zero_and_negative(k), min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        rows.append(data.draw(st.sampled_from(rows)))
+    rows = data.draw(st.permutations(rows))
+    counts, runs = inc._count_against_threshold(
+        fam, P, tuple(r * P.delta for r in rows), collect=False)
+    assert runs is None
+    assert counts == [inc.incidences_bruteforce(fam, P, r).count for r in rows]
+    # a nan anywhere is refused before any curve is evaluated
+    at = data.draw(st.integers(0, len(rows)))
+    with_nan = [r * P.delta for r in rows[:at]] + [math.nan] + [r * P.delta for r in rows[at:]]
+    with mock.patch.object(fl.TransversalFamily, "evaluate",
+                           side_effect=AssertionError("a curve was evaluated")):
+        with pytest.raises(DomainError, match="nan"):
+            inc._count_against_threshold(fam, P, tuple(with_nan), collect=False)
+
+
+def test_kernel_collects_runs_at_one_threshold_only():
+    fam = random_line_family(3, n=4)
+    P = dy.SquareFamily.grid(4)
+    for thresholds, collect in (((), False), ((), True), ((0.1, 0.2), True)):
+        with pytest.raises(DomainError, match="threshold"):
+            inc._count_against_threshold(fam, P, thresholds, collect)
 
 
 def test_kernel_matches_oracle_where_runs_are_empty_mid_column():
@@ -429,7 +479,7 @@ def test_prefix_count_lookup_matches_oracle_at_the_edges(monkeypatch, seed, cols
     for rows in (0.25, 2.0, 3.5, 2.0 ** 7):
         thr = rows * P.delta
         brute = inc.incidences_bruteforce(fam, P, rows)
-        count, runs = inc._count_against_threshold(fam, P, thr, collect=True)
+        (count,), runs = inc._count_against_threshold(fam, P, (thr,), collect=True)
         pairs = inc._expand_runs(runs)
         assert count == brute.count == len(pairs)
         assert np.array_equal(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], brute.pairs)
@@ -452,7 +502,7 @@ def test_prefix_count_table_stays_within_its_budget():
     thr = 8 * P.delta
     tracemalloc.start()
     try:
-        count, _ = inc._count_against_threshold(fam, P, thr, collect=False)
+        (count,), _ = inc._count_against_threshold(fam, P, (thr,), collect=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
