@@ -3,9 +3,37 @@
 An incidence is a pair (f, p) whose square center z_p lies in the vertical
 lambda*delta-neighbourhood of the curve: |y_p - f(x_p)| < lambda*delta,
 strictly (centers are exact dyadic rationals, so boundary cases are
-deterministic).  The fast counter takes the squares in the (column, row)
-order every SquareFamily keeps, evaluates each curve once per occupied
-column, and uses that the rows a curve hits in one column form a single
+deterministic).  Every count agrees *exactly* with the brute-force oracle,
+which evaluates every (curve, square) pair directly, one curve closure at a
+time, and tests fl(y - f(x)) against the threshold.  Counts go by squares
+and runs go by curves: a call that only counts (``incidences(...,
+collect=False)``, ``high_low_reports``) takes the count pass, at any number
+of thresholds at once, and a call that needs the pairs (``incidences``,
+``cube_incidence_counts``) takes the run pass, at one threshold.
+
+The count pass evaluates every curve once per occupied column, a chunk of
+columns at a time, and sorts each column's values v.  For a square's center
+y and a threshold t > 0 it counts B - A, where A is the number of values
+with fl(y - v) >= t and B the number with fl(y - v) > -t.  Rounding is
+monotone and y - v decreases in v, so fl(y - v) is non-increasing along the
+sorted values, and each of the two sets is a prefix of them; A's lies in
+B's, as t > 0 > -t, and the values in B's prefix but not in A's are exactly
+those with -t < fl(y - v) < t, the oracle's |y - v| < t.  As fl(y - v) is a
+float, "> -t" is ">= the float above -t", so both prefix ends are found by
+one rule: estimated by a binary search, for the values <= y - t and those
+< y + t, then settled by stepping up while the value at the end passes the
+float test and down while the value below it fails, which ends on the
+prefix's end from any estimate.  Where y - t and y + t are exact, as with
+dyadic thresholds, the estimate is already exact, so values tied at a
+boundary (curves through one point) are not stepped over one at a time.  At a threshold <= 0 no pair hits, and a nan threshold is refused
+before any curve is evaluated.  The pass keeps no table: its work is the
+(curve, column) values, and a call over ``MAX_COUNT_VALUES`` of them is
+refused before any evaluation, as a run-pass call whose prefix-count table
+would pass ``MAX_TABLE_ENTRIES`` entries is.
+
+The run pass takes the squares in the (column, row) order every
+SquareFamily keeps, evaluates each curve once per occupied column it can
+reach, and uses that the rows a curve hits in one column form a single
 run: the exact center-to-curve distance grows away from the row containing
 f(x), and float rounding keeps that order.  Each run end is estimated in
 row units, as floor(u + t - 1/2) above and ceil(u - t - 1/2) below, with
@@ -68,24 +96,12 @@ squares, so a SquareFamily builds them once and keeps them (a table larger
 than ``TABLE_BUDGET`` is built a chunk of columns at a time, each call,
 into one buffer).
 
-One call counts at several thresholds in one pass, as the high-low split
-needs lambda*delta and every 2S*delta.  Each chunk's table is fetched or
-built once, and the lines' candidate columns are taken at the widest
-threshold's edges: a narrower threshold's edges lie inside them, so no
-column it needs is dropped.  Each block's f(x) and u are computed once;
-the estimate, clamp, settle and the two lookups then run per threshold.
-So the evaluation and the table builds are paid once per call, and only
-the settles and lookups grow with the number of thresholds.  Every count
-agrees *exactly* with the brute-force oracle, which evaluates every
-(curve, square) pair directly, one curve closure at a time.
-
-A run's squares are contiguous in the sorted squares, so the kernel
-collects each run, in a call at one threshold, as one row (curve, first
-square, length) rather than as its pairs.  ``incidences`` expands the
-runs into the sorted pair list; ``cube_incidence_counts`` never expands
-them: it adds +1 at each run's first square and -1 one past its last in a
-difference array per cube, and a cumulative sum over the square axis turns
-that into the counts.
+A run's squares are contiguous in the sorted squares, so the run pass
+collects each run as one row (curve, first square, length) rather than as
+its pairs.  ``incidences`` expands the runs into the sorted pair list;
+``cube_incidence_counts`` never expands them: it adds +1 at each run's
+first square and -1 one past its last in a difference array per cube, and
+a cumulative sum over the square axis turns that into the counts.
 """
 
 from __future__ import annotations
@@ -128,6 +144,12 @@ TABLE_BUDGET = 1 << 22
 #: high-low squares at 2^-12; 4,096 sparse squares at 2^-24 over 1.97e7 rows
 #: would need 8.1e10
 MAX_TABLE_ENTRIES = 1 << 30
+
+#: most (curve, column) values one count-pass call may evaluate and sort,
+#: refused beyond: about 73 s at 17 ns per value (the high-low split's four
+#: thresholds on the parabola configurations at 2^-12 to 2^-14, one core of
+#: a shared 2-core x86-64 host), 16x the 2^28 values at 2^-14
+MAX_COUNT_VALUES = 1 << 32
 
 
 def _settle(end, other, fx, dl, threshold, step, scratch):
@@ -213,26 +235,104 @@ def _candidate_columns(family: TransversalFamily, xs: np.ndarray, lo_edge: float
     return start, stop
 
 
-def _count_against_threshold(
+def _settle_prefixes(pos, v, base, y, lim):
+    """Step each estimate in ``pos`` to the exact length of its sorted row's
+    prefix of values with fl(y - v) >= lim (see the module docstring).
+
+    pos is (len(y), len(lim)): one row per square, of center y and whose
+    column's sorted values start at ``base`` in the flat ``v`` (rows of n
+    values), and one column per limit.  A value's test is the oracle's own
+    difference; a position steps up over each value that passes and down over
+    each that fails, so it stops at the prefix's end whatever it started at.
+    """
+    n = v.shape[1]
+    flat, pos_flat = v.reshape(-1), pos.reshape(-1)
+    for step in (1, -1):
+        # the value a position steps over: its own going up, the one below going down
+        below = (step - 1) // 2
+        at = pos + below
+        inside = (at >= 0) & (at < n)
+        np.clip(at, 0, n - 1, out=at)
+        at += base[:, None]
+        passes = y[:, None] - flat[at] >= lim
+        todo = np.flatnonzero(inside & (passes if step > 0 else ~passes))
+        while len(todo):
+            pos_flat[todo] += step
+            at = pos_flat[todo] + below
+            todo = todo[(at >= 0) & (at < n)]
+            square, limit = np.divmod(todo, len(lim))
+            passes = y[square] - flat[base[square] + pos_flat[todo] + below] >= lim[limit]
+            todo = todo[passes if step > 0 else ~passes]
+    return pos
+
+
+def _counts_at_thresholds(
     family: TransversalFamily,
     squares: SquareFamily,
     thresholds: tuple[float, ...],
-    collect: bool,
-) -> tuple[list[int], np.ndarray | None]:
+) -> list[int]:
     """Exact counts of pairs with |y_p - f(x_p)| < threshold, one for each of
-    ``thresholds`` in their order, from one pass: one row run per (curve,
-    column, threshold).
+    ``thresholds`` in their order, by squares: the count pass.
 
-    Returns (counts, runs): with ``collect``, which takes one threshold only,
-    runs is an (r, 3) int64 array of (curve, first square, length) rows, one
-    per nonempty run, in no particular order; without it, None.
+    Per chunk of occupied columns, every curve is evaluated once and each
+    column's values are sorted; each square then counts, at each threshold,
+    the values between two prefix ends of its column's row.
     """
-    if not thresholds:
-        raise DomainError("no incidence threshold given")
     if any(math.isnan(threshold) for threshold in thresholds):
         raise DomainError(f"an incidence threshold is nan: {tuple(thresholds)}")
-    if collect and len(thresholds) != 1:
-        raise DomainError(f"runs are collected at one threshold, got {len(thresholds)}")
+    col_start = squares.column_starts
+    n_cols, n = len(col_start) - 1, len(family)
+    if n * n_cols > MAX_COUNT_VALUES:
+        raise DomainError(
+            f"counting {n} curves over {n_cols} columns at delta=2^-{squares.k} takes "
+            f"{n * n_cols} values, over the limit of {MAX_COUNT_VALUES}"
+        )
+    counts = [0] * len(thresholds)
+    # at a threshold <= 0 no pair hits
+    live = [i for i, threshold in enumerate(thresholds) if threshold > 0]
+    if not live or not n_cols:
+        return counts
+    # per threshold t, the limits of A (fl(y - v) >= t) and of B (fl(y - v) > -t,
+    # that is >= the float above -t): a square counts B - A
+    lim = np.array([[thresholds[i], np.nextafter(-thresholds[i], math.inf)] for i in live]).ravel()
+    xc = centers_of(squares.ix[col_start[:-1]], squares.k)
+    yc = centers_of(squares.iy, squares.k)
+    cols = max(1, min(n_cols, STEP_BUDGET // n))
+    for c0 in range(0, n_cols, cols):
+        c1 = min(c0 + cols, n_cols)
+        # one contiguous row of sorted values per column (np.sort of the
+        # transposed view would sort an F-ordered copy, three times slower)
+        v = np.ascontiguousarray(family.evaluate(xc[None, c0:c1]).T)
+        v.sort(axis=1)
+        bounds = col_start[c0:c1 + 1] - col_start[c0]
+        y = yc[col_start[c0]:col_start[c1]]
+        # estimates, one row per square: the values <= y - t (those < the
+        # float above it) for A, and those < y + t for B
+        want = y[:, None] - lim
+        want[:, ::2] = np.nextafter(want[:, ::2], math.inf)
+        pos = np.empty(want.shape, dtype=np.int64)
+        for j in range(c1 - c0):
+            pos[bounds[j]:bounds[j + 1]] = v[j].searchsorted(want[bounds[j]:bounds[j + 1]])
+        base = np.repeat(np.arange(c1 - c0) * n, np.diff(bounds))
+        ends = _settle_prefixes(pos, v, base, y, lim).sum(axis=0).reshape(len(live), 2)
+        for i, (a, b) in zip(live, ends.tolist()):
+            counts[i] += b - a
+    return counts
+
+
+def _runs_at_threshold(
+    family: TransversalFamily,
+    squares: SquareFamily,
+    threshold: float,
+) -> np.ndarray:
+    """The pairs with |y_p - f(x_p)| < threshold as row runs, by curves: the
+    run pass.
+
+    Returns an (r, 3) int64 array of (curve, first square, length) rows, one
+    per nonempty run, in no particular order.
+    """
+    if math.isnan(threshold):
+        raise DomainError("the incidence threshold is nan")
     k = squares.k
     dl = side_of(k)
     # a SquareFamily is sorted by (ix, iy): each column is one block of squares
@@ -246,12 +346,10 @@ def _count_against_threshold(
             f"has {len(xc) * span} entries, over the limit of {MAX_TABLE_ENTRIES}"
         )
 
-    counts = [0] * len(thresholds)
     run_chunks: list[np.ndarray] = []
-    # each threshold in rows; below 0 no row hits, and t = 0 keeps lo <= hi + 1
-    in_rows = [max(threshold, 0.0) / dl for threshold in thresholds]
-    # a narrower threshold's edges lie inside the widest one's
-    lo_edge, hi_edge = _filter_edges(squares, max(thresholds))
+    # the threshold in rows; below 0 no row hits, and t = 0 keeps lo <= hi + 1
+    t = max(threshold, 0.0) / dl
+    lo_edge, hi_edge = _filter_edges(squares, threshold)
     fit = min(STEP_BUDGET, TABLE_BUDGET // (span + 1))  # columns per table
     col_chunk = max(1, min(len(xc), fit))
     rows = max(1, min(len(family), STEP_BUDGET // col_chunk))
@@ -284,42 +382,37 @@ def _count_against_threshold(
             # a u that overflows to +-inf is clamped to an empty run
             with np.errstate(over="ignore"):
                 np.multiply(fx, 1.0 / dl, out=u)  # u = f(x)/delta, exact
-            for i, (threshold, t) in enumerate(zip(thresholds, in_rows)):
-                # run-end estimates in rows, clamped to the rows the table holds:
-                # lo in [iy_min, iy_max + 1], hi in [iy_min - 1, iy_max], lo <= hi + 1
-                np.subtract(u, t, out=lo)
-                np.add(u, t, out=hi)
-                lo -= 0.5
-                hi -= 0.5
-                np.clip(np.ceil(lo, out=lo), iy_min, iy_max + 1, out=lo)
-                np.clip(np.floor(hi, out=hi), iy_min - 1, iy_max, out=hi)
-                _settle(lo, hi, fx, dl, threshold, 1, scratch)
-                _settle(hi, lo, fx, dl, threshold, -1, scratch)
-                # an empty run is lo = hi + 1, whose two reads agree
-                key = scratch.view(np.int64)
-                lo += keys
-                np.copyto(key, lo, casting="unsafe")
-                pos_lo = first[key]
-                hi += keys
-                hi += 1
-                np.copyto(key, hi, casting="unsafe")
-                n = first[key]
-                n -= pos_lo
-                found = int(n.sum())
-                counts[i] += found
-                if collect and found:
-                    run = np.flatnonzero(n)
-                    # column-major, so that each column is written contiguously
-                    chunk = np.empty((len(run), 3), dtype=np.int64, order="F")
-                    np.floor_divide(run, width, out=chunk[:, 0])
-                    chunk[:, 0] += r0
-                    chunk[:, 1] = pos_lo.ravel()[run]
-                    chunk[:, 1] += base
-                    chunk[:, 2] = n.ravel()[run]
-                    run_chunks.append(chunk)
-    if not collect:
-        return counts, None
-    return counts, np.concatenate(run_chunks) if run_chunks else np.zeros((0, 3), dtype=np.int64)
+            # run-end estimates in rows, clamped to the rows the table holds:
+            # lo in [iy_min, iy_max + 1], hi in [iy_min - 1, iy_max], lo <= hi + 1
+            np.subtract(u, t, out=lo)
+            np.add(u, t, out=hi)
+            lo -= 0.5
+            hi -= 0.5
+            np.clip(np.ceil(lo, out=lo), iy_min, iy_max + 1, out=lo)
+            np.clip(np.floor(hi, out=hi), iy_min - 1, iy_max, out=hi)
+            _settle(lo, hi, fx, dl, threshold, 1, scratch)
+            _settle(hi, lo, fx, dl, threshold, -1, scratch)
+            # an empty run is lo = hi + 1, whose two reads agree
+            key = scratch.view(np.int64)
+            lo += keys
+            np.copyto(key, lo, casting="unsafe")
+            pos_lo = first[key]
+            hi += keys
+            hi += 1
+            np.copyto(key, hi, casting="unsafe")
+            n = first[key]
+            n -= pos_lo
+            run = np.flatnonzero(n)
+            if len(run):
+                # column-major, so that each column is written contiguously
+                chunk = np.empty((len(run), 3), dtype=np.int64, order="F")
+                np.floor_divide(run, width, out=chunk[:, 0])
+                chunk[:, 0] += r0
+                chunk[:, 1] = pos_lo.ravel()[run]
+                chunk[:, 1] += base
+                chunk[:, 2] = n.ravel()[run]
+                run_chunks.append(chunk)
+    return np.concatenate(run_chunks) if run_chunks else np.zeros((0, 3), dtype=np.int64)
 
 
 def _expand_runs(runs: np.ndarray) -> np.ndarray:
@@ -357,11 +450,13 @@ def incidences(
     lambda >= 2.
     """
     check_lambda_delta(lam, squares.delta)
-    (count,), runs = _count_against_threshold(family, squares, (lam * squares.delta,), collect)
     if not collect:
+        (count,) = _counts_at_thresholds(family, squares, (lam * squares.delta,))
         return IncidenceResult(count, None)
+    runs = _runs_at_threshold(family, squares, lam * squares.delta)
     # one curve's runs are disjoint, so runs sorted by (curve, first) expand to sorted pairs
-    return IncidenceResult(count, _expand_runs(runs[np.lexsort((runs[:, 1], runs[:, 0]))]))
+    runs = runs[np.lexsort((runs[:, 1], runs[:, 0]))]
+    return IncidenceResult(int(runs[:, 2].sum()), _expand_runs(runs))
 
 
 def incidences_bruteforce(
@@ -430,7 +525,7 @@ def high_low_reports(
     """Evaluate both sides of the high-low estimate for lambda and each S of
     ``S_values``, in their order.
 
-    One kernel pass counts lhs = I^lambda(F, P) at lambda*delta and each
+    One count pass counts lhs = I^lambda(F, P) at lambda*delta and each
     coarse count at 2S*delta.  As S >= 2 lambda, the thresholds nest, and
     lhs is at most every coarse count.
     """
@@ -444,7 +539,7 @@ def high_low_reports(
             f"family is not delta-separated: min pair distance {sep} < delta {dl}"
         )
     thresholds = (lam * dl, *(2.0 * S * dl for S in S_values))
-    (lhs, *coarse), _ = _count_against_threshold(family, squares, thresholds, collect=False)
+    lhs, *coarse = _counts_at_thresholds(family, squares, thresholds)
     return [high_low_report(family, squares, lam, S, lhs, count)
             for S, count in zip(S_values, coarse)]
 
@@ -494,7 +589,7 @@ def cube_incidence_counts(
     finds no run, the zero table is returned as it is.
     """
     cube_ids, inverse = unique_cells(family_cell_indices(family, Delta_exp))
-    _, runs = _count_against_threshold(family, squares, (lam * squares.delta,), collect=True)
+    runs = _runs_at_threshold(family, squares, lam * squares.delta)
     n_cubes = len(cube_ids)
     if not len(runs):
         return np.zeros((len(squares), n_cubes), dtype=np.int64), cube_ids

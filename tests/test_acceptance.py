@@ -277,15 +277,14 @@ def _fails_at(assertion: str, criterion, *args) -> None:
 
 
 def test_acceptance_01_control_runs_one_square_short(monkeypatch):
-    kernel = inc._count_against_threshold
+    kernel = inc._runs_at_threshold
 
     def short_kernel(*args, **kwargs):
-        (count,), runs = kernel(*args, **kwargs)
-        nonempty = runs[:, 2] > 0
-        runs[:, 2] -= nonempty
-        return [count - int(nonempty.sum())], runs
+        runs = kernel(*args, **kwargs)
+        runs[:, 2] -= runs[:, 2] > 0
+        return runs
 
-    monkeypatch.setattr(inc, "_count_against_threshold", short_kernel)
+    monkeypatch.setattr(inc, "_runs_at_threshold", short_kernel)
     _fails_at("assert fast.count == brute.count", test_acceptance_01_oracle_equivalence)
 
 

@@ -145,9 +145,9 @@ def test_mainlem_subcommand(tmp_path):
 
 #: sha256 prefixes of the CSV rows, without the provenance line, of runs
 #: through the incidence kernel (mainlem folds runs into cube counts, and
-#: highlow counts at both thresholds, on perfbench's highlow-ladder argv and
-#: its line twin too) and of the two runs of perfbench's fourier-decay
-#: workload (the FFT path, and the point mass)
+#: highlow counts at both thresholds, on perfbench's highlow-ladder argv, its
+#: line twin and at 2^-11 and 2^-12 too) and of the two runs of perfbench's
+#: fourier-decay workload (the FFT path, and the point mass)
 @pytest.mark.parametrize("argv, digest", [
     (["mainlem", "--delta-exp", "8", "--Delta-exp", "3", "--eps", str(1 / 3)], "0229ac0857308597"),
     (["highlow", "--delta-exp", "6,7"], "1e54254dfb9fa7d0"),
@@ -159,6 +159,8 @@ def test_mainlem_subcommand(tmp_path):
       "--c0-margin", "2"], "92f916a53f7d00f2"),
     (["highlow", "--delta-exp", "6,7,8,9,10", "--kind", "affine", "--s", "0.5", "--t", "1.0",
       "--c0-margin", "2"], "ac9c5a3b105809f0"),
+    (["highlow", "--delta-exp", "11,12", "--kind", "parabola", "--s", "0.5", "--t", "1.0",
+      "--c0-margin", "2"], "088f561236d43312"),
 ])
 def test_kernel_runs_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
@@ -199,6 +201,19 @@ def test_env_thread_override(tmp_path, monkeypatch):
     monkeypatch.setenv("FURSTLAB_THREADS", "8")
     assert run(base + ["--threads", "1", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["parabola", "affine"])
+def test_highlow_csv_independent_of_threads(tmp_path, monkeypatch, kind):
+    monkeypatch.delenv("FURSTLAB_THREADS", raising=False)
+    base = ["highlow", "--delta-exp", "6,7,8,9", "--kind", kind, "--s", "0.5", "--t", "1.0",
+            "--c0-margin", "2"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        assert run(base + ["--threads", threads, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_fourier_csv_independent_of_blas_threads(tmp_path):

@@ -81,7 +81,9 @@ def test_nan_threshold_raises_at_once():
     fam = random_line_family(3, n=4)
     P = dy.SquareFamily.grid(4)
     with pytest.raises(DomainError):
-        inc._count_against_threshold(fam, P, (math.nan,), collect=False)
+        inc._counts_at_thresholds(fam, P, (math.nan,))
+    with pytest.raises(DomainError):
+        inc._runs_at_threshold(fam, P, math.nan)
     for lam in (math.nan, -1.0, 16.0):  # 16 * 2^-4 = 1 > 1/2
         with pytest.raises(DomainError):
             cf.MainlemEvaluator(fam, 4, 2, 0.5, lam)
@@ -122,7 +124,7 @@ def test_high_low_range_validation(monkeypatch):
     def must_not_count(*args, **kwargs):
         raise AssertionError("the kernel ran")
 
-    monkeypatch.setattr(inc, "_count_against_threshold", must_not_count)
+    monkeypatch.setattr(inc, "_counts_at_thresholds", must_not_count)
     fam = random_line_family(7, 8)
     P = dy.SquareFamily.grid(5)
     for lam in (math.nan, -1.0, 32.0):  # 32 * 2^-5 = 1 > 1/2
@@ -253,6 +255,8 @@ def test_non_finite_curve_value_is_rejected():
     with pytest.raises(EvaluationError, match="x="):
         inc.incidences(fam, P, 2.0)
     with pytest.raises(EvaluationError, match="x="):
+        inc.incidences(fam, P, 2.0, collect=False)
+    with pytest.raises(EvaluationError, match="x="):
         inc.incidences_bruteforce(fam, P, 2.0)
 
 
@@ -310,16 +314,21 @@ def test_kernel_matches_oracle_at_any_threshold(kind, k, data):
     _assert_kernel_matches_oracle(fam, P, rows)
 
 
-def _assert_kernel_matches_oracle(fam, P, rows):
-    """At the threshold of ``rows`` rows, the kernel's runs, collected and
-    count-only, equal the oracle's pairs; returns the count."""
-    thr = rows * P.delta
+def _assert_runs_match_oracle(fam, P, rows):
+    """At the threshold of ``rows`` rows, the run pass's runs equal the
+    oracle's pairs; returns the count."""
     brute = inc.incidences_bruteforce(fam, P, rows)
-    (count,), runs = inc._count_against_threshold(fam, P, (thr,), collect=True)
-    pairs = inc._expand_runs(runs)
-    assert count == brute.count == len(pairs)
+    pairs = inc._expand_runs(inc._runs_at_threshold(fam, P, rows * P.delta))
+    assert brute.count == len(pairs)
     assert np.array_equal(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], brute.pairs)
-    assert inc._count_against_threshold(fam, P, (thr,), collect=False)[0] == [brute.count]
+    return brute.count
+
+
+def _assert_kernel_matches_oracle(fam, P, rows):
+    """At the threshold of ``rows`` rows, the run pass's runs equal the
+    oracle's pairs, and the count pass counts them; returns the count."""
+    count = _assert_runs_match_oracle(fam, P, rows)
+    assert inc._counts_at_thresholds(fam, P, (rows * P.delta,)) == [count]
     return count
 
 
@@ -336,6 +345,17 @@ def _rows_with_zero_and_negative(k):
     )
 
 
+# two lines with equal values at the center of column 3, among squares at
+# exactly y - t and y + t of them (1.75 and 1.25 rows) and at +inf; one
+# curve; no square at all
+@example(kind="affine", k=4, data=_Draws(
+    2, [0.5, -0.5], [0.0, 0.21875], 5, [3, 3, 3, 3, 9], [0, 1, 3, 7, 2],
+    [1.75, 1.25, math.inf, 0.25], False, [1.75, 1.25, math.inf, 0.25], 2))
+@example(kind="parabola", k=5, data=_Draws(
+    1, [0.25], [-0.5], 6, [0, 7, 7, 20, 31, -40], [-10, -9, 3, 0, 5, -60], [2.0, 0.5], True, 2.0,
+    [2.0, 2.0, 0.5], 3))
+@example(kind="convex", k=3, data=_Draws(3, [0.0, 0.5, -1.0], [0.25, 0.0, 1.0], 0, [], [],
+                                         [2.0, 16.0], False, [16.0, 2.0], 1))
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(["affine", "parabola", "convex"]), k=st.integers(2, 7), data=st.data())
 def test_kernel_counts_each_of_several_thresholds_as_the_oracle(kind, k, data):
@@ -343,8 +363,7 @@ def test_kernel_counts_each_of_several_thresholds_as_the_oracle(kind, k, data):
     a = np.array(data.draw(st.lists(_dyadic_or_float(k), min_size=n, max_size=n)))
     b = np.array(data.draw(st.lists(_dyadic_or_float(k), min_size=n, max_size=n)))
     fam = fl.TransversalFamily(kind, a, b, (-2.0, 2.0), lead=0.5, seed=fl.quadratic_seed(0.5))
-    # rows within the lines' range of values, so that a line crosses the
-    # filter edges and the widest threshold's candidate columns matter
+    # rows within the lines' range of values, so that most squares are near a curve
     m = data.draw(st.integers(1, 300))
     ix = data.draw(st.lists(st.integers(-(2 ** (k + 1)), 2 ** (k + 1) - 1), min_size=m, max_size=m))
     iy = data.draw(st.lists(st.integers(-(2 ** (k + 1)), 2 ** (k + 1)), min_size=m, max_size=m))
@@ -354,9 +373,7 @@ def test_kernel_counts_each_of_several_thresholds_as_the_oracle(kind, k, data):
     if data.draw(st.booleans()):
         rows.append(data.draw(st.sampled_from(rows)))
     rows = data.draw(st.permutations(rows))
-    counts, runs = inc._count_against_threshold(
-        fam, P, tuple(r * P.delta for r in rows), collect=False)
-    assert runs is None
+    counts = inc._counts_at_thresholds(fam, P, tuple(r * P.delta for r in rows))
     assert counts == [inc.incidences_bruteforce(fam, P, r).count for r in rows]
     # a nan anywhere is refused before any curve is evaluated
     at = data.draw(st.integers(0, len(rows)))
@@ -364,15 +381,7 @@ def test_kernel_counts_each_of_several_thresholds_as_the_oracle(kind, k, data):
     with mock.patch.object(fl.TransversalFamily, "evaluate",
                            side_effect=AssertionError("a curve was evaluated")):
         with pytest.raises(DomainError, match="nan"):
-            inc._count_against_threshold(fam, P, tuple(with_nan), collect=False)
-
-
-def test_kernel_collects_runs_at_one_threshold_only():
-    fam = random_line_family(3, n=4)
-    P = dy.SquareFamily.grid(4)
-    for thresholds, collect in (((), False), ((), True), ((0.1, 0.2), True)):
-        with pytest.raises(DomainError, match="threshold"):
-            inc._count_against_threshold(fam, P, thresholds, collect)
+            inc._counts_at_thresholds(fam, P, tuple(with_nan))
 
 
 def test_kernel_matches_oracle_where_runs_are_empty_mid_column():
@@ -479,9 +488,9 @@ def test_prefix_count_lookup_matches_oracle_at_the_edges(monkeypatch, seed, cols
     for rows in (0.25, 2.0, 3.5, 2.0 ** 7):
         thr = rows * P.delta
         brute = inc.incidences_bruteforce(fam, P, rows)
-        (count,), runs = inc._count_against_threshold(fam, P, (thr,), collect=True)
+        runs = inc._runs_at_threshold(fam, P, thr)
         pairs = inc._expand_runs(runs)
-        assert count == brute.count == len(pairs)
+        assert brute.count == len(pairs)
         assert np.array_equal(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], brute.pairs)
         assert (runs[:, 1] + runs[:, 2]).max() <= len(P)
     assert (runs[:, 1] + runs[:, 2]).max() == len(P)  # a run ends at the last square
@@ -502,7 +511,7 @@ def test_prefix_count_table_stays_within_its_budget():
     thr = 8 * P.delta
     tracemalloc.start()
     try:
-        (count,), _ = inc._count_against_threshold(fam, P, (thr,), collect=False)
+        count = int(inc._runs_at_threshold(fam, P, thr)[:, 2].sum())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -707,12 +716,12 @@ def test_a_block_whose_ranges_are_empty_makes_no_evaluate_call(monkeypatch):
     calls = _counting_evaluate(monkeypatch)
     for rows in (0.3, 2.0, 16.0):
         for fam in off:
-            assert _assert_kernel_matches_oracle(fam, P, rows) == 0
+            assert _assert_runs_match_oracle(fam, P, rows) == 0
         assert calls == []
         both = fl.TransversalFamily("affine", np.r_[off[0].a, through.a], np.r_[off[0].b, through.b], (0.0, 1.0))
-        assert _assert_kernel_matches_oracle(both, P, rows) > 0
-        assert len(calls) == 2 and max(calls) <= 4 * 2 ** k  # the second block, collected and counted
-        assert _assert_kernel_matches_oracle(far, P, rows) == 0
+        assert _assert_runs_match_oracle(both, P, rows) > 0
+        assert len(calls) == 1 and max(calls) <= 4 * 2 ** k  # the second block
+        assert _assert_runs_match_oracle(far, P, rows) == 0
         calls.clear()
 
 
@@ -724,6 +733,68 @@ def test_blocks_evaluate_only_the_columns_their_curves_can_reach(monkeypatch):
     fam = cf.build_uniform_line_family(k, 4, 0)
     P = dy.SquareFamily.grid(k)
     calls = _counting_evaluate(monkeypatch)
-    count = _assert_kernel_matches_oracle(fam, P, 2.0)
+    count = _assert_runs_match_oracle(fam, P, 2.0)
     assert count > 0
-    assert sum(calls) <= 2 * 0.6 * len(fam) * 2 ** k  # both kernel calls
+    assert sum(calls) <= 0.6 * len(fam) * 2 ** k
+
+
+# -- the count pass -------------------------------------------------------------------
+
+@pytest.mark.parametrize("extra, accepted", [(0, True), (1, False)])
+def test_count_pass_refuses_too_many_values_before_evaluating(monkeypatch, extra, accepted):
+    # 2^16 lines over MAX_COUNT_VALUES / 2^16 occupied columns is the limit
+    n = 2 ** 16
+    assert inc.MAX_COUNT_VALUES % n == 0
+    cols = inc.MAX_COUNT_VALUES // n + extra
+    monkeypatch.setattr(fl.TransversalFamily, "evaluate",
+                        mock.Mock(side_effect=AssertionError("a curve was evaluated")))
+    fam = fl.TransversalFamily("affine", np.zeros(n), np.arange(n) / n, (0.0, 1.0))
+    P = dy.SquareFamily(dy.MAX_DELTA_EXP, np.arange(cols), np.zeros(cols, dtype=int))
+    if accepted:
+        with pytest.raises(AssertionError, match="evaluated"):
+            inc.incidences(fam, P, 2.0, collect=False)
+    else:
+        with pytest.raises(DomainError, match="over the limit"):
+            inc.incidences(fam, P, 2.0, collect=False)
+
+
+@pytest.mark.parametrize("kind", ["parabola", "affine"])
+def test_count_pass_equals_the_run_pass_at_the_useful_regime(kind):
+    # brute force is too slow at 2^-12: the run pass is the second oracle,
+    # at lambda*delta and at each coarse 2S*delta of the high-low split
+    conf = cf.build_nice_configuration(kind, 12, 0.5, 1.0, 12, 0)
+    P = conf.union_squares()
+    thresholds = tuple(r * P.delta for r in (2.0, 8.0, 16.0, 32.0))
+    counts = inc._counts_at_thresholds(conf.family, P, thresholds)
+    assert counts == [int(inc._runs_at_threshold(conf.family, P, thr)[:, 2].sum()) for thr in thresholds]
+    assert 0 < counts[0] < counts[-1]
+
+
+def test_count_pass_settles_values_tied_at_a_boundary(monkeypatch):
+    # 4,096 lines through one point share their value at its column: where
+    # the point is a square center and squares sit exactly t above and below
+    # it, the estimates already hold the prefix ends and the settle, which
+    # steps one value at a time, moves none; where y - t rounds up to the
+    # point, the tied values fail A's test and the settle steps over each
+    moved = []
+    settle = inc._settle_prefixes
+
+    def recording(pos, *args):
+        before = pos.copy()
+        after = settle(pos, *args)
+        moved.append(int(np.abs(after - before).sum()))
+        return after
+
+    monkeypatch.setattr(inc, "_settle_prefixes", recording)
+    k, n = 10, 2 ** 12
+    x0, y0 = dy.centers_of(np.array([511, 600]), k)
+    a = np.arange(-n // 2, n // 2) / n
+    P = dy.SquareFamily(k, np.full(64, 511), np.arange(568, 632))
+    q = y0 - 0.3 * P.delta
+    assert y0 - q < 0.3 * P.delta
+    for point, rows in ((y0, (1.0, 2.0, 32.0)), (q, (0.3,))):
+        fam = fl.TransversalFamily("affine", a, point - a * x0, (0.0, 1.0))
+        assert np.all(fam.evaluate(np.array([[x0]])) == point)
+        assert inc._counts_at_thresholds(fam, P, tuple(r * P.delta for r in rows)) == [
+            inc.incidences_bruteforce(fam, P, r).count for r in rows]
+    assert moved[0] == 0 and moved[1] >= n
