@@ -369,17 +369,14 @@ class MainlemReport:
 MAINLEM_MAX_BYTES = 5 << 29
 
 #: bytes held at once, per unit, rounded up so that tracemalloc peaks from
-#: delta = 2^-5 to 2^-10 at Delta = 2^-4, and from 2^-9 to 2^-12 at
-#: Delta = 2^-8 (where the squares' bytes are 34% to 95% of the estimate),
-#: reach at most 0.9 of the estimate (they reach 0.10 to 0.65 of it, the
-#: most at delta = 2^-10, Delta = 2^-4): a grid square's indices, kept
-#: prefix-count entry, sort keys, difference array and count column; an
-#: int32 n_big level per square; a curve's parameters and cells; a (curve,
-#: column) pair, which can make one run of three int64, held twice (chunks
-#: and their concatenation, or runs and their bincount keys); a
+#: delta = 2^-5 to 2^-12 at Delta = 2^-4, and from 2^-9 to 2^-12 at
+#: Delta = 2^-8, reach at most 0.9 of the estimate (they reach 0.08 to 0.76
+#: of it, the most at delta = 2^-12, Delta = 2^-8, where the squares' bytes
+#: are 96% of it): a grid square's indices, kept search key and count column,
+#: and the fold's and the hypothesis-(i) pass's temporaries; an int32 n_big
+#: level per square; a curve's parameters, cells and cube order; a
 #: hypothesis-(i) table entry; a kernel step's buffers and temporaries
-MAINLEM_BYTES_PER = {"square": 64, "level": 4, "curve": 128, "pair": 48, "entry": 32,
-                     "step": 64 * STEP_BUDGET}
+MAINLEM_BYTES_PER = {"square": 64, "level": 4, "curve": 128, "entry": 32, "step": 64 * STEP_BUDGET}
 
 
 def _default_branching(Delta_exp: int) -> tuple[int, ...]:
@@ -400,9 +397,9 @@ def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int, i
     """(|F|, grid squares, family cubes, estimated peak bytes) of a default
     mainlem run, checked against MAINLEM_MAX_BYTES before anything is allocated.
 
-    The grid and n_big (one level per bit of a cube's curve count) stay; one
-    cube's runs, then those of the hypothesis-(i) pass over 2^Delta_exp
-    columns with its (square, cube) table, come and go in turn.
+    The grid, its kept search keys and n_big (one level per bit of a cube's
+    curve count) stay; one cube's per-square counts, then the hypothesis-(i)
+    pass's (square, cube) table, come and go in turn.
     """
     check_mainlem_scales(delta_exp, Delta_exp)
     n_cubes = math.prod(_default_branching(Delta_exp))
@@ -410,11 +407,8 @@ def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int, i
     n_curves = n_cubes * cube_curves
     n_squares = 1 << 2 * delta_exp
     per = MAINLEM_BYTES_PER
-    stream = (cube_curves << delta_exp) * per["pair"]
-    hypothesis = ((n_curves << Delta_exp) * per["pair"]
-                  + (n_cubes << 2 * Delta_exp) * per["entry"])
     n_bytes = (n_squares * (per["square"] + per["level"] * cube_curves.bit_length())
-               + n_curves * per["curve"] + max(stream, hypothesis) + per["step"])
+               + n_curves * per["curve"] + (n_cubes << 2 * Delta_exp) * per["entry"] + per["step"])
     if n_bytes > MAINLEM_MAX_BYTES:
         raise DomainError(
             f"mainlem at delta=2^-{delta_exp}, Delta=2^-{Delta_exp} needs an estimated "

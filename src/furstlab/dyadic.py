@@ -596,10 +596,10 @@ class SquareFamily:
     """A set of level-k dyadic squares stored as index arrays.
 
     The squares are distinct and sorted by (ix, iy), whatever order and
-    repeats the input has; the incidence kernel's prefix-count lookup relies
-    on it.  The column layout and prefix-count table that the kernel reads
-    are built from ix and iy on first use and kept, so the index arrays are
-    not to be changed in place.
+    repeats the input has; the incidence kernel's column search relies on
+    it.  The column layout and search keys that the kernel reads are built
+    from ix and iy on first use and kept, so the index arrays are not to be
+    changed in place.
     """
 
     def __init__(self, k: int, ix: np.ndarray, iy: np.ndarray):
@@ -634,36 +634,14 @@ class SquareFamily:
         return np.append(np.flatnonzero(np.diff(self.ix, prepend=self.ix[:1] - 1)), len(self))
 
     @cached_property
-    def row_range(self) -> tuple[int, int]:
-        """(iy_min, iy_max), or (0, 0) for no squares."""
-        return (int(self.iy.min()), int(self.iy.max())) if len(self) else (0, 0)
-
-    def prefix_counts(self, c0: int, c1: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The int32 prefix counts over the occupied columns c0 <= c < c1.
-
-        With (iy_min, iy_max) the row range and span = iy_max - iy_min + 1,
-        entry (c - c0) * span + (iy - iy_min) counts those columns' squares
-        that come before (c, iy), wherever a square sits there or not; one
-        entry more closes the last column.  These keys are sorted and
-        distinct, as the squares are, so the entry is also the position,
-        relative to the first square of column c0, of the first square at or
-        after (c, iy).  Written into ``out``, which must hold the
-        (c1 - c0) * span + 1 entries, when it is given.
-        """
-        iy_min, iy_max = self.row_range
-        span = iy_max - iy_min + 1
-        starts = self.column_starts[c0:c1 + 1]
-        keys = np.repeat(np.arange(c1 - c0) * span, np.diff(starts))
-        keys += self.iy[starts[0]:starts[-1]] - iy_min
-        size = (c1 - c0) * span + 1
-        first = np.empty(size, dtype=np.int32) if out is None else out[:size]
-        first[:] = 0
-        first[1:][keys] = 1
-        return np.cumsum(first, dtype=np.int32, out=first)
-
-    @cached_property
-    def prefix_table(self) -> np.ndarray:
-        """``prefix_counts`` over every occupied column, built once and kept;
-        the incidence kernel reads it only where it fits the kernel's table
-        budget, and builds chunks of it into one reused buffer elsewhere."""
-        return self.prefix_counts(0, len(self.column_starts) - 1)
+    def column_y(self) -> np.ndarray:
+        """Each square's search key c + i*y: c the index of its occupied column
+        and y its center's exact ordinate (iy + 1/2) * delta.  numpy orders
+        complex numbers by real, then imaginary part, so the keys are sorted
+        as the squares are, and a search for c + i*y finds the place of y
+        among column c's squares; the imaginary parts are the centers the
+        incidence kernel compares."""
+        keys = np.empty(len(self), dtype=complex)
+        keys.real = np.repeat(np.arange(len(self.column_starts) - 1), np.diff(self.column_starts))
+        keys.imag = centers_of(self.iy, self.k)
+        return keys

@@ -277,14 +277,15 @@ def _fails_at(assertion: str, criterion, *args) -> None:
 
 
 def test_acceptance_01_control_runs_one_square_short(monkeypatch):
-    kernel = inc._runs_at_threshold
+    # every square that a curve hits loses one of its curves
+    kernel = inc._prefix_ends
 
     def short_kernel(*args, **kwargs):
-        runs = kernel(*args, **kwargs)
-        runs[:, 2] -= runs[:, 2] > 0
-        return runs
+        for sq, ends, curves in kernel(*args, **kwargs):
+            ends[1::2] -= ends[1::2] > ends[::2]
+            yield sq, ends, curves
 
-    monkeypatch.setattr(inc, "_runs_at_threshold", short_kernel)
+    monkeypatch.setattr(inc, "_prefix_ends", short_kernel)
     _fails_at("assert fast.count == brute.count", test_acceptance_01_oracle_equivalence)
 
 

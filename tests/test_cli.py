@@ -144,10 +144,11 @@ def test_mainlem_subcommand(tmp_path):
 
 
 #: sha256 prefixes of the CSV rows, without the provenance line, of runs
-#: through the incidence kernel (mainlem folds runs into cube counts, and
-#: highlow counts at both thresholds, on perfbench's highlow-ladder argv, its
-#: line twin and at 2^-11 and 2^-12 too) and of the two runs of perfbench's
-#: fourier-decay workload (the FFT path, and the point mass)
+#: through the incidence kernel (mainlem folds per-square cube counts, at
+#: 2^-8 and on perfbench's mainlem-grid argv; highlow counts at both
+#: thresholds, on perfbench's highlow-ladder argv, its line twin and at 2^-11
+#: and 2^-12 too; incidence writes the pairs) and of the two runs of
+#: perfbench's fourier-decay workload (the FFT path, and the point mass)
 @pytest.mark.parametrize("argv, digest", [
     (["mainlem", "--delta-exp", "8", "--Delta-exp", "3", "--eps", str(1 / 3)], "0229ac0857308597"),
     (["highlow", "--delta-exp", "6,7"], "1e54254dfb9fa7d0"),
@@ -161,6 +162,8 @@ def test_mainlem_subcommand(tmp_path):
       "--c0-margin", "2"], "ac9c5a3b105809f0"),
     (["highlow", "--delta-exp", "11,12", "--kind", "parabola", "--s", "0.5", "--t", "1.0",
       "--c0-margin", "2"], "088f561236d43312"),
+    (["incidence", "--delta-exp", "9", "--T", "3"], "f49d1341e30d63fb"),
+    (["mainlem", "--delta-exp", "9", "--Delta-exp", "4", "--eps", "0.25"], "6267c3233a72d826"),
 ])
 def test_kernel_runs_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
@@ -446,26 +449,25 @@ class NoPermute:
         raise AssertionError("a tree level was permuted")
 
 
-@pytest.mark.parametrize("argv", [
-    # 4,096 squares over 1.97e7 rows: a prefix-count table of 8.1e10 entries
-    ["incidence", "--delta-exp", "24", "--T", "12", "--s", "0.25", "--t", "0.25"],
-    # 4,096 column trees at 2^-48: 9.8e9 child offsets permuted
-    ["furstenberg", "--delta-exp", "48", "--T", "12", "--s", "0.25", "--t", "0.25"],
-])
-def test_oversized_work_is_refused_before_it_starts(tmp_path, monkeypatch, capsys, argv):
-    # where a limit is missing, the guarded step fails the run at once
-    def must_not_build(*args, **kwargs):
-        raise AssertionError("the prefix-count table was built")
-
-    monkeypatch.setattr(dyadic.SquareFamily, "prefix_counts", must_not_build)
-    if argv[0] == "furstenberg":  # only its column trees would permute
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoPermute(default_rng(seed)))
+def test_oversized_work_is_refused_before_it_starts(tmp_path, monkeypatch, capsys):
+    # 4,096 column trees at 2^-48: 9.8e9 child offsets permuted; where the
+    # limit is missing, the first permutation fails the run at once
+    argv = ["furstenberg", "--delta-exp", "48", "--T", "12", "--s", "0.25", "--t", "0.25"]
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoPermute(default_rng(seed)))
     assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("furst-lab: ") and "over the limit" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_sparse_squares_over_many_rows_are_counted(tmp_path, capsys):
+    # 4,096 squares over 1.97e7 rows at 2^-24: the kernel's work is its 64
+    # curves' values at the 4,096 columns, whatever rows the squares span
+    argv = ["incidence", "--delta-exp", "24", "--T", "12", "--s", "0.25", "--t", "0.25"]
+    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+    assert "equal=True" in capsys.readouterr().out
 
 
 def test_identical_curves_in_a_run_exit_one_with_one_line(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -83,7 +82,9 @@ def test_nan_threshold_raises_at_once():
     with pytest.raises(DomainError):
         inc._counts_at_thresholds(fam, P, (math.nan,))
     with pytest.raises(DomainError):
-        inc._runs_at_threshold(fam, P, math.nan)
+        inc.incidences(fam, P, math.nan)
+    with pytest.raises(DomainError, match="nan"):
+        inc.cube_incidence_counts(fam, P, 2, math.nan)
     for lam in (math.nan, -1.0, 16.0):  # 16 * 2^-4 = 1 > 1/2
         with pytest.raises(DomainError):
             cf.MainlemEvaluator(fam, 4, 2, 0.5, lam)
@@ -314,22 +315,18 @@ def test_kernel_matches_oracle_at_any_threshold(kind, k, data):
     _assert_kernel_matches_oracle(fam, P, rows)
 
 
-def _assert_runs_match_oracle(fam, P, rows):
-    """At the threshold of ``rows`` rows, the run pass's runs equal the
-    oracle's pairs; returns the count."""
-    brute = inc.incidences_bruteforce(fam, P, rows)
-    pairs = inc._expand_runs(inc._runs_at_threshold(fam, P, rows * P.delta))
-    assert brute.count == len(pairs)
-    assert np.array_equal(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], brute.pairs)
-    return brute.count
-
-
 def _assert_kernel_matches_oracle(fam, P, rows):
-    """At the threshold of ``rows`` rows, the run pass's runs equal the
-    oracle's pairs, and the count pass counts them; returns the count."""
-    count = _assert_runs_match_oracle(fam, P, rows)
-    assert inc._counts_at_thresholds(fam, P, (rows * P.delta,)) == [count]
-    return count
+    """At the threshold of ``rows`` rows, the kernel's three readings equal
+    the oracle's: its pairs, its per-square counts and its count; returns the
+    count.  (``_pairs`` is what ``incidences`` returns, without its lambda
+    rule, which refuses thresholds above half the box.)"""
+    brute = inc.incidences_bruteforce(fam, P, rows)
+    thr = rows * P.delta
+    assert np.array_equal(inc._pairs(fam, P, thr), brute.pairs)
+    np.testing.assert_array_equal(inc._square_counts(fam, P, thr),
+                                  np.bincount(brute.pairs[:, 1], minlength=len(P)))
+    assert inc._counts_at_thresholds(fam, P, (thr,)) == [brute.count]
+    return brute.count
 
 
 def _rows_with_zero_and_negative(k):
@@ -425,26 +422,25 @@ def test_kernel_matches_oracle_on_sparse_rows_with_gaps():
 
 
 def test_kernel_matches_oracle_with_one_square_set_reused(monkeypatch):
-    # the layout and table kept on P serve every family and threshold, and a
-    # budget that splits P into chunks after its table was kept reads chunks
+    # the layout and search keys kept on P serve every family and threshold,
+    # and chunks of 5 or 1 columns after they were kept
     fam_p, P = _spread_squares_and_lines(3)
     fams = [fam_p, random_line_family(5, 12, interval=(-1.0, 1.0)),
             fl.TransversalFamily("parabola", [0.2, -0.4], [-0.5, 0.1], (-1.0, 1.0), lead=0.5)]
-    span = int(P.iy.max() - P.iy.min()) + 1
     want = {}
-    for cols_per_table in (None, 5, 1):
-        if cols_per_table is not None:
-            monkeypatch.setattr(inc, "TABLE_BUDGET", cols_per_table * (span + 1))
+    for cols_per_chunk in (None, 5, 1):
         for i, fam in enumerate(fams):
+            if cols_per_chunk is not None:
+                monkeypatch.setattr(inc, "STEP_BUDGET", cols_per_chunk * len(fam))
             for rows in (0.3, 2.0, 16.0):
                 count = _assert_kernel_matches_oracle(fam, P, rows)
                 assert want.setdefault((i, rows), count) == count
-    assert "prefix_table" in vars(P)  # kept from the first, unsplit pass
+    assert "column_y" in vars(P)  # kept from the first pass
     fresh = dy.SquareFamily(P.k, P.ix, P.iy)
-    assert np.array_equal(fresh.prefix_table, P.prefix_table)
+    assert np.array_equal(fresh.column_y, P.column_y)
 
 
-# -- the prefix-count lookup at its edges ---------------------------------------------
+# -- the prefix ends at the edges of the squares ---------------------------------------
 
 def _spread_squares_and_lines(seed, k=6):
     """Sparse squares over [-1, 1]^2 with empty columns between occupied ones,
@@ -464,16 +460,17 @@ def _spread_squares_and_lines(seed, k=6):
     return fam, P
 
 
-@pytest.mark.parametrize("cols_per_table", [None, 7, 1])
+@pytest.mark.parametrize("cols_per_chunk", [None, 7, 1])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_prefix_count_lookup_matches_oracle_at_the_edges(monkeypatch, seed, cols_per_table):
+def test_prefix_count_lookup_matches_oracle_at_the_edges(monkeypatch, seed, cols_per_chunk):
+    # every column in one chunk, or chunks of 7 or 1 columns
     fam, P = _spread_squares_and_lines(seed)
-    n_cols, span = len(np.unique(P.ix)), int(P.iy.max() - P.iy.min()) + 1
-    if cols_per_table is None:
-        assert n_cols * (span + 1) <= inc.TABLE_BUDGET  # one table, as built
+    n_cols = len(np.unique(P.ix))
+    if cols_per_chunk is None:
+        assert n_cols * len(fam) <= inc.STEP_BUDGET
     else:
-        monkeypatch.setattr(inc, "TABLE_BUDGET", cols_per_table * (span + 1))
-        assert -(-n_cols // cols_per_table) >= 3
+        monkeypatch.setattr(inc, "STEP_BUDGET", cols_per_chunk * len(fam))
+        assert -(-n_cols // cols_per_chunk) >= 3
     for lam in (2.0, 16.0):
         brute = inc.incidences_bruteforce(fam, P, lam)
         fast = inc.incidences(fam, P, lam)
@@ -484,87 +481,19 @@ def test_prefix_count_lookup_matches_oracle_at_the_edges(monkeypatch, seed, cols
         want = np.zeros((len(P), len(cube_ids)), dtype=np.int64)
         np.add.at(want, (brute.pairs[:, 1], cube_of[brute.pairs[:, 0]]), 1)
         assert np.array_equal(counts, want)
-    # past half the box, every run is clipped at both the bottom and the top row
+    # up to past half the box, where every window reaches the bottom and top rows
     for rows in (0.25, 2.0, 3.5, 2.0 ** 7):
-        thr = rows * P.delta
-        brute = inc.incidences_bruteforce(fam, P, rows)
-        runs = inc._runs_at_threshold(fam, P, thr)
-        pairs = inc._expand_runs(runs)
-        assert brute.count == len(pairs)
-        assert np.array_equal(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], brute.pairs)
-        assert (runs[:, 1] + runs[:, 2]).max() <= len(P)
-    assert (runs[:, 1] + runs[:, 2]).max() == len(P)  # a run ends at the last square
+        assert _assert_kernel_matches_oracle(fam, P, rows) > 0
+    assert inc._square_counts(fam, P, 2.0 ** 7 * P.delta)[-1] > 0  # the last square counts
 
 
-def test_prefix_count_table_stays_within_its_budget():
-    # 2^12 columns by 2^13 rows of [-1, 1]^2 would need a 128 MB table at
-    # once; the kernel builds at most TABLE_BUDGET entries at a time
-    rng = np.random.default_rng(5)
-    k, n_sq = 12, 20000
-    P = dy.SquareFamily(k, rng.integers(-(2 ** k), 2 ** k, n_sq) // 2 * 2,
-                        rng.integers(-(2 ** k), 2 ** k, n_sq))
-    fam = fl.TransversalFamily(
-        "affine", rng.uniform(-1.0, 1.0, 16), rng.uniform(-1.0, 1.0, 16), (-1.0, 1.0)
-    )
-    cells = len(np.unique(P.ix)) * (int(P.iy.max() - P.iy.min()) + 2)
-    assert cells > 6 * inc.TABLE_BUDGET and cells > 1000 * len(P)
-    thr = 8 * P.delta
-    tracemalloc.start()
-    try:
-        count = int(inc._runs_at_threshold(fam, P, thr)[:, 2].sum())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == inc.incidences_bruteforce(fam, P, 8).count > 0
-    assert peak <= 4 * inc.TABLE_BUDGET + 64 * len(P) + 64 * inc.STEP_BUDGET
-
-
-@pytest.mark.parametrize("rows, accepted", [(2 ** 20 - 1, True), (2 ** 20, False)])
-def test_kernel_refuses_an_oversized_table_before_building_it(monkeypatch, rows, accepted):
-    # two squares per column, in 2^10 columns, span 2^20 or 2^20 + 1 rows:
-    # a table of 2^30 entries is the limit
-    def must_not_build(*args, **kwargs):
-        raise AssertionError("the prefix-count table was built")
-
-    monkeypatch.setattr(dy.SquareFamily, "prefix_counts", must_not_build)
-    cols = np.arange(2 ** 10)
-    P = dy.SquareFamily(24, np.r_[cols, cols], np.r_[0 * cols, 0 * cols + rows])
-    fam = fl.TransversalFamily("affine", [0.0], [0.5], (0.0, 1.0))
-    if accepted:
-        with pytest.raises(AssertionError, match="table was built"):
-            inc.incidences(fam, P, 2.0)
-    else:
-        with pytest.raises(DomainError, match="has 1073742848 entries"):
-            inc.incidences(fam, P, 2.0)
-
-
-def test_run_end_trimming_walks_any_distance():
-    # end estimates 20 rows outside the run still settle on its exact ends
-    k = 6
-    dl = 2.0 ** -k
-    fx = np.array([[0.3, 0.3001, -0.7, 5.0]])
-    thr = 3.25 * dl
-    rows = np.arange(-2 ** (k + 4), 2 ** (k + 4))
-    hit = [rows[np.abs(dy.centers_of(rows, k) - f) < thr] for f in fx[0]]
-    nearest = np.floor(fx * 2 ** k)
-    lo, hi, scratch = nearest - 20, nearest + 20, np.empty_like(fx)
-    inc._settle(lo, hi, fx, dl, thr, 1, scratch)
-    inc._settle(hi, lo, fx, dl, thr, -1, scratch)
-    assert lo[0].tolist() == [r.min() for r in hit]
-    assert hi[0].tolist() == [r.max() for r in hit]
-    # with no row in reach the run settles empty: its lower end one above its upper
-    lo, hi = nearest - 5, nearest + 5
-    inc._settle(lo, hi, fx, dl, 0.0, 1, scratch)
-    inc._settle(hi, lo, fx, dl, 0.0, -1, scratch)
-    assert (lo == hi + 1).all() and (hi == nearest + 5).all()
-
-
-# -- the kernel's filter on the values a row can hit -------------------------------
+# -- curve values far off the rows -------------------------------------------------
 
 def _kept_share(fam, P, rows, curves_per_step):
-    """Per kernel step of ``curves_per_step`` curves, the share of its (curve,
-    column) values inside the filter interval at the threshold of ``rows`` rows."""
-    iy_min, iy_max = P.row_range
+    """Per block of ``curves_per_step`` curves, the share of its (curve,
+    column) values from which a row of P lies within the threshold of ``rows``
+    rows, give or take half a row."""
+    iy_min, iy_max = int(P.iy.min()), int(P.iy.max())
     thr = rows * P.delta
     fx = fam.evaluate(dy.centers_of(np.unique(P.ix), P.k)[None])
     kept = (fx > iy_min * P.delta - thr) & (fx < (iy_max + 1) * P.delta + thr)
@@ -573,8 +502,9 @@ def _kept_share(fam, P, rows, curves_per_step):
 
 def test_kernel_matches_oracle_where_most_values_miss_the_rows(monkeypatch):
     # shallow lines inside the grid, steep lines that cross it in a few
-    # columns, and lines above and below it, four curves per step: steps with
-    # every value kept, with a few kept and with none
+    # columns, and lines above and below it, in blocks of four: values that
+    # mostly reach the rows, that reach them in a few columns and that reach
+    # none; in chunks of 10 columns, then in one chunk
     k = 6
     P = dy.SquareFamily.grid(k)
     rng = np.random.default_rng(8)
@@ -586,7 +516,7 @@ def test_kernel_matches_oracle_where_most_values_miss_the_rows(monkeypatch):
         share = _kept_share(fam, P, rows, 4)
         assert min(share[:2]) >= 0.5 and all(0 < s < 0.5 for s in share[2:4]) and max(share[4:]) == 0
         assert _assert_kernel_matches_oracle(fam, P, rows) > 0
-    # in one step the few kept values of all 24 curves run with the rest
+    # over all 24 curves, most values reach no row
     monkeypatch.undo()
     for rows in (0.3, 2.0, 16.0):
         assert _kept_share(fam, P, rows, len(fam))[0] < 0.5
@@ -595,13 +525,14 @@ def test_kernel_matches_oracle_where_most_values_miss_the_rows(monkeypatch):
 
 @pytest.mark.parametrize("rows", [0.25, 1 / 3, 2.0, 3.5])
 def test_kernel_matches_oracle_at_the_filter_edges(rows):
-    # horizontal lines at each filter edge, at the value where the nearest
-    # row starts to hit, and one float to either side of both; alone (every
-    # value kept) and among lines far off the rows (few kept)
+    # horizontal lines where the bottom or the top row starts to hit, so that
+    # a window bound fl(v -+ t) falls on its center, and half a row further
+    # out, and one float to either side of each; alone and among lines far
+    # off the rows
     k = 6
     rng = np.random.default_rng(2)
     P = dy.SquareFamily(k, rng.integers(0, 2 ** k, 200), rng.choice([-5, 0, 3, 20], 200))
-    iy_min, iy_max = P.row_range
+    iy_min, iy_max = int(P.iy.min()), int(P.iy.max())
     thr = rows * P.delta
     edges = [iy_min * P.delta - thr, (iy_max + 1) * P.delta + thr,
              (iy_min + 0.5) * P.delta - thr, (iy_max + 0.5) * P.delta + thr]
@@ -611,12 +542,16 @@ def test_kernel_matches_oracle_at_the_filter_edges(rows):
         fam = fl.TransversalFamily("affine", np.zeros(len(b)), b, (0.0, 1.0))
         assert (_kept_share(fam, P, rows, len(fam))[0] >= 0.5) == (far == 0)
         assert _assert_kernel_matches_oracle(fam, P, rows) > 0
+    # each line alone, whose own value bounds every column's window: at a
+    # third of a row, fl(v - t) rounds up onto the top row's center, which hits
+    for level in levels:
+        _assert_kernel_matches_oracle(fl.TransversalFamily("affine", [0.0], [level], (0.0, 1.0)), P, rows)
 
 
 @pytest.mark.parametrize("rows", [0.0, -0.5, -3.0, -math.inf, 2.0 ** 51, math.inf])
 def test_kernel_matches_oracle_at_thresholds_beyond_the_filter(rows):
-    # at or below 0 no row hits, and no value is kept; from 2^51 rows on every
-    # value is kept, and every pair hits
+    # at or below 0 no pair hits; at 2^51 rows, and at an infinite threshold,
+    # whose windows are whole columns, every pair hits
     fam, P = _spread_squares_and_lines(4)
     count = _assert_kernel_matches_oracle(fam, P, rows)
     assert count == (0 if rows <= 0 else len(fam) * len(P))
@@ -628,114 +563,6 @@ def test_cube_counts_of_a_family_with_no_run_are_the_zero_table():
     counts, cube_ids = inc.cube_incidence_counts(fam, P, 2)
     assert counts.shape == (len(P), len(cube_ids)) == (len(P), 3)
     assert counts.dtype == np.int64 and not counts.any()
-
-
-# -- candidate column ranges ---------------------------------------------------------
-
-#: curve parameters: moderate ones, subnormal and tiny ones, and any finite float
-_PARAMS = st.one_of(
-    st.floats(-4.0, 4.0),
-    st.floats(-1e-300, 1e-300),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(k=st.integers(1, dy.MAX_DELTA_EXP), data=st.data())
-def test_candidate_columns_hold_every_kept_column(k, data):
-    # columns anywhere, or a run of neighbours; rows, and a threshold in rows
-    lim = 2 ** (k + 1)
-    ix = np.unique(data.draw(st.one_of(
-        st.lists(st.integers(-lim, lim - 1), min_size=1, max_size=60),
-        st.tuples(st.integers(-lim, lim - 1), st.integers(1, 60)).map(
-            lambda c: list(range(c[0], min(c[0] + c[1], lim)))),
-    )))
-    iy = sorted(data.draw(st.lists(st.integers(-lim, lim), min_size=2, max_size=2)))
-    P = dy.SquareFamily(k, np.r_[ix, ix[0]], np.r_[np.full(len(ix), iy[0]), iy[1]])
-    rows = data.draw(st.one_of(
-        st.floats(0.0, 4.0), st.floats(0.0, 2.0 ** 60),
-        st.sampled_from([2.0 ** 51 - 1, 2.0 ** 51, 2.0 ** 53]),
-    ))
-    lo_edge, hi_edge = inc._filter_edges(P, rows * P.delta)
-    xs = dy.centers_of(ix, k)
-    n = data.draw(st.integers(1, 8))
-    a = np.array(data.draw(st.lists(_PARAMS, min_size=n, max_size=n)))
-    b = np.array(data.draw(st.lists(_PARAMS, min_size=n, max_size=n)))
-    # some lines cross an edge at a column, where rounding decides
-    on_edge = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    at = xs[np.array(data.draw(st.lists(st.integers(0, len(xs) - 1), min_size=n, max_size=n)))]
-    edge = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))), lo_edge, hi_edge)
-    with np.errstate(all="ignore"):
-        crossing = edge - a * at
-    b = np.where(on_edge & np.isfinite(crossing), crossing, b)
-    fam = fl.TransversalFamily("affine", a, b, (-2.0, 2.0))
-    # translates of every other kind keep every column
-    for other in (fl.TransversalFamily("parabola", a, b, (-2.0, 2.0), lead=0.5),
-                  fl.TransversalFamily("convex", a, b, (-2.0, 2.0), seed=fl.quadratic_seed(0.5))):
-        assert inc._candidate_columns(other, xs, lo_edge, hi_edge) is None
-    ranges = inc._candidate_columns(fam, xs, lo_edge, hi_edge)
-    if ranges is None:  # every column is a candidate
-        assert rows >= 2.0 ** 51
-        return
-    start, stop = ranges
-    with np.errstate(all="ignore"):  # huge parameters overflow
-        fx = a[:, None] * xs[None] + b[:, None]
-    kept = (fx > lo_edge) & (fx < hi_edge)
-    cols = np.arange(len(xs))
-    assert not np.any(kept & ((cols < start[:, None]) | (cols >= stop[:, None])))
-    # a line with a non-finite value keeps every column, so evaluate still refuses it
-    bad = ~np.isfinite(fx).all(axis=1)
-    assert np.all(start[bad] == 0) and np.all(stop[bad] == len(xs))
-
-
-def _counting_evaluate(monkeypatch):
-    """Patch ``TransversalFamily.evaluate`` to log each call's value count."""
-    calls = []
-    real = fl.TransversalFamily.evaluate
-
-    def evaluate(self, x, order=0):
-        out = real(self, x, order)
-        calls.append(out.size)
-        return out
-
-    monkeypatch.setattr(fl.TransversalFamily, "evaluate", evaluate)
-    return calls
-
-
-def test_a_block_whose_ranges_are_empty_makes_no_evaluate_call(monkeypatch):
-    # four curves per block: lines through the grid, lines above it and
-    # lines below it; parabola translates far off it keep every column, so
-    # they are evaluated, and still match the oracle
-    k = 5
-    P = dy.SquareFamily.grid(k)
-    through = fl.TransversalFamily("affine", [0.0, 0.5, -0.5, 2.0], [0.5, 0.2, 0.9, -0.5], (0.0, 1.0))
-    off = [fl.TransversalFamily("affine", [0.0, 0.5, -0.5, 1.0], [3.0, 2.0, 4.0, 1.5], (0.0, 1.0)),
-           fl.TransversalFamily("affine", [0.0, 0.5, -0.5, 1.0], [-3.0, -2.0, -0.6, -2.5], (0.0, 1.0))]
-    far = fl.TransversalFamily("parabola", [0.5, 0.2, 0.9, 0.0], [1.5, 2.0, -9.0, -3.0], (0.0, 1.0), lead=0.5)
-    monkeypatch.setattr(inc, "STEP_BUDGET", 4 * 2 ** k)
-    calls = _counting_evaluate(monkeypatch)
-    for rows in (0.3, 2.0, 16.0):
-        for fam in off:
-            assert _assert_runs_match_oracle(fam, P, rows) == 0
-        assert calls == []
-        both = fl.TransversalFamily("affine", np.r_[off[0].a, through.a], np.r_[off[0].b, through.b], (0.0, 1.0))
-        assert _assert_runs_match_oracle(both, P, rows) > 0
-        assert len(calls) == 1 and max(calls) <= 4 * 2 ** k  # the second block
-        assert _assert_runs_match_oracle(far, P, rows) == 0
-        calls.clear()
-
-
-def test_blocks_evaluate_only_the_columns_their_curves_can_reach(monkeypatch):
-    # the uniform line family's lines leave the 2^-7 grid through its top or
-    # enter it late, so its blocks of 512 curves evaluate 54% of its
-    # (curve, column) values, where every value would be evaluated unranged
-    k = 7
-    fam = cf.build_uniform_line_family(k, 4, 0)
-    P = dy.SquareFamily.grid(k)
-    calls = _counting_evaluate(monkeypatch)
-    count = _assert_runs_match_oracle(fam, P, 2.0)
-    assert count > 0
-    assert sum(calls) <= 0.6 * len(fam) * 2 ** k
 
 
 # -- the count pass -------------------------------------------------------------------
@@ -750,24 +577,31 @@ def test_count_pass_refuses_too_many_values_before_evaluating(monkeypatch, extra
                         mock.Mock(side_effect=AssertionError("a curve was evaluated")))
     fam = fl.TransversalFamily("affine", np.zeros(n), np.arange(n) / n, (0.0, 1.0))
     P = dy.SquareFamily(dy.MAX_DELTA_EXP, np.arange(cols), np.zeros(cols, dtype=int))
-    if accepted:
-        with pytest.raises(AssertionError, match="evaluated"):
-            inc.incidences(fam, P, 2.0, collect=False)
-    else:
-        with pytest.raises(DomainError, match="over the limit"):
-            inc.incidences(fam, P, 2.0, collect=False)
+    for collect in (False, True):
+        if accepted:
+            with pytest.raises(AssertionError, match="evaluated"):
+                inc.incidences(fam, P, 2.0, collect)
+        else:
+            with pytest.raises(DomainError, match="over the limit"):
+                inc.incidences(fam, P, 2.0, collect)
 
 
 @pytest.mark.parametrize("kind", ["parabola", "affine"])
-def test_count_pass_equals_the_run_pass_at_the_useful_regime(kind):
-    # brute force is too slow at 2^-12: the run pass is the second oracle,
-    # at lambda*delta and at each coarse 2S*delta of the high-low split
+def test_square_counts_equal_the_oracle_on_a_sample_at_the_useful_regime(kind):
+    # brute force over every square is too slow at 2^-12: the per-square
+    # counts at lambda*delta and at each coarse 2S*delta of the high-low
+    # split are recounted by the oracle on a seeded sample of 4,096 squares
     conf = cf.build_nice_configuration(kind, 12, 0.5, 1.0, 12, 0)
     P = conf.union_squares()
-    thresholds = tuple(r * P.delta for r in (2.0, 8.0, 16.0, 32.0))
-    counts = inc._counts_at_thresholds(conf.family, P, thresholds)
-    assert counts == [int(inc._runs_at_threshold(conf.family, P, thr)[:, 2].sum()) for thr in thresholds]
-    assert 0 < counts[0] < counts[-1]
+    sample = np.sort(np.random.default_rng(0).choice(len(P), 4096, replace=False))
+    Q = dy.SquareFamily(P.k, P.ix[sample], P.iy[sample])
+    hits = []
+    for rows in (2.0, 8.0, 16.0, 32.0):
+        counts = inc._square_counts(conf.family, P, rows * P.delta)
+        pairs = inc.incidences_bruteforce(conf.family, Q, rows).pairs
+        np.testing.assert_array_equal(counts[sample], np.bincount(pairs[:, 1], minlength=len(Q)))
+        hits.append(len(pairs))
+    assert 0 < hits[0] < hits[-1]
 
 
 def test_count_pass_settles_values_tied_at_a_boundary(monkeypatch):
