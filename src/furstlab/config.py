@@ -32,10 +32,9 @@ from .dyadic import (
     generate_delta_set_indices,
     katz_tao_constant,
     side_of,
-    unique_cells,
 )
 from .family import DEFAULT_GRID_N, DomainError, TransversalFamily
-from .famspace import family_cell_indices
+from .famspace import family_cubes
 from .incidence import STEP_BUDGET, check_lambda_delta, cube_incidence_counts
 
 WORK_INTERVAL = (-2.0, 2.0)
@@ -370,13 +369,13 @@ MAINLEM_MAX_BYTES = 5 << 29
 
 #: bytes held at once, per unit, rounded up so that tracemalloc peaks from
 #: delta = 2^-5 to 2^-12 at Delta = 2^-4, and from 2^-9 to 2^-12 at
-#: Delta = 2^-8, reach at most 0.9 of the estimate (they reach 0.08 to 0.76
-#: of it, the most at delta = 2^-12, Delta = 2^-8, where the squares' bytes
-#: are 96% of it): a grid square's indices, kept search key and count column,
-#: and the fold's and the hypothesis-(i) pass's temporaries; an int32 n_big
-#: level per square; a curve's parameters, cells and cube order; a
-#: hypothesis-(i) table entry; a kernel step's buffers and temporaries
-MAINLEM_BYTES_PER = {"square": 64, "level": 4, "curve": 128, "entry": 32, "step": 64 * STEP_BUDGET}
+#: Delta = 2^-8, reach at most 0.9 of the estimate (they reach 0.07 to 0.82
+#: of it, the most at delta = 2^-10, Delta = 2^-8, where the squares' bytes
+#: are 95% of it): a grid square's indices, kept search key and count column,
+#: and the fold's and the hypothesis-(i) mask's temporaries; an int32 n_big
+#: level per square; a curve's parameters, cells and cube order; a kernel
+#: step's buffers and temporaries
+MAINLEM_BYTES_PER = {"square": 64, "level": 4, "curve": 128, "step": 64 * STEP_BUDGET}
 
 
 def _default_branching(Delta_exp: int) -> tuple[int, ...]:
@@ -398,8 +397,8 @@ def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int, i
     mainlem run, checked against MAINLEM_MAX_BYTES before anything is allocated.
 
     The grid, its kept search keys and n_big (one level per bit of a cube's
-    curve count) stay; one cube's per-square counts, then the hypothesis-(i)
-    pass's (square, cube) table, come and go in turn.
+    curve count) stay; one cube's per-square counts come and go in turn, in
+    both passes, and the hypothesis-(i) pass's coarse grids are smaller.
     """
     check_mainlem_scales(delta_exp, Delta_exp)
     n_cubes = math.prod(_default_branching(Delta_exp))
@@ -408,7 +407,7 @@ def check_mainlem_size(delta_exp: int, Delta_exp: int) -> tuple[int, int, int, i
     n_squares = 1 << 2 * delta_exp
     per = MAINLEM_BYTES_PER
     n_bytes = (n_squares * (per["square"] + per["level"] * cube_curves.bit_length())
-               + n_curves * per["curve"] + (n_cubes << 2 * Delta_exp) * per["entry"] + per["step"])
+               + n_curves * per["curve"] + per["step"])
     if n_bytes > MAINLEM_MAX_BYTES:
         raise DomainError(
             f"mainlem at delta=2^-{delta_exp}, Delta=2^-{Delta_exp} needs an estimated "
@@ -479,13 +478,35 @@ def check_mainlem_eps(Delta_exp: int, eps: float) -> tuple[int, int]:
     return int(round(inv)), int(round(step))
 
 
+def _cube_levels(family: TransversalFamily, squares: SquareFamily, level: int,
+                 lam: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(cube_ids, n_big): the family's level cubes, and the int32 counts
+    n_big[j][p] = #cubes with at least 2^j curves incident to square p, one
+    level per bit of the largest.  Each cube's column of
+    ``cube_incidence_counts``, run on its curves alone, is folded in and
+    dropped in turn, so no squares x cubes table is made."""
+    cube_ids, members = family_cubes(family, level)
+    n_big: list[np.ndarray] = []
+    for curves in members:
+        counts, _ = cube_incidence_counts(family.subfamily(curves), squares, level, lam)
+        # only the squares the cube's curves touched change a level
+        hit = np.flatnonzero(counts[:, 0])
+        c = counts[hit, 0]
+        del counts  # not held through the next cube's kernel call
+        top = int(c.max()) if len(c) else 0
+        for j in range(top.bit_length()):
+            if j == len(n_big):
+                n_big.append(np.zeros(len(squares), dtype=np.int32))
+            n_big[j][hit] += c >= 1 << j
+    return cube_ids, n_big
+
+
 class MainlemEvaluator:
     """Shared counting state for a full (a, b) sweep at fixed scales.
 
-    The N_{Delta,b} counts are streamed one family Delta-cube at a time:
-    each cube's column of ``cube_incidence_counts`` (run on that cube's
-    curves alone) is folded into n_big[j][p] = #cubes meeting square p in
-    at least 2^j curves, then dropped, so no |P| x cubes table is kept.
+    The N_{Delta,b} counts are n_big[j][p] = #Delta-cubes meeting square p in
+    at least 2^j curves, and hypothesis (i) reads the cubes meeting each
+    coarse rho-square: both come from ``_cube_levels``' streamed fold.
     """
 
     def __init__(
@@ -505,24 +526,8 @@ class MainlemEvaluator:
         self.eps = eps
         self.lam = lam
         self.squares = SquareFamily.grid(delta_exp)
-        self.cube_ids, cube_of = unique_cells(family_cell_indices(family, Delta_exp))
         #: n_big[j]: per square, the int32 count of cubes with >= 2^j incident curves
-        self.n_big: list[np.ndarray] = []
-        self.max_b = 0  # the largest count of one cube's curves at one square
-        order = np.argsort(cube_of, kind="stable")
-        ends = np.cumsum(np.bincount(cube_of, minlength=len(self.cube_ids)))
-        for members in np.split(order, ends[:-1]):
-            counts, _ = cube_incidence_counts(family.subfamily(members), self.squares, Delta_exp, lam)
-            # only the squares the cube's curves touched change a level
-            hit = np.flatnonzero(counts[:, 0])
-            c = counts[hit, 0]
-            del counts  # not held through the next cube's kernel call
-            top = int(c.max()) if len(c) else 0
-            for j in range(top.bit_length()):
-                if j == len(self.n_big):
-                    self.n_big.append(np.zeros(len(self.squares), dtype=np.int32))
-                self.n_big[j][hit] += c >= 1 << j
-            self.max_b = max(self.max_b, top)
+        self.cube_ids, self.n_big = _cube_levels(family, self.squares, Delta_exp, lam)
         self.hyp_i_mask = self._hypothesis_i_mask()
         self.cube_separated = self._cube_separation()
 
@@ -543,10 +548,9 @@ class MainlemEvaluator:
             level = k_lvl * self.level_step
             rho = side_of(level)
             coarse = SquareFamily.grid(level)
-            counts_r, _ = cube_incidence_counts(self.family, coarse, level, 6.0)
-            n_cubes_r = counts_r.shape[1]
-            touched = np.sum(counts_r >= 1, axis=1)
-            budget = 2.0 ** (self.eps * self.Delta_exp) * rho * n_cubes_r
+            cube_ids, n_big = _cube_levels(self.family, coarse, level, 6.0)
+            touched = n_big[0] if n_big else np.zeros(len(coarse), dtype=np.int32)
+            budget = 2.0 ** (self.eps * self.Delta_exp) * rho * len(cube_ids)
             ok_coarse = touched <= budget
             # each delta-square's level-rho ancestor, at its place in the
             # ix-major grid over [0, 2^level)^2
@@ -583,9 +587,7 @@ class MainlemEvaluator:
         reports = []
         a = 2
         while a <= max(2, max_nb):
-            b = 1
-            while b <= max(1, self.max_b):
-                reports.append(self.report(a, b))
-                b *= 2
+            for j in range(max(1, len(self.n_big))):
+                reports.append(self.report(a, 1 << j))
             a *= 2
         return reports

@@ -13,9 +13,9 @@ grid maxima under-estimate true suprema, which makes the estimated T a
 
 A family stores the members of one kind (lines, translates of a parabola,
 translates of a convex seed) as two parameter arrays, which ``_kind_values``
-evaluates (the incidence kernel's column ranges repeat its a*x + b).  A
-member is a CurveFunction only where a single curve is needed: the per-pair
-oracles (``c2_dist``, ``intersection_components``) take those.
+evaluates.  A member is a CurveFunction only where a single curve is
+needed: the per-pair oracles (``c2_dist``, ``intersection_components``)
+take those.
 Lines and parabola translates get a fast pairwise path: the difference of
 any two members is an affine function of x, so pairwise grid quantities
 reduce to a handful of candidate grid points per pair, and the closest pair

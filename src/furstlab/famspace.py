@@ -3,9 +3,9 @@
 A transversal family embeds into the plane by A(f) = (f(x0), f'(x0)) with
 x0 the interval midpoint; the embedding is sqrt(2)*T bi-Lipschitz, so
 dyadic squares in the plane pull back to "dyadic cubes" in the family.
-This module groups the curves' cell indices into those cubes and into
-exactly-uniform subsets (level-wise pigeonholing, grouping cells with
-``dyadic.unique_cells``), with ``audit_uniformity`` as the independent
+This module groups the curves' cell indices, with ``dyadic.unique_cells``,
+into those cubes (``family_cubes``) and into exactly-uniform subsets
+(level-wise pigeonholing), with ``audit_uniformity`` as the independent
 recount.
 """
 
@@ -27,6 +27,15 @@ from .family import DomainError, TransversalFamily
 def family_cell_indices(family: TransversalFamily, level: int) -> np.ndarray:
     """Planar cell indices of A(F) at the given level (may be negative)."""
     return cell_indices(family.embedding_images(), level)
+
+
+def family_cubes(family: TransversalFamily, level: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(cube_ids, members): the sorted distinct level cells of A(F), and
+    each one's curve indices, ascending."""
+    cube_ids, cube_of = unique_cells(family_cell_indices(family, level))
+    order = np.argsort(cube_of, kind="stable")
+    ends = np.cumsum(np.bincount(cube_of, minlength=len(cube_ids)))
+    return cube_ids, np.split(order, ends[:-1])
 
 
 def family_cube_count(family: TransversalFamily, level: int) -> int:

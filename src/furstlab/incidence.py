@@ -68,9 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import SquareFamily, centers_of, side_of, unique_cells
+from .dyadic import SquareFamily, centers_of, side_of
 from .family import DomainError, TransversalFamily, _eval_checked
-from .famspace import family_cell_indices
+from .famspace import family_cubes
 
 
 # --------------------------------------------------------------------------
@@ -392,13 +392,11 @@ def cube_incidence_counts(
     cube's column is the kernel's per-square counts of that cube's curves
     alone; a family of one cube gets that column as a (|P|, 1) view.
     """
-    cube_ids, inverse = unique_cells(family_cell_indices(family, Delta_exp))
+    cube_ids, members = family_cubes(family, Delta_exp)
     threshold = lam * squares.delta
     if len(cube_ids) == 1:
         return _square_counts(family, squares, threshold)[:, None], cube_ids
     counts = np.empty((len(squares), len(cube_ids)), dtype=np.int64)
-    order = np.argsort(inverse, kind="stable")
-    ends = np.cumsum(np.bincount(inverse, minlength=len(cube_ids)))
-    for i, members in enumerate(np.split(order, ends[:-1])):
-        counts[:, i] = _square_counts(family.subfamily(members), squares, threshold)
+    for i, curves in enumerate(members):
+        counts[:, i] = _square_counts(family.subfamily(curves), squares, threshold)
     return counts, cube_ids

@@ -411,12 +411,12 @@ def test_mainlem_a_above_cube_count_empty(line_evaluator):
 
 
 def test_mainlem_b_above_max_population_empty(line_evaluator):
-    # b = the smallest power of two above max_b finds nothing; the largest
-    # one at or below it finds the square where max_b is reached
-    max_b = line_evaluator.max_b
-    rep = line_evaluator.report(a=2, b=1 << max_b.bit_length())
+    # b = the smallest power of two above the largest cube count at a square
+    # finds nothing; the largest one at or below it finds that square
+    levels = len(line_evaluator.n_big)
+    rep = line_evaluator.report(a=2, b=1 << levels)
     assert rep.P_ab_size == 0 and rep.pre_filter_size == 0
-    assert line_evaluator.report(a=1, b=1 << max_b.bit_length() - 1).pre_filter_size > 0
+    assert line_evaluator.report(a=1, b=1 << levels - 1).pre_filter_size > 0
 
 
 def test_mainlem_sweep_no_violation(line_evaluator):
@@ -473,7 +473,9 @@ def test_mainlem_size_estimate_matches_the_build(delta_exp, Delta_exp):
     ev = cf.MainlemEvaluator(fam, delta_exp, Delta_exp, 1 / Delta_exp)
     assert n_squares == len(ev.squares) and n_cubes == len(ev.cube_ids)
     # the estimate's n_big levels: one per bit of a cube's curve count
-    assert len(ev.n_big) == ev.max_b.bit_length() <= (n_curves // n_cubes).bit_length()
+    table, _ = cf.cube_incidence_counts(fam, ev.squares, Delta_exp)
+    assert table.max() > 0
+    assert len(ev.n_big) == int(table.max()).bit_length() <= (n_curves // n_cubes).bit_length()
 
 
 def test_mainlem_size_limit():
@@ -506,6 +508,20 @@ def test_mainlem_peak_stays_under_the_size_estimate(delta_exp, Delta_exp):
     assert peak <= 0.9 * estimate
 
 
+def test_mainlem_peak_with_many_cubes_holds_no_squares_by_cubes_table():
+    # 64 cubes on the 2^-8 grid: both passes fold one cube's counts at a
+    # time, so the peak stays under half of one 65,536 x 64 int64 table
+    tracemalloc.start()
+    try:
+        fam = cf.build_uniform_line_family(8, 8, 0, (4, 4, 4, 1, 1, 1, 1, 1))
+        ev = cf.MainlemEvaluator(fam, 8, 8, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ev.cube_ids) == 64
+    assert peak <= (len(ev.squares) * 64 * 8) // 2
+
+
 def _dense_sweep(ev, dense):
     """(a, b, |P_ab|, pre-filter) of every sweep cell, from the dense (square, cube) table."""
     def at_least(b):
@@ -527,8 +543,8 @@ def test_mainlem_streamed_fold_equals_the_dense_table(delta_exp, Delta_exp, lam)
         ev = cf.MainlemEvaluator(fam, delta_exp, Delta_exp, 1 / Delta_exp, lam)
         dense, cube_ids = cf.cube_incidence_counts(fam, ev.squares, Delta_exp, lam)
         np.testing.assert_array_equal(cube_ids, ev.cube_ids)
-        assert ev.max_b == dense.max() > 0
-        assert len(ev.n_big) == ev.max_b.bit_length()
+        assert dense.max() > 0
+        assert len(ev.n_big) == int(dense.max()).bit_length()
         for j, column in enumerate(ev.n_big):
             assert column.dtype == np.int32
             np.testing.assert_array_equal(column, np.sum(dense >= 2 ** j, axis=1))
@@ -547,16 +563,18 @@ def _cube_table(fam, squares, level, lam):
 
 
 #: (Delta_exp, eps, branching, share of squares passing hypothesis (i)): the
-#: default family at Delta = 2^-3 passes nowhere, so a sparser one joins it
+#: default family at Delta = 2^-3 passes nowhere, so a sparser one joins it;
+#: the last has 64 cubes
 @pytest.mark.parametrize("Delta_exp, eps, branching, share", [
     (3, 1 / 3, None, 0.0), (3, 1 / 3, (2, 4, 1), 0.0625), (2, 1 / 2, None, 0.0625),
+    (4, 1 / 2, (4, 4, 4, 1), 0.63671875),
 ])
 def test_mainlem_counts_equal_an_oracle_recount(Delta_exp, eps, branching, share):
     k = 6
     fam = cf.build_uniform_line_family(k, Delta_exp, 0, branching)
     ev = cf.MainlemEvaluator(fam, k, Delta_exp, eps)
     table = _cube_table(fam, ev.squares, Delta_exp, 2.0)
-    assert ev.max_b == table.max() > 1
+    assert table.max() > 1
     assert len(ev.n_big) == int(table.max()).bit_length()
     for j, column in enumerate(ev.n_big):
         np.testing.assert_array_equal(column, np.sum(table >= 2 ** j, axis=1))
@@ -577,14 +595,14 @@ def test_mainlem_counts_equal_an_oracle_recount(Delta_exp, eps, branching, share
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mainlem_counts_with_empty_cubes_equal_an_oracle_recount(seed):
     # at 2^-7 and Delta = 2^-4, the lines of 6 to 8 of the 16 cubes miss the
-    # grid: the kernel finds no run for them and their column is all zeros
+    # grid, so their column is all zeros
     k, Delta_exp = 7, 4
     fam = cf.build_uniform_line_family(k, Delta_exp, seed)
     ev = cf.MainlemEvaluator(fam, k, Delta_exp, 0.25)
     table = _cube_table(fam, ev.squares, Delta_exp, 2.0)
     empty = ~table.any(axis=0)
     assert 6 <= empty.sum() <= 8 and len(empty) == 16
-    assert ev.max_b == table.max() > 1
+    assert table.max() > 1
     assert len(ev.n_big) == int(table.max()).bit_length()
     for j, column in enumerate(ev.n_big):
         np.testing.assert_array_equal(column, np.sum(table >= 2 ** j, axis=1))

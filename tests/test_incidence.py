@@ -381,7 +381,7 @@ def test_kernel_counts_each_of_several_thresholds_as_the_oracle(kind, k, data):
             inc._counts_at_thresholds(fam, P, tuple(with_nan))
 
 
-def test_kernel_matches_oracle_where_runs_are_empty_mid_column():
+def test_kernel_matches_oracle_for_curves_between_two_row_centers():
     # below half a row a curve between two centers hits neither: its run is
     # empty although f(x) lies among the rows
     k = 6
@@ -557,7 +557,7 @@ def test_kernel_matches_oracle_at_thresholds_beyond_the_filter(rows):
     assert count == (0 if rows <= 0 else len(fam) * len(P))
 
 
-def test_cube_counts_of_a_family_with_no_run_are_the_zero_table():
+def test_cube_counts_of_a_family_off_the_grid_are_the_zero_table():
     fam = fl.TransversalFamily("affine", [0.0, 0.5, 0.0], [3.0, 2.0, -2.0], (0.0, 1.0))
     P = dy.SquareFamily.grid(5)
     counts, cube_ids = inc.cube_incidence_counts(fam, P, 2)
